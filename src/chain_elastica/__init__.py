@@ -8,7 +8,7 @@ from .lattice import PeriodicLatticeField, finite_difference, \
     check_admissible
 from .splines import bspline, bspline_kernel, reproducing_kernel, \
     SplineKernel, localization_weight, moment_sum, nodal_interpolant, \
-    convolution_interpolant, measurement_interpolant, KernelField
+    convolution_interpolant, measurement_interpolant, KernelField, PiecewisePoly
 from .optimize import MinimizeProblem, MinimizeResult, bfgs_minimize, \
     newton_minimize, gradient_check
 from .atomistic import AtomisticSystem, AtomisticSolution, external_work, \

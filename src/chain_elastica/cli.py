@@ -10,11 +10,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .harness import (energy_fits, load_config, run_consistency, run_solve,
-                      run_stability, run_sweep, write_fits_json,
-                      write_records_csv, _fmt)
+                      run_stability, run_sweep, unfitted_models,
+                      write_fits_json, write_records_csv, _fmt)
 
 
 def _parse_eps_list(text):
@@ -79,6 +77,9 @@ def main(argv=None):
             flag = "  [flagged: r2 < 0.99]" if f.flagged else ""
             print(f"{f.model}: grad-error slope {f.slope:.3f} "
                   f"(r2 = {f.r2:.5f}, {f.points} points){flag}")
+        for model, cells, reason in unfitted_models(cfg, records):
+            print(f"{model}: not fitted, {cells} certified cells in the fit "
+                  f"window (need 3)" + (f": {reason}" if reason else ""))
         return 0
 
     if args.command == "solve":

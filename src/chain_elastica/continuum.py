@@ -26,8 +26,6 @@ __all__ = [
 class SineField:
     """A sin(k x + phase); all derivatives in closed form."""
 
-    max_derivative = 99
-
     def __init__(self, amplitude, wavenumber, phase=0.0):
         self.amplitude = float(amplitude)
         self.wavenumber = float(wavenumber)
@@ -38,21 +36,13 @@ class SineField:
         return (self.amplitude * self.wavenumber ** deriv
                 * np.sin(self.wavenumber * x + self.phase + 0.5 * np.pi * deriv))
 
-    def __call__(self, x, deriv=0):
-        return self.eval(x, deriv)
-
 
 class SumField:
-    max_derivative = 99
-
     def __init__(self, *fields):
         self.fields = fields
 
     def eval(self, x, deriv=0):
         return sum(f.eval(x, deriv) for f in self.fields)
-
-    def __call__(self, x, deriv=0):
-        return self.eval(x, deriv)
 
 
 def _gradients(u, x, upto):
@@ -67,7 +57,6 @@ class _ComposedModel:
     """
 
     key = ""
-    stress_order = 1          # highest derivative the stress formula reads
     density_orders = (1,)     # gradient slots the density depends on
 
     def __init__(self, potential, bonds=(1, 2), F=1.0):
@@ -132,7 +121,6 @@ class CauchyBorn(_ComposedModel):
     """Density sum_rho phi_rho(rho grad u): second-order accurate."""
 
     key = "cb"
-    stress_order = 1
     density_orders = (1,)
 
     def _arg_coeffs(self, rho):
@@ -149,7 +137,6 @@ class HigherOrder4(_ComposedModel):
     grad u and grad^3 u through rho grad u + (rho^3/24) grad^3 u."""
 
     key = "hoc4"
-    stress_order = 5
     density_orders = (1, 3)
 
     def _arg_coeffs(self, rho):
@@ -196,7 +183,6 @@ class HigherOrder6(_ComposedModel):
     """Sixth-order model: the midpoint expansion kept through grad^5 u."""
 
     key = "hoc6"
-    stress_order = 5
     density_orders = (1, 3, 5)
 
     def _arg_coeffs(self, rho):
@@ -232,7 +218,6 @@ class IllPosedSecondGradient(_ComposedModel):
     fourth-order consistent in stress but not positive definite."""
 
     key = "ill2"
-    stress_order = 3
     density_orders = (1, 2)
 
     def _arg_coeffs(self, rho):  # not of composed form; overrides below
@@ -251,10 +236,6 @@ class IllPosedSecondGradient(_ComposedModel):
             out += self.phi[rho].derivative(0, a) \
                 - rho ** 4 / 24.0 * self.phi[rho].derivative(2, a) * g[1] ** 2
         return out
-
-    def density0(self):
-        return float(sum(self.phi[rho].derivative(0, np.zeros(1))[0]
-                         for rho in self.bonds))
 
     def density_grad(self, g):
         g = np.asarray(g, dtype=float)
@@ -304,7 +285,6 @@ class LatticePointExpansion(_ComposedModel):
     the same density is kept separately for comparison."""
 
     key = "first"
-    stress_order = 3
     density_orders = (1, 2, 3)
 
     def _arg_coeffs(self, rho):
@@ -350,7 +330,6 @@ def continuum_energy(model, u, N, npoints=5, relative=True):
     """Integral of the density along the smooth field u over [-N, N].
     With relative=True the homogeneous offset is removed pointwise, which
     keeps the small energy differences well conditioned."""
-    upto = max(model.density_orders)
     w0 = model.density0() if relative else 0.0
 
     def f(x):
@@ -365,8 +344,6 @@ def continuum_energy(model, u, N, npoints=5, relative=True):
 def first_variation_pairing(model, u, v, N, npoints=8):
     """<delta E(u), v> = int sum_m dW/dg_m grad^m v dx: the exact Gateaux
     derivative of the density energy."""
-    upto = max(model.density_orders)
-
     def f(x):
         g = np.zeros((5,) + x.shape)
         for j in model.density_orders:

@@ -34,10 +34,8 @@ class PeriodicSplineSpace:
         # active local basis offsets on one element [m, m+1): j = m + o
         self.offsets = np.arange(-2, 4)
         # template[o, r, q] = d^r/dx^r B5(t_q - o)
-        self.template = np.empty((6, 6, quad_points))
-        for io, o in enumerate(self.offsets):
-            for r in range(6):
-                self.template[io, r] = bspline(5, self.qt - o, r)
+        self.template = np.array([[bspline(5, self.qt - o, r) for r in range(6)]
+                                  for o in self.offsets])
 
     def field(self, coeffs):
         return FemField(coeffs, self)
@@ -67,20 +65,11 @@ class PeriodicSplineSpace:
 
 
 class FemField(KernelField):
-    """Spline field; derivative orders 0..4 are continuous, order 5 is
-    piecewise constant and order 6 vanishes inside elements."""
-
-    max_derivative = 5
-    piecewise_orders = (5, 6)
+    """Quintic spline field: derivative orders 0..4 are continuous, order 5
+    is piecewise constant and higher orders are 0."""
 
     def __init__(self, coeffs, space):
         super().__init__(coeffs, bspline_kernel(5), space.N)
-        self.space = space
-
-    def eval(self, x, deriv=0):
-        if deriv == 6:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return super().eval(x, deriv)
 
 
 def _local_load(space, f):

@@ -23,7 +23,7 @@ from .potentials import make_potential
 from .splines import measurement_interpolant, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
-           "run_sweep", "run_consistency", "run_stability", "run_solve",
+           "fit_models", "unfitted_models", "run_sweep", "run_consistency", "run_stability", "run_solve",
            "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
@@ -62,6 +62,7 @@ class ConvergenceRecord:
     grad_error: float       # scaled units: eps^(1/2) * lattice value
     energy_gap: float       # scaled units: eps * lattice value
     converged: bool
+    reason: str = ""        # why the cell failed; not written to records.csv
 
 
 @dataclass
@@ -129,36 +130,51 @@ def solve_cell(cfg, eps, model_key):
 def run_sweep(cfg):
     """The refinement protocol: for each eps solve both descriptions, measure
     the scaled gradient error and energy gap, then fit slopes per model.
-    Output ordering is deterministic: models in config order, eps descending."""
+    Output ordering is deterministic: models in config order, eps descending.
+    A cell whose continuum Hessian is indefinite gets a NaN row with the
+    reason; see `fit_models` for the models left unfitted."""
     records = []
     for model_key in cfg.models:
         for eps in sorted(cfg.eps_list, reverse=True):
             try:
                 records.append(solve_cell(cfg, eps, model_key))
-            except IndefiniteHessianError:
+            except IndefiniteHessianError as exc:
                 records.append(ConvergenceRecord(model_key, eps,
                                                  _eps_to_N(eps),
                                                  float("nan"), float("nan"),
-                                                 False))
-    fits = []
-    for model_key in cfg.models:
-        rows = [(r.eps, r.grad_error) for r in records
-                if r.model == model_key and r.converged]
-        slope, intercept, r2, npts = fit_slope(rows, eps_min=cfg.eps_min_fit)
-        fits.append(SlopeFit(model_key, slope, intercept, r2, npts,
-                             flagged=bool(r2 < 0.99)))
-    return records, fits
+                                                 False, reason=str(exc)))
+    return records, fit_models(cfg, records, "grad_error")
 
 
 def energy_fits(cfg, records):
+    return fit_models(cfg, records, "energy_gap")
+
+
+def fit_models(cfg, records, column):
+    """Slope fit of one record column per model over its certified cells in
+    the fit window; models with fewer than 3 are left out (`unfitted_models`)."""
     fits = []
-    for model_key in cfg.models:
-        rows = [(r.eps, r.energy_gap) for r in records
-                if r.model == model_key and r.converged]
-        slope, intercept, r2, npts = fit_slope(rows, eps_min=cfg.eps_min_fit)
-        fits.append(SlopeFit(model_key, slope, intercept, r2, npts,
-                             flagged=bool(r2 < 0.99)))
+    for model_key, cells in _fit_windows(cfg, records):
+        if len(cells) >= 3:
+            slope, intercept, r2, npts = fit_slope(
+                [(r.eps, getattr(r, column)) for r in cells])
+            fits.append(SlopeFit(model_key, slope, intercept, r2, npts,
+                                 flagged=bool(r2 < 0.99)))
     return fits
+
+
+def _fit_windows(cfg, records):
+    """(model, its certified cells in the fit window) in config order."""
+    return [(key, [r for r in records if r.model == key and r.converged
+                   and r.eps >= cfg.eps_min_fit]) for key in cfg.models]
+
+
+def unfitted_models(cfg, records):
+    """(model, certified cells in the fit window, first failure reason) for
+    each model that `fit_models` leaves out."""
+    return [(key, len(cells),
+             next((r.reason for r in records if r.model == key and r.reason), ""))
+            for key, cells in _fit_windows(cfg, records) if len(cells) < 3]
 
 
 def _fmt(v):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .splines import PiecewisePoly
+
 __all__ = [
     "PeriodicLatticeField", "finite_difference", "stencil_derivatives",
     "hermite_interpolant", "HermiteInterpolant", "project_mean_zero",
@@ -128,12 +130,11 @@ def _hermite9_matrix():
 _H9 = _hermite9_matrix()
 
 
-class HermiteInterpolant:
+class HermiteInterpolant(PiecewisePoly):
     """Piecewise degree-9 Hermite interpolant matching the site value and the
     four stencil derivatives at every site; globally C^4, reproduces quartic
-    data exactly, and agrees with the lattice field at the sites."""
-
-    max_derivative = 9
+    data exactly, and agrees with the lattice field at the sites (bit-exactly:
+    Horner at t = 0 returns the stored value)."""
 
     def __init__(self, v):
         self.N = v.N
@@ -141,27 +142,8 @@ class HermiteInterpolant:
         data = np.stack([v.values, d1, d2, d3, d4], axis=1)  # (2N, 5)
         right = np.roll(data, -1, axis=0)
         nodal = np.concatenate([data, right], axis=1)        # (2N, 10)
-        self.coeffs = nodal @ _H9.T                          # monomials in t = x - xi
-
-    def eval(self, x, deriv=0):
-        x = np.asarray(x, dtype=float)
-        n2 = 2 * self.N
-        xw = (x + self.N) % n2 - self.N
-        idx = np.minimum(np.floor(xw).astype(int), self.N - 1)
-        t = xw - idx
-        cell = (idx + self.N) % n2
-        c = self.coeffs[cell]
-        # Horner in t; at t == 0 this returns the stored site value bit-exactly
-        acc = np.zeros_like(xw)
-        for i in range(9, deriv - 1, -1):
-            fac = 1.0
-            for k in range(deriv):
-                fac *= i - k
-            acc = acc * t + fac * c[..., i]
-        return acc
-
-    def __call__(self, x, deriv=0):
-        return self.eval(x, deriv)
+        # monomials in t = x - xi on [xi, xi + 1)
+        super().__init__(nodal @ _H9.T, -v.N, periodic=True)
 
 
 def hermite_interpolant(v):

@@ -1,71 +1,115 @@
-"""Cardinal B-splines on the integer grid, quasi-interpolation kernels, bond
-weights, and the periodic interpolants built from them.
+"""Piecewise polynomials in pp-form and the B-splines, kernels, bond weights
+and periodic interpolants built on them.
 
-Everything here is a finite combination sum_j c_j B_d(x - j) of one centered
-cardinal B-spline, so evaluation, differentiation, antiderivatives and
-convolution all stay exact piecewise-polynomial operations.
+Every kernel, field and interpolant here is a `PiecewisePoly`: monomial
+coefficients on unit cells, evaluated by a cell lookup plus Horner's rule
+(de Boor, A Practical Guide to Splines, ch. VII), with derivatives and
+antiderivatives as exact coefficient maps. The pieces of the centered
+cardinal B-spline B_d are exact, from its truncated-power form; a kernel
+sum_j taps[j] B_d(x - j) shifts and adds them, and a periodic field
+sum_j c_j zeta(x - j) convolves c with the kernel's cells.
 """
+
+import functools
+from math import comb, factorial, perm
 
 import numpy as np
 
 __all__ = [
-    "bspline", "bspline_kernel", "reproducing_kernel", "SplineKernel",
-    "localization_weight", "moment_sum", "nodal_interpolant",
+    "PiecewisePoly", "bspline", "bspline_kernel", "reproducing_kernel",
+    "SplineKernel", "localization_weight", "moment_sum", "nodal_interpolant",
     "convolution_interpolant", "measurement_interpolant", "KernelField",
     "periodic_spline_coefficients",
 ]
 
 
-def _bspline_value(degree, x):
-    """Centered cardinal B-spline B_d via the de Boor triangle, vectorized."""
-    x = np.asarray(x, dtype=float)
-    if degree == 0:
-        return np.where((x >= -0.5) & (x < 0.5), 1.0, 0.0)
-    knots = np.arange(degree + 2) - 0.5 * (degree + 1)
-    cols = [np.where((x >= knots[m]) & (x < knots[m + 1]), 1.0, 0.0)
-            for m in range(degree + 1)]
-    for k in range(1, degree + 1):
-        cols = [((x - knots[m]) * cols[m] + (knots[m + k + 1] - x) * cols[m + 1]) / k
-                for m in range(degree + 1 - k)]
-    return cols[0]
+class PiecewisePoly:
+    """sum_i coeffs[k, i] (x - left - k)^i on the cell [left + k, left + k + 1).
+
+    Cells are half-open, so every function is right-continuous at its
+    breakpoints. A periodic pp repeats its len(coeffs) cells with that
+    period. Otherwise it is 0 left of its cells and the constant `right`
+    right of them (nonzero only for an antiderivative).
+    """
+
+    def __init__(self, coeffs, left, periodic=False, right=0.0):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.left = float(left)
+        self.periodic = periodic
+        self.right = float(right)
+        self._tables = {}
+
+    def _table(self, deriv):
+        """Coefficients of the deriv-th derivative, one row per power; when
+        not periodic, with the outer cells -1 (zero) and n (`right`) added."""
+        if deriv not in self._tables:
+            c = self.coeffs
+            if not self.periodic:
+                outer = np.zeros((2, c.shape[1]))
+                outer[1, 0] = self.right
+                c = np.concatenate([outer[:1], c, outer[1:]])
+            fall = [perm(i, deriv) for i in range(deriv, c.shape[1])]
+            self._tables[deriv] = np.ascontiguousarray(
+                (c[:, deriv:] * np.array(fall, dtype=float)).T)
+        return self._tables[deriv]
+
+    def eval(self, x, deriv=0):
+        x = np.asarray(x, dtype=float)
+        if deriv >= self.coeffs.shape[1]:
+            return np.zeros_like(x)
+        n = len(self.coeffs)
+        s = x - self.left
+        if self.periodic:
+            s = s % n
+            cell = np.minimum(np.floor(s), n - 1)   # s % n can round up to n
+            row = cell.astype(np.intp)
+        else:
+            cell = np.clip(np.floor(s), -1, n)
+            row = cell.astype(np.intp) + 1
+        t = s - cell
+        table = self._table(deriv)
+        # at t == 0 this returns the stored constant term bit-exactly
+        acc = table[-1][row]
+        for col in table[-2::-1]:
+            acc = acc * t + col[row]
+        return acc
+
+    def antiderivative(self):
+        """The integral from -infinity: coefficients c_i / (i + 1) one power
+        up, plus each cell's running total."""
+        if self.periodic or self.right:
+            raise ValueError("antiderivative needs a compactly supported pp")
+        c = self.coeffs
+        integ = np.zeros((len(c), c.shape[1] + 1))
+        integ[:, 1:] = c / np.arange(1, c.shape[1] + 1)
+        ends = np.cumsum(integ.sum(axis=1))
+        integ[1:, 0] = ends[:-1]
+        return PiecewisePoly(integ, self.left, right=ends[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _bspline_pp(degree):
+    """B_degree on its degree + 1 cells from -(degree + 1)/2. With
+    y = x + (d + 1)/2 on cell m, y = m + t and
+    d! B_d = sum_{k <= m} (-1)^k C(d+1, k) (m - k + t)^d: integer sums,
+    rounded once."""
+    d = degree
+    coeffs = [[sum((-1) ** k * comb(d + 1, k) * comb(d, p) * (m - k) ** (d - p)
+                   for k in range(m + 1)) / factorial(d)
+               for p in range(d + 1)]
+              for m in range(d + 1)]
+    return PiecewisePoly(coeffs, -0.5 * (d + 1))
 
 
 def bspline(degree, x, deriv=0):
     """Centered cardinal B-spline B_d and its derivatives, vectorized in x.
 
     B_0 is the indicator of [-1/2, 1/2); B_d = B_{d-1} * B_0, support
-    (-(d+1)/2, (d+1)/2), unit integral. Derivative of order r is the r-th
-    central difference of B_{d-r} at half-integer shifts.
+    (-(d+1)/2, (d+1)/2), unit integral. Derivatives past the degree are 0.
     """
     if deriv < 0 or degree < 0:
         raise ValueError("degree and deriv must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if deriv > degree:
-        # distributional beyond the piecewise degree; pointwise it is zero a.e.
-        return np.zeros_like(x)
-    if deriv == 0:
-        return _bspline_value(degree, x)
-    from math import comb
-    out = np.zeros_like(x)
-    for i in range(deriv + 1):
-        out += (-1) ** i * comb(deriv, i) * _bspline_value(degree - deriv,
-                                                           x + 0.5 * deriv - i)
-    return out
-
-
-def bspline_antiderivative(degree, x):
-    """Integral of B_d from -infinity, exact: sum_{j>=0} B_{d+1}(x - 1/2 - j).
-
-    Arguments beyond the support carry the full unit mass, so x is clamped
-    before the finite telescoping sum.
-    """
-    x = np.asarray(x, dtype=float)
-    h = 0.5 * (degree + 1)
-    xc = np.clip(x, -h - 1.0, h + 1.0)
-    out = np.zeros_like(xc)
-    for j in range(degree + 3):
-        out += bspline(degree + 1, xc - 0.5 - j)
-    return out
+    return _bspline_pp(degree).eval(x, deriv)
 
 
 class SplineKernel:
@@ -75,28 +119,26 @@ class SplineKernel:
         self.degree = degree
         self.taps = dict(taps)
         self.name = name or f"combo{degree}"
-        offs = np.array(sorted(self.taps))
-        self.support_radius = 0.5 * (degree + 1) + max(abs(offs[0]), abs(offs[-1]))
+        lo, hi = min(self.taps), max(self.taps)
+        self.support_radius = 0.5 * (degree + 1) + max(abs(lo), abs(hi))
         # highest polynomial degree p with sum_xi p(xi) zeta(x-xi) = p(x);
         # plain B-splines only reproduce linears, prefiltered kernels more.
         self.reproduction_degree = 1
+        pieces = _bspline_pp(degree).coeffs
+        table = np.zeros((hi - lo + degree + 1, degree + 1))
+        for j, c in self.taps.items():
+            table[j - lo:j - lo + degree + 1] += c * pieces
+        self.pp = PiecewisePoly(table, lo - 0.5 * (degree + 1))
+        self.integral = self.pp.antiderivative()
 
     def __call__(self, x, deriv=0):
         if not 0 <= deriv <= self.degree:
             raise ValueError(f"derivative order {deriv} unsupported for a "
                              f"degree-{self.degree} kernel")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for j, c in self.taps.items():
-            out += c * bspline(self.degree, x - j, deriv)
-        return out
+        return self.pp.eval(x, deriv)
 
     def antiderivative(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for j, c in self.taps.items():
-            out += c * bspline_antiderivative(self.degree, x - j)
-        return out
+        return self.integral.eval(x)
 
     def convolve(self, other):
         """Exact convolution, using B_a * B_b = B_{a+b+1}."""
@@ -110,14 +152,12 @@ class SplineKernel:
         return k
 
     def mass(self):
-        return float(sum(self.taps.values()))
+        return self.integral.right
 
 
 def bspline_kernel(degree):
     """The plain centered cardinal B-spline as a kernel."""
-    k = SplineKernel(degree, {0: 1.0}, name=f"bspline{degree}")
-    k.reproduction_degree = 1
-    return k
+    return SplineKernel(degree, {0: 1.0}, name=f"bspline{degree}")
 
 
 # Prefilter taps making the nodal series sum_xi v(xi) zeta(x - xi) reproduce
@@ -173,8 +213,9 @@ def moment_sum(kernel, rho, x, k):
 class KernelField:
     """Periodic field sum_j coeffs[j] * kernel(x - j), period 2N.
 
-    Implements the smooth-field interface: eval(x, deriv) for deriv up to the
-    kernel's piecewise-polynomial degree.
+    Held in pp-form on the kernel's breakpoints: cells start at -N for odd
+    degrees and at -N + 1/2 for even ones. eval(x, deriv) gives any
+    derivative order; past the kernel's degree it is 0.
     """
 
     def __init__(self, coeffs, kernel, N):
@@ -183,25 +224,17 @@ class KernelField:
         self.N = N
         if self.coeffs.shape != (2 * N,):
             raise ValueError("need one coefficient per site in [-N, N)")
+        kpp = kernel.pp
+        left = kpp.left % 1.0 - N
+        # field cell k lies in kernel cell m of site j = left - kpp.left + k - m
+        shift = round(left - kpp.left) + N
+        table = np.zeros((2 * N, kpp.coeffs.shape[1]))
+        for m, piece in enumerate(kpp.coeffs):
+            table += np.roll(self.coeffs, m - shift)[:, None] * piece
+        self.pp = PiecewisePoly(table, left, periodic=True)
 
     def eval(self, x, deriv=0):
-        x = np.asarray(x, dtype=float)
-        n2 = 2 * self.N
-        # wrap into [-N, N) and accumulate the finitely many active sites
-        xw = (x + self.N) % n2 - self.N
-        out = np.zeros_like(xw)
-        rad = self.kernel.support_radius
-        base = np.floor(xw).astype(int)
-        for off in range(-int(np.ceil(rad)) - 1, int(np.ceil(rad)) + 2):
-            j = base + off
-            c = self.coeffs[(j + self.N) % n2]
-            out += c * self.kernel(xw - j, deriv)
-        return out
-
-    def __call__(self, x, deriv=0):
-        return self.eval(x, deriv)
-
-    max_derivative = property(lambda self: self.kernel.degree)
+        return self.pp.eval(x, deriv)
 
 
 def nodal_interpolant(v, kernel):

@@ -106,6 +106,27 @@ def test_cli_sweep_and_outputs(tmp_path):
     assert 1.5 < fits[0]["slope"] < 2.5
 
 
+def test_cli_sweep_skips_model_without_certified_cells(tmp_path, capsys):
+    # every ill2 cell has an indefinite Hessian: the sweep still writes its
+    # NaN rows, fits only cb, and says why ill2 has no fit
+    out = tmp_path / "out"
+    rc = cli_main(["sweep", "--model", "cb", "--model", "ill2",
+                   "--eps-list", "2^-3..2^-5", "--out", str(out)])
+    assert rc == 0
+    records = (out / "records.csv").read_text().splitlines()
+    assert records[4:] == ["ill2,0.125,8,nan,nan,false",
+                           "ill2,0.0625,16,nan,nan,false",
+                           "ill2,0.03125,32,nan,nan,false"]
+    for name in ("fit.json", "fit_energy.json"):
+        fits = json.loads((out / name).read_text())
+        assert [f["model"] for f in fits] == ["cb"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == (
+        "ill2: not fitted, 0 certified cells in the fit window (need 3): "
+        "continuum model 'ill2' is not positive definite on the mean-zero "
+        "subspace at N=8: Hessian not positive definite")
+
+
 def test_cli_solve_writes_solutions(tmp_path):
     out = tmp_path / "sol"
     rc = cli_main(["solve", "--potential", "harmonic", "--eps", "0.125",

@@ -4,7 +4,7 @@ from scipy.interpolate import BSpline
 
 from chain_elastica.lattice import PeriodicLatticeField, project_mean_zero
 from chain_elastica.quadrature import composite_integral, gauss_rule
-from chain_elastica.splines import (bspline, bspline_kernel,
+from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
                                     convolution_interpolant,
                                     localization_weight, measurement_interpolant,
                                     moment_sum, nodal_interpolant,
@@ -55,6 +55,15 @@ def test_kernel_outside_support_is_zero():
     assert z(np.array([z.support_radius + 0.01]))[0] == 0.0
     x = np.array([z.support_radius + 0.5, -z.support_radius - 2.0])
     assert np.all(z(x) == 0.0)
+    # the antiderivative is exactly 0 left of the support and exactly the
+    # mass right of it, from the support ends out to far away
+    for z in (reproducing_kernel(3), reproducing_kernel(5),
+              bspline_kernel(4), reproducing_kernel(5).convolve(
+                  reproducing_kernel(5))):
+        r = z.support_radius
+        far = np.array([r, r + 0.01, r + 0.5, r + 7.0, 1e6])
+        assert np.all(z.antiderivative(-far) == 0.0)
+        assert np.all(z.antiderivative(far) == z.mass())
 
 
 @pytest.mark.parametrize("degree,degmax", [(3, 3), (5, 5)])
@@ -73,6 +82,31 @@ def test_plain_bspline_does_not_reproduce_quadratics():
     x0 = 0.37
     s = sum((k ** 2) * z(np.array([x0 - k]))[0] for k in range(-8, 9))
     assert s == pytest.approx(x0 ** 2 + 1.0 / 3.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_kernel_field_matches_periodic_scipy_spline(degree):
+    # oracle: scipy's periodic B-spline on the same 2N-periodic coefficients.
+    # Breakpoints sit at integers for odd degrees and at half-integers for
+    # even ones; both kinds of grid points, the domain ends x = +-N and their
+    # images several periods out are checked, with every derivative up to the
+    # degree (right-continuous at the breakpoints on both sides)
+    N = 6
+    gen = np.random.default_rng(degree)   # leaves the module stream alone
+    c = gen.standard_normal(2 * N)
+    u = KernelField(c, bspline_kernel(degree), N)
+    left = -N + 0.5 * (degree % 2 == 0)
+    knots = left - degree + np.arange(2 * N + 2 * degree + 1)
+    # scipy coefficient i belongs to the B-spline centered at site i - N - 1
+    ref = BSpline(knots, c[(np.arange(2 * N + degree) - 1) % (2 * N)], degree,
+                  extrapolate="periodic")
+    grid = np.arange(-N, N + 0.5, 0.5)
+    x = np.concatenate([grid + 2 * N * k for k in (0, -3, 4)]
+                       + [gen.uniform(-5 * N, 5 * N, 50)])
+    for deriv in range(degree + 1):
+        assert np.allclose(u.eval(x, deriv), ref(x, nu=deriv),
+                           rtol=0, atol=1e-12), deriv
+    assert np.all(u.eval(x, degree + 1) == 0.0)
 
 
 def test_localization_weight_support_and_rho_zero():
