@@ -14,7 +14,7 @@ force = eps * np.cos(np.pi * eps * xi)
 
 for kind in ("harmonic", "lj"):
     sys_ = AtomisticSystem(N, make_potential(kind), bonds=(1, 2), force=force)
-    sol = sys_.solve(method="newton")
+    sol = sys_.solve()
     print(f"{kind}: converged={sol.converged} iters={sol.iterations} "
           f"|grad|_inf={sol.grad_norm:.1e} admissible={sol.admissible}")
     print(f"   max |u| = {np.max(np.abs(sol.displacement.values)):.4e}, "
@@ -23,10 +23,3 @@ for kind in ("harmonic", "lj"):
         ref = dft_solve(sys_)
         err = np.max(np.abs(sol.displacement.values - ref.values))
         print(f"   vs circulant DFT solve: {err:.2e}")
-
-# BFGS reaches the same minimizer
-sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2), force=force)
-a = sys_.solve(method="newton")
-b = sys_.solve(method="bfgs")
-gap = np.max(np.abs(a.displacement.values - b.displacement.values))
-print(f"newton vs bfgs displacement gap (lj): {gap:.2e}")

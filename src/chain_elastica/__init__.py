@@ -9,8 +9,8 @@ from .lattice import PeriodicLatticeField, finite_difference, \
 from .splines import bspline, bspline_kernel, reproducing_kernel, \
     SplineKernel, localization_weight, moment_sum, nodal_interpolant, \
     convolution_interpolant, measurement_interpolant, KernelField, PiecewisePoly
-from .optimize import MinimizeProblem, MinimizeResult, bfgs_minimize, \
-    newton_minimize, gradient_check
+from .optimize import MinimizeProblem, MinimizeResult, newton_minimize, \
+    gradient_check
 from .atomistic import AtomisticSystem, AtomisticSolution, external_work, \
     atomistic_stress, hessian_dft_eigenvalues, dft_solve
 from .continuum import SineField, SumField, continuum_model, MODEL_KEYS, \
@@ -20,6 +20,6 @@ from .fem import PeriodicSplineSpace, FemField, assemble, solve_continuum, \
 from .analysis import atomistic_symbol, cb_symbol, hoc_taylor_symbol, \
     direct_symbol, stability_constants, find_negative_mode
 from .harness import StudyConfig, run_sweep, run_consistency, run_stability, \
-    run_solve, fit_slope, load_config
+    solve_cell, fit_slope, load_config
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
-from .optimize import MinimizeProblem, bfgs_minimize, newton_minimize
+from .optimize import MinimizeProblem, newton_minimize
 from .potentials import shifted
 from .splines import localization_weight
 
@@ -109,15 +109,15 @@ class AtomisticSystem:
                                projection=lambda x: x - x.mean(),
                                grad_inf_tol=grad_tol, max_iter=max_iter)
 
-    def solve(self, method="newton", grad_tol=1e-10, max_iter=500, u0=None):
+    def solve(self, grad_tol=1e-10, max_iter=500, u0=None):
         prob = self.objective_problem(grad_tol, max_iter)
         x0 = np.zeros(2 * self.N) if u0 is None else np.asarray(u0, float)
-        res = (newton_minimize if method == "newton" else bfgs_minimize)(prob, x0)
+        res = newton_minimize(prob, x0)
         u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
         ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
         return AtomisticSolution(u, float(res.fun), res.grad_norm, res.iterations,
-                                 res.converged, res.method,
-                                 admissible=ok, worst_bond=(site, rho, worst))
+                                 res.converged, admissible=ok,
+                                 worst_bond=(site, rho, worst))
 
 
 @dataclass
@@ -127,7 +127,6 @@ class AtomisticSolution:
     grad_norm: float
     iterations: int
     converged: bool
-    method: str
     admissible: bool
     worst_bond: tuple
 

@@ -2,7 +2,8 @@
 
     chain-elastica {solve|sweep|stability|consistency}
         --config <path> [--model ...] [--potential ...] [--eps-list ...]
-        [--interp {pi|cubic|quartic}] [--opt {newton|bfgs}] [--out <dir>]
+        [--interp {pi|cubic|quartic}] [--eps-min <eps>] [--out <dir>]
+        [--eps <eps>]  (solve only)
 """
 
 import argparse
@@ -10,9 +11,10 @@ import json
 import os
 import sys
 
-from .harness import (energy_fits, load_config, run_consistency, run_solve,
-                      run_stability, run_sweep, unfitted_models,
-                      write_fits_json, write_records_csv, _fmt)
+from .continuum import MODEL_KEYS
+from .harness import (energy_fits, load_config, run_consistency, run_stability,
+                      run_sweep, solve_cell, unfitted_models, write_fits_json,
+                      write_records_csv, write_solution_csvs, _fmt)
 
 
 def _parse_eps_list(text):
@@ -36,8 +38,6 @@ def _build_config(args):
         overrides["eps_list"] = _parse_eps_list(args.eps_list)
     if args.interp:
         overrides["interp"] = args.interp
-    if args.opt:
-        overrides["opt_method"] = args.opt
     if args.eps_min is not None:
         overrides["eps_min_fit"] = args.eps_min
     if args.out:
@@ -51,13 +51,10 @@ def main(argv=None):
     for name in ("solve", "sweep", "stability", "consistency"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--model", action="append",
-                       choices=["cb", "hoc4", "hoc6", "ill2", "first",
-                                "atomistic"])
+        p.add_argument("--model", action="append", choices=MODEL_KEYS)
         p.add_argument("--potential", choices=["harmonic", "lj", "morse"])
         p.add_argument("--eps-list", dest="eps_list")
         p.add_argument("--interp", choices=["pi", "cubic", "quartic"])
-        p.add_argument("--opt", choices=["newton", "bfgs"])
         p.add_argument("--eps-min", dest="eps_min", type=float,
                        help="exclude eps below this from slope fits")
         p.add_argument("--out")
@@ -83,12 +80,14 @@ def main(argv=None):
         return 0
 
     if args.command == "solve":
-        models = tuple(m for m in (cfg.models if not args.model
-                                   else tuple(args.model)) if m != "atomistic")
-        out, dists = run_solve(cfg, args.eps, models=models,
-                               out_dir=cfg.out_dir)
-        for key, d in dists.items():
-            print(f"|grad I u_a - grad u_{key}|_L2 = {d:.6e}")
+        cell = solve_cell(cfg, args.eps, cfg.models)
+        write_solution_csvs(cfg.out_dir, cell)
+        for rec in cell.records:
+            if rec.reason:
+                print(f"{rec.model}: not solved: {rec.reason}")
+            else:
+                print(f"|grad I u_a - grad u_{rec.model}|_L2 = "
+                      f"{cell.distances[rec.model]:.6e}")
         return 0
 
     if args.command == "stability":

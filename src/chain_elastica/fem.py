@@ -5,7 +5,7 @@ solver, and L2 comparisons between smooth fields."""
 import numpy as np
 import scipy.linalg
 
-from .optimize import MinimizeProblem, bfgs_minimize, newton_minimize
+from .optimize import MinimizeProblem, newton_minimize
 from .quadrature import composite_integral, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
@@ -152,8 +152,8 @@ def _definite_on_mean_zero(H):
         return False
 
 
-def solve_continuum(model, space, f=None, method="newton",
-                    grad_tol=1e-10, max_iter=500, certify=True):
+def solve_continuum(model, space, f=None, grad_tol=1e-10, max_iter=500,
+                    certify=True):
     """Minimize the forced continuum energy. A converged stationary point is
     certified as a local minimizer; the unstable variants fail that check and
     raise IndefiniteHessianError (a stationary point of an energy that is
@@ -162,7 +162,7 @@ def solve_continuum(model, space, f=None, method="newton",
     prob.grad_inf_tol = grad_tol
     prob.max_iter = max_iter
     x0 = np.zeros(space.n)
-    res = (newton_minimize if method == "newton" else bfgs_minimize)(prob, x0)
+    res = newton_minimize(prob, x0)
     if res.hessian_indefinite or (certify and res.converged and
                                   not _definite_on_mean_zero(prob.hessian(res.x))):
         raise IndefiniteHessianError(

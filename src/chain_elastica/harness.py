@@ -15,15 +15,17 @@ import numpy as np
 
 from .analysis import find_negative_mode, stability_constants, \
     atomistic_symbol, cb_symbol, hoc_taylor_symbol, direct_symbol
-from .atomistic import AtomisticSystem
+from .atomistic import AtomisticSolution, AtomisticSystem
 from .continuum import SineField, consistency_residual, continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
+from .lattice import hermite_interpolant
 from .potentials import make_potential
 from .splines import measurement_interpolant, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
-           "fit_models", "unfitted_models", "run_sweep", "run_consistency", "run_stability", "run_solve",
+           "fit_models", "unfitted_models", "Cell", "solve_cell", "run_sweep",
+           "run_consistency", "run_stability", "write_solution_csvs",
            "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
@@ -39,7 +41,6 @@ class StudyConfig:
     models: tuple = ("cb", "hoc4")
     eps_list: tuple = _DEFAULT_EPS
     interp: str = "quartic"           # pi | cubic | quartic
-    opt_method: str = "newton"        # newton | bfgs
     grad_tol: float = 1e-10
     max_iter: int = 500
     eps_min_fit: float = 2.0 ** -8    # exclude smaller eps from slope fits
@@ -63,6 +64,15 @@ class ConvergenceRecord:
     energy_gap: float       # scaled units: eps * lattice value
     converged: bool
     reason: str = ""        # why the cell failed; not written to records.csv
+
+
+@dataclass
+class Cell:
+    """What `solve_cell` returns for one eps."""
+    atomistic: AtomisticSolution
+    records: list           # one ConvergenceRecord per model, in model order
+    fields: dict            # model -> FemField, for the models solved
+    distances: dict         # model -> ||grad I u_a - grad u_c||_L2, lattice units
 
 
 @dataclass
@@ -104,45 +114,49 @@ def _lattice_force(N):
     return eps * np.cos(np.pi * eps * xi)
 
 
-def solve_cell(cfg, eps, model_key):
-    """One (eps, model) cell: atomistic + continuum solves, scaled errors."""
+def solve_cell(cfg, eps, models):
+    """One eps of the study: the atomistic chain is solved once, then each
+    continuum model in `models` is solved and measured against it. A model
+    whose Hessian is indefinite gets a NaN record with the reason and no
+    field."""
     N = _eps_to_N(eps)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
                              force=_lattice_force(N), kappa=cfg.kappa)
-    sol_a = system.solve(method=cfg.opt_method, grad_tol=cfg.grad_tol,
-                         max_iter=cfg.max_iter)
-    model = continuum_model(model_key, pot, bonds=bonds, F=cfg.F)
+    sol_a = system.solve(grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
+    iu = measurement_interpolant(sol_a.displacement, cfg.interp)
     space = PeriodicSplineSpace(N)
     f_cont = lambda x: eps * np.cos(np.pi * eps * x)
-    u_c = solve_continuum(model, space, f_cont, method=cfg.opt_method,
-                          grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
-    iu = measurement_interpolant(sol_a.displacement, cfg.interp)
-    g_err = grad_l2_distance(iu, u_c, N)
-    e_gap = energy_gap(system, sol_a, model, u_c)
-    converged = bool(sol_a.converged and u_c.result.converged)
-    return ConvergenceRecord(model_key, eps, N,
-                             float(np.sqrt(eps) * g_err), float(eps * e_gap),
-                             converged)
+    cell = Cell(sol_a, [], {}, {})
+    for key in models:
+        model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
+        try:
+            u_c = solve_continuum(model, space, f_cont, grad_tol=cfg.grad_tol,
+                                  max_iter=cfg.max_iter)
+        except IndefiniteHessianError as exc:
+            cell.records.append(ConvergenceRecord(
+                key, eps, N, float("nan"), float("nan"), False,
+                reason=str(exc)))
+            continue
+        g_err = grad_l2_distance(iu, u_c, N)
+        e_gap = energy_gap(system, sol_a, model, u_c)
+        cell.fields[key] = u_c
+        cell.distances[key] = g_err
+        cell.records.append(ConvergenceRecord(
+            key, eps, N, float(np.sqrt(eps) * g_err), float(eps * e_gap),
+            bool(sol_a.converged and u_c.result.converged)))
+    return cell
 
 
 def run_sweep(cfg):
     """The refinement protocol: for each eps solve both descriptions, measure
     the scaled gradient error and energy gap, then fit slopes per model.
     Output ordering is deterministic: models in config order, eps descending.
-    A cell whose continuum Hessian is indefinite gets a NaN row with the
-    reason; see `fit_models` for the models left unfitted."""
-    records = []
-    for model_key in cfg.models:
-        for eps in sorted(cfg.eps_list, reverse=True):
-            try:
-                records.append(solve_cell(cfg, eps, model_key))
-            except IndefiniteHessianError as exc:
-                records.append(ConvergenceRecord(model_key, eps,
-                                                 _eps_to_N(eps),
-                                                 float("nan"), float("nan"),
-                                                 False, reason=str(exc)))
+    See `fit_models` for the models left unfitted."""
+    by_eps = [solve_cell(cfg, eps, cfg.models).records
+              for eps in sorted(cfg.eps_list, reverse=True)]
+    records = [row[i] for i in range(len(cfg.models)) for row in by_eps]
     return records, fit_models(cfg, records, "grad_error")
 
 
@@ -247,45 +261,20 @@ def run_stability(cfg, band=(0.0, 1.0), ngrid=10_000, Ns=(8, 16, 32, 64)):
     return report, modes, table
 
 
-def run_solve(cfg, eps, models=("cb", "hoc4"), out_dir=None):
-    """Solve the atomistic chain and the requested continuum models at one
-    eps; returns solutions plus the gradient distances to the atomistic
-    interpolant (the displacement-figure comparison)."""
-    N = _eps_to_N(eps)
-    pot = cfg.make_potential()
-    bonds = cfg.bonds()
-    system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
-                             force=_lattice_force(N), kappa=cfg.kappa)
-    sol_a = system.solve(method=cfg.opt_method, grad_tol=cfg.grad_tol)
-    iu = measurement_interpolant(sol_a.displacement, cfg.interp)
-    out = {"atomistic": sol_a}
-    dists = {}
-    for key in models:
-        model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
-        space = PeriodicSplineSpace(N)
-        u_c = solve_continuum(model, space,
-                              lambda x: eps * np.cos(np.pi * eps * x),
-                              method=cfg.opt_method, grad_tol=cfg.grad_tol)
-        out[key] = u_c
-        dists[key] = grad_l2_distance(iu, u_c, N)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_solution_csvs(out_dir, N, system, sol_a,
-                             {k: out[k] for k in models})
-    return out, dists
-
-
-def _write_solution_csvs(out_dir, N, system, sol_a, continuum_fields):
-    from .lattice import hermite_interpolant
+def write_solution_csvs(out_dir, cell):
+    """solution_atomistic_<N>.csv and solution_<model>_<N>.csv for each
+    model of the cell that was solved."""
+    u = cell.atomistic.displacement
+    N = u.N
     xi = np.arange(-N, N)
-    du = hermite_interpolant(sol_a.displacement).eval(xi.astype(float), 1)
+    du = hermite_interpolant(u).eval(xi.astype(float), 1)
     lines = ["xi,u,grad_interp_u"]
     for i, s in enumerate(xi):
-        lines.append(f"{s},{_fmt(sol_a.displacement.values[i])},{_fmt(du[i])}")
+        lines.append(f"{s},{_fmt(u.values[i])},{_fmt(du[i])}")
     with open(os.path.join(out_dir, f"solution_atomistic_{N}.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     xs = np.sort(np.concatenate([xi.astype(float), xi + 0.5]))
-    for key, fld in continuum_fields.items():
+    for key, fld in cell.fields.items():
         lines = ["x,u,grad_u,grad3_u"]
         u0 = fld.eval(xs, 0)
         u1 = fld.eval(xs, 1)
@@ -297,8 +286,7 @@ def _write_solution_csvs(out_dir, N, system, sol_a, continuum_fields):
 
 
 # dotted spellings accepted in config files
-_KEY_ALIASES = {"opt.grad_tol": "grad_tol", "opt.max_iter": "max_iter",
-                "opt.method": "opt_method"}
+_KEY_ALIASES = {"opt.grad_tol": "grad_tol", "opt.max_iter": "max_iter"}
 
 
 def load_config(path=None, overrides=None):

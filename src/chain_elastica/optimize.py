@@ -1,15 +1,15 @@
-"""Unconstrained minimizers over mean-zero coefficient vectors: BFGS with a
-strong-Wolfe line search, and Newton with a direct linear solve (the fast
-oracle for the stiff quintic-spline systems)."""
+"""Unconstrained minimization over mean-zero coefficient vectors: Newton with
+a direct Cholesky solve (which also flags an indefinite Hessian), and a
+central-difference gradient check."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
-__all__ = ["MinimizeProblem", "MinimizeResult", "bfgs_minimize",
-           "newton_minimize", "gradient_check"]
+__all__ = ["MinimizeProblem", "MinimizeResult", "newton_minimize",
+           "gradient_check"]
 
 
 def _identity(x):
@@ -34,112 +34,7 @@ class MinimizeResult:
     iterations: int
     converged: bool
     message: str = ""
-    method: str = ""
     hessian_indefinite: bool = False
-
-
-# Wolfe constants; the source material gives no line-search details
-_C1 = 1e-4
-_C2 = 0.9
-
-
-def _wolfe_line_search(f, g, x, p, fx, gx, proj, max_steps=40):
-    """Strong Wolfe line search by bracketing + bisection. Falls back to the
-    best sufficient-decrease point when the curvature condition is out of
-    reach (roundoff near a minimizer); returns None only if no admissible
-    step exists. Returns (alpha, x_new, f_new, g_new)."""
-    d0 = float(np.dot(gx, p))
-    if d0 >= 0:
-        return None
-
-    def phi(a):
-        xn = proj(x + a * p)
-        return xn, f(xn)
-
-    def accept(a, xn, fn):
-        return a, xn, fn, proj(g(xn))
-
-    alpha, alpha_prev = 1.0, 0.0
-    f_prev = fx
-    best = None          # best Armijo point seen: (a, x, f)
-    lo = hi = flo = None
-    for _ in range(max_steps):
-        xn, fn = phi(alpha)
-        if fn > fx + _C1 * alpha * d0 or (f_prev < fn and alpha_prev > 0):
-            lo, hi, flo = alpha_prev, alpha, f_prev
-            break
-        best = (alpha, xn, fn)
-        gn = proj(g(xn))
-        dn = float(np.dot(gn, p))
-        if abs(dn) <= -_C2 * d0:
-            return alpha, xn, fn, gn
-        if dn >= 0:
-            lo, hi, flo = alpha, alpha_prev, fn
-            break
-        alpha_prev, f_prev = alpha, fn
-        alpha *= 2.0
-    if lo is None:
-        return accept(*best) if best else None
-    for _ in range(max_steps):
-        a = 0.5 * (lo + hi)
-        xn, fn = phi(a)
-        if fn > fx + _C1 * a * d0 or fn >= flo:
-            hi = a
-            continue
-        best = (a, xn, fn)
-        gn = proj(g(xn))
-        dn = float(np.dot(gn, p))
-        if abs(dn) <= -_C2 * d0:
-            return a, xn, fn, gn
-        if dn * (hi - lo) >= 0:
-            hi = lo
-        lo, flo = a, fn
-    if best is not None:
-        return accept(*best)
-    if lo and lo > 0:
-        xn, fn = phi(lo)
-        return accept(lo, xn, fn)
-    return None
-
-
-def bfgs_minimize(problem, x0):
-    """BFGS with strong-Wolfe steps; every iterate passes through the
-    problem's projection (mean-zero enforcement)."""
-    proj = problem.projection
-    x = proj(np.asarray(x0, dtype=float).copy())
-    f, g = problem.objective, problem.gradient
-    fx = f(x)
-    gx = proj(g(x))
-    n = x.size
-    H = np.eye(n)
-    it = 0
-    while np.max(np.abs(gx)) > problem.grad_inf_tol and it < problem.max_iter:
-        p = -H @ gx
-        ls = _wolfe_line_search(f, g, x, p, fx, gx, proj)
-        if ls is None:
-            # objective differences at the roundoff floor: accept the full
-            # quasi-Newton step if it still reduces the gradient
-            xn = proj(x + p)
-            fn, gn = f(xn), proj(g(xn))
-            if not (fn <= fx + 1e-12 * (abs(fx) + 1.0)
-                    and np.max(np.abs(gn)) < np.max(np.abs(gx))):
-                return MinimizeResult(x, fx, float(np.max(np.abs(gx))), it,
-                                      False, "line search failed", "bfgs")
-            alpha = 1.0
-        else:
-            alpha, xn, fn, gn = ls
-        s = xn - x
-        y = gn - gx
-        sy = float(np.dot(s, y))
-        if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            rho = 1.0 / sy
-            V = np.eye(n) - rho * np.outer(s, y)
-            H = V @ H @ V.T + rho * np.outer(s, s)
-        x, fx, gx = xn, fn, gn
-        it += 1
-    ok = np.max(np.abs(gx)) <= problem.grad_inf_tol
-    return MinimizeResult(x, fx, float(np.max(np.abs(gx))), it, bool(ok),
-                          "converged" if ok else "max iterations", "bfgs")
 
 
 def newton_minimize(problem, x0):
@@ -162,7 +57,7 @@ def newton_minimize(problem, x0):
         gx = proj(g(x))
         gnorm = float(np.max(np.abs(gx)))
         if gnorm <= problem.grad_inf_tol:
-            return MinimizeResult(x, f(x), gnorm, it, True, "converged", "newton")
+            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
         H = problem.hessian(x)
         if kills_constants:
             # reduce to the mean-zero subspace: center H to P H P, then shift
@@ -181,7 +76,7 @@ def newton_minimize(problem, x0):
         except scipy.linalg.LinAlgError:
             return MinimizeResult(x, f(x), gnorm, it, False,
                                   "Hessian not positive definite",
-                                  "newton", hessian_indefinite=True)
+                                  hessian_indefinite=True)
         p = proj(scipy.linalg.cho_solve(chol, -gx))
         fx = f(x)
         alpha = 1.0
@@ -192,11 +87,11 @@ def newton_minimize(problem, x0):
             alpha *= 0.5
         else:
             return MinimizeResult(x, fx, gnorm, it, False,
-                                  "backtracking failed", "newton")
+                                  "backtracking failed")
         x = xn
     gx = proj(g(x))
     return MinimizeResult(x, f(x), float(np.max(np.abs(gx))),
-                          problem.max_iter, False, "max iterations", "newton")
+                          problem.max_iter, False, "max iterations")
 
 
 def gradient_check(problem, x, h=1e-6, directions=None, rng=None):

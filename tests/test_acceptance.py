@@ -233,7 +233,7 @@ def test_criterion_8_linear_solution_oracles():
     xi = np.arange(-N, N)
     system = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2),
                              force=eps * np.cos(np.pi * eps * xi))
-    sol = system.solve(method="newton")
+    sol = system.solve()
     ref = dft_solve(system)
     atom_err = float(np.max(np.abs(sol.displacement.values - ref.values)))
 

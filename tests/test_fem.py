@@ -121,15 +121,6 @@ def test_lj_hoc4_solve_converges():
     assert u.result.converged and u.result.grad_norm <= 1e-10
 
 
-def test_bfgs_matches_newton_on_harmonic():
-    N = 16
-    m = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
-    sp = PeriodicSplineSpace(N)
-    un = solve_continuum(m, sp, cos_force(N), method="newton")
-    ub = solve_continuum(m, sp, cos_force(N), method="bfgs", grad_tol=1e-11)
-    assert np.max(np.abs(un.coeffs - ub.coeffs)) < 1e-8
-
-
 def test_stable_models_positive_definite_unstable_flagged():
     N = 8
     sp = PeriodicSplineSpace(N)

@@ -6,8 +6,8 @@ import pytest
 
 from chain_elastica.cli import main as cli_main
 from chain_elastica.harness import (StudyConfig, fit_slope, load_config,
-                                    run_consistency, run_solve, run_stability,
-                                    run_sweep, solve_cell, write_records_csv)
+                                    run_consistency, run_stability, run_sweep,
+                                    solve_cell, write_records_csv)
 
 
 def test_fit_slope_synthetic():
@@ -26,12 +26,12 @@ def test_fit_slope_synthetic():
 def test_eps_must_be_reciprocal_integer():
     cfg = StudyConfig(eps_list=(0.3,), models=("cb",))
     with pytest.raises(ValueError):
-        solve_cell(cfg, 0.3, "cb")
+        solve_cell(cfg, 0.3, ("cb",))
 
 
 def test_solve_cell_harmonic():
     cfg = StudyConfig(potential="harmonic")
-    rec = solve_cell(cfg, 2.0 ** -3, "hoc4")
+    [rec] = solve_cell(cfg, 2.0 ** -3, ("hoc4",)).records
     assert rec.converged
     assert rec.N == 8
     assert 0 < rec.grad_error < 1e-3
@@ -42,7 +42,7 @@ def test_hoc4_beats_cb_at_fixed_eps():
     # the displacement-figure comparison: the fourth-order model is closer to
     # the atomistic solution than Cauchy-Born
     cfg = StudyConfig(potential="harmonic")
-    _, dists = run_solve(cfg, 2.0 ** -3, models=("cb", "hoc4"))
+    dists = solve_cell(cfg, 2.0 ** -3, ("cb", "hoc4")).distances
     assert dists["hoc4"] < dists["cb"]
 
 
@@ -82,14 +82,16 @@ r_cut = 2
 models = ("cb", "hoc4")
 eps_list = (0.125, 0.0625)
 interp = "quartic"
-opt_method = "newton"
+opt.grad_tol = 1e-12
 """)
     cfg = load_config(str(p))
     assert cfg.potential == "lj"
     assert cfg.models == ("cb", "hoc4")
     assert cfg.eps_list == (0.125, 0.0625)
-    with pytest.raises(ValueError):
-        load_config(None, {"no_such_key": 1})
+    assert cfg.grad_tol == 1e-12
+    for key in ("no_such_key", "opt_method"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(None, {key: "newton"})
 
 
 def test_cli_sweep_and_outputs(tmp_path):
@@ -137,6 +139,30 @@ def test_cli_solve_writes_solutions(tmp_path):
     assert len(atom) == 17
     hoc = (out / "solution_hoc4_8.csv").read_text().splitlines()
     assert hoc[0] == "x,u,grad_u,grad3_u"
+
+
+def test_cli_solve_reports_indefinite_model(tmp_path, capsys):
+    # ill2 has an indefinite Hessian: solve still writes the atomistic and cb
+    # solutions, writes nothing for ill2 and says why, like sweep
+    out = tmp_path / "sol"
+    rc = cli_main(["solve", "--potential", "harmonic", "--eps", "0.125",
+                   "--model", "cb", "--model", "ill2", "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "solution_atomistic_8.csv", "solution_cb_8.csv"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("|grad I u_a - grad u_cb|_L2 = ")
+    assert printed[1] == (
+        "ill2: not solved: continuum model 'ill2' is not positive definite "
+        "on the mean-zero subspace at N=8: Hessian not positive definite")
+
+
+def test_cli_rejects_atomistic_model(capsys):
+    for command in ("solve", "sweep", "consistency"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--model", "atomistic"])
+        assert exc.value.code == 2
+    assert "invalid choice: 'atomistic'" in capsys.readouterr().err
 
 
 def test_cli_stability_and_consistency(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chain_elastica.optimize import (MinimizeProblem, bfgs_minimize,
-                                     gradient_check, newton_minimize)
+from chain_elastica.optimize import (MinimizeProblem, gradient_check,
+                                     newton_minimize)
 
 rng = np.random.default_rng(11)
 
@@ -17,34 +17,6 @@ def quadratic_problem(n=10, seed=0):
         gradient=lambda x: A @ x - b,
         hessian=lambda x: A,
     ), np.linalg.solve(A, b)
-
-
-def test_bfgs_on_convex_quadratic():
-    prob, xstar = quadratic_problem()
-    res = bfgs_minimize(prob, np.zeros(10))
-    assert res.converged
-    assert res.grad_norm <= 1e-10
-    assert np.max(np.abs(res.x - xstar)) < 1e-8
-
-
-def test_bfgs_on_rosenbrock():
-    def f(x):
-        return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-    def g(x):
-        return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                         200 * (x[1] - x[0] ** 2)])
-
-    prob = MinimizeProblem(f, g, grad_inf_tol=1e-9, max_iter=2000)
-    res = bfgs_minimize(prob, np.array([-1.2, 1.0]))
-    assert res.converged
-    assert np.max(np.abs(res.x - 1.0)) < 1e-6
-
-
-def test_bfgs_at_optimum_stops_immediately():
-    prob, xstar = quadratic_problem()
-    res = bfgs_minimize(prob, xstar)
-    assert res.converged and res.iterations <= 1
 
 
 def test_newton_one_step_on_quadratic():
@@ -73,22 +45,9 @@ def test_projection_keeps_iterates_mean_zero():
     prob = MinimizeProblem(lambda x: 0.5 * x @ A @ x - b @ x,
                            lambda x: A @ x - b, hessian=lambda x: A,
                            projection=proj)
-    for solver in (bfgs_minimize, newton_minimize):
-        res = solver(prob, rng.standard_normal(n))
-        assert res.converged
-        assert abs(res.x.mean()) < 1e-12
-
-
-def test_monotone_decrease_along_bfgs():
-    prob, _ = quadratic_problem(n=6, seed=3)
-    x = np.zeros(6)
-    values = [prob.objective(x)]
-    # run step by step via max_iter budget
-    for k in range(1, 6):
-        res = bfgs_minimize(MinimizeProblem(prob.objective, prob.gradient,
-                                            max_iter=k), np.zeros(6))
-        values.append(res.fun)
-    assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
+    res = newton_minimize(prob, rng.standard_normal(n))
+    assert res.converged
+    assert abs(res.x.mean()) < 1e-12
 
 
 def test_gradient_check_catches_wrong_gradient():
