@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
-from .optimize import MinimizeProblem, newton_minimize
+from .optimize import MinimizeProblem, PeriodicBand, newton_minimize
 from .potentials import shifted
 from .splines import localization_weight
 
@@ -80,19 +80,16 @@ class AtomisticSystem:
         return g
 
     def hessian(self, u):
-        """Dense symmetric periodic-banded Hessian (circulant at homogeneous u)."""
+        """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0)."""
         u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-        n = u.size
         strains = self._strains(u)
-        H = np.zeros((n, n))
-        idx = np.arange(n)
+        H = PeriodicBand(u.size, self.r_cut())
         for rho in self.bonds:
             k = self.phi[rho].derivative(2, strains[rho])
-            j = (idx + rho) % n
-            np.add.at(H, (idx, idx), k)
-            np.add.at(H, (j, j), k)
-            np.add.at(H, (idx, j), -k)
-            np.add.at(H, (j, idx), -k)
+            H.add(0, k)
+            H.add(0, k, shift=rho)
+            H.add(rho, -k)
+            H.add(-rho, -k, shift=rho)
         return H
 
     def objective_problem(self, grad_tol=1e-10, max_iter=500):
@@ -105,9 +102,8 @@ class AtomisticSystem:
         def grad(u):
             return self.gradient(u) - f
 
-        return MinimizeProblem(obj, grad, hessian=self.hessian,
-                               projection=lambda x: x - x.mean(),
-                               grad_inf_tol=grad_tol, max_iter=max_iter)
+        return MinimizeProblem(obj, grad, self.hessian, grad_inf_tol=grad_tol,
+                               max_iter=max_iter)
 
     def solve(self, grad_tol=1e-10, max_iter=500, u0=None):
         prob = self.objective_problem(grad_tol, max_iter)
@@ -117,7 +113,8 @@ class AtomisticSystem:
         ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
         return AtomisticSolution(u, float(res.fun), res.grad_norm, res.iterations,
                                  res.converged, admissible=ok,
-                                 worst_bond=(site, rho, worst))
+                                 worst_bond=(site, rho, worst),
+                                 message=res.message)
 
 
 @dataclass
@@ -129,6 +126,7 @@ class AtomisticSolution:
     converged: bool
     admissible: bool
     worst_bond: tuple
+    message: str = ""       # the minimizer's exit message
 
 
 def external_work(f, u):

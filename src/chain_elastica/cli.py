@@ -1,9 +1,15 @@
 """Command line front end:
 
-    chain-elastica {solve|sweep|stability|consistency}
-        --config <path> [--model ...] [--potential ...] [--eps-list ...]
-        [--interp {pi|cubic|quartic}] [--eps-min <eps>] [--out <dir>]
-        [--eps <eps>]  (solve only)
+    chain-elastica sweep [common] [--model ...] [--interp {pi|cubic|quartic}]
+        [--eps-list ...] [--eps-min <eps>]
+    chain-elastica solve [common] [--model ...] [--interp {pi|cubic|quartic}]
+        [--eps <eps>]
+    chain-elastica consistency [common] [--model ...]
+    chain-elastica stability [common]
+
+    common: [--config <path>] [--potential {harmonic|lj|morse}] [--out <dir>]
+
+Each command accepts only the flags it reads; any other exits with status 2.
 """
 
 import argparse
@@ -29,17 +35,18 @@ def _parse_eps_list(text):
 
 
 def _build_config(args):
+    opts = vars(args)
     overrides = {}
-    if args.model:
-        overrides["models"] = tuple(args.model)
+    if opts.get("model"):
+        overrides["models"] = tuple(opts["model"])
     if args.potential:
         overrides["potential"] = args.potential
-    if args.eps_list:
-        overrides["eps_list"] = _parse_eps_list(args.eps_list)
-    if args.interp:
-        overrides["interp"] = args.interp
-    if args.eps_min is not None:
-        overrides["eps_min_fit"] = args.eps_min
+    if opts.get("eps_list"):
+        overrides["eps_list"] = _parse_eps_list(opts["eps_list"])
+    if opts.get("interp"):
+        overrides["interp"] = opts["interp"]
+    if opts.get("eps_min") is not None:
+        overrides["eps_min_fit"] = opts["eps_min"]
     if args.out:
         overrides["out_dir"] = args.out
     return load_config(args.config, overrides)
@@ -48,18 +55,20 @@ def _build_config(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="chain-elastica")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "stability", "consistency"):
-        p = sub.add_parser(name)
+    cmd = {name: sub.add_parser(name)
+           for name in ("solve", "sweep", "stability", "consistency")}
+    for p in cmd.values():
         p.add_argument("--config", default=None)
-        p.add_argument("--model", action="append", choices=MODEL_KEYS)
         p.add_argument("--potential", choices=["harmonic", "lj", "morse"])
-        p.add_argument("--eps-list", dest="eps_list")
-        p.add_argument("--interp", choices=["pi", "cubic", "quartic"])
-        p.add_argument("--eps-min", dest="eps_min", type=float,
-                       help="exclude eps below this from slope fits")
         p.add_argument("--out")
-        if name == "solve":
-            p.add_argument("--eps", type=float, default=2.0 ** -3)
+    for name in ("solve", "sweep", "consistency"):
+        cmd[name].add_argument("--model", action="append", choices=MODEL_KEYS)
+    for name in ("solve", "sweep"):
+        cmd[name].add_argument("--interp", choices=["pi", "cubic", "quartic"])
+    cmd["sweep"].add_argument("--eps-list", dest="eps_list")
+    cmd["sweep"].add_argument("--eps-min", dest="eps_min", type=float,
+                              help="exclude eps below this from slope fits")
+    cmd["solve"].add_argument("--eps", type=float, default=2.0 ** -3)
     args = parser.parse_args(argv)
     cfg = _build_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -1,11 +1,11 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
-of the continuum energies by per-element Gauss quadrature, the continuum
-solver, and L2 comparisons between smooth fields."""
+of the continuum energies by per-element Gauss quadrature (the Hessian as a
+`PeriodicBand`, half-bandwidth 5), the continuum solver certified by Newton's
+last factorization, and L2 comparisons between smooth fields."""
 
 import numpy as np
-import scipy.linalg
 
-from .optimize import MinimizeProblem, newton_minimize
+from .optimize import MinimizeProblem, PeriodicBand, newton_minimize
 from .quadrature import composite_integral, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
@@ -58,9 +58,8 @@ class PeriodicSplineSpace:
     def scatter_add(self, local):
         """Accumulate per-element local vectors (n, 6) into a global vector."""
         out = np.zeros(self.n)
-        m = np.arange(self.n)
-        for io in range(6):
-            np.add.at(out, (m + self.offsets[io]) % self.n, local[:, io])
+        for io, o in enumerate(self.offsets):
+            out += np.roll(local[:, io], o)
         return out
 
 
@@ -89,7 +88,9 @@ def assemble(model, space, f=None):
     w0 = model.density0()
     load = np.zeros(space.n) if f is None else _local_load(space, f)
 
-    def to_g(derivs):
+    def to_g(c):
+        """grad^r u at the quadrature points in slot r - 1: (5, n, q)."""
+        derivs = space.derivatives_at_quad(c, orders)
         shape = derivs[orders[0]].shape
         g = np.zeros((5,) + shape)
         for r in orders:
@@ -97,8 +98,7 @@ def assemble(model, space, f=None):
         return g
 
     def objective(c):
-        derivs = space.derivatives_at_quad(c, orders)
-        g = to_g(derivs)
+        g = to_g(c)
         margin = model.domain_margin(g)
         if np.any(margin <= 0.0):
             elem = int(np.argmin(margin) // space.quad_points) - space.N
@@ -107,64 +107,39 @@ def assemble(model, space, f=None):
         dens = model.density(g) - w0
         return float(np.sum(dens @ space.qw) - np.dot(load, c))
 
+    idx = np.array(orders) - 1
+    T = space.template[:, orders, :]
+
     def gradient(c):
-        derivs = space.derivatives_at_quad(c, orders)
-        g = to_g(derivs)
-        dw = model.density_grad(g)
-        local = np.zeros((space.n, 6))
-        for r in orders:
-            local += np.einsum("mq,oq,q->mo", dw[r - 1],
-                               space.template[:, r, :], space.qw)
+        dw = model.density_grad(to_g(c))[idx]
+        local = np.einsum("rmq,orq,q->mo", dw, T, space.qw)
         return space.scatter_add(local) - load
 
     def hessian(c):
-        derivs = space.derivatives_at_quad(c, orders)
-        g = to_g(derivs)
-        d2w = model.density_hess(g)
-        H = np.zeros((space.n, space.n))
-        m = np.arange(space.n)
-        for r in orders:
-            for s in orders:
-                # local[m, o, o'] = sum_q w_q d2w[r,s] T[o,r,q] T[o',s,q]
-                loc = np.einsum("mq,oq,pq,q->mop", d2w[r - 1, s - 1],
-                                space.template[:, r, :],
-                                space.template[:, s, :], space.qw)
-                for io in range(6):
-                    rows = (m + space.offsets[io]) % space.n
-                    for jo in range(6):
-                        cols = (m + space.offsets[jo]) % space.n
-                        np.add.at(H, (rows, cols), loc[:, io, jo])
+        d2w = model.density_hess(to_g(c))[np.ix_(idx, idx)]
+        # local[m, o, o'] = sum_{r,s,q} w_q d2w[r,s] T[o,r,q] T[o',s,q]
+        local = np.einsum("rsmq,orq,psq,q->mop", d2w, T, T, space.qw,
+                          optimize=True)
+        H = PeriodicBand(space.n, 5)
+        for io, o in enumerate(space.offsets):
+            for jo, p in enumerate(space.offsets):
+                H.add(p - o, local[:, io, jo], shift=o)
         return H
 
-    return MinimizeProblem(objective, gradient, hessian=hessian,
-                           projection=lambda x: x - x.mean())
+    return MinimizeProblem(objective, gradient, hessian)
 
 
-def _definite_on_mean_zero(H):
-    """Positive definiteness on the mean-zero subspace, via Cholesky of the
-    rank-one shift H + c 11^T / n (constants are in the kernel of H)."""
-    n = H.shape[0]
-    c = abs(np.trace(H)) / n or 1.0
-    try:
-        np.linalg.cholesky(H + (c / n) * np.ones((n, n)))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def solve_continuum(model, space, f=None, grad_tol=1e-10, max_iter=500,
-                    certify=True):
-    """Minimize the forced continuum energy. A converged stationary point is
-    certified as a local minimizer; the unstable variants fail that check and
-    raise IndefiniteHessianError (a stationary point of an energy that is
-    unbounded below is not a solution of the minimization problem)."""
+def solve_continuum(model, space, f=None, grad_tol=1e-10, max_iter=500):
+    """Minimize the forced continuum energy. Newton's last factorization
+    certifies the stationary point as a local minimizer; the unstable
+    variants fail that check and raise IndefiniteHessianError (a stationary
+    point of an energy that is unbounded below is not a solution of the
+    minimization problem)."""
     prob = assemble(model, space, f)
     prob.grad_inf_tol = grad_tol
     prob.max_iter = max_iter
-    x0 = np.zeros(space.n)
-    res = newton_minimize(prob, x0)
-    if res.hessian_indefinite or (certify and res.converged and
-                                  not _definite_on_mean_zero(prob.hessian(res.x))):
+    res = newton_minimize(prob, np.zeros(space.n))
+    if res.hessian_indefinite:
         raise IndefiniteHessianError(
             f"continuum model {model.key!r} is not positive definite on the "
             f"mean-zero subspace at N={space.N}: {res.message}")
@@ -175,13 +150,12 @@ def solve_continuum(model, space, f=None, grad_tol=1e-10, max_iter=500,
 
 def hessian_smallest_eigenvalue(model, space):
     """Smallest eigenvalue of the assembled Hessian at the homogeneous state,
-    restricted to the mean-zero subspace."""
-    prob = assemble(model, space)
-    H = prob.hessian(np.zeros(space.n))
-    n = space.n
-    # orthonormal basis of the mean-zero subspace
-    Q = scipy.linalg.null_space(np.ones((1, n)))
-    return float(scipy.linalg.eigvalsh(Q.T @ H @ Q)[0])
+    restricted to the mean-zero subspace: the Hessian is circulant there, so
+    its eigenvalues are the DFT of its row 0 (k = 0 is the constant mode)."""
+    H = assemble(model, space).hessian(np.zeros(space.n))
+    row0 = np.bincount(np.arange(-H.b, H.b + 1) % H.n, weights=H.diags[:, 0],
+                       minlength=H.n)
+    return float(np.min(np.fft.fft(row0).real[1:]))
 
 
 def grad_l2_distance(a, b, N, npoints=5):

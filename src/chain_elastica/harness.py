@@ -118,7 +118,8 @@ def solve_cell(cfg, eps, models):
     """One eps of the study: the atomistic chain is solved once, then each
     continuum model in `models` is solved and measured against it. A model
     whose Hessian is indefinite gets a NaN record with the reason and no
-    field."""
+    field. If the chain did not converge, the other records give that as
+    their reason."""
     N = _eps_to_N(eps)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
@@ -129,6 +130,8 @@ def solve_cell(cfg, eps, models):
     space = PeriodicSplineSpace(N)
     f_cont = lambda x: eps * np.cos(np.pi * eps * x)
     cell = Cell(sol_a, [], {}, {})
+    chain_failure = ("" if sol_a.converged else
+                     f"atomistic chain not converged: {sol_a.message}")
     for key in models:
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
         try:
@@ -145,7 +148,8 @@ def solve_cell(cfg, eps, models):
         cell.distances[key] = g_err
         cell.records.append(ConvergenceRecord(
             key, eps, N, float(np.sqrt(eps) * g_err), float(eps * e_gap),
-            bool(sol_a.converged and u_c.result.converged)))
+            bool(sol_a.converged and u_c.result.converged),
+            reason=chain_failure))
     return cell
 
 

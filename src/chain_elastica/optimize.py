@@ -1,27 +1,73 @@
-"""Unconstrained minimization over mean-zero coefficient vectors: Newton with
-a direct Cholesky solve (which also flags an indefinite Hessian), and a
-central-difference gradient check."""
+"""Unconstrained minimization over mean-zero vectors: the periodic banded
+Hessian, Newton whose grounded banded Cholesky solve also certifies the
+minimizer, and a central-difference gradient check."""
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-__all__ = ["MinimizeProblem", "MinimizeResult", "newton_minimize",
-           "gradient_check"]
+__all__ = ["PeriodicBand", "MinimizeProblem", "MinimizeResult",
+           "newton_minimize", "gradient_check"]
 
 
-def _identity(x):
-    return x
+class PeriodicBand:
+    """Symmetric periodic-banded n×n matrix with H·1 = 0, stored in O(n) as
+    diags[b + o, m] = H[m, (m + o) % n] for |o| <= b. When n <= 2b, aliased
+    offsets hold parts of one entry, which `solve` and `toarray` sum."""
+
+    def __init__(self, n, b):
+        self.n, self.b = n, b
+        self.diags = np.zeros((2 * b + 1, n))
+
+    def add(self, o, values, shift=0):
+        """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m."""
+        self.diags[self.b + o] += np.roll(values, shift)
+
+    def _entries(self):
+        rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
+        cols = (rows + np.arange(-self.b, self.b + 1)[:, None]) % self.n
+        return rows.ravel(), cols.ravel(), self.diags.ravel()
+
+    def solve(self, rhs):
+        """Mean-zero solution of H x = rhs for mean-zero rhs. Dof 0 is
+        grounded and the rest ordered 1, n-1, 2, n-2, ..., an ordinary band
+        of half-width 2b (Golub & Van Loan, Matrix Computations, §4.3). As
+        H·1 = 0, the grounded matrix is positive definite iff H is on
+        mean-zero vectors; if not, `scipy.linalg.LinAlgError` is raised."""
+        n = self.n
+        j = np.arange(n)
+        pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
+        order = np.argsort(pos)[1:]
+        rows, cols, vals = self._entries()
+        pi, pj = pos[rows], pos[cols]
+        lower = (rows != 0) & (cols != 0) & (pi >= pj)
+        ab = np.zeros((min(2 * self.b, n - 2) + 1, n - 1))
+        np.add.at(ab, (pi[lower] - pj[lower], pj[lower]), vals[lower])
+        factor = scipy.linalg.cholesky_banded(ab, lower=True)
+        x = np.zeros(n)
+        x[order], v = scipy.linalg.cho_solve_banded(
+            (factor, True), np.column_stack([rhs[order], np.ones(n - 1)])).T
+        # H·1 = 0 holds only to roundoff, so row 0 keeps a residual r0 of order
+        # n·|x|·1e-16; the mean-zero solution solves H x = rhs - (r0 / n)·1
+        r0 = rhs[0] - self.diags[:, 0] @ x[np.arange(-self.b, self.b + 1) % n]
+        x[order] -= (r0 / n) * v
+        return x - x.mean()
+
+    def toarray(self):
+        """The dense matrix, for tests."""
+        rows, cols, vals = self._entries()
+        H = np.zeros((self.n, self.n))
+        np.add.at(H, (rows, cols), vals)
+        return H
 
 
 @dataclass
 class MinimizeProblem:
     objective: Callable
     gradient: Callable
-    hessian: Optional[Callable] = None
-    projection: Callable = _identity
+    hessian: Callable          # x -> PeriodicBand
     grad_inf_tol: float = 1e-10
     max_iter: int = 500
 
@@ -38,50 +84,33 @@ class MinimizeResult:
 
 
 def newton_minimize(problem, x0):
-    """Newton with a direct solve and energy backtracking.
+    """Newton with energy backtracking over mean-zero vectors.
 
-    The translation-invariant energies here have the constant vector in the
-    Hessian kernel; a rank-one shift restores invertibility on the mean-zero
-    subspace. An indefinite projected Hessian is flagged (that failure mode is
-    informative: it exhibits the unstable continuum variants)."""
-    if problem.hessian is None:
-        raise ValueError("newton_minimize needs a Hessian")
-    proj = problem.projection
-    x = proj(np.asarray(x0, dtype=float).copy())
-    n = x.size
-    # a mean-zero projection kills the constant direction, which then sits in
-    # the Hessian kernel; shift it out before the solve
-    kills_constants = bool(np.max(np.abs(proj(np.ones(n)))) < 1e-14)
+    The Hessian is factored at every iterate before the convergence test, so
+    a converged point is also certified as a local minimizer. An indefinite
+    Hessian is flagged (that failure mode is informative: it exhibits the
+    unstable continuum variants)."""
+    x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
     for it in range(problem.max_iter + 1):
-        gx = proj(g(x))
+        gx = g(x)
+        gx = gx - gx.mean()
         gnorm = float(np.max(np.abs(gx)))
-        if gnorm <= problem.grad_inf_tol:
-            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
-        H = problem.hessian(x)
-        if kills_constants:
-            # reduce to the mean-zero subspace: center H to P H P, then shift
-            # the (now exactly null) constant direction out of the kernel
-            rm = H.mean(axis=1, keepdims=True)
-            cm = H.mean(axis=0, keepdims=True)
-            Hp = H - rm - cm + H.mean()
-            shift = (abs(np.trace(Hp)) / n) or 1.0
-            Hreg = Hp + (shift / n) * np.ones((n, n))
-        else:
-            Hreg = H
-        # Cholesky both solves and certifies positive definiteness (on the
-        # mean-zero subspace when the constant direction is shifted out)
         try:
-            chol = scipy.linalg.cho_factor(Hreg)
+            p = problem.hessian(x).solve(-gx)
         except scipy.linalg.LinAlgError:
             return MinimizeResult(x, f(x), gnorm, it, False,
                                   "Hessian not positive definite",
                                   hessian_indefinite=True)
-        p = proj(scipy.linalg.cho_solve(chol, -gx))
+        if gnorm <= problem.grad_inf_tol:
+            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
+        if it == problem.max_iter:
+            break
         fx = f(x)
         alpha = 1.0
         for _ in range(60):
-            xn = proj(x + alpha * p)
+            xn = x + alpha * p
+            xn -= xn.mean()
             if f(xn) <= fx + 1e-4 * alpha * float(np.dot(gx, p)):
                 break
             alpha *= 0.5
@@ -89,9 +118,8 @@ def newton_minimize(problem, x0):
             return MinimizeResult(x, fx, gnorm, it, False,
                                   "backtracking failed")
         x = xn
-    gx = proj(g(x))
-    return MinimizeResult(x, f(x), float(np.max(np.abs(gx))),
-                          problem.max_iter, False, "max iterations")
+    return MinimizeResult(x, f(x), gnorm, problem.max_iter, False,
+                          "max iterations")
 
 
 def gradient_check(problem, x, h=1e-6, directions=None, rng=None):

@@ -219,7 +219,7 @@ def test_criterion_7_gradients_and_dft():
     har = AtomisticSystem(8, make_potential("harmonic"), bonds=(1,))
     from chain_elastica.atomistic import hessian_dft_eigenvalues
     lam = np.sort(hessian_dft_eigenvalues(har))
-    dense = np.sort(np.linalg.eigvalsh(har.hessian(np.zeros(16))))
+    dense = np.sort(np.linalg.eigvalsh(har.hessian(np.zeros(16)).toarray()))
     eig_err = float(np.max(np.abs(lam - dense)))
     ok = atom_err <= 1e-6 and max(fem_errs) <= 1e-6 and eig_err <= 1e-10
     assert report(7, ok, f"gradient checks: atomistic {atom_err:.2e}, fem "

@@ -27,7 +27,7 @@ def test_atomistic_symbol_matches_rayleigh_quotient():
     # the circulant Hessian against the discrete-gradient Gram matrix
     N = 8
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))
-    H = sys_.hessian(np.zeros(2 * N))
+    H = sys_.hessian(np.zeros(2 * N)).toarray()
     D = np.eye(2 * N)
     D = np.roll(D, -1, axis=1) - D       # first difference
     G = D.T @ D

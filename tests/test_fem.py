@@ -78,7 +78,7 @@ def test_assembled_hessian_matches_gradient_differences():
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
     prob = assemble(m, sp, cos_force(N))
     c = 0.01 * rng.standard_normal(2 * N)
-    H = prob.hessian(c)
+    H = prob.hessian(c).toarray()
     assert np.max(np.abs(H - H.T)) < 1e-12
     d = rng.standard_normal(2 * N)
     d /= np.linalg.norm(d)
@@ -95,7 +95,7 @@ def test_harmonic_cb_hessian_symbol():
     prob = assemble(m, sp)
     k = np.pi / N
     c = periodic_spline_coefficients(np.sin(k * np.arange(-N, N)), 5)
-    H = prob.hessian(np.zeros(2 * N))
+    H = prob.hessian(np.zeros(2 * N)).toarray()
     quad_form = float(c @ H @ c)
     # ||grad v||^2 = k^2 N for the unit-amplitude mode; c0 = sum rho^2 phi''
     c0 = 5.0
@@ -117,6 +117,21 @@ def test_harmonic_hoc4_amplitude_matches_symbol():
 def test_lj_hoc4_solve_converges():
     N = 64
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
+    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    assert u.result.converged and u.result.grad_norm <= 1e-10
+
+
+def test_hessians_are_banded_and_large_solves_run():
+    # O(N) memory: both Hessians keep 2b+1 diagonals at N = 2^14, and an LJ
+    # hoc4 continuum solve at N = 4096 (n = 8192 dofs) converges
+    N = 2 ** 14
+    pot = make_potential("lj")
+    H = AtomisticSystem(N, pot, bonds=(1, 2)).hessian(np.zeros(2 * N))
+    assert H.diags.shape == (5, 2 * N)
+    m = continuum_model("hoc4", pot, bonds=(1, 2))
+    H = assemble(m, PeriodicSplineSpace(N)).hessian(np.zeros(2 * N))
+    assert H.diags.shape == (11, 2 * N)
+    N = 4096
     u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
     assert u.result.converged and u.result.grad_norm <= 1e-10
 

@@ -38,6 +38,18 @@ def test_solve_cell_harmonic():
     assert 0 < rec.energy_gap < 1e-4
 
 
+def test_solve_cell_reports_unconverged_chain():
+    # one Newton step cannot solve the nonlinear LJ chain: every record says
+    # so in its reason
+    cfg = StudyConfig(potential="lj", max_iter=1)
+    cell = solve_cell(cfg, 2.0 ** -3, ("cb", "hoc4"))
+    assert not cell.atomistic.converged
+    assert cell.atomistic.message == "max iterations"
+    for rec in cell.records:
+        assert not rec.converged
+        assert rec.reason == "atomistic chain not converged: max iterations"
+
+
 def test_hoc4_beats_cb_at_fixed_eps():
     # the displacement-figure comparison: the fourth-order model is closer to
     # the atomistic solution than Cauchy-Born
@@ -163,6 +175,26 @@ def test_cli_rejects_atomistic_model(capsys):
             cli_main([command, "--model", "atomistic"])
         assert exc.value.code == 2
     assert "invalid choice: 'atomistic'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--model", "cb"],
+    ["stability", "--eps-list", "2^-3..2^-4"],
+    ["stability", "--interp", "pi"],
+    ["stability", "--eps-min", "0.5"],
+    ["stability", "--eps", "0.25"],
+    ["consistency", "--interp", "pi"],
+    ["consistency", "--eps-list", "2^-3..2^-4"],
+    ["consistency", "--eps-min", "0.5"],
+    ["consistency", "--eps", "0.25"],
+    ["solve", "--eps-list", "2^-3..2^-4"],
+    ["solve", "--eps-min", "0.5"],
+])
+def test_cli_rejects_flags_the_command_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_stability_and_consistency(tmp_path):
