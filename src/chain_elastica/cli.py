@@ -20,7 +20,7 @@ import sys
 from .continuum import MODEL_KEYS
 from .harness import (energy_fits, load_config, run_consistency, run_stability,
                       run_sweep, solve_cell, unfitted_models, write_fits_json,
-                      write_records_csv, write_solution_csvs, _fmt)
+                      write_records_csv, write_solution_csvs, _eps_to_N, _fmt)
 
 
 def _parse_eps_list(text):
@@ -34,6 +34,20 @@ def _parse_eps_list(text):
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
+def _eps_arg(parse):
+    """argparse type: `parse` the text, then check every eps with
+    `_eps_to_N`; a bad value exits with status 2 and a one-line message."""
+    def convert(text):
+        try:
+            value = parse(text)
+            for eps in value if isinstance(value, tuple) else (value,):
+                _eps_to_N(eps)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
+        return value
+    return convert
+
+
 def _build_config(args):
     opts = vars(args)
     overrides = {}
@@ -42,7 +56,7 @@ def _build_config(args):
     if args.potential:
         overrides["potential"] = args.potential
     if opts.get("eps_list"):
-        overrides["eps_list"] = _parse_eps_list(opts["eps_list"])
+        overrides["eps_list"] = opts["eps_list"]
     if opts.get("interp"):
         overrides["interp"] = opts["interp"]
     if opts.get("eps_min") is not None:
@@ -65,10 +79,12 @@ def main(argv=None):
         cmd[name].add_argument("--model", action="append", choices=MODEL_KEYS)
     for name in ("solve", "sweep"):
         cmd[name].add_argument("--interp", choices=["pi", "cubic", "quartic"])
-    cmd["sweep"].add_argument("--eps-list", dest="eps_list")
+    cmd["sweep"].add_argument("--eps-list", dest="eps_list",
+                              type=_eps_arg(_parse_eps_list))
     cmd["sweep"].add_argument("--eps-min", dest="eps_min", type=float,
                               help="exclude eps below this from slope fits")
-    cmd["solve"].add_argument("--eps", type=float, default=2.0 ** -3)
+    cmd["solve"].add_argument("--eps", type=_eps_arg(float),
+                              default=2.0 ** -3)
     args = parser.parse_args(argv)
     cfg = _build_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)

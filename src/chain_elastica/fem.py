@@ -115,15 +115,20 @@ def assemble(model, space, f=None):
         local = np.einsum("rmq,orq,q->mo", dw, T, space.qw)
         return space.scatter_add(local) - load
 
+    # local[m, o, o'] = sum_{r,s,q} w_q d2w[r,s] T[o,r,q] T[o',s,q]
+    spec = "rsmq,orq,psq,q->mop"
+    path = np.einsum_path(
+        spec, np.empty((len(orders), len(orders), space.n, space.quad_points)),
+        T, T, space.qw, optimize=True)[0]
+
     def hessian(c):
         d2w = model.density_hess(to_g(c))[np.ix_(idx, idx)]
-        # local[m, o, o'] = sum_{r,s,q} w_q d2w[r,s] T[o,r,q] T[o',s,q]
-        local = np.einsum("rsmq,orq,psq,q->mop", d2w, T, T, space.qw,
-                          optimize=True)
+        local = np.einsum(spec, d2w, T, T, space.qw, optimize=path)
         H = PeriodicBand(space.n, 5)
+        # element m couples its dofs m + o and m + p: row m + o, offset p - o
         for io, o in enumerate(space.offsets):
-            for jo, p in enumerate(space.offsets):
-                H.add(p - o, local[:, io, jo], shift=o)
+            H.diags[5 - o + space.offsets] += np.roll(local[:, io, :], o,
+                                                      axis=0).T
         return H
 
     return MinimizeProblem(objective, gradient, hessian)

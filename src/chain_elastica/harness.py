@@ -102,8 +102,11 @@ def fit_slope(pairs, eps_min=0.0):
 
 
 def _eps_to_N(eps):
+    """N = 1/eps; ValueError unless eps is the reciprocal of an integer >= 1."""
+    if not eps > 0:
+        raise ValueError(f"eps = {eps} is not positive")
     N = round(1.0 / eps)
-    if abs(N * eps - 1.0) > 1e-12:
+    if N < 1 or abs(N * eps - 1.0) > 1e-12:
         raise ValueError(f"eps = {eps} is not the reciprocal of an integer")
     return int(N)
 

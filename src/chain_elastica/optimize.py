@@ -1,15 +1,18 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
-Hessian, Newton whose grounded banded Cholesky solve also certifies the
-minimizer, and a central-difference gradient check."""
+Hessian with its grounded block Cholesky solve, Newton whose factorization
+also certifies the minimizer, and a central-difference gradient check.
+Only numpy is needed."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["PeriodicBand", "MinimizeProblem", "MinimizeResult",
            "newton_minimize", "gradient_check"]
+
+_DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
 
 
 class PeriodicBand:
@@ -31,24 +34,32 @@ class PeriodicBand:
         return rows.ravel(), cols.ravel(), self.diags.ravel()
 
     def solve(self, rhs):
-        """Mean-zero solution of H x = rhs for mean-zero rhs. Dof 0 is
-        grounded and the rest ordered 1, n-1, 2, n-2, ..., an ordinary band
-        of half-width 2b (Golub & Van Loan, Matrix Computations, §4.3). As
-        H·1 = 0, the grounded matrix is positive definite iff H is on
-        mean-zero vectors; if not, `scipy.linalg.LinAlgError` is raised."""
-        n = self.n
-        j = np.arange(n)
-        pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
-        order = np.argsort(pos)[1:]
-        rows, cols, vals = self._entries()
-        pi, pj = pos[rows], pos[cols]
-        lower = (rows != 0) & (cols != 0) & (pi >= pj)
-        ab = np.zeros((min(2 * self.b, n - 2) + 1, n - 1))
-        np.add.at(ab, (pi[lower] - pj[lower], pj[lower]), vals[lower])
-        factor = scipy.linalg.cholesky_banded(ab, lower=True)
+        """Mean-zero solution of H x = rhs for mean-zero rhs.
+
+        Dof 0 is grounded and the rest ordered 1, n-1, 2, n-2, ..., an
+        ordinary band of half-width w = 2b (Golub & Van Loan, Matrix
+        Computations, §4.3). Cut into blocks of width w, it is block
+        tridiagonal and is factored by block cyclic reduction. As H·1 = 0,
+        the grounded matrix is positive definite iff H is on mean-zero
+        vectors, and the reduction's Cholesky pivots succeed iff the grounded
+        matrix is positive definite: `np.linalg.LinAlgError` is raised
+        exactly when H is not positive definite on mean-zero vectors."""
+        if not np.all(np.isfinite(self.diags)):
+            raise ValueError("PeriodicBand has non-finite entries")
+        n, w = self.n, 2 * self.b
+        order, src, dst, pad, nb = _grounded_layout(n, self.b)
+        blocks = np.bincount(dst, weights=self.diags.ravel()[src],
+                             minlength=(2 * nb - 1) * w * w)
+        blocks[pad] = 1.0
+        R = np.zeros((nb * w, 2))
+        R[:n - 1, 0] = rhs[order]
+        R[:n - 1, 1] = 1.0
+        D, U = np.split(blocks, [nb * w * w])
+        y = _block_tridiagonal_solve(D.reshape(nb, w, w),
+                                     U.reshape(nb - 1, w, w),
+                                     R.reshape(nb, w, 2))
         x = np.zeros(n)
-        x[order], v = scipy.linalg.cho_solve_banded(
-            (factor, True), np.column_stack([rhs[order], np.ones(n - 1)])).T
+        x[order], v = y.reshape(nb * w, 2)[:n - 1].T
         # H·1 = 0 holds only to roundoff, so row 0 keeps a residual r0 of order
         # n·|x|·1e-16; the mean-zero solution solves H x = rhs - (r0 / n)·1
         r0 = rhs[0] - self.diags[:, 0] @ x[np.arange(-self.b, self.b + 1) % n]
@@ -61,6 +72,105 @@ class PeriodicBand:
         H = np.zeros((self.n, self.n))
         np.add.at(H, (rows, cols), vals)
         return H
+
+
+@lru_cache(maxsize=64)
+def _grounded_layout(n, b):
+    """Index maps from an (n, b) PeriodicBand to its grounded, zig-zag
+    ordered matrix cut into nb blocks of width w = 2b: the ordering, the
+    `diags.ravel()` entries on or above the block diagonal, their flat
+    targets in [diagonal blocks (nb, w, w); upper blocks (nb - 1, w, w)],
+    and the diagonal targets of the nb·w - (n - 1) padding unknowns."""
+    w = 2 * b
+    j = np.arange(n)
+    pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
+    order = np.argsort(pos)[1:]
+    nb = -(-(n - 1) // w)
+    p = np.broadcast_to(pos, (2 * b + 1, n)).ravel()
+    q = pos[(j + np.arange(-b, b + 1)[:, None]) % n].ravel()
+    src = np.flatnonzero((p >= 0) & (q >= 0) & (q // w >= p // w))
+    p, q = p[src], q[src]
+    dst = (p // w + np.where(q // w > p // w, nb, 0)) * w * w \
+        + p % w * w + q % w
+    pad = np.arange(n - 1, nb * w)
+    pad = pad // w * w * w + pad % w * (w + 1)
+    for a in (order, src, dst, pad):
+        a.flags.writeable = False
+    return order, src, dst, pad, nb
+
+
+def _block_tridiagonal_solve(D, U, R):
+    """Solve A X = R for the symmetric block tridiagonal A with diagonal
+    blocks D (nb, w, w) and upper blocks U[i] = A[i, i + 1], R (nb, w, k).
+
+    Block cyclic reduction (Heller, SIAM J. Numer. Anal. 13, 1976): each
+    level eliminates the even blocks, whose pivots go through one batched
+    Cholesky, and leaves their Schur complement on the odd blocks, again
+    block tridiagonal; the last _DENSE unknowns get one dense Cholesky. A is
+    positive definite iff every pivot is, so `np.linalg.LinAlgError` is
+    raised iff A is not."""
+    w = D.shape[1]
+    levels = []
+    while len(D) > 1 and len(D) * w > _DENSE:
+        nk, ne = len(D) // 2, (len(D) + 1) // 2
+        Ueven, Uodd = U[0::2], U[1::2]      # A[2t, 2t+1], A[2t+1, 2t+2]
+        Dinv = _pivot_inverse(D[0::2])
+        # pivot t couples to the odd blocks 2t - 1 (t >= 1) and 2t + 1 (t < nk)
+        PL = Dinv[1:] @ Uodd.transpose(0, 2, 1)     # D^-1 A[2t, 2t-1]
+        PR = Dinv[:nk] @ Ueven                      # D^-1 A[2t, 2t+1]
+        Pr = Dinv @ R[0::2]                         # D^-1 R_2t
+        UevenT = np.ascontiguousarray(Ueven.transpose(0, 2, 1))
+        D = D[1::2] - UevenT @ PR                   # via the pivot on the left
+        R = R[1::2] - UevenT @ Pr[:nk]
+        D[:ne - 1] -= Uodd @ PL                     # via the pivot on the right
+        R[:ne - 1] -= Uodd @ Pr[1:]
+        U = -(Uodd[:nk - 1] @ PR[1:])
+        levels.append((PL, Pr, PR))
+
+    nb = len(D)
+    S = np.zeros((nb, w, nb, w))
+    i = np.arange(nb)
+    S[i, :, i, :] = D
+    S[i[:-1], :, i[1:], :] = U
+    S[i[1:], :, i[:-1], :] = U.transpose(0, 2, 1)
+    S = S.reshape(nb * w, nb * w)
+    np.linalg.cholesky(S)       # the last pivot: raises if S is not definite
+    X = np.linalg.solve(S, R.reshape(nb * w, -1)).reshape(R.shape)
+
+    for PL, Pr, PR in reversed(levels):
+        # x_2t = D^-1 (R_2t - A[2t, 2t-1] x_2t-1 - A[2t, 2t+1] x_2t+1)
+        Xe = Pr.copy()
+        Xe[1:] -= PL @ X[:len(PL)]
+        Xe[:len(PR)] -= PR @ X
+        full = np.empty((len(Xe) + len(X),) + X.shape[1:])
+        full[0::2], full[1::2] = Xe, X
+        X = full
+    return X
+
+
+def _pivot_inverse(D):
+    """D^-1 for a batch of symmetric blocks (m, w, w); np.linalg.LinAlgError
+    unless every block is positive definite."""
+    C = np.linalg.cholesky(D)   # the certificate: raises unless D > 0
+    if len(D) <= 32:        # LAPACK's inverse: the lower cost per call
+        return np.linalg.inv(D)
+    Ci = _lower_inverse(C)  # vector operations: the lower cost per block
+    return np.ascontiguousarray(Ci.transpose(0, 2, 1)) @ Ci
+
+
+def _lower_inverse(L):
+    """Inverse of a batch (m, w, w) of lower triangular matrices by forward
+    substitution, row by row, with the batch as the last axis so that each
+    step is one vector operation over all m matrices."""
+    w = L.shape[-1]
+    Lt = np.ascontiguousarray(L.transpose(1, 2, 0))
+    X = np.zeros_like(Lt)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
+    for i in range(w):
+        # row i of L X = I: X[i, :i] = -(sum_k L[i, k] X[k, :i]) / L[i, i]
+        X[i, :i] = -d[i] * np.einsum("km,kjm->jm", Lt[i, :i], X[:i, :i])
+        X[i, i] = d[i]
+    return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
 @dataclass
@@ -87,21 +197,28 @@ def newton_minimize(problem, x0):
     """Newton with energy backtracking over mean-zero vectors.
 
     The Hessian is factored at every iterate before the convergence test, so
-    a converged point is also certified as a local minimizer. An indefinite
-    Hessian is flagged (that failure mode is informative: it exhibits the
-    unstable continuum variants)."""
+    a converged point is also certified as a local minimizer; a Hessian
+    bitwise equal to the one factored at the previous iterate (a quadratic
+    energy) is certified already. An indefinite Hessian is flagged (that
+    failure mode is informative: it exhibits the unstable continuum
+    variants)."""
     x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
+    factored = None
     for it in range(problem.max_iter + 1):
         gx = g(x)
         gx = gx - gx.mean()
         gnorm = float(np.max(np.abs(gx)))
+        H = problem.hessian(x)
+        if gnorm <= problem.grad_inf_tol and np.array_equal(H.diags, factored):
+            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
         try:
-            p = problem.hessian(x).solve(-gx)
-        except scipy.linalg.LinAlgError:
+            p = H.solve(-gx)
+        except np.linalg.LinAlgError:
             return MinimizeResult(x, f(x), gnorm, it, False,
                                   "Hessian not positive definite",
                                   hessian_indefinite=True)
+        factored = H.diags
         if gnorm <= problem.grad_inf_tol:
             return MinimizeResult(x, f(x), gnorm, it, True, "converged")
         if it == problem.max_iter:

@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ def test_fit_slope_synthetic():
 
 def test_eps_must_be_reciprocal_integer():
     cfg = StudyConfig(eps_list=(0.3,), models=("cb",))
-    with pytest.raises(ValueError):
-        solve_cell(cfg, 0.3, ("cb",))
+    for eps in (0.3, 0.0, -0.25, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            solve_cell(cfg, eps, ("cb",))
 
 
 def test_solve_cell_harmonic():
@@ -197,6 +201,23 @@ def test_cli_rejects_flags_the_command_ignores(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--eps", "0"],
+    ["solve", "--eps", "-0.25"],
+    ["solve", "--eps", "0.3"],
+    ["sweep", "--eps-list", "0.3,0.25"],
+    ["sweep", "--eps-list", "2^-3,2^-4"],
+    ["sweep", "--eps-list", "0.1..0.2"],
+])
+def test_cli_rejects_invalid_eps(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"chain-elastica {argv[0]}: error: argument "
+                              f"{argv[1]}: {argv[2]!r}: ")
+
+
 def test_cli_stability_and_consistency(tmp_path):
     out = tmp_path / "stab"
     rc = cli_main(["stability", "--potential", "harmonic", "--out", str(out)])
@@ -211,3 +232,15 @@ def test_cli_stability_and_consistency(tmp_path):
     assert rc == 0
     fits = json.loads((out2 / "consistency_fit.json").read_text())
     assert fits[0]["slope"] >= 4.8
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, because other tests import scipy as an oracle
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, chain_elastica.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from chain_elastica.optimize import (MinimizeProblem, PeriodicBand,
-                                     gradient_check, newton_minimize)
+                                     _lower_inverse, gradient_check,
+                                     newton_minimize)
 
 rng = np.random.default_rng(11)
 
@@ -39,29 +39,94 @@ def indefinite_band(n, b):
     return bond_band(n, weights)
 
 
-@pytest.mark.parametrize("b", [2, 5])
-@pytest.mark.parametrize("n", [8, 10, 11, 16, 64])
+def assert_solves_like_dense(H, rhs):
+    """H.solve against a dense least-squares solve projected to mean zero.
+    The forward error of a backward-stable solve is O(eps·κ), κ the
+    condition number on mean-zero vectors; for κ < 1000 the bound is 1e-12."""
+    A = H.toarray()
+    lam = np.linalg.eigvalsh(A)
+    tol = max(1e-12, 4 * np.finfo(float).eps * lam[-1] / lam[1])
+    ref = mean_zero(np.linalg.lstsq(A, rhs, rcond=None)[0])
+    x = H.solve(rhs)
+    assert np.max(np.abs(x - ref)) < tol * max(1.0, np.max(np.abs(ref)))
+    assert abs(x.mean()) < 1e-15 * max(1.0, np.max(np.abs(x)))
+
+
+# n = 2 and 3 alias offsets and 2b + 1 is the smallest size that does not;
+# 127 and 1000 pad the last block and run several levels of the cyclic
+# reduction before its dense end
+BAND_SIZES = [(n, b) for b in (2, 5)
+              for n in sorted({2, 3, 8, 10, 11, 16, 64, 2 * b + 1, 127, 1000})]
+
+
+@pytest.mark.parametrize("n, b", BAND_SIZES)
 def test_periodic_band_solve_matches_dense(n, b):
     H = bond_band(n, rng.uniform(0.5, 1.5, (b, n)))
     A = H.toarray()
-    assert np.array_equal(A, A.T)
+    if n > 2 * b:
+        assert np.array_equal(A, A.T)
+    else:   # aliased offsets: H[i, j] and H[j, i] sum their parts in turn
+        assert np.allclose(A, A.T, rtol=1e-15, atol=0.0)
     assert np.max(np.abs(A @ np.ones(n))) < 1e-13
-    rhs = mean_zero(rng.standard_normal(n))
-    ref = mean_zero(np.linalg.lstsq(A, rhs, rcond=None)[0])
-    x = H.solve(rhs)
-    assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-    assert abs(x.mean()) < 1e-15
+    assert_solves_like_dense(H, mean_zero(rng.standard_normal(n)))
 
 
-@pytest.mark.parametrize("b", [2, 5])
-@pytest.mark.parametrize("n", [8, 10, 11, 16, 64])
+@pytest.mark.parametrize("n, b", BAND_SIZES)
 def test_periodic_band_indefinite_raises(n, b):
     H = indefinite_band(n, b)
     A = H.toarray()
     P = np.eye(n) - 1.0 / n
     assert np.linalg.eigvalsh(P @ A @ P)[0] < -1.0
-    with pytest.raises(scipy.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError):
         H.solve(mean_zero(rng.standard_normal(n)))
+
+
+@pytest.mark.parametrize("delta, indefinite", [(1e-2, True), (5e-4, False)])
+def test_periodic_band_certificate_sees_global_mode(delta, indefinite):
+    # unit nearest-neighbour bonds, weak second-neighbour bonds and one
+    # softened bond of weight -delta mid-chain. Stretching that bond while the
+    # other n - 1 bonds give way costs about -delta + 2e-3 + 1/n, so with
+    # delta = 1e-2 the ring is indefinite while every window of 64 sites
+    # around the bond is positive definite: only a late elimination level
+    # sees the negative mode. With delta = 5e-4 the ring is positive definite.
+    n = 1000
+    weights = np.ones((2, n))
+    weights[1] = 1e-3
+    weights[0, n // 2] = -delta
+    H = bond_band(n, weights)
+    A = H.toarray()
+    window = np.arange(n // 2 - 32, n // 2 + 32)
+    np.linalg.cholesky(A[np.ix_(window, window)])
+    P = np.eye(n) - 1.0 / n
+    assert (np.linalg.eigvalsh(P @ A @ P)[0] < -1e-5) == indefinite
+    rhs = mean_zero(rng.standard_normal(n))
+    if indefinite:
+        with pytest.raises(np.linalg.LinAlgError):
+            H.solve(rhs)
+    else:
+        assert_solves_like_dense(H, rhs)
+
+
+@pytest.mark.parametrize("n, b", [(100, 1), (127, 2), (200, 5), (1000, 2)])
+def test_periodic_band_certificate_checks_every_pivot(n, b):
+    # one strongly negative bond between sites 1 and 2, which the grounded
+    # ordering puts into the first pivot block; the Schur complement that
+    # pivot leaves behind is positive definite, so only the pivot's own
+    # Cholesky sees the negative mode
+    weights = np.ones((b, n))
+    weights[0, 1] = -50.0
+    H = bond_band(n, weights)
+    P = np.eye(n) - 1.0 / n
+    assert np.linalg.eigvalsh(P @ H.toarray() @ P)[0] < -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        H.solve(np.zeros(n))
+
+
+def test_periodic_band_rejects_non_finite_entries():
+    H = bond_band(16, rng.uniform(0.5, 1.5, (2, 16)))
+    H.diags[1, 3] = np.nan
+    with pytest.raises(ValueError):
+        H.solve(np.zeros(16))
 
 
 def test_newton_one_step_on_quadratic():
@@ -73,6 +138,33 @@ def test_newton_one_step_on_quadratic():
     res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
     assert res.converged and res.iterations <= 2
     assert np.max(np.abs(res.x - xstar)) < 1e-10
+
+
+def test_newton_certifies_with_one_factorization_per_distinct_hessian():
+    n = 16
+    H = bond_band(n, rng.uniform(0.5, 1.5, (2, n)))
+    b = mean_zero(rng.standard_normal(n))
+    calls = []
+    solve = H.solve
+    H.solve = lambda rhs: calls.append(1) or solve(rhs)
+    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
+    assert res.converged and res.iterations == 1
+    assert len(calls) == 1      # the converged iterate's Hessian is unchanged
+
+    def drifting_band(x):       # a Hessian that changes at every iterate
+        G = PeriodicBand(n, 2)
+        G.diags = H.diags * (1.0 + 1e-12 * len(calls))
+        G.solve = lambda rhs: calls.append(1) or solve(rhs)
+        return G
+    calls.clear()
+    prob = quadratic_problem(H, b)
+    prob.hessian = drifting_band
+    res = newton_minimize(prob, np.zeros(n))
+    assert res.converged and len(calls) == res.iterations + 1
+    # a start that is already stationary is still certified
+    res = newton_minimize(quadratic_problem(indefinite_band(n, 2),
+                                            np.zeros(n)), np.zeros(n))
+    assert res.hessian_indefinite and not res.converged
 
 
 def test_newton_flags_indefinite():
@@ -107,3 +199,12 @@ def test_gradient_check_catches_wrong_gradient():
                           prob.hessian)
     err = gradient_check(bad, rng.standard_normal(n), h=1e-5)
     assert 0.2 < err < 2.0
+
+
+def test_lower_inverse_matches_numpy():
+    for w in range(1, 12):
+        A = rng.standard_normal((3, w, w))
+        L = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + w * np.eye(w))
+        ref = np.linalg.inv(L)
+        err = np.max(np.abs(_lower_inverse(L) - ref))
+        assert err < 1e-13 * np.max(np.abs(ref))
