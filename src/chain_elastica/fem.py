@@ -127,8 +127,7 @@ def assemble(model, space, f=None):
         H = PeriodicBand(space.n, 5)
         # element m couples its dofs m + o and m + p: row m + o, offset p - o
         for io, o in enumerate(space.offsets):
-            H.diags[5 - o + space.offsets] += np.roll(local[:, io, :], o,
-                                                      axis=0).T
+            H.add(space.offsets - o, local[:, io, :].T, shift=o)
         return H
 
     return MinimizeProblem(objective, gradient, hessian)

@@ -1,8 +1,9 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
-Hessian with its grounded block Cholesky solve, Newton whose factorization
-also certifies the minimizer, and a central-difference gradient check.
-Only numpy is needed."""
+Hessian with its grounded block cyclic reduction solve, Newton whose
+factorization also certifies the minimizer, and a central-difference
+gradient check. Only numpy is needed."""
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -25,8 +26,9 @@ class PeriodicBand:
         self.diags = np.zeros((2 * b + 1, n))
 
     def add(self, o, values, shift=0):
-        """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m."""
-        self.diags[self.b + o] += np.roll(values, shift)
+        """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m;
+        an array of offsets o takes the rows of a 2-d `values`."""
+        self.diags[self.b + o] += np.roll(values, shift, axis=-1)
 
     def _entries(self):
         rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
@@ -43,28 +45,43 @@ class PeriodicBand:
         the grounded matrix is positive definite iff H is on mean-zero
         vectors, and the reduction's Cholesky pivots succeed iff the grounded
         matrix is positive definite: `np.linalg.LinAlgError` is raised
-        exactly when H is not positive definite on mean-zero vectors."""
+        exactly when H is not positive definite on mean-zero vectors.
+
+        One step of iterative refinement through the same factorization
+        follows, with the residual in the difference form
+        sum_o H[m, m + o]·(x[m + o] - x[m]), which is exact on constants."""
+        return self.factor()(rhs)
+
+    def factor(self):
+        """Factor H once and return its `solve`, rhs -> x; raises
+        `np.linalg.LinAlgError` as `solve` does."""
         if not np.all(np.isfinite(self.diags)):
             raise ValueError("PeriodicBand has non-finite entries")
-        n, w = self.n, 2 * self.b
-        order, src, dst, pad, nb = _grounded_layout(n, self.b)
-        blocks = np.bincount(dst, weights=self.diags.ravel()[src],
-                             minlength=(2 * nb - 1) * w * w)
-        blocks[pad] = 1.0
-        R = np.zeros((nb * w, 2))
-        R[:n - 1, 0] = rhs[order]
-        R[:n - 1, 1] = 1.0
-        D, U = np.split(blocks, [nb * w * w])
-        y = _block_tridiagonal_solve(D.reshape(nb, w, w),
-                                     U.reshape(nb - 1, w, w),
-                                     R.reshape(nb, w, 2))
-        x = np.zeros(n)
-        x[order], v = y.reshape(nb * w, 2)[:n - 1].T
-        # H·1 = 0 holds only to roundoff, so row 0 keeps a residual r0 of order
-        # n·|x|·1e-16; the mean-zero solution solves H x = rhs - (r0 / n)·1
-        r0 = rhs[0] - self.diags[:, 0] @ x[np.arange(-self.b, self.b + 1) % n]
-        x[order] -= (r0 / n) * v
-        return x - x.mean()
+        n, diags = self.n, self.diags
+        layout = _grounded_layout(n, self.b)
+        grounded = _cyclic_reduction(diags, layout)
+
+        def solve(rhs):
+            x = np.zeros(n)
+            x[layout.order], v = grounded(
+                np.column_stack([rhs[layout.order], np.ones(n - 1)])).T
+
+            def spread_row0(f, y):
+                # H·1 = 0 holds only to roundoff, so row 0 keeps a residual
+                # r0 of order n·|y|·1e-16; the mean-zero solution solves
+                # H y = f - (r0 / n)·1
+                r0 = f[0] - diags[:, 0] @ y[layout.cols[:, 0]]
+                y[layout.order] -= (r0 / n) * v
+
+            spread_row0(rhs, x)
+            r = rhs - np.einsum("om,om->m", diags, x[layout.cols] - x)
+            d = np.zeros(n)
+            d[layout.order] = grounded(r[layout.order, None])[:, 0]
+            spread_row0(r, d)
+            x += d
+            return x - x.mean()
+
+        return solve
 
     def toarray(self):
         """The dense matrix, for tests."""
@@ -74,103 +91,110 @@ class PeriodicBand:
         return H
 
 
+_Layout = namedtuple("_Layout", "order cols src dst pad nb")
+
+
 @lru_cache(maxsize=64)
 def _grounded_layout(n, b):
     """Index maps from an (n, b) PeriodicBand to its grounded, zig-zag
-    ordered matrix cut into nb blocks of width w = 2b: the ordering, the
-    `diags.ravel()` entries on or above the block diagonal, their flat
-    targets in [diagonal blocks (nb, w, w); upper blocks (nb - 1, w, w)],
+    ordered matrix cut into nb blocks of width w = 2b: the ordering; the
+    columns cols[b + o, m] = (m + o) % n of `diags`; the `diags.ravel()`
+    entries on or above the block diagonal and their flat targets in
+    [diagonal blocks (nb, w, w); upper blocks (nb + 1, w, w)], where upper
+    block i couples blocks i - 1 and i and the first and last stay zero;
     and the diagonal targets of the nb·w - (n - 1) padding unknowns."""
     w = 2 * b
     j = np.arange(n)
     pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
     order = np.argsort(pos)[1:]
     nb = -(-(n - 1) // w)
+    cols = (j + np.arange(-b, b + 1)[:, None]) % n
     p = np.broadcast_to(pos, (2 * b + 1, n)).ravel()
-    q = pos[(j + np.arange(-b, b + 1)[:, None]) % n].ravel()
+    q = pos[cols].ravel()
     src = np.flatnonzero((p >= 0) & (q >= 0) & (q // w >= p // w))
     p, q = p[src], q[src]
-    dst = (p // w + np.where(q // w > p // w, nb, 0)) * w * w \
+    dst = (p // w + np.where(q // w > p // w, nb + 1, 0)) * w * w \
         + p % w * w + q % w
     pad = np.arange(n - 1, nb * w)
     pad = pad // w * w * w + pad % w * (w + 1)
-    for a in (order, src, dst, pad):
+    layout = _Layout(order, cols, src, dst, pad, nb)
+    for a in layout[:-1]:
         a.flags.writeable = False
-    return order, src, dst, pad, nb
+    return layout
 
 
-def _block_tridiagonal_solve(D, U, R):
-    """Solve A X = R for the symmetric block tridiagonal A with diagonal
-    blocks D (nb, w, w) and upper blocks U[i] = A[i, i + 1], R (nb, w, k).
+def _cyclic_reduction(diags, layout):
+    """Factor the grounded, zig-zag ordered band of `diags` and return the
+    solve R (n - 1, k) -> X (n - 1, k).
 
-    Block cyclic reduction (Heller, SIAM J. Numer. Anal. 13, 1976): each
-    level eliminates the even blocks, whose pivots go through one batched
-    Cholesky, and leaves their Schur complement on the odd blocks, again
-    block tridiagonal; the last _DENSE unknowns get one dense Cholesky. A is
-    positive definite iff every pivot is, so `np.linalg.LinAlgError` is
-    raised iff A is not."""
-    w = D.shape[1]
+    The band is block tridiagonal, with diagonal blocks D (nb, w, w) and
+    U[i] = A[i - 1, i]. Block cyclic reduction (Heller, SIAM J. Numer. Anal.
+    13, 1976) eliminates the even blocks at each level: their pivots go
+    through one batched Cholesky and one batched inverse, and leave their
+    Schur complement on the odd blocks, again block tridiagonal. The last
+    _DENSE or fewer unknowns get one dense Cholesky and, per solve, one LU
+    solve. A is positive definite iff every pivot is, so
+    `np.linalg.LinAlgError` is raised iff A is not."""
+    nb, w = layout.nb, 2 * (len(diags) // 2)
+    blocks = np.bincount(layout.dst, weights=diags.ravel()[layout.src],
+                         minlength=(2 * nb + 1) * w * w)
+    blocks[layout.pad] = 1.0
+    D, U = np.split(blocks, [nb * w * w])
+    D, U = D.reshape(nb, w, w), U.reshape(nb + 1, w, w)
+    Ut = np.ascontiguousarray(U.transpose(0, 2, 1))     # Ut[i] = A[i, i - 1]
     levels = []
     while len(D) > 1 and len(D) * w > _DENSE:
-        nk, ne = len(D) // 2, (len(D) + 1) // 2
-        Ueven, Uodd = U[0::2], U[1::2]      # A[2t, 2t+1], A[2t+1, 2t+2]
-        Dinv = _pivot_inverse(D[0::2])
-        # pivot t couples to the odd blocks 2t - 1 (t >= 1) and 2t + 1 (t < nk)
-        PL = Dinv[1:] @ Uodd.transpose(0, 2, 1)     # D^-1 A[2t, 2t-1]
-        PR = Dinv[:nk] @ Ueven                      # D^-1 A[2t, 2t+1]
-        Pr = Dinv @ R[0::2]                         # D^-1 R_2t
-        UevenT = np.ascontiguousarray(Ueven.transpose(0, 2, 1))
-        D = D[1::2] - UevenT @ PR                   # via the pivot on the left
-        R = R[1::2] - UevenT @ Pr[:nk]
-        D[:ne - 1] -= Uodd @ PL                     # via the pivot on the right
-        R[:ne - 1] -= Uodd @ Pr[1:]
-        U = -(Uodd[:nk - 1] @ PR[1:])
-        levels.append((PL, Pr, PR))
+        npiv, nodd = (len(D) + 1) // 2, len(D) // 2
+        # pivot t couples to odd block t - 1 by A[2t, 2t-1] = Ut[2t] and to
+        # odd block t by A[2t, 2t+1] = U[2t+1], both zero at the ends:
+        # C = [A[2t, 2t-1], A[2t, 2t+1]] and Ct its transpose
+        C = np.concatenate([Ut[0:2 * npiv:2], U[1::2]], axis=2)
+        Ct = np.concatenate([U[0:2 * npiv:2], Ut[1::2]], axis=1)
+        np.linalg.cholesky(D[0::2])     # the certificate: raises unless > 0
+        Dinv = np.linalg.inv(D[0::2])
+        P = Dinv @ C
+        S = Ct @ P              # [[left, left-right], [right-left, right]]
+        D = D[1::2] - S[:nodd, w:, w:]
+        D[:npiv - 1] -= S[1:, :w, :w]
+        U, Ut = np.zeros((2, nodd + 1, w, w))
+        np.negative(S[:, :w, w:], out=U[:npiv])
+        np.negative(S[:, w:, :w], out=Ut[:npiv])
+        levels.append((Dinv, Ct, P))
 
-    nb = len(D)
-    S = np.zeros((nb, w, nb, w))
-    i = np.arange(nb)
-    S[i, :, i, :] = D
-    S[i[:-1], :, i[1:], :] = U
-    S[i[1:], :, i[:-1], :] = U.transpose(0, 2, 1)
-    S = S.reshape(nb * w, nb * w)
-    np.linalg.cholesky(S)       # the last pivot: raises if S is not definite
-    X = np.linalg.solve(S, R.reshape(nb * w, -1)).reshape(R.shape)
+    m = len(D)
+    last = np.zeros((m, w, m, w))
+    i = np.arange(m)
+    last[i, :, i, :] = D
+    last[i[:-1], :, i[1:], :] = U[1:-1]
+    last[i[1:], :, i[:-1], :] = Ut[1:-1]
+    last = last.reshape(m * w, m * w)
+    np.linalg.cholesky(last)    # the last pivot: raises unless it is > 0
 
-    for PL, Pr, PR in reversed(levels):
-        # x_2t = D^-1 (R_2t - A[2t, 2t-1] x_2t-1 - A[2t, 2t+1] x_2t+1)
-        Xe = Pr.copy()
-        Xe[1:] -= PL @ X[:len(PL)]
-        Xe[:len(PR)] -= PR @ X
-        full = np.empty((len(Xe) + len(X),) + X.shape[1:])
-        full[0::2], full[1::2] = Xe, X
-        X = full
-    return X
+    def solve(rhs):
+        R = np.zeros((nb * w, rhs.shape[1]))
+        R[:len(rhs)] = rhs
+        R = R.reshape(nb, w, -1)
+        eliminated = []
+        for Dinv, Ct, P in levels:
+            npiv, nodd = len(P), len(R) // 2
+            Pr = Dinv @ R[0::2]
+            Q = Ct @ Pr                         # [A[2t-1, 2t]; A[2t+1, 2t]] x
+            R = R[1::2] - Q[:nodd, w:]
+            R[:npiv - 1] -= Q[1:, :w]
+            eliminated.append(Pr)
+        X = np.linalg.solve(last, R.reshape(m * w, -1)).reshape(R.shape)
+        for (Dinv, Ct, P), Pr in zip(reversed(levels), reversed(eliminated)):
+            # x_2t = D^-1 R_2t - D^-1 (A[2t, 2t-1] x_2t-1 + A[2t, 2t+1] x_2t+1)
+            npiv, nodd = len(P), len(X)
+            Xn = np.zeros((npiv + 1,) + X.shape[1:])
+            Xn[1:nodd + 1] = X
+            full = np.empty((npiv + nodd,) + X.shape[1:])
+            full[0::2] = Pr - P[:, :, :w] @ Xn[:-1] - P[:, :, w:] @ Xn[1:]
+            full[1::2] = X
+            X = full
+        return X.reshape(nb * w, -1)[:len(rhs)]
 
-
-def _pivot_inverse(D):
-    """D^-1 for a batch of symmetric blocks (m, w, w); np.linalg.LinAlgError
-    unless every block is positive definite."""
-    C = np.linalg.cholesky(D)   # the certificate: raises unless D > 0
-    if len(D) <= 32:        # LAPACK's inverse: the lower cost per call
-        return np.linalg.inv(D)
-    Ci = _lower_inverse(C)  # vector operations: the lower cost per block
-    return np.ascontiguousarray(Ci.transpose(0, 2, 1)) @ Ci
-
-
-def _lower_inverse(L):
-    """Inverse of a batch (m, w, w) of lower triangular matrices by forward
-    substitution, row by row, with the batch as the last axis so that each
-    step is one vector operation over all m matrices."""
-    w = L.shape[-1]
-    Lt = np.ascontiguousarray(L.transpose(1, 2, 0))
-    X = np.zeros_like(Lt)
-    d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
-    for i in range(w):
-        # row i of L X = I: X[i, :i] = -(sum_k L[i, k] X[k, :i]) / L[i, i]
-        X[i, :i] = -d[i] * np.einsum("km,kjm->jm", Lt[i, :i], X[:i, :i])
-        X[i, i] = d[i]
-    return np.ascontiguousarray(X.transpose(2, 0, 1))
+    return solve
 
 
 @dataclass
@@ -197,32 +221,26 @@ def newton_minimize(problem, x0):
     """Newton with energy backtracking over mean-zero vectors.
 
     The Hessian is factored at every iterate before the convergence test, so
-    a converged point is also certified as a local minimizer; a Hessian
-    bitwise equal to the one factored at the previous iterate (a quadratic
-    energy) is certified already. An indefinite Hessian is flagged (that
-    failure mode is informative: it exhibits the unstable continuum
-    variants)."""
+    a converged point is also certified as a local minimizer. An indefinite
+    Hessian is flagged (that failure mode is informative: it exhibits the
+    unstable continuum variants)."""
     x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
-    factored = None
     for it in range(problem.max_iter + 1):
         gx = g(x)
         gx = gx - gx.mean()
         gnorm = float(np.max(np.abs(gx)))
-        H = problem.hessian(x)
-        if gnorm <= problem.grad_inf_tol and np.array_equal(H.diags, factored):
-            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
         try:
-            p = H.solve(-gx)
+            solve = problem.hessian(x).factor()
         except np.linalg.LinAlgError:
             return MinimizeResult(x, f(x), gnorm, it, False,
                                   "Hessian not positive definite",
                                   hessian_indefinite=True)
-        factored = H.diags
         if gnorm <= problem.grad_inf_tol:
             return MinimizeResult(x, f(x), gnorm, it, True, "converged")
         if it == problem.max_iter:
             break
+        p = solve(-gx)
         fx = f(x)
         alpha = 1.0
         for _ in range(60):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chain_elastica.optimize import (MinimizeProblem, PeriodicBand,
-                                     _lower_inverse, gradient_check,
-                                     newton_minimize)
+                                     gradient_check, newton_minimize)
 
 rng = np.random.default_rng(11)
 
@@ -31,19 +30,58 @@ def mean_zero(v):
     return v - v.mean()
 
 
-def indefinite_band(n, b):
+def indefinite_band(n, b, gen=rng):
     """Positive bonds at offsets 2..b and strongly negative nearest-neighbour
     bonds: the lowest mean-zero mode has negative energy."""
-    weights = rng.uniform(0.5, 1.5, (b, n))
+    weights = gen.uniform(0.5, 1.5, (b, n))
     weights[0] -= 4.0 * b ** 3
     return bond_band(n, weights)
 
 
-def assert_solves_like_dense(H, rhs):
-    """H.solve against a dense least-squares solve projected to mean zero.
-    The forward error of a backward-stable solve is O(eps·κ), κ the
-    condition number on mean-zero vectors; for κ < 1000 the bound is 1e-12."""
+@pytest.mark.parametrize("b", [2, 5])
+@pytest.mark.parametrize("n", [8, 10, 11, 16, 64])
+def test_periodic_band_solve_matches_dense(n, b):
+    H = bond_band(n, rng.uniform(0.5, 1.5, (b, n)))
     A = H.toarray()
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A @ np.ones(n))) < 1e-13
+    rhs = mean_zero(rng.standard_normal(n))
+    ref = mean_zero(np.linalg.lstsq(A, rhs, rcond=None)[0])
+    x = H.solve(rhs)
+    assert np.max(np.abs(x - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert abs(x.mean()) < 1e-15
+
+
+@pytest.mark.parametrize("b", [2, 5])
+@pytest.mark.parametrize("n", [8, 10, 11, 16, 64])
+def test_periodic_band_indefinite_raises(n, b):
+    H = indefinite_band(n, b)
+    A = H.toarray()
+    P = np.eye(n) - 1.0 / n
+    assert np.linalg.eigvalsh(P @ A @ P)[0] < -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        H.solve(mean_zero(rng.standard_normal(n)))
+
+
+# n = 2 and 3 alias offsets and 2b + 1 is the smallest size that does not;
+# 127 and 1000 pad the last block and run several levels of the cyclic
+# reduction before its dense end. Each case draws from its own generator.
+MORE_BAND_SIZES = [(n, b) for b in (2, 5)
+                   for n in (2, 3, 2 * b + 1, 127, 1000)]
+
+
+@pytest.mark.parametrize("n, b", MORE_BAND_SIZES)
+def test_periodic_band_solve_matches_dense_more_sizes(n, b):
+    gen = np.random.default_rng([n, b])
+    H = bond_band(n, gen.uniform(0.5, 1.5, (b, n)))
+    A = H.toarray()
+    # aliased offsets (n <= 2b) sum their parts of H[i, j] and H[j, i] in
+    # different orders
+    assert np.allclose(A, A.T, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(A @ np.ones(n))) < 1e-13
+    rhs = mean_zero(gen.standard_normal(n))
+    # the forward error of the lstsq reference is O(eps·κ), κ the condition
+    # number on mean-zero vectors (up to 4.3e4 for n = 1000)
     lam = np.linalg.eigvalsh(A)
     tol = max(1e-12, 4 * np.finfo(float).eps * lam[-1] / lam[1])
     ref = mean_zero(np.linalg.lstsq(A, rhs, rcond=None)[0])
@@ -52,33 +90,34 @@ def assert_solves_like_dense(H, rhs):
     assert abs(x.mean()) < 1e-15 * max(1.0, np.max(np.abs(x)))
 
 
-# n = 2 and 3 alias offsets and 2b + 1 is the smallest size that does not;
-# 127 and 1000 pad the last block and run several levels of the cyclic
-# reduction before its dense end
-BAND_SIZES = [(n, b) for b in (2, 5)
-              for n in sorted({2, 3, 8, 10, 11, 16, 64, 2 * b + 1, 127, 1000})]
-
-
-@pytest.mark.parametrize("n, b", BAND_SIZES)
-def test_periodic_band_solve_matches_dense(n, b):
-    H = bond_band(n, rng.uniform(0.5, 1.5, (b, n)))
-    A = H.toarray()
-    if n > 2 * b:
-        assert np.array_equal(A, A.T)
-    else:   # aliased offsets: H[i, j] and H[j, i] sum their parts in turn
-        assert np.allclose(A, A.T, rtol=1e-15, atol=0.0)
-    assert np.max(np.abs(A @ np.ones(n))) < 1e-13
-    assert_solves_like_dense(H, mean_zero(rng.standard_normal(n)))
-
-
-@pytest.mark.parametrize("n, b", BAND_SIZES)
-def test_periodic_band_indefinite_raises(n, b):
-    H = indefinite_band(n, b)
+@pytest.mark.parametrize("n, b", MORE_BAND_SIZES)
+def test_periodic_band_indefinite_raises_more_sizes(n, b):
+    gen = np.random.default_rng([n, b])
+    H = indefinite_band(n, b, gen)
     A = H.toarray()
     P = np.eye(n) - 1.0 / n
     assert np.linalg.eigvalsh(P @ A @ P)[0] < -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        H.solve(mean_zero(rng.standard_normal(n)))
+        H.solve(mean_zero(gen.standard_normal(n)))
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0],
+                                     [1.0, 0.5, 0.2, 0.1, 0.05]])
+@pytest.mark.parametrize("n", [256, 2048, 8192])
+def test_periodic_band_solve_is_accurate_on_long_rings(n, weights):
+    # constant bond weights: the circulant's Fourier modes are eigenvectors,
+    # with eigenvalue sum_o 4 k_o sin^2(pi j o / n) known to a few ulps, while
+    # the condition number on mean-zero vectors grows like n^2 (4e7 for
+    # n = 8192, b = 1). The refined solve is good to about 1e-15 relative;
+    # the banded Cholesky it replaced reached 2e-11 at n = 8192.
+    H = bond_band(n, np.outer(weights, np.ones(n)))
+    m = np.arange(n)
+    for j in (1, 3):
+        lam = sum(4 * k * np.sin(np.pi * j * o / n) ** 2
+                  for o, k in enumerate(weights, 1))
+        f = np.cos(2 * np.pi * j * m / n)
+        x = H.solve(f)
+        assert np.max(np.abs(x - f / lam)) < 1e-13 / lam
 
 
 @pytest.mark.parametrize("delta, indefinite", [(1e-2, True), (5e-4, False)])
@@ -98,13 +137,16 @@ def test_periodic_band_certificate_sees_global_mode(delta, indefinite):
     window = np.arange(n // 2 - 32, n // 2 + 32)
     np.linalg.cholesky(A[np.ix_(window, window)])
     P = np.eye(n) - 1.0 / n
-    assert (np.linalg.eigvalsh(P @ A @ P)[0] < -1e-5) == indefinite
-    rhs = mean_zero(rng.standard_normal(n))
+    lam = np.linalg.eigvalsh(P @ A @ P)
+    assert (lam[0] < -1e-5) == indefinite
+    rhs = mean_zero(np.random.default_rng(5).standard_normal(n))
     if indefinite:
         with pytest.raises(np.linalg.LinAlgError):
             H.solve(rhs)
     else:
-        assert_solves_like_dense(H, rhs)
+        ref = mean_zero(np.linalg.lstsq(A, rhs, rcond=None)[0])
+        tol = 4 * np.finfo(float).eps * lam[-1] / lam[1]
+        assert np.max(np.abs(H.solve(rhs) - ref)) < tol * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n, b", [(100, 1), (127, 2), (200, 5), (1000, 2)])
@@ -123,7 +165,7 @@ def test_periodic_band_certificate_checks_every_pivot(n, b):
 
 
 def test_periodic_band_rejects_non_finite_entries():
-    H = bond_band(16, rng.uniform(0.5, 1.5, (2, 16)))
+    H = bond_band(16, np.ones((2, 16)))
     H.diags[1, 3] = np.nan
     with pytest.raises(ValueError):
         H.solve(np.zeros(16))
@@ -140,33 +182,6 @@ def test_newton_one_step_on_quadratic():
     assert np.max(np.abs(res.x - xstar)) < 1e-10
 
 
-def test_newton_certifies_with_one_factorization_per_distinct_hessian():
-    n = 16
-    H = bond_band(n, rng.uniform(0.5, 1.5, (2, n)))
-    b = mean_zero(rng.standard_normal(n))
-    calls = []
-    solve = H.solve
-    H.solve = lambda rhs: calls.append(1) or solve(rhs)
-    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
-    assert res.converged and res.iterations == 1
-    assert len(calls) == 1      # the converged iterate's Hessian is unchanged
-
-    def drifting_band(x):       # a Hessian that changes at every iterate
-        G = PeriodicBand(n, 2)
-        G.diags = H.diags * (1.0 + 1e-12 * len(calls))
-        G.solve = lambda rhs: calls.append(1) or solve(rhs)
-        return G
-    calls.clear()
-    prob = quadratic_problem(H, b)
-    prob.hessian = drifting_band
-    res = newton_minimize(prob, np.zeros(n))
-    assert res.converged and len(calls) == res.iterations + 1
-    # a start that is already stationary is still certified
-    res = newton_minimize(quadratic_problem(indefinite_band(n, 2),
-                                            np.zeros(n)), np.zeros(n))
-    assert res.hessian_indefinite and not res.converged
-
-
 def test_newton_flags_indefinite():
     n = 12
     H = indefinite_band(n, 2)
@@ -174,6 +189,16 @@ def test_newton_flags_indefinite():
     res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
     assert not res.converged
     assert res.hessian_indefinite
+
+
+def test_newton_certifies_a_stationary_start():
+    # x0 = 0 is stationary for a zero load, so Newton stops at iteration 0;
+    # the Hessian is factored before that test and flags the saddle
+    n = 12
+    H = indefinite_band(n, 2, np.random.default_rng(3))
+    res = newton_minimize(quadratic_problem(H, np.zeros(n)), np.zeros(n))
+    assert res.iterations == 0 and res.grad_norm == 0.0
+    assert res.hessian_indefinite and not res.converged
 
 
 def test_projection_keeps_iterates_mean_zero():
@@ -199,12 +224,3 @@ def test_gradient_check_catches_wrong_gradient():
                           prob.hessian)
     err = gradient_check(bad, rng.standard_normal(n), h=1e-5)
     assert 0.2 < err < 2.0
-
-
-def test_lower_inverse_matches_numpy():
-    for w in range(1, 12):
-        A = rng.standard_normal((3, w, w))
-        L = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + w * np.eye(w))
-        ref = np.linalg.inv(L)
-        err = np.max(np.abs(_lower_inverse(L) - ref))
-        assert err < 1e-13 * np.max(np.abs(ref))
