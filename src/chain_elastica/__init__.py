@@ -1,8 +1,8 @@
 """1D periodic atomistic chains, their strain-gradient continuum limits, and
 the numerical machinery to measure the modeling error between them."""
 
-from .potentials import PairPotential, ShiftedPotential, InteractionRange, \
-    make_potential, shifted, decay_moment
+from .potentials import PairPotential, ShiftedPotential, make_potential, \
+    shifted, decay_moment
 from .lattice import PeriodicLatticeField, finite_difference, \
     stencil_derivatives, hermite_interpolant, project_mean_zero, \
     check_admissible

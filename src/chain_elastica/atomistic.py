@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
-from .optimize import MinimizeProblem, PeriodicBand, newton_minimize
+from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
+                       newton_minimize)
 from .potentials import shifted
 from .splines import localization_weight
 
@@ -59,30 +60,31 @@ class AtomisticSystem:
         return float(sum(self.phi[rho].derivative(0, strains[rho]).sum()
                          for rho in self.bonds))
 
-    def energy_above_homogeneous(self, u):
+    def energy_above_homogeneous(self, u, strains=None):
         """energy(u) - energy(0), accumulated term by term to avoid the O(N)
-        cancellation of the homogeneous offset."""
+        cancellation of the homogeneous offset. Here and in `gradient` and
+        `hessian`, `strains` may pass in `_strains(u)` computed once."""
         u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-        strains = self._strains(u)
+        strains = self._strains(u) if strains is None else strains
         total = 0.0
         for rho in self.bonds:
             base = float(self.phi[rho].derivative(0, np.zeros(1))[0])
             total += float((self.phi[rho].derivative(0, strains[rho]) - base).sum())
         return total
 
-    def gradient(self, u):
+    def gradient(self, u, strains=None):
         u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-        strains = self._strains(u)
+        strains = self._strains(u) if strains is None else strains
         g = np.zeros_like(u)
         for rho in self.bonds:
             fb = self.phi[rho].derivative(1, strains[rho])
             g += np.roll(fb, rho) - fb
         return g
 
-    def hessian(self, u):
+    def hessian(self, u, strains=None):
         """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0)."""
         u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-        strains = self._strains(u)
+        strains = self._strains(u) if strains is None else strains
         H = PeriodicBand(u.size, self.r_cut())
         for rho in self.bonds:
             k = self.phi[rho].derivative(2, strains[rho])
@@ -93,16 +95,22 @@ class AtomisticSystem:
         return H
 
     def objective_problem(self, grad_tol=1e-10, max_iter=500):
-        """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors."""
+        """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
+        callbacks share the strains of one point (`evaluate_once`)."""
         f = self.force
+        strains = evaluate_once(self._strains)
 
         def obj(u):
-            return self.energy_above_homogeneous(u) - float(np.dot(f, u))
+            return (self.energy_above_homogeneous(u, strains(u))
+                    - float(np.dot(f, u)))
 
         def grad(u):
-            return self.gradient(u) - f
+            return self.gradient(u, strains(u)) - f
 
-        return MinimizeProblem(obj, grad, self.hessian, grad_inf_tol=grad_tol,
+        def hess(u):
+            return self.hessian(u, strains(u))
+
+        return MinimizeProblem(obj, grad, hess, grad_inf_tol=grad_tol,
                                max_iter=max_iter)
 
     def solve(self, grad_tol=1e-10, max_iter=500, u0=None):

@@ -142,9 +142,8 @@ def main(argv=None):
         return 0
 
     if args.command == "consistency":
-        models = tuple(args.model) if args.model else ("hoc4", "hoc6",
-                                                       "ill2", "first")
-        rows, fits = run_consistency(cfg, models=models)
+        rows, fits = (run_consistency(cfg, models=tuple(args.model))
+                      if args.model else run_consistency(cfg))
         path = os.path.join(cfg.out_dir, "consistency.csv")
         with open(path, "w") as fh:
             fh.write("model,N,max_R,l2_R\n")

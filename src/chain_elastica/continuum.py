@@ -3,7 +3,9 @@ Euler-Lagrange residual of the fourth-order model, the pointwise consistency
 residual against the atomistic stress, and the external-work consistency gap.
 
 Gradient-argument convention: g has shape (5, ...) and holds
-(grad u, grad^2 u, ..., grad^5 u) at the evaluation points.
+(grad u, grad^2 u, ..., grad^5 u) at the evaluation points. The density
+methods also take `args`, the model's `bond_args(g)`, so that callers that
+evaluate several of them at one point compute the bond arguments once.
 """
 
 import numpy as np
@@ -68,20 +70,21 @@ class _ComposedModel:
     def _arg_coeffs(self, rho):
         raise NotImplementedError
 
-    def _args(self, g):
+    def bond_args(self, g):
+        """rho -> the strain argument of phi_rho at the points of g."""
         g = np.asarray(g, dtype=float)
         return {rho: np.tensordot(self._arg_coeffs(rho), g, axes=(0, 0))
                 for rho in self.bonds}
 
-    def domain_margin(self, g):
+    def domain_margin(self, g, args=None):
         """min over bonds of the physical bond length arguments; <= 0 means a
         potential-domain violation somewhere."""
-        args = self._args(g)
+        args = self.bond_args(g) if args is None else args
         return np.min(np.stack([args[rho] + self.F * rho
                                 for rho in self.bonds]), axis=0)
 
-    def density(self, g):
-        args = self._args(g)
+    def density(self, g, args=None):
+        args = self.bond_args(g) if args is None else args
         return sum(self.phi[rho].derivative(0, args[rho]) for rho in self.bonds)
 
     def density0(self):
@@ -89,9 +92,9 @@ class _ComposedModel:
         return float(sum(self.phi[rho].derivative(0, np.zeros(1))[0]
                          for rho in self.bonds))
 
-    def density_grad(self, g):
+    def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self._args(g)
+        args = self.bond_args(g) if args is None else args
         out = np.zeros((5,) + np.shape(g[0]))
         for rho in self.bonds:
             c = self._arg_coeffs(rho)
@@ -101,9 +104,9 @@ class _ComposedModel:
                     out[m] += c[m] * d1
         return out
 
-    def density_hess(self, g):
+    def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self._args(g)
+        args = self.bond_args(g) if args is None else args
         out = np.zeros((5, 5) + np.shape(g[0]))
         for rho in self.bonds:
             c = self._arg_coeffs(rho)
@@ -220,38 +223,39 @@ class IllPosedSecondGradient(_ComposedModel):
     key = "ill2"
     density_orders = (1, 2)
 
-    def _arg_coeffs(self, rho):  # not of composed form; overrides below
-        raise NotImplementedError
-
-    def domain_margin(self, g):
+    def bond_args(self, g):
+        """Not of composed form: phi_rho and its derivatives are taken at
+        rho grad u, and the density methods below add the g2 terms."""
         g = np.asarray(g, dtype=float)
-        return np.min(np.stack([rho * g[0] + self.F * rho
-                                for rho in self.bonds]), axis=0)
+        return {rho: rho * g[0] for rho in self.bonds}
 
-    def density(self, g):
+    def density(self, g, args=None):
         g = np.asarray(g, dtype=float)
+        args = self.bond_args(g) if args is None else args
         out = np.zeros_like(g[0])
         for rho in self.bonds:
-            a = rho * g[0]
+            a = args[rho]
             out += self.phi[rho].derivative(0, a) \
                 - rho ** 4 / 24.0 * self.phi[rho].derivative(2, a) * g[1] ** 2
         return out
 
-    def density_grad(self, g):
+    def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
+        args = self.bond_args(g) if args is None else args
         out = np.zeros((5,) + np.shape(g[0]))
         for rho in self.bonds:
-            a = rho * g[0]
+            a = args[rho]
             out[0] += rho * self.phi[rho].derivative(1, a) \
                 - rho ** 5 / 24.0 * self.phi[rho].derivative(3, a) * g[1] ** 2
             out[1] += -rho ** 4 / 12.0 * self.phi[rho].derivative(2, a) * g[1]
         return out
 
-    def density_hess(self, g):
+    def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
+        args = self.bond_args(g) if args is None else args
         out = np.zeros((5, 5) + np.shape(g[0]))
         for rho in self.bonds:
-            a = rho * g[0]
+            a = args[rho]
             out[0, 0] += rho ** 2 * self.phi[rho].derivative(2, a) \
                 - rho ** 6 / 24.0 * self.phi[rho].derivative(4, a) * g[1] ** 2
             cross = -rho ** 5 / 12.0 * self.phi[rho].derivative(3, a) * g[1]
@@ -326,11 +330,11 @@ def continuum_model(kind, potential, bonds=(1, 2), F=1.0):
     return _MODELS[kind](potential, bonds, F)
 
 
-def continuum_energy(model, u, N, npoints=5, relative=True):
-    """Integral of the density along the smooth field u over [-N, N].
-    With relative=True the homogeneous offset is removed pointwise, which
-    keeps the small energy differences well conditioned."""
-    w0 = model.density0() if relative else 0.0
+def continuum_energy(model, u, N, npoints=5):
+    """Integral of the density along the smooth field u over [-N, N], less
+    the homogeneous density: the offset is removed pointwise, which keeps
+    the small energy differences well conditioned."""
+    w0 = model.density0()
 
     def f(x):
         g = np.zeros((5,) + x.shape)

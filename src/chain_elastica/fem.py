@@ -1,11 +1,15 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
 of the continuum energies by per-element Gauss quadrature (the Hessian as a
-`PeriodicBand`, half-bandwidth 5), the continuum solver certified by Newton's
-last factorization, and L2 comparisons between smooth fields."""
+`PeriodicBand`, half-bandwidth 5; objective, gradient and Hessian share one
+evaluation per point), the continuum solver certified by Newton's last
+factorization, and L2 comparisons between smooth fields."""
+
+from functools import lru_cache
 
 import numpy as np
 
-from .optimize import MinimizeProblem, PeriodicBand, newton_minimize
+from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
+                       newton_minimize)
 from .quadrature import composite_integral, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
@@ -17,6 +21,18 @@ __all__ = ["PeriodicSplineSpace", "FemField", "assemble", "solve_continuum",
 class IndefiniteHessianError(RuntimeError):
     """Raised when a continuum solve meets a Hessian that is not positive
     definite on the mean-zero subspace (the unstable model variants)."""
+
+
+@lru_cache(maxsize=4)
+def _quintic_template(quad_points):
+    """template[o, r, q] = d^r/dx^r B5(t_q - o) at the Gauss nodes t_q, for
+    the offsets o = -2..3 of `PeriodicSplineSpace`; the same for every N, so
+    computed once per rule and read-only."""
+    qt = gauss_rule(quad_points)[0]
+    template = np.array([[bspline(5, qt - o, r) for r in range(6)]
+                         for o in range(-2, 4)])
+    template.flags.writeable = False
+    return template
 
 
 class PeriodicSplineSpace:
@@ -33,33 +49,44 @@ class PeriodicSplineSpace:
         self.qt, self.qw = gauss_rule(quad_points)
         # active local basis offsets on one element [m, m+1): j = m + o
         self.offsets = np.arange(-2, 4)
-        # template[o, r, q] = d^r/dx^r B5(t_q - o)
-        self.template = np.array([[bspline(5, self.qt - o, r) for r in range(6)]
-                                  for o in self.offsets])
+        self.template = _quintic_template(quad_points)
+        # element (j - o) % n, which holds dof j at offset o, sits at column
+        # j + 3 - o of the element arrays gathered by `element_columns`
+        self._wrap = (np.arange(self.n + 5) - 3) % self.n
 
     def field(self, coeffs):
         return FemField(coeffs, self)
 
     def gather(self, coeffs):
-        """coeffs at (m + o) mod n for every element m: shape (n, 6)."""
+        """coeffs at (m + o) mod n for every offset o and element m: (6, n)."""
         m = np.arange(self.n)
-        return np.asarray(coeffs, float)[(m[:, None] + self.offsets[None, :]) % self.n]
+        return np.asarray(coeffs, float)[(self.offsets[:, None] + m) % self.n]
 
     def derivatives_at_quad(self, coeffs, orders):
-        """dict order -> (n, quad_points) array of grad^r u at quad points."""
+        """dict order -> (quad_points, n) array of grad^r u at the quadrature
+        points, element m in column m."""
         C = self.gather(coeffs)
-        return {r: C @ self.template[:, r, :] for r in orders}
+        return {r: self.template[:, r, :].T @ C for r in orders}
 
     def quad_x(self):
         """Physical quadrature points, shape (n, quad_points)."""
         cells = np.arange(-self.N, self.N, dtype=float)
         return cells[:, None] + self.qt[None, :]
 
+    def element_columns(self, local):
+        """For an array with one column per element, the function o -> its
+        columns for the elements (j - o) % n, j = 0..n-1, which hold dof j
+        at offset o."""
+        ext = local[..., self._wrap]
+        return lambda o: ext[..., 3 - o:3 - o + self.n]
+
     def scatter_add(self, local):
-        """Accumulate per-element local vectors (n, 6) into a global vector."""
+        """Accumulate per-element local vectors (6, n) into a global vector:
+        out[j] = sum_o local[o, (j - o) % n]."""
+        columns = self.element_columns(local)
         out = np.zeros(self.n)
         for io, o in enumerate(self.offsets):
-            out += np.roll(local[:, io], o)
+            out += columns(o)[io]
         return out
 
 
@@ -75,7 +102,7 @@ def _local_load(space, f):
     x = space.quad_x()
     fx = f(x.ravel()).reshape(x.shape)
     # b_j = int f B_j: per element, per offset
-    local = np.einsum("mq,oq,q->mo", fx, space.template[:, 0, :], space.qw)
+    local = np.einsum("mq,oq,q->om", fx, space.template[:, 0, :], space.qw)
     return space.scatter_add(local)
 
 
@@ -83,51 +110,61 @@ def assemble(model, space, f=None):
     """The forced continuum problem min E(u) - <f, u> over mean-zero spline
     coefficients, with objective/gradient/Hessian by the element Gauss rule.
     The density is accumulated relative to the homogeneous state to keep the
-    tiny energy differences well conditioned."""
+    tiny energy differences well conditioned. The three callbacks share one
+    evaluation per coefficient vector (`evaluate_once`): the gradients at
+    the quadrature points and the model's bond arguments."""
     orders = model.density_orders
     w0 = model.density0()
     load = np.zeros(space.n) if f is None else _local_load(space, f)
-
-    def to_g(c):
-        """grad^r u at the quadrature points in slot r - 1: (5, n, q)."""
-        derivs = space.derivatives_at_quad(c, orders)
-        shape = derivs[orders[0]].shape
-        g = np.zeros((5,) + shape)
-        for r in orders:
-            g[r - 1] = derivs[r]
-        return g
-
-    def objective(c):
-        g = to_g(c)
-        margin = model.domain_margin(g)
-        if np.any(margin <= 0.0):
-            elem = int(np.argmin(margin) // space.quad_points) - space.N
-            raise ValueError(f"density domain violation in element "
-                             f"[{elem}, {elem + 1}]")
-        dens = model.density(g) - w0
-        return float(np.sum(dens @ space.qw) - np.dot(load, c))
-
+    n, nq, qw, offsets = space.n, space.quad_points, space.qw, space.offsets
     idx = np.array(orders) - 1
     T = space.template[:, orders, :]
+    # Element integrals as matrix products, with kernels built once here:
+    #   gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
+    #   Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
+    #                                            * d2w[r, s, q, m]
+    # Element m couples dofs m + o and m + p: band row m + o, offset p - o.
+    # So hess_kernel[o] puts the rows (o, p) at the 11 band offsets, and
+    # maps the elements m = j - o of the rows j to the band's diagonals.
+    grad_kernel = (T * qw).reshape(6, -1)
+    by_pair = np.einsum("orq,psq,q->oprsq", T, T, qw).reshape(6, 6, -1)
+    hess_kernel = np.zeros((6, 11, by_pair.shape[-1]))
+    for io in range(6):
+        hess_kernel[io, 5 - io:11 - io] = by_pair[io]
+
+    def evaluate(c):
+        """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
+        the model's bond arguments there."""
+        derivs = space.derivatives_at_quad(c, orders)
+        g = np.zeros((5, nq, n))
+        for r in orders:
+            g[r - 1] = derivs[r]
+        return g, model.bond_args(g)
+
+    at = evaluate_once(evaluate)
+
+    def objective(c):
+        g, args = at(c)
+        margin = model.domain_margin(g, args)
+        if np.any(margin <= 0.0):
+            elem = int(np.argmin(margin) % n) - space.N
+            raise ValueError(f"density domain violation in element "
+                             f"[{elem}, {elem + 1}]")
+        dens = model.density(g, args) - w0
+        return float(np.sum(qw @ dens) - np.dot(load, c))
 
     def gradient(c):
-        dw = model.density_grad(to_g(c))[idx]
-        local = np.einsum("rmq,orq,q->mo", dw, T, space.qw)
-        return space.scatter_add(local) - load
-
-    # local[m, o, o'] = sum_{r,s,q} w_q d2w[r,s] T[o,r,q] T[o',s,q]
-    spec = "rsmq,orq,psq,q->mop"
-    path = np.einsum_path(
-        spec, np.empty((len(orders), len(orders), space.n, space.quad_points)),
-        T, T, space.qw, optimize=True)[0]
+        g, args = at(c)
+        dw = model.density_grad(g, args)[idx].reshape(-1, n)
+        return space.scatter_add(grad_kernel @ dw) - load
 
     def hessian(c):
-        d2w = model.density_hess(to_g(c))[np.ix_(idx, idx)]
-        local = np.einsum(spec, d2w, T, T, space.qw, optimize=path)
-        H = PeriodicBand(space.n, 5)
-        # element m couples its dofs m + o and m + p: row m + o, offset p - o
-        for io, o in enumerate(space.offsets):
-            H.add(space.offsets - o, local[:, io, :].T, shift=o)
+        g, args = at(c)
+        columns = space.element_columns(
+            model.density_hess(g, args)[np.ix_(idx, idx)].reshape(-1, n))
+        H = PeriodicBand(n, 5)
+        H.add(np.arange(-5, 6), sum(hess_kernel[io] @ columns(o)
+                                    for io, o in enumerate(offsets)))
         return H
 
     return MinimizeProblem(objective, gradient, hessian)
@@ -175,7 +212,7 @@ def energy_gap(system, u_a, model, u_c, npoints=5):
     from .continuum import continuum_energy
     ua = getattr(u_a, "displacement", u_a)
     ea = system.energy_above_homogeneous(ua)
-    ec = continuum_energy(model, u_c, system.N, npoints=npoints, relative=True)
+    ec = continuum_energy(model, u_c, system.N, npoints=npoints)
     return abs(ea - ec)
 
 

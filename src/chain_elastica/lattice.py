@@ -28,11 +28,6 @@ class PeriodicLatticeField:
             raise ValueError("need exactly 2N values")
         self.N = N
 
-    @classmethod
-    def from_function(cls, f, N):
-        xi = np.arange(-N, N)
-        return cls(np.asarray(f(xi), dtype=float), N)
-
     def value(self, xi):
         return self.values[(np.asarray(xi) + self.N) % (2 * self.N)]
 
@@ -45,9 +40,6 @@ class PeriodicLatticeField:
 
     def mean(self):
         return float(np.mean(self.values))
-
-    def copy(self):
-        return PeriodicLatticeField(self.values, self.N)
 
     def __len__(self):
         return self.values.size

@@ -1,7 +1,9 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
 Hessian with its grounded block cyclic reduction solve, Newton whose
-factorization also certifies the minimizer, and a central-difference
-gradient check. Only numpy is needed."""
+factorization also certifies the minimizer and which evaluates the objective
+once per point, the one-slot cache through which a problem's callbacks share
+one evaluation per point, and a central-difference gradient check. Only numpy
+is needed."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["PeriodicBand", "MinimizeProblem", "MinimizeResult",
-           "newton_minimize", "gradient_check"]
+           "newton_minimize", "evaluate_once", "gradient_check"]
 
 _DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
 
@@ -220,12 +222,15 @@ class MinimizeResult:
 def newton_minimize(problem, x0):
     """Newton with energy backtracking over mean-zero vectors.
 
-    The Hessian is factored at every iterate before the convergence test, so
-    a converged point is also certified as a local minimizer. An indefinite
-    Hessian is flagged (that failure mode is informative: it exhibits the
-    unstable continuum variants)."""
+    The objective is evaluated once per point: the accepted line-search
+    trial's value is the next iterate's, and the result returns the value of
+    the last iterate. The Hessian is factored at every iterate before the
+    convergence test, so a converged point is also certified as a local
+    minimizer. An indefinite Hessian is flagged (that failure mode is
+    informative: it exhibits the unstable continuum variants)."""
     x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
+    fx = f(x)
     for it in range(problem.max_iter + 1):
         gx = g(x)
         gx = gx - gx.mean()
@@ -233,28 +238,48 @@ def newton_minimize(problem, x0):
         try:
             solve = problem.hessian(x).factor()
         except np.linalg.LinAlgError:
-            return MinimizeResult(x, f(x), gnorm, it, False,
+            return MinimizeResult(x, fx, gnorm, it, False,
                                   "Hessian not positive definite",
                                   hessian_indefinite=True)
         if gnorm <= problem.grad_inf_tol:
-            return MinimizeResult(x, f(x), gnorm, it, True, "converged")
+            return MinimizeResult(x, fx, gnorm, it, True, "converged")
         if it == problem.max_iter:
             break
         p = solve(-gx)
-        fx = f(x)
+        del solve   # the factorization's memory is free for the next point
         alpha = 1.0
         for _ in range(60):
             xn = x + alpha * p
             xn -= xn.mean()
-            if f(xn) <= fx + 1e-4 * alpha * float(np.dot(gx, p)):
+            fn = f(xn)
+            if fn <= fx + 1e-4 * alpha * float(np.dot(gx, p)):
                 break
             alpha *= 0.5
         else:
             return MinimizeResult(x, fx, gnorm, it, False,
                                   "backtracking failed")
-        x = xn
-    return MinimizeResult(x, f(x), gnorm, problem.max_iter, False,
+        x, fx = xn, fn
+    return MinimizeResult(x, fx, gnorm, problem.max_iter, False,
                           "max iterations")
+
+
+def evaluate_once(evaluate):
+    """`evaluate` with a one-slot cache keyed by the value of its array
+    argument: the bits of a copy of the last argument, so a caller that
+    changes the array in place between calls gets a fresh evaluation. The
+    objective, gradient and Hessian callbacks of a problem share one such
+    evaluation, and Newton calls all three at each iterate."""
+    slot = [None]
+
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        last = slot[0]
+        if last is None or last[0] != key:
+            last = slot[0] = (key, evaluate(x))
+        return last[1]
+
+    return at
 
 
 def gradient_check(problem, x, h=1e-6, directions=None, rng=None):

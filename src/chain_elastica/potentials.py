@@ -5,8 +5,13 @@ import numpy as np
 
 MAX_DERIVATIVE = 7
 
+# _LJ_COEFFS[p][j] = (-1)^j p (p+1) ... (p+j-1): d^j/ds^j s^-p = c s^-(p+j)
+_LJ_COEFFS = {p: [np.prod(np.arange(p, p + j), dtype=float) * (-1.0) ** j
+                  for j in range(MAX_DERIVATIVE + 1)]
+              for p in (6, 12)}
+
 __all__ = [
-    "PairPotential", "ShiftedPotential", "InteractionRange",
+    "PairPotential", "ShiftedPotential",
     "make_potential", "shifted", "decay_moment", "MAX_DERIVATIVE",
 ]
 
@@ -48,9 +53,7 @@ class PairPotential:
                 return scale * np.ones_like(s)
             return np.zeros_like(s)
         if self.kind == "lj":
-            # d^j/ds^j s^-p = (-1)^j p (p+1) ... (p+j-1) s^-(p+j)
-            c12 = np.prod(np.arange(12, 12 + j), dtype=float) * (-1.0) ** j
-            c6 = np.prod(np.arange(6, 6 + j), dtype=float) * (-1.0) ** j
+            c12, c6 = _LJ_COEFFS[12][j], _LJ_COEFFS[6][j]
             return scale * (c12 * s ** (-12.0 - j) - 2.0 * c6 * s ** (-6.0 - j))
         # morse: phi = E^2 - 2E with E = exp(-a (s - 1))
         a = self.morse_a
@@ -69,24 +72,6 @@ class PairPotential:
 def make_potential(name, eps=1.0, **params):
     """Potential from its config string: 'harmonic', 'lj' or 'morse'."""
     return PairPotential(name, eps=eps, morse_a=params.get("morse_a", 4.0))
-
-
-class InteractionRange:
-    """The finite bond set {1, ..., r_cut}."""
-
-    def __init__(self, r_cut):
-        if int(r_cut) < 1 or int(r_cut) != r_cut:
-            raise ValueError("r_cut must be a positive integer")
-        self.r_cut = int(r_cut)
-
-    def __iter__(self):
-        return iter(range(1, self.r_cut + 1))
-
-    def __len__(self):
-        return self.r_cut
-
-    def __repr__(self):
-        return f"InteractionRange({self.r_cut})"
 
 
 class ShiftedPotential:

@@ -1,16 +1,22 @@
 """Gauss-Legendre rules on unit cells and composite integrals over the
 periodic domain [-N, N] with unit elements."""
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["gauss_rule", "composite_integral"]
 
 
+@lru_cache(maxsize=16)
 def gauss_rule(npoints):
     """Nodes and weights on [0, 1]; exact for polynomials of degree
-    2*npoints - 1."""
+    2*npoints - 1. Computed once per npoints and returned read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def composite_integral(f, N, npoints=5):

@@ -51,6 +51,34 @@ def test_gradient_matches_finite_differences():
     assert gradient_check(prob, u, h=1e-6) < 1e-6
 
 
+def test_objective_problem_shares_one_evaluation_per_point():
+    # the callbacks cache one set of strains, keyed by the displacement's
+    # value: after a call at another point, and after the caller overwrote
+    # its array in place, each returns the bits of a fresh problem
+    N = 8
+    sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2),
+                           force=lattice_force(N))
+    gen = np.random.default_rng(8)
+    a, b = 0.03 * gen.standard_normal((2, 2 * N))
+
+    def callbacks(prob, u):
+        return prob.objective(u), prob.gradient(u), prob.hessian(u).diags
+
+    def assert_same_bits(got, want):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    want = callbacks(sys_.objective_problem(), b)
+    prob = sys_.objective_problem()
+    callbacks(prob, a)
+    assert_same_bits(callbacks(prob, b), want)
+    u = a.copy()
+    prob.objective(u)
+    u[:] = b
+    assert_same_bits(callbacks(prob, u), want)
+
+
 def test_gradient_zero_at_homogeneous():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))

@@ -23,6 +23,9 @@ def cos_force(N):
 
 def test_gauss5_exact_through_degree_9():
     t, w = gauss_rule(5)
+    # computed once per npoints and shared, so read-only
+    assert gauss_rule(5)[0] is t
+    assert not (t.flags.writeable or w.flags.writeable)
     for deg in range(10):
         p = np.polynomial.Polynomial(rng.standard_normal(deg + 1))
         exact = p.integ()(1.0) - p.integ()(0.0)
@@ -186,3 +189,74 @@ def test_energy_gap_trivial_and_shift_invariant():
     shifted_c = sp.field(c.coeffs + 0.37)   # basis partition of unity
     g2 = energy_gap(sys_, shifted_u, m, shifted_c)
     assert g1 == pytest.approx(g2, rel=1e-9)
+
+
+def _callbacks(prob, c):
+    return (prob.objective(c), prob.gradient(c), prob.hessian(c).diags)
+
+
+def _assert_same_bits(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "ill2"])
+def test_assembled_callbacks_share_one_evaluation_per_point(key):
+    # the callbacks cache one evaluation, keyed by the coefficients' value:
+    # after a call at another point, and after the caller overwrote its
+    # array in place, each returns the bits of a freshly assembled problem
+    N = 8
+    sp = PeriodicSplineSpace(N)
+    m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
+    gen = np.random.default_rng([N, len(key)])
+    a, b = 0.01 * gen.standard_normal((2, 2 * N))
+    want = _callbacks(assemble(m, sp, cos_force(N)), b)
+    prob = assemble(m, sp, cos_force(N))
+    _callbacks(prob, a)
+    _assert_same_bits(_callbacks(prob, b), want)
+    c = a.copy()
+    prob.objective(c)
+    c[:] = b
+    _assert_same_bits((prob.objective(c), prob.gradient(c),
+                       prob.hessian(c).diags), want)
+    c[:] = a
+    prob.gradient(c)
+    c[:] = b
+    _assert_same_bits(_callbacks(prob, c), want)
+
+
+def _einsum_reference(model, space, c):
+    """Gradient and dense Hessian of the density energy, element by element
+    through np.einsum and explicit index loops."""
+    orders = model.density_orders
+    idx = np.array(orders) - 1
+    g = np.zeros((5, space.quad_points, space.n))
+    for r, d in space.derivatives_at_quad(c, orders).items():
+        g[r - 1] = d
+    T = space.template[:, orders, :]
+    dw = model.density_grad(g)[idx]
+    d2w = model.density_hess(g)[np.ix_(idx, idx)]
+    local_g = np.einsum("rqm,orq,q->mo", dw, T, space.qw)
+    local_h = np.einsum("rsqm,orq,psq,q->mop", d2w, T, T, space.qw)
+    grad, H = np.zeros(space.n), np.zeros((space.n, space.n))
+    for m in range(space.n):
+        dofs = (m + space.offsets) % space.n
+        np.add.at(grad, dofs, local_g[m])
+        np.add.at(H, np.ix_(dofs, dofs), local_h[m])
+    return grad, H
+
+
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "ill2"])
+@pytest.mark.parametrize("potential", ["lj", "harmonic"])
+def test_element_products_match_einsum_reference(key, potential):
+    N = 8
+    sp = PeriodicSplineSpace(N)
+    m = continuum_model(key, make_potential(potential), bonds=(1, 2))
+    c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(2 * N)
+    prob = assemble(m, sp)
+    grad, H = _einsum_reference(m, sp, c)
+    tol = 1e-14
+    assert np.max(np.abs(prob.gradient(c) - grad)) <= tol * np.max(np.abs(grad))
+    assert np.max(np.abs(prob.hessian(c).toarray() - H)) \
+        <= tol * np.max(np.abs(H))

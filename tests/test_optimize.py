@@ -224,3 +224,32 @@ def test_gradient_check_catches_wrong_gradient():
                           prob.hessian)
     err = gradient_check(bad, rng.standard_normal(n), h=1e-5)
     assert 0.2 < err < 2.0
+
+
+def test_newton_evaluates_the_objective_once_per_point():
+    # a strictly convex ring with exponential bonds: full Newton steps are
+    # accepted, so every objective call is at a new point, the first iterate
+    # or an accepted trial, and the result carries the last one's value
+    n = 16
+    gen = np.random.default_rng(7)
+    load = mean_zero(0.3 * gen.standard_normal(n))
+    calls = []
+
+    def strains(x):
+        return np.roll(x, -1) - x
+
+    def objective(x):
+        calls.append(x.copy())
+        return float(np.sum(np.exp(strains(x)) - strains(x)) - load @ x)
+
+    def gradient(x):
+        fb = np.exp(strains(x)) - 1.0
+        return np.roll(fb, 1) - fb - load
+
+    res = newton_minimize(MinimizeProblem(
+        objective, gradient, lambda x: bond_band(n, [np.exp(strains(x))])),
+        np.zeros(n))
+    assert res.converged and res.iterations >= 3
+    assert len(calls) == res.iterations + 1
+    assert np.array_equal(calls[-1], res.x)
+    assert res.fun == objective(res.x)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chain_elastica.potentials import (PairPotential, InteractionRange,
-                                       decay_moment, make_potential, shifted)
+from chain_elastica.potentials import (PairPotential, decay_moment,
+                                       make_potential, shifted)
 
 
 def fd_derivative(p, j, r, h=1e-5):
@@ -26,6 +26,17 @@ def test_morse_rest_length():
     p = make_potential("morse")
     assert abs(p.derivative(1, 1.0)) < 1e-12
     assert abs(p.derivative(0, 1.0) + 1.0) < 1e-14
+
+
+def test_lj_coefficient_table_is_the_product_formula():
+    # d^j/ds^j s^-p = (-1)^j p (p+1) ... (p+j-1) s^-(p+j), bit for bit
+    p = PairPotential("lj")
+    r = np.linspace(0.7, 3.0, 11)
+    for j in range(8):
+        c12 = np.prod(np.arange(12, 12 + j), dtype=float) * (-1.0) ** j
+        c6 = np.prod(np.arange(6, 6 + j), dtype=float) * (-1.0) ** j
+        want = c12 * r ** (-12.0 - j) - 2.0 * c6 * r ** (-6.0 - j)
+        assert np.array_equal(p.derivative(j, r), want)
 
 
 def test_lj_second_derivative_at_rest():
@@ -82,12 +93,6 @@ def test_shifted_trivial_values():
     assert abs(shifted(lj, 1.0, 1).derivative(1, 0.0)) < 1e-12
     with pytest.raises(ValueError):
         shifted(har, -1.0, 1)
-
-
-def test_interaction_range():
-    assert list(InteractionRange(3)) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        InteractionRange(0)
 
 
 def test_decay_moment_harmonic():
