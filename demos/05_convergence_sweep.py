@@ -10,7 +10,7 @@ Run:  python demos/05_convergence_sweep.py       (about half a minute)
 
 import numpy as np
 
-from chain_elastica.harness import StudyConfig, energy_fits, run_sweep
+from chain_elastica.harness import StudyConfig, fit_models, run_sweep
 
 EPS = tuple(2.0 ** -k for k in range(3, 9))
 
@@ -23,7 +23,7 @@ for r in records:
     print(f"{r.model:6s}{r.eps:10.5f}{r.grad_error:14.3e}{r.energy_gap:14.3e}")
 for f in fits:
     print(f"grad-error slope {f.model}: {f.slope:.3f}  (r2 = {f.r2:.6f})")
-for f in energy_fits(cfg, records):
+for f in fit_models(cfg, records, "energy_gap"):
     print(f"energy-gap slope {f.model}: {f.slope:.3f}")
 
 print("\n== the measurement interpolant matters ==")
@@ -40,5 +40,5 @@ cfg = StudyConfig(potential="lj", models=("cb", "hoc4"),
 records, fits = run_sweep(cfg)
 for f in fits:
     print(f"grad-error slope {f.model}: {f.slope:.3f}  (r2 = {f.r2:.6f})")
-for f in energy_fits(cfg, records):
+for f in fit_models(cfg, records, "energy_gap"):
     print(f"energy-gap slope {f.model}: {f.slope:.3f}")

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomistic import AtomisticSystem, hessian_dft_eigenvalues
+from .continuum import HigherOrder4
 from .potentials import decay_moment
 
 __all__ = ["atomistic_symbol", "cb_symbol", "hoc_taylor_symbol",
@@ -79,7 +81,6 @@ class StabilityReport:
     lambda_cb: float
     lambda_hoc_taylor: float
     lambda_hoc_direct: float
-    argmin: dict
     ordering_holds: bool
     max_ordering_violation: float
     perturbation_kappa_bound: float = field(default=float("inf"))
@@ -88,20 +89,14 @@ class StabilityReport:
 def _discrete_atomistic_min(system, N):
     """min over the nonzero discrete modes of the generalized Rayleigh
     quotient (circulant Hessian against the discrete-gradient Gram)."""
-    k = np.arange(1, 2 * N)
-    theta = np.pi * k / N
-    p2 = _phi2(system)
-    num = np.zeros_like(theta)
-    for rho in system.bonds:
-        num += 4.0 * p2[rho] * np.sin(0.5 * theta * rho) ** 2
-    den = 4.0 * np.sin(0.5 * theta) ** 2
-    q = num / den
-    i = int(np.argmin(q))
-    return float(q[i]), float(theta[i])
+    chain = AtomisticSystem(N, system.potential, bonds=system.bonds, F=system.F)
+    theta = np.pi * np.arange(1, 2 * N) / N
+    return float(np.min(hessian_dft_eigenvalues(chain)[1:]
+                        / (4.0 * np.sin(0.5 * theta) ** 2)))
 
 
 def stability_constants(system, band=(0.0, 1.0), ngrid=10_000,
-                        Ns=(8, 16, 32, 64), hoc_model=None):
+                        Ns=(8, 16, 32, 64)):
     """Symbol minima over the band, the discrete atomistic constants per N,
     the pointwise ordering verdict phi_a <= phi_hoc_taylor <= phi_cb, and the
     small-deformation perturbation bound kappa <= Lambda_hoc / (2 M^(3,0))."""
@@ -110,12 +105,9 @@ def stability_constants(system, band=(0.0, 1.0), ngrid=10_000,
     a = atomistic_symbol(system, x)
     h = hoc_taylor_symbol(system, x)
     c = np.full_like(x, cb_symbol(system))
-    per_N = {N: _discrete_atomistic_min(system, N)[0] for N in Ns}
+    per_N = {N: _discrete_atomistic_min(system, N) for N in Ns}
     viol = max(float(np.max(a - h)), float(np.max(h - c)))
-    if hoc_model is None:
-        from .continuum import HigherOrder4
-        hoc_model = HigherOrder4(system.potential, system.bonds, system.F)
-    d = direct_symbol(hoc_model, x)
+    d = direct_symbol(HigherOrder4(system.potential, system.bonds, system.F), x)
     m30 = decay_moment(system.potential, system.F, system.bonds, 3, 0,
                        (-system.kappa, system.kappa))
     lam_h = float(np.min(h))
@@ -126,9 +118,6 @@ def stability_constants(system, band=(0.0, 1.0), ngrid=10_000,
         lambda_cb=float(np.min(c)),
         lambda_hoc_taylor=lam_h,
         lambda_hoc_direct=float(np.min(d)),
-        argmin={"atomistic": float(x[np.argmin(a)]),
-                "hoc_taylor": float(x[np.argmin(h)]),
-                "hoc_direct": float(x[np.argmin(d)])},
         ordering_holds=bool(viol <= 1e-12 * max(1.0, float(np.max(np.abs(c))))),
         max_ordering_violation=viol,
         perturbation_kappa_bound=(lam_h / (2.0 * m30) if m30 > 0 else float("inf")),

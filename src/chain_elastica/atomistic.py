@@ -2,6 +2,7 @@
 distributional atomistic stress, and circulant/DFT oracles."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,12 @@ class AtomisticSystem:
             raise ValueError("external force must be mean-zero")
         self.kappa = self.F / 4.0 if kappa is None else float(kappa)
 
+    @cached_property
+    def _phi0(self):
+        """phi_rho(0) per bond, the homogeneous offset of the energy."""
+        return {rho: float(self.phi[rho].derivative(0, np.zeros(1))[0])
+                for rho in self.bonds}
+
     def r_cut(self):
         return max(self.bonds)
 
@@ -68,8 +75,8 @@ class AtomisticSystem:
         strains = self._strains(u) if strains is None else strains
         total = 0.0
         for rho in self.bonds:
-            base = float(self.phi[rho].derivative(0, np.zeros(1))[0])
-            total += float((self.phi[rho].derivative(0, strains[rho]) - base).sum())
+            total += float((self.phi[rho].derivative(0, strains[rho])
+                            - self._phi0[rho]).sum())
         return total
 
     def gradient(self, u, strains=None):

@@ -10,17 +10,19 @@
     common: [--config <path>] [--potential {harmonic|lj|morse}] [--out <dir>]
 
 Each command accepts only the flags it reads; any other exits with status 2.
+Each command parses, runs and prints; `harness` writes every output file.
 """
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
 from .continuum import MODEL_KEYS
-from .harness import (energy_fits, load_config, run_consistency, run_stability,
-                      run_sweep, solve_cell, unfitted_models, write_fits_json,
-                      write_records_csv, write_solution_csvs, _eps_to_N, _fmt)
+from .harness import (StudyConfig, fit_models, load_config, run_consistency,
+                      run_stability, run_sweep, solve_cell, unfitted_models,
+                      write_consistency, write_fits_json, write_records_csv,
+                      write_solution_csvs, write_stability, _eps_to_N)
 
 
 def _parse_eps_list(text):
@@ -31,7 +33,10 @@ def _parse_eps_list(text):
         a = int(lo.replace("2^-", ""))
         b = int(hi.replace("2^-", ""))
         return tuple(2.0 ** -k for k in range(min(a, b), max(a, b) + 1))
-    return tuple(float(tok) for tok in text.split(",") if tok)
+    values = tuple(float(tok) for tok in text.split(",") if tok)
+    if not values:
+        raise ValueError("no eps values")
+    return values
 
 
 def _eps_arg(parse):
@@ -49,21 +54,11 @@ def _eps_arg(parse):
 
 
 def _build_config(args):
-    opts = vars(args)
-    overrides = {}
-    if opts.get("model"):
-        overrides["models"] = tuple(opts["model"])
-    if args.potential:
-        overrides["potential"] = args.potential
-    if opts.get("eps_list"):
-        overrides["eps_list"] = opts["eps_list"]
-    if opts.get("interp"):
-        overrides["interp"] = opts["interp"]
-    if opts.get("eps_min") is not None:
-        overrides["eps_min_fit"] = opts["eps_min"]
-    if args.out:
-        overrides["out_dir"] = args.out
-    return load_config(args.config, overrides)
+    """The --config file, overridden by every flag given whose destination
+    is a StudyConfig field."""
+    keys = {f.name for f in dataclasses.fields(StudyConfig)}
+    return load_config(args.config, {k: v for k, v in vars(args).items()
+                                     if k in keys and v is not None})
 
 
 def main(argv=None):
@@ -74,14 +69,15 @@ def main(argv=None):
     for p in cmd.values():
         p.add_argument("--config", default=None)
         p.add_argument("--potential", choices=["harmonic", "lj", "morse"])
-        p.add_argument("--out")
+        p.add_argument("--out", dest="out_dir")
     for name in ("solve", "sweep", "consistency"):
-        cmd[name].add_argument("--model", action="append", choices=MODEL_KEYS)
+        cmd[name].add_argument("--model", dest="models", action="append",
+                               choices=MODEL_KEYS)
     for name in ("solve", "sweep"):
         cmd[name].add_argument("--interp", choices=["pi", "cubic", "quartic"])
     cmd["sweep"].add_argument("--eps-list", dest="eps_list",
                               type=_eps_arg(_parse_eps_list))
-    cmd["sweep"].add_argument("--eps-min", dest="eps_min", type=float,
+    cmd["sweep"].add_argument("--eps-min", dest="eps_min_fit", type=float,
                               help="exclude eps below this from slope fits")
     cmd["solve"].add_argument("--eps", type=_eps_arg(float),
                               default=2.0 ** -3)
@@ -94,7 +90,7 @@ def main(argv=None):
         write_records_csv(os.path.join(cfg.out_dir, "records.csv"), records)
         write_fits_json(os.path.join(cfg.out_dir, "fit.json"), fits)
         write_fits_json(os.path.join(cfg.out_dir, "fit_energy.json"),
-                        energy_fits(cfg, records))
+                        fit_models(cfg, records, "energy_gap"))
         for f in fits:
             flag = "  [flagged: r2 < 0.99]" if f.flagged else ""
             print(f"{f.model}: grad-error slope {f.slope:.3f} "
@@ -117,41 +113,14 @@ def main(argv=None):
 
     if args.command == "stability":
         report, modes, table = run_stability(cfg)
-        path = os.path.join(cfg.out_dir, "stability_symbols.csv")
-        with open(path, "w") as fh:
-            fh.write("x,phi_a,phi_cb,phi_hoc_taylor,phi_hoc_direct\n")
-            for row in table:
-                fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
-        summary = {
-            "band": list(report.band),
-            "lambda_a": report.lambda_a,
-            "lambda_a_per_N": {str(k): v for k, v in
-                               report.lambda_a_per_N.items()},
-            "lambda_cb": report.lambda_cb,
-            "lambda_hoc_taylor": report.lambda_hoc_taylor,
-            "lambda_hoc_direct": report.lambda_hoc_direct,
-            "ordering_holds": report.ordering_holds,
-            "max_ordering_violation": report.max_ordering_violation,
-            "perturbation_kappa_bound": report.perturbation_kappa_bound,
-            "negative_modes_ill2": {str(k): v for k, v in modes.items()},
-        }
-        with open(os.path.join(cfg.out_dir, "stability.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_stability(cfg.out_dir, report, modes, table)
         print(f"ordering holds on band {report.band}: {report.ordering_holds}")
         return 0
 
     if args.command == "consistency":
-        rows, fits = (run_consistency(cfg, models=tuple(args.model))
-                      if args.model else run_consistency(cfg))
-        path = os.path.join(cfg.out_dir, "consistency.csv")
-        with open(path, "w") as fh:
-            fh.write("model,N,max_R,l2_R\n")
-            for row in rows:
-                fh.write(f"{row['model']},{row['N']},{_fmt(row['max_R'])},"
-                         f"{_fmt(row['l2_R'])}\n")
-        write_fits_json(os.path.join(cfg.out_dir, "consistency_fit.json"),
-                        list(fits.values()))
+        rows, fits = (run_consistency(cfg, models=tuple(args.models))
+                      if args.models else run_consistency(cfg))
+        write_consistency(cfg.out_dir, rows, fits)
         for key, f in fits.items():
             print(f"{key}: consistency order {f.slope:.3f} (r2 = {f.r2:.5f})")
         return 0

@@ -9,7 +9,7 @@ factor eps^(1/2), energies a factor eps.
 import ast
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .splines import measurement_interpolant, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "solve_cell", "run_sweep",
-           "run_consistency", "run_stability", "write_solution_csvs",
-           "load_config"]
+           "run_consistency", "run_stability", "write_records_csv",
+           "write_fits_json", "write_solution_csvs", "write_consistency",
+           "write_stability", "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
 
@@ -82,7 +83,7 @@ class SlopeFit:
     intercept: float
     r2: float
     points: int
-    flagged: bool = False   # r2 below the acceptance bar
+    flagged: bool           # r2 below the acceptance bar
 
 
 def fit_slope(pairs, eps_min=0.0):
@@ -99,6 +100,12 @@ def fit_slope(pairs, eps_min=0.0):
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     return slope, intercept, r2, len(pts)
+
+
+def _slope_fit(model, pairs):
+    """`fit_slope` of `pairs` as a SlopeFit, flagged when r2 < 0.99."""
+    slope, intercept, r2, npts = fit_slope(pairs)
+    return SlopeFit(model, slope, intercept, r2, npts, flagged=r2 < 0.99)
 
 
 def _eps_to_N(eps):
@@ -167,21 +174,11 @@ def run_sweep(cfg):
     return records, fit_models(cfg, records, "grad_error")
 
 
-def energy_fits(cfg, records):
-    return fit_models(cfg, records, "energy_gap")
-
-
 def fit_models(cfg, records, column):
     """Slope fit of one record column per model over its certified cells in
     the fit window; models with fewer than 3 are left out (`unfitted_models`)."""
-    fits = []
-    for model_key, cells in _fit_windows(cfg, records):
-        if len(cells) >= 3:
-            slope, intercept, r2, npts = fit_slope(
-                [(r.eps, getattr(r, column)) for r in cells])
-            fits.append(SlopeFit(model_key, slope, intercept, r2, npts,
-                                 flagged=bool(r2 < 0.99)))
-    return fits
+    return [_slope_fit(key, [(r.eps, getattr(r, column)) for r in cells])
+            for key, cells in _fit_windows(cfg, records) if len(cells) >= 3]
 
 
 def _fit_windows(cfg, records):
@@ -199,28 +196,37 @@ def unfitted_models(cfg, records):
 
 
 def _fmt(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 
 
-def write_records_csv(path, records):
-    lines = ["model,eps,N,grad_error,energy_gap,converged"]
-    for r in records:
-        lines.append(",".join([r.model, _fmt(r.eps), str(r.N),
-                               _fmt(r.grad_error), _fmt(r.energy_gap),
-                               str(r.converged).lower()]))
+def _write_csv(path, header, rows):
+    """The header line, then one line per row with each cell `_fmt`-ed."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_fits_json(path, fits):
-    data = [{"model": f.model, "slope": f.slope, "intercept": f.intercept,
-             "r2": f.r2, "points": f.points, "flagged": f.flagged}
-            for f in fits]
+def _write_json(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_records_csv(path, records):
+    """records.csv: one line per record; `reason` is not written."""
+    _write_csv(path, "model,eps,N,grad_error,energy_gap,converged",
+               [(r.model, r.eps, r.N, r.grad_error, r.energy_gap, r.converged)
+                for r in records])
+
+
+def write_fits_json(path, fits):
+    """A JSON list with one object per SlopeFit (fit.json, fit_energy.json,
+    consistency_fit.json)."""
+    _write_json(path, [asdict(f) for f in fits])
 
 
 def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
@@ -242,14 +248,18 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
             rows.append({"model": model_key, "N": N,
                          "max_R": float(np.max(np.abs(r))),
                          "l2_R": float(np.sqrt(np.mean(r ** 2) * 2 * N))})
-    fits = {}
-    for model_key in models:
-        pairs = [(1.0 / row["N"], row["max_R"]) for row in rows
-                 if row["model"] == model_key]
-        slope, intercept, r2, npts = fit_slope(pairs)
-        fits[model_key] = SlopeFit(model_key, slope, intercept, r2, npts,
-                                   flagged=bool(r2 < 0.99))
+    fits = {key: _slope_fit(key, [(1.0 / row["N"], row["max_R"])
+                                  for row in rows if row["model"] == key])
+            for key in models}
     return rows, fits
+
+
+def write_consistency(out_dir, rows, fits):
+    """consistency.csv (`model,N,max_R,l2_R`) and consistency_fit.json."""
+    _write_csv(os.path.join(out_dir, "consistency.csv"), "model,N,max_R,l2_R",
+               [(r["model"], r["N"], r["max_R"], r["l2_R"]) for r in rows])
+    write_fits_json(os.path.join(out_dir, "consistency_fit.json"),
+                    list(fits.values()))
 
 
 def run_stability(cfg, band=(0.0, 1.0), ngrid=10_000, Ns=(8, 16, 32, 64)):
@@ -268,6 +278,19 @@ def run_stability(cfg, band=(0.0, 1.0), ngrid=10_000, Ns=(8, 16, 32, 64)):
     return report, modes, table
 
 
+def write_stability(out_dir, report, modes, table):
+    """stability_symbols.csv (the symbol table) and stability.json (the
+    report and the ill-posed model's negative modes). The N keys are written
+    as strings, so json sorts them as strings ("16" before "8")."""
+    _write_csv(os.path.join(out_dir, "stability_symbols.csv"),
+               "x,phi_a,phi_cb,phi_hoc_taylor,phi_hoc_direct", table)
+    summary = asdict(report)
+    summary["lambda_a_per_N"] = {str(N): v for N, v in
+                                 report.lambda_a_per_N.items()}
+    summary["negative_modes_ill2"] = {str(N): m for N, m in modes.items()}
+    _write_json(os.path.join(out_dir, "stability.json"), summary)
+
+
 def write_solution_csvs(out_dir, cell):
     """solution_atomistic_<N>.csv and solution_<model>_<N>.csv for each
     model of the cell that was solved."""
@@ -275,21 +298,13 @@ def write_solution_csvs(out_dir, cell):
     N = u.N
     xi = np.arange(-N, N)
     du = hermite_interpolant(u).eval(xi.astype(float), 1)
-    lines = ["xi,u,grad_interp_u"]
-    for i, s in enumerate(xi):
-        lines.append(f"{s},{_fmt(u.values[i])},{_fmt(du[i])}")
-    with open(os.path.join(out_dir, f"solution_atomistic_{N}.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, f"solution_atomistic_{N}.csv"),
+               "xi,u,grad_interp_u", zip(xi, u.values, du))
     xs = np.sort(np.concatenate([xi.astype(float), xi + 0.5]))
     for key, fld in cell.fields.items():
-        lines = ["x,u,grad_u,grad3_u"]
-        u0 = fld.eval(xs, 0)
-        u1 = fld.eval(xs, 1)
-        u3 = fld.eval(xs, 3)
-        for j, x in enumerate(xs):
-            lines.append(f"{_fmt(x)},{_fmt(u0[j])},{_fmt(u1[j])},{_fmt(u3[j])}")
-        with open(os.path.join(out_dir, f"solution_{key}_{N}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(os.path.join(out_dir, f"solution_{key}_{N}.csv"),
+                   "x,u,grad_u,grad3_u",
+                   zip(xs, fld.eval(xs, 0), fld.eval(xs, 1), fld.eval(xs, 3)))
 
 
 # dotted spellings accepted in config files

@@ -275,7 +275,7 @@ def measurement_interpolant(v, kind):
     kind: 'pi' (the degree-9 Hermite operator), 'cubic' or 'quartic'
     (periodic spline interpolation at the sites).
     """
-    if kind in ("pi", "hermite"):
+    if kind == "pi":
         from .lattice import hermite_interpolant
         return hermite_interpolant(v)
     if kind == "cubic":

@@ -16,7 +16,7 @@ from chain_elastica.continuum import (SineField, SumField, consistency_residual,
                                       first_variation_pairing, stress_pairing)
 from chain_elastica.fem import (PeriodicSplineSpace, assemble,
                                 fourier_cos_amplitude, solve_continuum)
-from chain_elastica.harness import (StudyConfig, energy_fits, fit_slope,
+from chain_elastica.harness import (StudyConfig, fit_models, fit_slope,
                                     run_sweep, write_records_csv)
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
@@ -80,8 +80,8 @@ def test_criterion_2_lennard_jones_rate(lj_sweep):
 def test_criterion_3_energy_gap_rates(harmonic_sweep, lj_sweep):
     cfg_h, rec_h, _ = harmonic_sweep
     cfg_l, rec_l, _ = lj_sweep
-    eh = {f.model: f for f in energy_fits(cfg_h, rec_h)}
-    el = {f.model: f for f in energy_fits(cfg_l, rec_l)}
+    eh = {f.model: f for f in fit_models(cfg_h, rec_h, "energy_gap")}
+    el = {f.model: f for f in fit_models(cfg_l, rec_l, "energy_gap")}
     ok = all((3.6 <= d["hoc4"].slope <= 4.4 and d["hoc4"].r2 >= 0.99
               and 1.8 <= d["cb"].slope <= 2.2 and d["cb"].r2 >= 0.99)
              for d in (eh, el))

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from chain_elastica.analysis import StabilityReport
 from chain_elastica.cli import main as cli_main
-from chain_elastica.harness import (StudyConfig, fit_slope, load_config,
-                                    run_consistency, run_stability, run_sweep,
-                                    solve_cell, write_records_csv)
+from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_slope,
+                                    load_config, run_consistency,
+                                    run_stability, solve_cell,
+                                    write_records_csv, write_stability)
 
 
 def test_fit_slope_synthetic():
@@ -77,16 +79,67 @@ def test_run_stability_smoke():
     assert table.shape[1] == 5
 
 
-def test_records_csv_deterministic(tmp_path):
-    cfg = StudyConfig(potential="harmonic", models=("cb",),
-                      eps_list=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
-    paths = []
-    for tag in ("a", "b"):
-        records, _ = run_sweep(cfg)
-        p = tmp_path / f"records_{tag}.csv"
-        write_records_csv(p, records)
-        paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+def test_cli_outputs_deterministic(tmp_path):
+    # every file of every command is bitwise the same on a second run
+    for argv in (["sweep", "--model", "cb", "--eps-list", "2^-3..2^-5"],
+                 ["solve", "--potential", "lj", "--model", "cb",
+                  "--model", "hoc4"],
+                 ["consistency", "--model", "hoc4"],
+                 ["stability", "--potential", "lj"]):
+        outs = [tmp_path / argv[0] / tag for tag in ("a", "b")]
+        for out in outs:
+            assert cli_main(argv + ["--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), (argv[0], name)
+
+
+def test_written_formats(tmp_path):
+    # hand-built inputs: bools as true/false, floats by repr, and the N keys
+    # of stability.json sorted as strings ("16" before "8")
+    write_records_csv(tmp_path / "records.csv", [
+        ConvergenceRecord("cb", 0.125, 8, 0.1, 1e-20, True),
+        ConvergenceRecord("ill2", 0.125, 8, float("nan"), float("nan"), False,
+                          reason="not positive definite")])
+    assert (tmp_path / "records.csv").read_text() == (
+        "model,eps,N,grad_error,energy_gap,converged\n"
+        "cb,0.125,8,0.1,1e-20,true\n"
+        "ill2,0.125,8,nan,nan,false\n")
+    report = StabilityReport(
+        band=(0.0, 1.0), lambda_a_per_N={8: 2.0, 16: 1.5}, lambda_a=1.5,
+        lambda_cb=3.0, lambda_hoc_taylor=2.5, lambda_hoc_direct=2.25,
+        ordering_holds=True, max_ordering_violation=-0.5,
+        perturbation_kappa_bound=0.125)
+    write_stability(tmp_path, report, {8: 10, 16: None},
+                    np.array([[0.5, 1.0, 3.0, 2.0, 2.0 / 3.0]]))
+    assert (tmp_path / "stability_symbols.csv").read_text() == (
+        "x,phi_a,phi_cb,phi_hoc_taylor,phi_hoc_direct\n"
+        "0.5,1.0,3.0,2.0,0.6666666666666666\n")
+    assert (tmp_path / "stability.json").read_text() == """\
+{
+  "band": [
+    0.0,
+    1.0
+  ],
+  "lambda_a": 1.5,
+  "lambda_a_per_N": {
+    "16": 1.5,
+    "8": 2.0
+  },
+  "lambda_cb": 3.0,
+  "lambda_hoc_direct": 2.25,
+  "lambda_hoc_taylor": 2.5,
+  "max_ordering_violation": -0.5,
+  "negative_modes_ill2": {
+    "16": null,
+    "8": 10
+  },
+  "ordering_holds": true,
+  "perturbation_kappa_bound": 0.125
+}
+"""
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -208,6 +261,7 @@ def test_cli_rejects_flags_the_command_ignores(argv, capsys):
     ["sweep", "--eps-list", "0.3,0.25"],
     ["sweep", "--eps-list", "2^-3,2^-4"],
     ["sweep", "--eps-list", "0.1..0.2"],
+    ["sweep", "--eps-list", ","],
 ])
 def test_cli_rejects_invalid_eps(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -241,8 +241,9 @@ def test_spline_interpolants_match_sites():
     for kind in ("cubic", "quartic", "pi"):
         iu = measurement_interpolant(v, kind)
         assert np.max(np.abs(iu.eval(xi) - vals)) < 1e-12, kind
-    with pytest.raises(ValueError):
-        measurement_interpolant(v, "quintic")
+    for kind in ("quintic", "hermite"):
+        with pytest.raises(ValueError):
+            measurement_interpolant(v, kind)
 
 
 def test_quartic_interpolant_gradient_order():
