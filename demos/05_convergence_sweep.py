@@ -5,7 +5,7 @@ Reproduces the fourth-order rate of the strain-gradient model and the
 second-order rate of Cauchy-Born, the sensitivity to the measurement
 interpolant, and the energy-gap rates.
 
-Run:  python demos/05_convergence_sweep.py       (about half a minute)
+Run:  python demos/05_convergence_sweep.py       (about a second)
 """
 
 import numpy as np

@@ -63,13 +63,14 @@ def direct_symbol(model, x):
     appropriate sign, normalized by ||grad v||^2 = x^2 * |Omega| / 2."""
     x = np.asarray(x, dtype=float)
     W = model.density_hess(np.zeros((5, 1)))[..., 0]
+    orders = model.density_orders
     out = np.zeros_like(x)
-    for m in range(1, 6):
-        for n in range(1, 6):
-            if W[m - 1, n - 1] == 0.0 or (m + n) % 2:
+    for i, m in enumerate(orders):
+        for j, n in enumerate(orders):
+            if W[i, j] == 0.0 or (m + n) % 2:
                 continue
             sign = (-1.0) ** (m // 2 + n // 2)
-            out += sign * W[m - 1, n - 1] * x ** (m + n - 2)
+            out += sign * W[i, j] * x ** (m + n - 2)
     return out
 
 

@@ -10,7 +10,7 @@ from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
 from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
                        newton_minimize)
 from .potentials import shifted
-from .splines import localization_weight
+from .splines import KernelField
 
 __all__ = ["AtomisticSystem", "AtomisticSolution", "external_work",
            "atomistic_stress", "hessian_dft_eigenvalues", "dft_solve"]
@@ -153,22 +153,21 @@ def external_work(f, u):
 
 def atomistic_stress(system, u, kernel, x):
     """S_a(u; x) = sum_xi sum_rho rho phi_rho'(D_rho u(xi)) chi_{xi,rho}(x),
-    periodic. Only the finitely many xi with chi != 0 near x contribute."""
+    periodic.
+
+    Since chi_{xi,rho} = (1/rho) sum_{k<rho} chi_{xi+k,1}, this equals
+    sum_eta g(eta) chi_{eta,1}(x), where the segment force
+    g(eta) = sum_rho sum_{k<rho} phi_rho'(D_rho u(eta - k)) is carried across
+    [eta, eta + 1] and chi_{eta,1}(x) = K(x - eta - 1/2) for the kernel's
+    `segment_kernel` K: one periodic spline, evaluated in one pass."""
     uf = u if isinstance(u, PeriodicLatticeField) else PeriodicLatticeField(u)
-    x = np.asarray(x, dtype=float)
-    n2 = 2 * uf.N
-    xw = (x + uf.N) % n2 - uf.N
-    base = np.floor(xw).astype(int)
-    out = np.zeros_like(xw)
+    g = np.zeros_like(uf.values)
     for rho in system.bonds:
-        d = uf.shifted_values(rho) - uf.values
-        bond_force = rho * system.phi[rho].derivative(1, d)
-        rad = int(np.ceil(kernel.support_radius)) + 1
-        for off in range(-rad - rho, rad + 1):
-            xi = base + off
-            w = localization_weight(kernel, xi, rho, xw)
-            out += bond_force[(xi + uf.N) % n2] * w
-    return out
+        force = system.phi[rho].derivative(1, uf.shifted_values(rho) - uf.values)
+        for k in range(rho):
+            g += np.roll(force, k)
+    field = KernelField(g, kernel.segment_kernel, uf.N)
+    return field.eval(np.asarray(x, dtype=float) - 0.5)
 
 
 def hessian_dft_eigenvalues(system):

@@ -83,6 +83,8 @@ def main(argv=None):
                               default=2.0 ** -3)
     args = parser.parse_args(argv)
     cfg = _build_config(args)
+    if not cfg.out_dir:
+        cmd[args.command].error("empty output directory (--out or out_dir)")
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if args.command == "sweep":

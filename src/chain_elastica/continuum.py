@@ -6,6 +6,8 @@ Gradient-argument convention: g has shape (5, ...) and holds
 (grad u, grad^2 u, ..., grad^5 u) at the evaluation points. The density
 methods also take `args`, the model's `bond_args(g)`, so that callers that
 evaluate several of them at one point compute the bond arguments once.
+`density_grad` and `density_hess` return only the planes of the model's
+`density_orders`, in that order: shapes (k, ...) and (k, k, ...).
 """
 
 import numpy as np
@@ -95,28 +97,26 @@ class _ComposedModel:
     def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self.bond_args(g) if args is None else args
-        out = np.zeros((5,) + np.shape(g[0]))
+        slots = np.array(self.density_orders) - 1
+        out = np.zeros((len(slots),) + np.shape(g[0]))
         for rho in self.bonds:
-            c = self._arg_coeffs(rho)
+            c = self._arg_coeffs(rho)[slots]
             d1 = self.phi[rho].derivative(1, args[rho])
-            for m in range(5):
-                if c[m] != 0.0:
-                    out[m] += c[m] * d1
+            for i, cm in enumerate(c):
+                out[i] += cm * d1
         return out
 
     def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self.bond_args(g) if args is None else args
-        out = np.zeros((5, 5) + np.shape(g[0]))
+        slots = np.array(self.density_orders) - 1
+        out = np.zeros((len(slots), len(slots)) + np.shape(g[0]))
         for rho in self.bonds:
-            c = self._arg_coeffs(rho)
+            c = self._arg_coeffs(rho)[slots]
             d2 = self.phi[rho].derivative(2, args[rho])
-            for m in range(5):
-                if c[m] == 0.0:
-                    continue
-                for n in range(5):
-                    if c[n] != 0.0:
-                        out[m, n] += c[m] * c[n] * d2
+            for i, cm in enumerate(c):
+                for j, cn in enumerate(c):
+                    out[i, j] += cm * cn * d2
         return out
 
 
@@ -242,7 +242,7 @@ class IllPosedSecondGradient(_ComposedModel):
     def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self.bond_args(g) if args is None else args
-        out = np.zeros((5,) + np.shape(g[0]))
+        out = np.zeros((2,) + np.shape(g[0]))
         for rho in self.bonds:
             a = args[rho]
             out[0] += rho * self.phi[rho].derivative(1, a) \
@@ -253,7 +253,7 @@ class IllPosedSecondGradient(_ComposedModel):
     def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self.bond_args(g) if args is None else args
-        out = np.zeros((5, 5) + np.shape(g[0]))
+        out = np.zeros((2, 2) + np.shape(g[0]))
         for rho in self.bonds:
             a = args[rho]
             out[0, 0] += rho ** 2 * self.phi[rho].derivative(2, a) \
@@ -354,8 +354,8 @@ def first_variation_pairing(model, u, v, N, npoints=8):
             g[j - 1] = u.eval(x, j)
         dw = model.density_grad(g)
         out = np.zeros_like(x)
-        for j in model.density_orders:
-            out += dw[j - 1] * v.eval(x, j)
+        for i, j in enumerate(model.density_orders):
+            out += dw[i] * v.eval(x, j)
         return out
 
     return composite_integral(f, N, npoints)

@@ -117,7 +117,6 @@ def assemble(model, space, f=None):
     w0 = model.density0()
     load = np.zeros(space.n) if f is None else _local_load(space, f)
     n, nq, qw, offsets = space.n, space.quad_points, space.qw, space.offsets
-    idx = np.array(orders) - 1
     T = space.template[:, orders, :]
     # Element integrals as matrix products, with kernels built once here:
     #   gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
@@ -155,13 +154,13 @@ def assemble(model, space, f=None):
 
     def gradient(c):
         g, args = at(c)
-        dw = model.density_grad(g, args)[idx].reshape(-1, n)
+        dw = model.density_grad(g, args).reshape(-1, n)
         return space.scatter_add(grad_kernel @ dw) - load
 
     def hessian(c):
         g, args = at(c)
         columns = space.element_columns(
-            model.density_hess(g, args)[np.ix_(idx, idx)].reshape(-1, n))
+            model.density_hess(g, args).reshape(-1, n))
         H = PeriodicBand(n, 5)
         H.add(np.arange(-5, 6), sum(hess_kernel[io] @ columns(o)
                                     for io, o in enumerate(offsets)))

@@ -154,6 +154,15 @@ class SplineKernel:
     def mass(self):
         return self.integral.right
 
+    @functools.cached_property
+    def segment_kernel(self):
+        """K = zeta_check * B_0 with zeta_check(s) = zeta(-s), one degree up:
+        the weight of the unit segment [eta, eta + 1] is
+        chi_{eta,1}(x) = int_0^1 zeta(eta + t - x) dt = K(x - eta - 1/2)."""
+        mirrored = SplineKernel(self.degree,
+                                {-j: c for j, c in self.taps.items()})
+        return mirrored.convolve(bspline_kernel(0))
+
 
 def bspline_kernel(degree):
     """The plain centered cardinal B-spline as a kernel."""

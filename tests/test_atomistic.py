@@ -8,7 +8,9 @@ from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_integral
-from chain_elastica.splines import (convolution_interpolant, nodal_interpolant,
+from chain_elastica.splines import (SplineKernel, bspline_kernel,
+                                    convolution_interpolant,
+                                    localization_weight, nodal_interpolant,
                                     reproducing_kernel)
 
 rng = np.random.default_rng(101)
@@ -161,6 +163,46 @@ def test_homogeneous_stress_is_constant():
     sys1 = AtomisticSystem(N, make_potential("harmonic"), bonds=(1,))
     S1 = atomistic_stress(sys1, PeriodicLatticeField(np.zeros(2 * N), N), z, x)
     assert np.max(np.abs(S1)) < 1e-14
+
+
+def _per_bond_stress(system, u, kernel, x):
+    """S_a summed bond by bond: rho phi_rho'(D_rho u(xi)) chi_{xi,rho}(x) over
+    every xi whose weight can be nonzero at x, chi from the kernel's
+    antiderivative (`localization_weight`)."""
+    n2 = 2 * u.N
+    xw = (x + u.N) % n2 - u.N
+    base = np.floor(xw).astype(int)
+    rad = int(np.ceil(kernel.support_radius)) + 1
+    out = np.zeros_like(xw)
+    for rho in system.bonds:
+        force = rho * system.phi[rho].derivative(1, u.shifted_values(rho)
+                                                 - u.values)
+        for off in range(-rad - rho, rad + 1):
+            xi = base + off
+            out += (force[(xi + u.N) % n2]
+                    * localization_weight(kernel, xi, rho, xw))
+    return out
+
+
+@pytest.mark.parametrize("kernel", [
+    bspline_kernel(3), reproducing_kernel(3), reproducing_kernel(5),
+    SplineKernel(2, {0: 0.7, 1: 0.5, 3: -0.2}, name="asymmetric")],
+    ids=lambda k: k.name)
+@pytest.mark.parametrize("potential", ["harmonic", "lj", "morse"])
+def test_stress_matches_per_bond_sum(potential, kernel):
+    # N = 2, 3 have periods shorter than the kernels' supports; the points
+    # include integers, half-integers and points outside [-N, N)
+    gen = np.random.default_rng([len(potential), kernel.degree])
+    for bonds in [(1,), (1, 2), (1, 2, 3)]:
+        for N in [2, 3, 8, 16]:
+            sys_ = AtomisticSystem(N, make_potential(potential), bonds=bonds)
+            u = PeriodicLatticeField(0.05 * gen.standard_normal(2 * N), N)
+            x = np.concatenate([np.arange(-3 * N, 3 * N, 0.5),
+                                gen.uniform(-3 * N, 3 * N, 50)])
+            want = _per_bond_stress(sys_, u, kernel, x)
+            got = atomistic_stress(sys_, u, kernel, x)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-14 * max(1.0, np.max(np.abs(want))), (bonds, N)
 
 
 @pytest.mark.parametrize("degree", [3, 5])

@@ -230,13 +230,12 @@ def _einsum_reference(model, space, c):
     """Gradient and dense Hessian of the density energy, element by element
     through np.einsum and explicit index loops."""
     orders = model.density_orders
-    idx = np.array(orders) - 1
     g = np.zeros((5, space.quad_points, space.n))
     for r, d in space.derivatives_at_quad(c, orders).items():
         g[r - 1] = d
     T = space.template[:, orders, :]
-    dw = model.density_grad(g)[idx]
-    d2w = model.density_hess(g)[np.ix_(idx, idx)]
+    dw = model.density_grad(g)
+    d2w = model.density_hess(g)
     local_g = np.einsum("rqm,orq,q->mo", dw, T, space.qw)
     local_h = np.einsum("rsqm,orq,psq,q->mop", d2w, T, T, space.qw)
     grad, H = np.zeros(space.n), np.zeros((space.n, space.n))

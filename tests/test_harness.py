@@ -272,6 +272,24 @@ def test_cli_rejects_invalid_eps(argv, capsys):
                               f"{argv[1]}: {argv[2]!r}: ")
 
 
+@pytest.mark.parametrize("command", ["stability", "consistency", "sweep",
+                                     "solve"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_empty_out_dir(command, source, tmp_path, capsys):
+    if source == "flag":
+        argv = [command, "--out", ""]
+    else:
+        cfg = tmp_path / "empty_out.cfg"
+        cfg.write_text('out_dir = ""\n')
+        argv = [command, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"chain-elastica {command}: error: empty output "
+                       "directory (--out or out_dir)")
+
+
 def test_cli_stability_and_consistency(tmp_path):
     out = tmp_path / "stab"
     rc = cli_main(["stability", "--potential", "harmonic", "--out", str(out)])
