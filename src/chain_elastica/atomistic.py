@@ -64,8 +64,9 @@ class AtomisticSystem:
         """sum_xi sum_rho phi_rho(D_rho u(xi))."""
         u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
         strains = self._strains(u)
-        return float(sum(self.phi[rho].derivative(0, strains[rho]).sum()
-                         for rho in self.bonds))
+        return float(sum(
+            self.phi[rho].derivative_unchecked(0, strains[rho]).sum()
+            for rho in self.bonds))
 
     def energy_above_homogeneous(self, u, strains=None):
         """energy(u) - energy(0), accumulated term by term to avoid the O(N)
@@ -75,7 +76,7 @@ class AtomisticSystem:
         strains = self._strains(u) if strains is None else strains
         total = 0.0
         for rho in self.bonds:
-            total += float((self.phi[rho].derivative(0, strains[rho])
+            total += float((self.phi[rho].derivative_unchecked(0, strains[rho])
                             - self._phi0[rho]).sum())
         return total
 
@@ -84,7 +85,7 @@ class AtomisticSystem:
         strains = self._strains(u) if strains is None else strains
         g = np.zeros_like(u)
         for rho in self.bonds:
-            fb = self.phi[rho].derivative(1, strains[rho])
+            fb = self.phi[rho].derivative_unchecked(1, strains[rho])
             g += np.roll(fb, rho) - fb
         return g
 
@@ -94,14 +95,14 @@ class AtomisticSystem:
         strains = self._strains(u) if strains is None else strains
         H = PeriodicBand(u.size, self.r_cut())
         for rho in self.bonds:
-            k = self.phi[rho].derivative(2, strains[rho])
+            k = self.phi[rho].derivative_unchecked(2, strains[rho])
             H.add(0, k)
             H.add(0, k, shift=rho)
             H.add(rho, -k)
             H.add(-rho, -k, shift=rho)
         return H
 
-    def objective_problem(self, grad_tol=1e-10, max_iter=500):
+    def objective_problem(self, max_iter=500):
         """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
         callbacks share the strains of one point (`evaluate_once`)."""
         f = self.force
@@ -117,11 +118,10 @@ class AtomisticSystem:
         def hess(u):
             return self.hessian(u, strains(u))
 
-        return MinimizeProblem(obj, grad, hess, grad_inf_tol=grad_tol,
-                               max_iter=max_iter)
+        return MinimizeProblem(obj, grad, hess, max_iter=max_iter)
 
-    def solve(self, grad_tol=1e-10, max_iter=500, u0=None):
-        prob = self.objective_problem(grad_tol, max_iter)
+    def solve(self, max_iter=500, u0=None):
+        prob = self.objective_problem(max_iter)
         x0 = np.zeros(2 * self.N) if u0 is None else np.asarray(u0, float)
         res = newton_minimize(prob, x0)
         u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
@@ -161,9 +161,10 @@ def atomistic_stress(system, u, kernel, x):
     [eta, eta + 1] and chi_{eta,1}(x) = K(x - eta - 1/2) for the kernel's
     `segment_kernel` K: one periodic spline, evaluated in one pass."""
     uf = u if isinstance(u, PeriodicLatticeField) else PeriodicLatticeField(u)
+    strains = system._strains(uf.values)    # raises on a collapsed bond
     g = np.zeros_like(uf.values)
     for rho in system.bonds:
-        force = system.phi[rho].derivative(1, uf.shifted_values(rho) - uf.values)
+        force = system.phi[rho].derivative_unchecked(1, strains[rho])
         for k in range(rho):
             g += np.roll(force, k)
     field = KernelField(g, kernel.segment_kernel, uf.N)

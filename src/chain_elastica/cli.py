@@ -97,9 +97,13 @@ def main(argv=None):
             flag = "  [flagged: r2 < 0.99]" if f.flagged else ""
             print(f"{f.model}: grad-error slope {f.slope:.3f} "
                   f"(r2 = {f.r2:.5f}, {f.points} points){flag}")
-        for model, cells, reason in unfitted_models(cfg, records):
-            print(f"{model}: not fitted, {cells} certified cells in the fit "
-                  f"window (need 3)" + (f": {reason}" if reason else ""))
+        # a window with too few cells leaves a model out of both columns:
+        # say so once
+        for line in dict.fromkeys(
+                f"{model}: not fitted, {why}"
+                for column in ("grad_error", "energy_gap")
+                for model, why in unfitted_models(cfg, records, column)):
+            print(line)
         return 0
 
     if args.command == "solve":

@@ -5,7 +5,10 @@ residual against the atomistic stress, and the external-work consistency gap.
 Gradient-argument convention: g has shape (5, ...) and holds
 (grad u, grad^2 u, ..., grad^5 u) at the evaluation points. The density
 methods also take `args`, the model's `bond_args(g)`, so that callers that
-evaluate several of them at one point compute the bond arguments once.
+evaluate several of them at one point compute the bond arguments once and
+check them against the potential's domain once: passed `args` are taken as
+checked (`domain_margin` > 0, as `fem.assemble` ensures), while args=None
+computes and checks them.
 `density_grad` and `density_hess` return only the planes of the model's
 `density_orders`, in that order: shapes (k, ...) and (k, k, ...).
 """
@@ -78,6 +81,18 @@ class _ComposedModel:
         return {rho: np.tensordot(self._arg_coeffs(rho), g, axes=(0, 0))
                 for rho in self.bonds}
 
+    def _checked_args(self, g, args):
+        """`args` as passed, or bond_args(g) after checking that every bond
+        length is positive; raises ValueError naming the bond."""
+        if args is not None:
+            return args
+        args = self.bond_args(g)
+        for rho in self.bonds:
+            if np.any(args[rho] + self.F * rho <= 0.0):
+                raise ValueError(f"bond rho={rho}: pair potential evaluated "
+                                 "at nonpositive distance")
+        return args
+
     def domain_margin(self, g, args=None):
         """min over bonds of the physical bond length arguments; <= 0 means a
         potential-domain violation somewhere."""
@@ -86,8 +101,9 @@ class _ComposedModel:
                                 for rho in self.bonds]), axis=0)
 
     def density(self, g, args=None):
-        args = self.bond_args(g) if args is None else args
-        return sum(self.phi[rho].derivative(0, args[rho]) for rho in self.bonds)
+        args = self._checked_args(g, args)
+        return sum(self.phi[rho].derivative_unchecked(0, args[rho])
+                   for rho in self.bonds)
 
     def density0(self):
         """Density of the homogeneous state (all gradients zero)."""
@@ -96,24 +112,24 @@ class _ComposedModel:
 
     def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self.bond_args(g) if args is None else args
+        args = self._checked_args(g, args)
         slots = np.array(self.density_orders) - 1
         out = np.zeros((len(slots),) + np.shape(g[0]))
         for rho in self.bonds:
             c = self._arg_coeffs(rho)[slots]
-            d1 = self.phi[rho].derivative(1, args[rho])
+            d1 = self.phi[rho].derivative_unchecked(1, args[rho])
             for i, cm in enumerate(c):
                 out[i] += cm * d1
         return out
 
     def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self.bond_args(g) if args is None else args
+        args = self._checked_args(g, args)
         slots = np.array(self.density_orders) - 1
         out = np.zeros((len(slots), len(slots)) + np.shape(g[0]))
         for rho in self.bonds:
             c = self._arg_coeffs(rho)[slots]
-            d2 = self.phi[rho].derivative(2, args[rho])
+            d2 = self.phi[rho].derivative_unchecked(2, args[rho])
             for i, cm in enumerate(c):
                 for j, cn in enumerate(c):
                     out[i, j] += cm * cn * d2
@@ -231,38 +247,35 @@ class IllPosedSecondGradient(_ComposedModel):
 
     def density(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self.bond_args(g) if args is None else args
+        args = self._checked_args(g, args)
         out = np.zeros_like(g[0])
         for rho in self.bonds:
-            a = args[rho]
-            out += self.phi[rho].derivative(0, a) \
-                - rho ** 4 / 24.0 * self.phi[rho].derivative(2, a) * g[1] ** 2
+            a, phi = args[rho], self.phi[rho].derivative_unchecked
+            out += phi(0, a) - rho ** 4 / 24.0 * phi(2, a) * g[1] ** 2
         return out
 
     def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self.bond_args(g) if args is None else args
+        args = self._checked_args(g, args)
         out = np.zeros((2,) + np.shape(g[0]))
         for rho in self.bonds:
-            a = args[rho]
-            out[0] += rho * self.phi[rho].derivative(1, a) \
-                - rho ** 5 / 24.0 * self.phi[rho].derivative(3, a) * g[1] ** 2
-            out[1] += -rho ** 4 / 12.0 * self.phi[rho].derivative(2, a) * g[1]
+            a, phi = args[rho], self.phi[rho].derivative_unchecked
+            out[0] += rho * phi(1, a) - rho ** 5 / 24.0 * phi(3, a) * g[1] ** 2
+            out[1] += -rho ** 4 / 12.0 * phi(2, a) * g[1]
         return out
 
     def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
-        args = self.bond_args(g) if args is None else args
+        args = self._checked_args(g, args)
         out = np.zeros((2, 2) + np.shape(g[0]))
         for rho in self.bonds:
-            a = args[rho]
-            out[0, 0] += rho ** 2 * self.phi[rho].derivative(2, a) \
-                - rho ** 6 / 24.0 * self.phi[rho].derivative(4, a) * g[1] ** 2
-            cross = -rho ** 5 / 12.0 * self.phi[rho].derivative(3, a) * g[1]
+            a, phi = args[rho], self.phi[rho].derivative_unchecked
+            out[0, 0] += rho ** 2 * phi(2, a) \
+                - rho ** 6 / 24.0 * phi(4, a) * g[1] ** 2
+            cross = -rho ** 5 / 12.0 * phi(3, a) * g[1]
             out[0, 1] += cross
             out[1, 0] += cross
-            out[1, 1] += -rho ** 4 / 12.0 * self.phi[rho].derivative(2, a) \
-                * np.ones_like(g[0])
+            out[1, 1] += -rho ** 4 / 12.0 * phi(2, a) * np.ones_like(g[0])
         return out
 
     def stress(self, u, x):

@@ -133,22 +133,24 @@ def assemble(model, space, f=None):
 
     def evaluate(c):
         """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
-        the model's bond arguments there."""
+        the model's bond arguments there, checked against the potential's
+        domain once for all three callbacks."""
         derivs = space.derivatives_at_quad(c, orders)
         g = np.zeros((5, nq, n))
         for r in orders:
             g[r - 1] = derivs[r]
-        return g, model.bond_args(g)
-
-    at = evaluate_once(evaluate)
-
-    def objective(c):
-        g, args = at(c)
+        args = model.bond_args(g)
         margin = model.domain_margin(g, args)
         if np.any(margin <= 0.0):
             elem = int(np.argmin(margin) % n) - space.N
             raise ValueError(f"density domain violation in element "
                              f"[{elem}, {elem + 1}]")
+        return g, args
+
+    at = evaluate_once(evaluate)
+
+    def objective(c):
+        g, args = at(c)
         dens = model.density(g, args) - w0
         return float(np.sum(qw @ dens) - np.dot(load, c))
 
@@ -169,16 +171,15 @@ def assemble(model, space, f=None):
     return MinimizeProblem(objective, gradient, hessian)
 
 
-def solve_continuum(model, space, f=None, grad_tol=1e-10, max_iter=500):
-    """Minimize the forced continuum energy. Newton's last factorization
-    certifies the stationary point as a local minimizer; the unstable
-    variants fail that check and raise IndefiniteHessianError (a stationary
-    point of an energy that is unbounded below is not a solution of the
-    minimization problem)."""
+def solve_continuum(model, space, f=None, max_iter=500, x0=None):
+    """Minimize the forced continuum energy from the coefficients x0 (zero
+    by default). Newton's last factorization certifies the stationary point
+    as a local minimizer; the unstable variants fail that check and raise
+    IndefiniteHessianError (a stationary point of an energy that is
+    unbounded below is not a solution of the minimization problem)."""
     prob = assemble(model, space, f)
-    prob.grad_inf_tol = grad_tol
     prob.max_iter = max_iter
-    res = newton_minimize(prob, np.zeros(space.n))
+    res = newton_minimize(prob, np.zeros(space.n) if x0 is None else x0)
     if res.hessian_indefinite:
         raise IndefiniteHessianError(
             f"continuum model {model.key!r} is not positive definite on the "

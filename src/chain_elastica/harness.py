@@ -21,7 +21,8 @@ from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
 from .potentials import make_potential
-from .splines import measurement_interpolant, reproducing_kernel
+from .splines import KernelField, bspline_kernel, measurement_interpolant, \
+    periodic_spline_coefficients, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "solve_cell", "run_sweep",
@@ -42,7 +43,6 @@ class StudyConfig:
     models: tuple = ("cb", "hoc4")
     eps_list: tuple = _DEFAULT_EPS
     interp: str = "quartic"           # pi | cubic | quartic
-    grad_tol: float = 1e-10
     max_iter: int = 500
     eps_min_fit: float = 2.0 ** -8    # exclude smaller eps from slope fits
     kappa: float = None
@@ -124,19 +124,36 @@ def _lattice_force(N):
     return eps * np.cos(np.pi * eps * xi)
 
 
-def solve_cell(cfg, eps, models):
+def _prolong(u, N):
+    """Start of nested iteration (Hackbusch, Multi-Grid Methods and
+    Applications, 1985) for the chain on 2N sites from the solution u on 2M
+    sites: (N / M)·I u(xi·M / N), with I u the periodic quintic spline
+    through u. The displacement scales like N under the forcing
+    eps·cos(pi·eps·xi)."""
+    M = u.N
+    spline = KernelField(periodic_spline_coefficients(u.values, 5),
+                         bspline_kernel(5), M)
+    return (N / M) * spline.eval(np.arange(-N, N) * (M / N))
+
+
+def solve_cell(cfg, eps, models, coarse=None):
     """One eps of the study: the atomistic chain is solved once, then each
-    continuum model in `models` is solved and measured against it. A model
-    whose Hessian is indefinite gets a NaN record with the reason and no
-    field. If the chain did not converge, the other records give that as
-    their reason."""
+    continuum model in `models` is solved and measured against it. The chain
+    starts from `coarse`, the chain displacement of a coarser cell, prolonged
+    to this mesh (`_prolong`), or from 0; each model starts from the quintic
+    spline through the chain's site values. A model whose Hessian is
+    indefinite gets a NaN record with the reason and no field. If the chain
+    did not converge, the other records give that as their reason."""
     N = _eps_to_N(eps)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
                              force=_lattice_force(N), kappa=cfg.kappa)
-    sol_a = system.solve(grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
+    sol_a = system.solve(max_iter=cfg.max_iter,
+                         u0=None if coarse is None else _prolong(coarse, N))
     iu = measurement_interpolant(sol_a.displacement, cfg.interp)
+    # the FEM coefficients of the quintic spline through the chain
+    start = periodic_spline_coefficients(sol_a.displacement.values, 5)
     space = PeriodicSplineSpace(N)
     f_cont = lambda x: eps * np.cos(np.pi * eps * x)
     cell = Cell(sol_a, [], {}, {})
@@ -145,8 +162,7 @@ def solve_cell(cfg, eps, models):
     for key in models:
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
         try:
-            u_c = solve_continuum(model, space, f_cont, grad_tol=cfg.grad_tol,
-                                  max_iter=cfg.max_iter)
+            u_c = solve_continuum(model, space, f_cont, cfg.max_iter, start)
         except IndefiniteHessianError as exc:
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
@@ -166,46 +182,77 @@ def solve_cell(cfg, eps, models):
 def run_sweep(cfg):
     """The refinement protocol: for each eps solve both descriptions, measure
     the scaled gradient error and energy gap, then fit slopes per model.
-    Output ordering is deterministic: models in config order, eps descending.
-    See `fit_models` for the models left unfitted."""
-    by_eps = [solve_cell(cfg, eps, cfg.models).records
-              for eps in sorted(cfg.eps_list, reverse=True)]
+    The eps run from coarse to fine, and each converged chain is the start
+    of the next (nested iteration, `solve_cell`). Output ordering is
+    deterministic: models in config order, eps descending. See
+    `unfitted_models` for the models left unfitted."""
+    by_eps, coarse = [], None
+    for eps in sorted(cfg.eps_list, reverse=True):
+        cell = solve_cell(cfg, eps, cfg.models, coarse)
+        by_eps.append(cell.records)
+        coarse = cell.atomistic.displacement if cell.atomistic.converged \
+            else None
     records = [row[i] for i in range(len(cfg.models)) for row in by_eps]
     return records, fit_models(cfg, records, "grad_error")
 
 
 def fit_models(cfg, records, column):
     """Slope fit of one record column per model over its certified cells in
-    the fit window; models with fewer than 3 are left out (`unfitted_models`)."""
+    the fit window; the models `unfitted_models` names are left out."""
     return [_slope_fit(key, [(r.eps, getattr(r, column)) for r in cells])
-            for key, cells in _fit_windows(cfg, records) if len(cells) >= 3]
+            for key, cells, why in _fit_windows(cfg, records, column)
+            if not why]
 
 
-def _fit_windows(cfg, records):
-    """(model, its certified cells in the fit window) in config order."""
-    return [(key, [r for r in records if r.model == key and r.converged
-                   and r.eps >= cfg.eps_min_fit]) for key in cfg.models]
+def _fit_windows(cfg, records, column):
+    """(model, its certified cells in the fit window, why the column cannot
+    be fitted or "") in config order. A value <= 0 is below resolution: the
+    log-log fit cannot take it."""
+    windows = []
+    for key in cfg.models:
+        cells = [r for r in records if r.model == key and r.converged
+                 and r.eps >= cfg.eps_min_fit]
+        bad = next((r for r in cells if getattr(r, column) <= 0.0), None)
+        if len(cells) < 3:
+            reason = next((r.reason for r in records
+                           if r.model == key and r.reason), "")
+            why = (f"{len(cells)} certified cells in the fit window (need 3)"
+                   + (f": {reason}" if reason else ""))
+        elif bad is not None:
+            why = (f"{column} {getattr(bad, column)!r} at eps = {bad.eps!r} "
+                   "is not positive (below resolution)")
+        else:
+            why = ""
+        windows.append((key, cells, why))
+    return windows
 
 
-def unfitted_models(cfg, records):
-    """(model, certified cells in the fit window, first failure reason) for
-    each model that `fit_models` leaves out."""
-    return [(key, len(cells),
-             next((r.reason for r in records if r.model == key and r.reason), ""))
-            for key, cells in _fit_windows(cfg, records) if len(cells) < 3]
+def unfitted_models(cfg, records, column):
+    """(model, why) for each model that `fit_models` leaves out of the
+    column: fewer than 3 certified cells in the fit window (the same for
+    every column), or a value there that is not positive."""
+    return [(key, why) for key, _, why in _fit_windows(cfg, records, column)
+            if why]
 
 
-def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _column(values):
+    """One CSV column as strings, formatted by the type of its first entry
+    (a column holds one type): bools as true/false, floats by repr, the rest
+    by str."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not values:
+        return []
+    if isinstance(values[0], bool):
+        return ["true" if v else "false" for v in values]
+    if isinstance(values[0], (float, np.floating)):
+        return list(map(repr, map(float, values)))
+    return list(map(str, values))
 
 
-def _write_csv(path, header, rows):
-    """The header line, then one line per row with each cell `_fmt`-ed."""
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+def _write_csv(path, header, columns):
+    """The header line, then one line per row of the columns, each column
+    formatted whole by `_column`."""
+    lines = [header] + list(map(",".join, zip(*map(_column, columns))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -218,9 +265,9 @@ def _write_json(path, data):
 
 def write_records_csv(path, records):
     """records.csv: one line per record; `reason` is not written."""
-    _write_csv(path, "model,eps,N,grad_error,energy_gap,converged",
-               [(r.model, r.eps, r.N, r.grad_error, r.energy_gap, r.converged)
-                for r in records])
+    header = "model,eps,N,grad_error,energy_gap,converged"
+    _write_csv(path, header, [[getattr(r, c) for r in records]
+                              for c in header.split(",")])
 
 
 def write_fits_json(path, fits):
@@ -257,7 +304,7 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
 def write_consistency(out_dir, rows, fits):
     """consistency.csv (`model,N,max_R,l2_R`) and consistency_fit.json."""
     _write_csv(os.path.join(out_dir, "consistency.csv"), "model,N,max_R,l2_R",
-               [(r["model"], r["N"], r["max_R"], r["l2_R"]) for r in rows])
+               [[r[c] for r in rows] for c in ("model", "N", "max_R", "l2_R")])
     write_fits_json(os.path.join(out_dir, "consistency_fit.json"),
                     list(fits.values()))
 
@@ -283,7 +330,7 @@ def write_stability(out_dir, report, modes, table):
     report and the ill-posed model's negative modes). The N keys are written
     as strings, so json sorts them as strings ("16" before "8")."""
     _write_csv(os.path.join(out_dir, "stability_symbols.csv"),
-               "x,phi_a,phi_cb,phi_hoc_taylor,phi_hoc_direct", table)
+               "x,phi_a,phi_cb,phi_hoc_taylor,phi_hoc_direct", table.T)
     summary = asdict(report)
     summary["lambda_a_per_N"] = {str(N): v for N, v in
                                  report.lambda_a_per_N.items()}
@@ -299,16 +346,16 @@ def write_solution_csvs(out_dir, cell):
     xi = np.arange(-N, N)
     du = hermite_interpolant(u).eval(xi.astype(float), 1)
     _write_csv(os.path.join(out_dir, f"solution_atomistic_{N}.csv"),
-               "xi,u,grad_interp_u", zip(xi, u.values, du))
+               "xi,u,grad_interp_u", (xi, u.values, du))
     xs = np.sort(np.concatenate([xi.astype(float), xi + 0.5]))
     for key, fld in cell.fields.items():
         _write_csv(os.path.join(out_dir, f"solution_{key}_{N}.csv"),
                    "x,u,grad_u,grad3_u",
-                   zip(xs, fld.eval(xs, 0), fld.eval(xs, 1), fld.eval(xs, 3)))
+                   (xs, fld.eval(xs, 0), fld.eval(xs, 1), fld.eval(xs, 3)))
 
 
 # dotted spellings accepted in config files
-_KEY_ALIASES = {"opt.grad_tol": "grad_tol", "opt.max_iter": "max_iter"}
+_KEY_ALIASES = {"opt.max_iter": "max_iter"}
 
 
 def load_config(path=None, overrides=None):

@@ -1,9 +1,9 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
 Hessian with its grounded block cyclic reduction solve, Newton whose
-factorization also certifies the minimizer and which evaluates the objective
-once per point, the one-slot cache through which a problem's callbacks share
-one evaluation per point, and a central-difference gradient check. Only numpy
-is needed."""
+factorization certifies each iterate, which stops on a small step and
+evaluates the objective once per point, the one-slot cache through which a
+problem's callbacks share one evaluation per point, and a central-difference
+gradient check. Only numpy is needed."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -204,7 +204,6 @@ class MinimizeProblem:
     objective: Callable
     gradient: Callable
     hessian: Callable          # x -> PeriodicBand
-    grad_inf_tol: float = 1e-10
     max_iter: int = 500
 
 
@@ -219,21 +218,48 @@ class MinimizeResult:
     hessian_indefinite: bool = False
 
 
+# Newton stops once its step is this small relative to the point it reaches
+STEP_RTOL = 1e-8
+# Armijo cannot see a predicted decrease -g.p below this fraction of |f|:
+# the objective sums many terms, so its rounding error is far larger than
+# one ulp of its value. Such steps are judged by the gradient norm instead.
+ROUNDOFF_RTOL = 1e-10
+
+
 def newton_minimize(problem, x0):
-    """Newton with energy backtracking over mean-zero vectors.
+    """Newton with energy backtracking over mean-zero vectors, stopped on a
+    certified step (Kelley, Solving Nonlinear Equations with Newton's
+    Method, SIAM 2003, ch. 2).
+
+    At each iterate x_k the Hessian is factored, which certifies x_k: an
+    indefinite Hessian is flagged (that failure mode is informative: it
+    exhibits the unstable continuum variants). The factorization then gives
+    the Newton step p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf,
+    the result is x_k + p_k. So x_k already agrees with the minimizer to
+    about 8 digits relative to ||x||_inf, and in Newton's quadratic regime
+    x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
+    rounding error of the computed step, not STEP_RTOL. An exactly zero
+    gradient returns x_k itself. `iterations` counts the steps taken, the
+    last one included, and so equals the number of factorizations of a
+    converged solve; `grad_norm` is ||g(x_k)||_inf.
 
     The objective is evaluated once per point: the accepted line-search
-    trial's value is the next iterate's, and the result returns the value of
-    the last iterate. The Hessian is factored at every iterate before the
-    convergence test, so a converged point is also certified as a local
-    minimizer. An indefinite Hessian is flagged (that failure mode is
-    informative: it exhibits the unstable continuum variants)."""
+    trial's value is the next iterate's, and the result carries f at the
+    returned point. Backtracking enforces Armijo decrease unless the
+    predicted decrease -g.p is below the objective's rounding level
+    (ROUNDOFF_RTOL·|f|); such a step is accepted when it lowers
+    ||g||_inf instead."""
     x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
-    fx = f(x)
-    for it in range(problem.max_iter + 1):
+
+    def centered_gradient(x):
         gx = g(x)
-        gx = gx - gx.mean()
+        return gx - gx.mean()
+
+    fx, gx, gnorm = f(x), None, float("nan")
+    for it in range(problem.max_iter):
+        if gx is None:
+            gx = centered_gradient(x)
         gnorm = float(np.max(np.abs(gx)))
         try:
             solve = problem.hessian(x).factor()
@@ -241,24 +267,33 @@ def newton_minimize(problem, x0):
             return MinimizeResult(x, fx, gnorm, it, False,
                                   "Hessian not positive definite",
                                   hessian_indefinite=True)
-        if gnorm <= problem.grad_inf_tol:
+        if gnorm == 0.0:
             return MinimizeResult(x, fx, gnorm, it, True, "converged")
-        if it == problem.max_iter:
-            break
         p = solve(-gx)
         del solve   # the factorization's memory is free for the next point
+        if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
+            x = x + p
+            x -= x.mean()
+            return MinimizeResult(x, f(x), gnorm, it + 1, True, "converged")
+        slope = float(np.dot(gx, p))
+        roundoff = -slope <= ROUNDOFF_RTOL * abs(fx)
         alpha = 1.0
         for _ in range(60):
             xn = x + alpha * p
             xn -= xn.mean()
             fn = f(xn)
-            if fn <= fx + 1e-4 * alpha * float(np.dot(gx, p)):
+            if roundoff:
+                gn = centered_gradient(xn)
+                if np.max(np.abs(gn)) < gnorm:
+                    break
+            elif fn <= fx + 1e-4 * alpha * slope:
+                gn = None
                 break
             alpha *= 0.5
         else:
             return MinimizeResult(x, fx, gnorm, it, False,
                                   "backtracking failed")
-        x, fx = xn, fn
+        x, fx, gx = xn, fn, gn
     return MinimizeResult(x, fx, gnorm, problem.max_iter, False,
                           "max iterations")
 

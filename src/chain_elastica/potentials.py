@@ -36,13 +36,19 @@ class PairPotential:
         self.morse_a = float(morse_a)
 
     def derivative(self, j, r):
-        """phi^(j)(r) for 0 <= j <= 7, r > 0."""
-        if not 0 <= j <= MAX_DERIVATIVE:
-            raise ValueError(f"derivative order {j} unsupported (max {MAX_DERIVATIVE})")
+        """phi^(j)(r) for 0 <= j <= 7; raises ValueError unless every r > 0."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("pair potential evaluated at nonpositive distance")
-        s = r / self.eps
+        return self.derivative_unchecked(j, r)
+
+    def derivative_unchecked(self, j, r):
+        """`derivative` for distances r the caller has already checked to be
+        positive: the solvers check their points once (the chain's
+        `_strains`, the FEM's `domain_margin`), not once per call."""
+        if not 0 <= j <= MAX_DERIVATIVE:
+            raise ValueError(f"derivative order {j} unsupported (max {MAX_DERIVATIVE})")
+        s = np.asarray(r, dtype=float) / self.eps
         scale = self.eps ** (-j)
         if self.kind == "harmonic":
             if j == 0:
@@ -87,10 +93,17 @@ class ShiftedPotential:
         self.shift = self.F * self.rho
 
     def derivative(self, j, s):
+        """phi_rho^(j)(s); raises ValueError naming the bond unless every
+        length s + F·rho is positive."""
         try:
             return self.base.derivative(j, np.asarray(s, dtype=float) + self.shift)
         except ValueError as exc:
             raise ValueError(f"bond rho={self.rho}: {exc}") from None
+
+    def derivative_unchecked(self, j, s):
+        """`derivative` for strains whose lengths the caller has checked."""
+        return self.base.derivative_unchecked(
+            j, np.asarray(s, dtype=float) + self.shift)
 
     def __call__(self, s):
         return self.derivative(0, s)

@@ -11,8 +11,18 @@ __all__ = ["gauss_rule", "composite_integral"]
 @lru_cache(maxsize=16)
 def gauss_rule(npoints):
     """Nodes and weights on [0, 1]; exact for polynomials of degree
-    2*npoints - 1. Computed once per npoints and returned read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(npoints)
+    2*npoints - 1. Computed once per npoints and returned read-only.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes on [-1, 1] are the
+    eigenvalues of the Jacobi matrix of the Legendre recurrence, with
+    off-diagonal k / sqrt(4k^2 - 1), and the weights are 2 v_0^2 for the
+    normalized eigenvectors v. The rule is then made exactly symmetric."""
+    k = np.arange(1.0, npoints)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
     rule = 0.5 * (nodes + 1.0), 0.5 * weights
     for a in rule:
         a.flags.writeable = False

@@ -45,6 +45,17 @@ def test_bond_collapse_names_the_bond():
         sys_.energy(u)
 
 
+def test_stress_raises_on_a_collapsed_bond():
+    # the potential no longer checks its domain per call; the stress path
+    # checks the strains it builds
+    N = 8
+    sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))
+    u = np.zeros(2 * N)
+    u[3] = -1.5
+    with pytest.raises(ValueError, match="rho=1"):
+        atomistic_stress(sys_, u, reproducing_kernel(3), np.linspace(-N, N, 9))
+
+
 def test_gradient_matches_finite_differences():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))

@@ -7,6 +7,7 @@ from chain_elastica.fem import (IndefiniteHessianError, PeriodicSplineSpace,
                                 assemble, energy_gap, fourier_cos_amplitude,
                                 grad_l2_distance, hessian_smallest_eigenvalue,
                                 solve_continuum)
+from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
@@ -30,6 +31,16 @@ def test_gauss5_exact_through_degree_9():
         p = np.polynomial.Polynomial(rng.standard_normal(deg + 1))
         exact = p.integ()(1.0) - p.integ()(0.0)
         assert abs(float(np.dot(w, p(t))) - exact) < 1e-13
+
+
+def test_gauss_rule_matches_numpy_leggauss():
+    # the Golub-Welsch rule agrees with numpy's Newton-polished one
+    for npoints in range(1, 17):
+        t, w = gauss_rule(npoints)
+        nodes, weights = np.polynomial.legendre.leggauss(npoints)
+        assert np.max(np.abs(t - 0.5 * (nodes + 1.0))) <= 1e-15
+        assert np.max(np.abs(w - 0.5 * weights)) <= 1e-15
+        assert np.array_equal(w, w[::-1])
 
 
 def test_space_represents_local_quintics():
@@ -259,3 +270,22 @@ def test_element_products_match_einsum_reference(key, potential):
     assert np.max(np.abs(prob.gradient(c) - grad)) <= tol * np.max(np.abs(grad))
     assert np.max(np.abs(prob.hessian(c).toarray() - H)) \
         <= tol * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("roundoff_rtol, converged", [
+    (optimize.ROUNDOFF_RTOL, True), (0.0, False)])
+def test_lj_hoc4_from_cb_converges_past_roundoff(monkeypatch, roundoff_rtol,
+                                                 converged):
+    # started from cb's coefficients at N = 16, hoc4's second step predicts a
+    # decrease of about 1e-15 while f rounds by more (it rose by 9e-16 in one
+    # trial), so plain Armijo backtracks without end; judged by the gradient
+    # norm instead, the step is taken and Newton stops on the next one
+    N = 16
+    pot, sp = make_potential("lj"), PeriodicSplineSpace(N)
+    cb = solve_continuum(continuum_model("cb", pot), sp, cos_force(N))
+    monkeypatch.setattr(optimize, "ROUNDOFF_RTOL", roundoff_rtol)
+    u = solve_continuum(continuum_model("hoc4", pot), sp, cos_force(N),
+                        max_iter=20, x0=cb.coeffs)
+    assert u.result.converged == converged
+    if converged:
+        assert u.result.iterations <= 4 and u.result.grad_norm < 1e-13

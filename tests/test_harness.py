@@ -7,12 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from chain_elastica import cli
 from chain_elastica.analysis import StabilityReport
 from chain_elastica.cli import main as cli_main
-from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_slope,
-                                    load_config, run_consistency,
-                                    run_stability, solve_cell,
-                                    write_records_csv, write_stability)
+from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
+                                    fit_slope, load_config, run_consistency,
+                                    run_stability, run_sweep, solve_cell,
+                                    unfitted_models, write_records_csv,
+                                    write_stability)
+from chain_elastica.optimize import PeriodicBand
 
 
 def test_fit_slope_synthetic():
@@ -151,14 +154,15 @@ r_cut = 2
 models = ("cb", "hoc4")
 eps_list = (0.125, 0.0625)
 interp = "quartic"
-opt.grad_tol = 1e-12
+opt.max_iter = 50
 """)
     cfg = load_config(str(p))
     assert cfg.potential == "lj"
     assert cfg.models == ("cb", "hoc4")
     assert cfg.eps_list == (0.125, 0.0625)
-    assert cfg.grad_tol == 1e-12
-    for key in ("no_such_key", "opt_method"):
+    assert cfg.max_iter == 50
+    # Newton stops on its step, so there is no gradient tolerance to set
+    for key in ("no_such_key", "opt_method", "grad_tol", "opt.grad_tol"):
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(None, {key: "newton"})
 
@@ -316,3 +320,99 @@ def test_importing_the_cli_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _records_with_a_zero_gap():
+    """cb and hoc4 over eps 2^-3..2^-6 with exact rates, but hoc4's energy
+    gap at N = 64 is 0.0: below resolution."""
+    eps = [2.0 ** -k for k in range(3, 7)]
+    records = [ConvergenceRecord(key, e, round(1 / e), e ** p, e ** p, True)
+               for key, p in (("cb", 2), ("hoc4", 4)) for e in eps]
+    records[-1].energy_gap = 0.0
+    return records
+
+
+def test_fit_leaves_out_a_column_with_a_value_below_resolution():
+    cfg = StudyConfig(models=("cb", "hoc4"), eps_min_fit=2.0 ** -6)
+    records = _records_with_a_zero_gap()
+    assert [f.model for f in fit_models(cfg, records, "grad_error")] == [
+        "cb", "hoc4"]
+    assert [f.model for f in fit_models(cfg, records, "energy_gap")] == ["cb"]
+    assert unfitted_models(cfg, records, "grad_error") == []
+    assert unfitted_models(cfg, records, "energy_gap") == [
+        ("hoc4", "energy_gap 0.0 at eps = 0.015625 is not positive "
+                 "(below resolution)")]
+
+
+def test_cli_sweep_reports_a_column_below_resolution(tmp_path, capsys,
+                                                     monkeypatch):
+    # the sweep writes every file and exits 0; one line says which fit is
+    # missing and why
+    records = _records_with_a_zero_gap()
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: (
+        records, fit_models(cfg, records, "grad_error")))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--eps-min", str(2.0 ** -6),
+                     "--out", str(out)]) == 0
+    fits = json.loads((out / "fit.json").read_text())
+    assert [f["model"] for f in fits] == ["cb", "hoc4"]
+    fits = json.loads((out / "fit_energy.json").read_text())
+    assert [f["model"] for f in fits] == ["cb"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[2:] == [
+        "hoc4: not fitted, energy_gap 0.0 at eps = 0.015625 is not positive "
+        "(below resolution)"]
+
+
+def test_warm_and_cold_starts_reach_the_same_cell():
+    # a chain started from the prolonged coarser chain and one started from
+    # 0 stop on their steps at the same minimizer, to far below the rows'
+    # 1e-6 reference tolerance
+    cfg = StudyConfig(potential="lj", models=("cb", "hoc4"))
+    coarse = solve_cell(cfg, 2.0 ** -4, ()).atomistic.displacement
+    warm = solve_cell(cfg, 2.0 ** -5, cfg.models, coarse)
+    cold = solve_cell(cfg, 2.0 ** -5, cfg.models)
+    assert warm.atomistic.iterations < cold.atomistic.iterations
+    assert np.max(np.abs(warm.atomistic.displacement.values
+                         - cold.atomistic.displacement.values)) < 1e-12
+    for w, c in zip(warm.records, cold.records):
+        assert w.converged and c.converged
+        assert w.grad_error == pytest.approx(c.grad_error, rel=1e-9)
+        assert w.energy_gap == pytest.approx(c.energy_gap, rel=1e-6)
+
+
+def test_lj_sweep_certifies_every_cell_of_every_model():
+    # all five models certify every cell from 2^-3 to 2^-10, as with cold
+    # starts and a gradient tolerance; without the roundoff-aware line
+    # search, ill2 at N = 32 and first at N = 8 ran out of iterations
+    cfg = StudyConfig(potential="lj",
+                      models=("cb", "hoc4", "hoc6", "ill2", "first"))
+    records, fits = run_sweep(cfg)
+    assert len(records) == 40
+    assert [(r.model, r.N) for r in records if not r.converged] == []
+    assert [f.model for f in fits] == list(cfg.models)
+
+
+def test_default_lj_sweep_factorization_count(monkeypatch):
+    # warm starts and the step test: 49 factorizations where cold starts
+    # with a gradient tolerance took 96
+    calls = []
+    factor = PeriodicBand.factor
+    monkeypatch.setattr(PeriodicBand, "factor",
+                        lambda self: calls.append(self.n) or factor(self))
+    run_sweep(StudyConfig(potential="lj", models=("cb", "hoc4")))
+    assert len(calls) <= 52
+
+
+def test_a_sweep_loads_no_numpy_polynomial(tmp_path):
+    # a fresh interpreter: the Gauss rules need only numpy.linalg
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from chain_elastica.cli import main; "
+            f"main(['sweep', '--eps-list', '2^-3..2^-5', '--out', "
+            f"{str(tmp_path)!r}]); print(sorted("
+            "m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from chain_elastica.optimize import (MinimizeProblem, PeriodicBand,
-                                     gradient_check, newton_minimize)
+from chain_elastica.optimize import (STEP_RTOL, MinimizeProblem,
+                                     PeriodicBand, gradient_check,
+                                     newton_minimize)
 
 rng = np.random.default_rng(11)
 
@@ -253,3 +254,65 @@ def test_newton_evaluates_the_objective_once_per_point():
     assert len(calls) == res.iterations + 1
     assert np.array_equal(calls[-1], res.x)
     assert res.fun == objective(res.x)
+
+
+def exponential_ring(n, load):
+    """A strictly convex ring with exponential bonds under a mean-zero load:
+    objective, gradient and Hessian."""
+    def strains(x):
+        return np.roll(x, -1) - x
+
+    def objective(x):
+        return float(np.sum(np.exp(strains(x)) - strains(x)) - load @ x)
+
+    def gradient(x):
+        fb = np.exp(strains(x)) - 1.0
+        return np.roll(fb, 1) - fb - load
+
+    return MinimizeProblem(objective, gradient,
+                           lambda x: bond_band(n, [np.exp(strains(x))]))
+
+
+def test_newton_returns_the_certified_point_plus_its_step():
+    # the result is x_k + p_k, where x_k is the last point whose Hessian was
+    # factored and p_k its Newton step, the first one below STEP_RTOL
+    n = 16
+    load = mean_zero(0.3 * np.random.default_rng(7).standard_normal(n))
+    prob = exponential_ring(n, load)
+    factored = []
+    hessian = prob.hessian
+    prob.hessian = lambda x: factored.append(x.copy()) or hessian(x)
+    res = newton_minimize(prob, np.zeros(n))
+    assert res.converged and res.iterations == len(factored) >= 3
+    steps = []
+    for x in factored:
+        g = mean_zero(prob.gradient(x))
+        steps.append(hessian(x).solve(-g))
+    x_k, p_k = factored[-1], steps[-1]
+    assert np.array_equal(res.x, (x_k + p_k) - (x_k + p_k).mean())
+    assert res.fun == prob.objective(res.x)
+    assert res.grad_norm == np.max(np.abs(mean_zero(prob.gradient(x_k))))
+    assert np.max(np.abs(p_k)) <= STEP_RTOL * np.max(np.abs(x_k + p_k))
+    assert all(np.max(np.abs(p)) > STEP_RTOL * np.max(np.abs(x + p))
+               for x, p in zip(factored[:-1], steps[:-1]))
+
+
+def test_newton_zero_gradient_returns_the_start():
+    # an exactly stationary start is certified and returned as it is, with
+    # no step taken
+    n = 12
+    H = bond_band(n, rng.uniform(0.5, 1.5, (2, n)))
+    res = newton_minimize(quadratic_problem(H, np.zeros(n)), np.zeros(n))
+    assert res.converged and res.iterations == 0 and res.grad_norm == 0.0
+    assert np.array_equal(res.x, np.zeros(n)) and res.fun == 0.0
+
+
+def test_newton_flags_an_indefinite_start_before_stepping():
+    # a start that is not stationary, at a saddle of an indefinite
+    # quadratic: the factorization at x_0 flags it before any step
+    n = 12
+    H = indefinite_band(n, 2, np.random.default_rng(4))
+    b = mean_zero(np.random.default_rng(5).standard_normal(n))
+    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
+    assert res.hessian_indefinite and not res.converged
+    assert res.iterations == 0 and res.grad_norm > 0.0
