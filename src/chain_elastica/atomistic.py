@@ -89,13 +89,22 @@ class AtomisticSystem:
             g += np.roll(fb, rho) - fb
         return g
 
-    def hessian(self, u, strains=None):
-        """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0)."""
-        u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-        strains = self._strains(u) if strains is None else strains
-        H = PeriodicBand(u.size, self.r_cut())
-        for rho in self.bonds:
-            k = self.phi[rho].derivative_unchecked(2, strains[rho])
+    def bond_stiffness(self, strains):
+        """phi_rho''(D_rho u) per bond, shape (len(bonds), 2N): the pointwise
+        coefficients the Hessian is built from."""
+        return np.array([self.phi[rho].derivative_unchecked(2, strains[rho])
+                         for rho in self.bonds])
+
+    def hessian(self, u, strains=None, stiffness=None):
+        """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0).
+        `stiffness` may pass in `bond_stiffness(strains)`, and then u is not
+        read."""
+        if stiffness is None:
+            u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
+            stiffness = self.bond_stiffness(
+                self._strains(u) if strains is None else strains)
+        H = PeriodicBand(2 * self.N, self.r_cut())
+        for rho, k in zip(self.bonds, stiffness):
             H.add(0, k)
             H.add(0, k, shift=rho)
             H.add(rho, -k)
@@ -104,9 +113,12 @@ class AtomisticSystem:
 
     def objective_problem(self, max_iter=500):
         """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
-        callbacks share the strains of one point (`evaluate_once`)."""
+        callbacks share the strains of one point (`evaluate_once`), and the
+        Hessian callback returns one band per value of `bond_stiffness`."""
         f = self.force
         strains = evaluate_once(self._strains)
+        band = evaluate_once(lambda k: self.hessian(None, stiffness=k),
+                             copy=False)
 
         def obj(u):
             return (self.energy_above_homogeneous(u, strains(u))
@@ -116,7 +128,7 @@ class AtomisticSystem:
             return self.gradient(u, strains(u)) - f
 
         def hess(u):
-            return self.hessian(u, strains(u))
+            return band(self.bond_stiffness(strains(u)))
 
         return MinimizeProblem(obj, grad, hess, max_iter=max_iter)
 
@@ -126,7 +138,8 @@ class AtomisticSystem:
         res = newton_minimize(prob, x0)
         u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
         ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
-        return AtomisticSolution(u, float(res.fun), res.grad_norm, res.iterations,
+        return AtomisticSolution(u, self.energy_above_homogeneous(u),
+                                 res.grad_norm, res.iterations,
                                  res.converged, admissible=ok,
                                  worst_bond=(site, rho, worst),
                                  message=res.message)
@@ -135,7 +148,7 @@ class AtomisticSystem:
 @dataclass
 class AtomisticSolution:
     displacement: PeriodicLatticeField
-    energy_above_homogeneous: float
+    energy_above_homogeneous: float     # E_a(displacement) - E_a(0), no load
     grad_norm: float
     iterations: int
     converged: bool

@@ -9,8 +9,11 @@
 
     common: [--config <path>] [--potential {harmonic|lj|morse}] [--out <dir>]
 
-Each command accepts only the flags it reads; any other exits with status 2.
-Each command parses, runs and prints; `harness` writes every output file.
+Each command accepts only the flags it reads; any other exits with status 2,
+as does a bad flag value or config file, with one line. `solve`, and `sweep
+--interp pi`, need eps <= 1/4: the Hermite interpolant's stencils take 7
+sites. Each command parses, runs and prints; `harness` writes every output
+file.
 """
 
 import argparse
@@ -23,6 +26,7 @@ from .harness import (StudyConfig, fit_models, load_config, run_consistency,
                       run_stability, run_sweep, solve_cell, unfitted_models,
                       write_consistency, write_fits_json, write_records_csv,
                       write_solution_csvs, write_stability, _eps_to_N)
+from .lattice import STENCIL_MIN_N
 
 
 def _parse_eps_list(text):
@@ -53,12 +57,27 @@ def _eps_arg(parse):
     return convert
 
 
-def _build_config(args):
+def _build_config(parser, args):
     """The --config file, overridden by every flag given whose destination
-    is a StudyConfig field."""
+    is a StudyConfig field. A file that cannot be read, or a bad line, key
+    or eps in it, exits with status 2 and a one-line message."""
     keys = {f.name for f in dataclasses.fields(StudyConfig)}
-    return load_config(args.config, {k: v for k, v in vars(args).items()
-                                     if k in keys and v is not None})
+    try:
+        return load_config(args.config, {k: v for k, v in vars(args).items()
+                                         if k in keys and v is not None})
+    except OSError as err:
+        parser.error(f"--config {args.config}: {err.strerror}")
+    except (TypeError, ValueError) as err:
+        parser.error(f"--config {args.config}: {err}")
+
+
+def _check_hermite_cells(parser, eps_values, user):
+    """Exit with status 2 and a one-line message unless every eps leaves
+    the Hermite interpolant's stencils their 7 sites: eps <= 1/4."""
+    for eps in eps_values:
+        if _eps_to_N(eps) < STENCIL_MIN_N:
+            parser.error(f"eps = {eps!r} is too large: {user} needs "
+                         f"eps <= 1/{STENCIL_MIN_N}")
 
 
 def main(argv=None):
@@ -82,9 +101,14 @@ def main(argv=None):
     cmd["solve"].add_argument("--eps", type=_eps_arg(float),
                               default=2.0 ** -3)
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
+    cfg = _build_config(cmd[args.command], args)
     if not cfg.out_dir:
         cmd[args.command].error("empty output directory (--out or out_dir)")
+    if args.command == "solve":
+        _check_hermite_cells(cmd["solve"], (args.eps,),
+                             "the Hermite interpolant in the solution files")
+    elif args.command == "sweep" and cfg.interp == "pi":
+        _check_hermite_cells(cmd["sweep"], cfg.eps_list, "--interp pi")
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if args.command == "sweep":

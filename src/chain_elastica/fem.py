@@ -1,10 +1,13 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
 of the continuum energies by per-element Gauss quadrature (the Hessian as a
-`PeriodicBand`, half-bandwidth 5; objective, gradient and Hessian share one
-evaluation per point), the continuum solver certified by Newton's last
-factorization, and L2 comparisons between smooth fields."""
+`PeriodicBand`, half-bandwidth 5, one per value of its coefficients;
+objective, gradient and Hessian share one evaluation per point), the
+continuum solver certified by Newton's last factorization, and L2
+comparisons between smooth fields."""
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -13,9 +16,10 @@ from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
 from .quadrature import composite_integral, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
-__all__ = ["PeriodicSplineSpace", "FemField", "assemble", "solve_continuum",
-           "grad_l2_distance", "energy_gap", "fourier_cos_amplitude",
-           "IndefiniteHessianError", "hessian_smallest_eigenvalue"]
+__all__ = ["PeriodicSplineSpace", "FemField", "ContinuumProblem", "assemble",
+           "solve_continuum", "grad_l2_distance", "energy_gap",
+           "fourier_cos_amplitude", "IndefiniteHessianError",
+           "hessian_smallest_eigenvalue"]
 
 
 class IndefiniteHessianError(RuntimeError):
@@ -80,6 +84,13 @@ class PeriodicSplineSpace:
         ext = local[..., self._wrap]
         return lambda o: ext[..., 3 - o:3 - o + self.n]
 
+    def load_vector(self, f):
+        """b_j = int f B_j by the element Gauss rule, for a vectorized f."""
+        x = self.quad_x()
+        fx = f(x.ravel()).reshape(x.shape)
+        local = np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw)
+        return self.scatter_add(local)
+
     def scatter_add(self, local):
         """Accumulate per-element local vectors (6, n) into a global vector:
         out[j] = sum_o local[o, (j - o) % n]."""
@@ -92,44 +103,66 @@ class PeriodicSplineSpace:
 
 class FemField(KernelField):
     """Quintic spline field: derivative orders 0..4 are continuous, order 5
-    is piecewise constant and higher orders are 0."""
+    is piecewise constant and higher orders are 0. A field returned by
+    `solve_continuum` carries the Newton `result` and its `energy` above the
+    homogeneous state."""
+
+    result = None
+    energy = None
 
     def __init__(self, coeffs, space):
         super().__init__(coeffs, bspline_kernel(5), space.N)
 
 
-def _local_load(space, f):
-    x = space.quad_x()
-    fx = f(x.ravel()).reshape(x.shape)
-    # b_j = int f B_j: per element, per offset
-    local = np.einsum("mq,oq,q->om", fx, space.template[:, 0, :], space.qw)
-    return space.scatter_add(local)
+@dataclass
+class ContinuumProblem(MinimizeProblem):
+    """A MinimizeProblem whose `energy` is the objective without its load
+    term: c -> E(c) - E(0) by the element Gauss rule."""
+    energy: Callable = None
 
 
-def assemble(model, space, f=None):
-    """The forced continuum problem min E(u) - <f, u> over mean-zero spline
-    coefficients, with objective/gradient/Hessian by the element Gauss rule.
-    The density is accumulated relative to the homogeneous state to keep the
-    tiny energy differences well conditioned. The three callbacks share one
-    evaluation per coefficient vector (`evaluate_once`): the gradients at
-    the quadrature points and the model's bond arguments."""
-    orders = model.density_orders
-    w0 = model.density0()
-    load = np.zeros(space.n) if f is None else _local_load(space, f)
-    n, nq, qw, offsets = space.n, space.quad_points, space.qw, space.offsets
-    T = space.template[:, orders, :]
-    # Element integrals as matrix products, with kernels built once here:
-    #   gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
-    #   Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
-    #                                            * d2w[r, s, q, m]
-    # Element m couples dofs m + o and m + p: band row m + o, offset p - o.
-    # So hess_kernel[o] puts the rows (o, p) at the 11 band offsets, and
-    # maps the elements m = j - o of the rows j to the band's diagonals.
+@lru_cache(maxsize=16)
+def _element_kernels(orders, quad_points):
+    """The element integrals of `assemble` as matrix products, for the
+    density orders and the Gauss rule; computed once and read-only:
+      gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
+      Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
+                                               * d2w[r, s, q, m]
+    with T the `_quintic_template` rows of the orders. Element m couples
+    dofs m + o and m + p: band row m + o, offset p - o. So hess_kernel[o]
+    puts the rows (o, p) at the 11 band offsets, and maps the elements
+    m = j - o of the rows j to the band's diagonals."""
+    qw = gauss_rule(quad_points)[1]
+    T = _quintic_template(quad_points)[:, orders, :]
     grad_kernel = (T * qw).reshape(6, -1)
     by_pair = np.einsum("orq,psq,q->oprsq", T, T, qw).reshape(6, 6, -1)
     hess_kernel = np.zeros((6, 11, by_pair.shape[-1]))
     for io in range(6):
         hess_kernel[io, 5 - io:11 - io] = by_pair[io]
+    for a in (grad_kernel, hess_kernel):
+        a.flags.writeable = False
+    return grad_kernel, hess_kernel
+
+
+def assemble(model, space, f=None):
+    """The forced continuum problem min E(u) - <f, u> over mean-zero spline
+    coefficients, with objective/gradient/Hessian by the element Gauss rule;
+    f is the load density (vectorized), or its `space.load_vector`, which
+    several models on one space can share. The density is accumulated
+    relative to the homogeneous state to keep the tiny energy differences
+    well conditioned. The three callbacks share one evaluation per
+    coefficient vector (`evaluate_once`): the gradients at the quadrature
+    points and the model's bond arguments. The Hessian callback returns one
+    band per value of the `density_hess` planes at the quadrature points.
+    The problem's `energy` is the objective without its load term."""
+    orders = model.density_orders
+    w0 = model.density0()
+    if f is None:
+        load = np.zeros(space.n)
+    else:
+        load = space.load_vector(f) if callable(f) else np.asarray(f, float)
+    n, nq, qw, offsets = space.n, space.quad_points, space.qw, space.offsets
+    grad_kernel, hess_kernel = _element_kernels(orders, nq)
 
     def evaluate(c):
         """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
@@ -149,26 +182,32 @@ def assemble(model, space, f=None):
 
     at = evaluate_once(evaluate)
 
-    def objective(c):
+    def energy(c):
         g, args = at(c)
-        dens = model.density(g, args) - w0
-        return float(np.sum(qw @ dens) - np.dot(load, c))
+        return float(np.sum(qw @ (model.density(g, args) - w0)))
+
+    def objective(c):
+        return energy(c) - float(np.dot(load, c))
 
     def gradient(c):
         g, args = at(c)
         dw = model.density_grad(g, args).reshape(-1, n)
         return space.scatter_add(grad_kernel @ dw) - load
 
-    def hessian(c):
-        g, args = at(c)
-        columns = space.element_columns(
-            model.density_hess(g, args).reshape(-1, n))
+    def build_band(d2w):
+        columns = space.element_columns(d2w.reshape(-1, n))
         H = PeriodicBand(n, 5)
         H.add(np.arange(-5, 6), sum(hess_kernel[io] @ columns(o)
                                     for io, o in enumerate(offsets)))
         return H
 
-    return MinimizeProblem(objective, gradient, hessian)
+    band = evaluate_once(build_band, copy=False)
+
+    def hessian(c):
+        g, args = at(c)
+        return band(model.density_hess(g, args))
+
+    return ContinuumProblem(objective, gradient, hessian, energy=energy)
 
 
 def solve_continuum(model, space, f=None, max_iter=500, x0=None):
@@ -176,7 +215,10 @@ def solve_continuum(model, space, f=None, max_iter=500, x0=None):
     by default). Newton's last factorization certifies the stationary point
     as a local minimizer; the unstable variants fail that check and raise
     IndefiniteHessianError (a stationary point of an energy that is
-    unbounded below is not a solution of the minimization problem)."""
+    unbounded below is not a solution of the minimization problem). f is
+    passed to `assemble`. The field's `energy` is the problem's at the
+    returned coefficients, from the evaluation of Newton's last objective
+    call."""
     prob = assemble(model, space, f)
     prob.max_iter = max_iter
     res = newton_minimize(prob, np.zeros(space.n) if x0 is None else x0)
@@ -186,6 +228,7 @@ def solve_continuum(model, space, f=None, max_iter=500, x0=None):
             f"mean-zero subspace at N={space.N}: {res.message}")
     field = space.field(res.x - res.x.mean())
     field.result = res
+    field.energy = prob.energy(res.x)
     return field
 
 
@@ -200,19 +243,31 @@ def hessian_smallest_eigenvalue(model, space):
 
 
 def grad_l2_distance(a, b, N, npoints=5):
-    """Composite Gauss norm ||grad a - grad b||_{L2(-N,N)}."""
-    val = composite_integral(lambda x: (a.eval(x, 1) - b.eval(x, 1)) ** 2,
+    """Composite Gauss norm ||grad a - grad b||_{L2(-N,N)}. Either field may
+    be given as its gradient at the rule's points (`composite_points`), for
+    a field measured against several others."""
+    def grad(u, x):
+        return u if isinstance(u, np.ndarray) else u.eval(x, 1)
+
+    val = composite_integral(lambda x: (grad(a, x) - grad(b, x)) ** 2,
                              N, npoints)
     return float(np.sqrt(max(val, 0.0)))
 
 
-def energy_gap(system, u_a, model, u_c, npoints=5):
+def energy_gap(system, u_a, model, u_c):
     """|E_a(u_a) - E_c(u_c)| with both energies accumulated relative to the
-    homogeneous state (the offsets 2N * sum_rho phi_rho(0) agree exactly)."""
+    homogeneous state (the offsets 2N * sum_rho phi_rho(0) agree exactly).
+    E_a is the one an `AtomisticSolution` carries, and E_c the one a field
+    from `solve_continuum` carries: its solve's element Gauss rule, by
+    default the 5-point rule on the unit elements that `continuum_energy`
+    applies to any other field."""
     from .continuum import continuum_energy
-    ua = getattr(u_a, "displacement", u_a)
-    ea = system.energy_above_homogeneous(ua)
-    ec = continuum_energy(model, u_c, system.N, npoints=npoints)
+    ea = getattr(u_a, "energy_above_homogeneous", None)
+    if ea is None:
+        ea = system.energy_above_homogeneous(u_a)
+    ec = getattr(u_c, "energy", None)
+    if ec is None:
+        ec = continuum_energy(model, u_c, system.N)
     return abs(ea - ec)
 
 

@@ -21,6 +21,7 @@ from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
 from .potentials import make_potential
+from .quadrature import composite_points
 from .splines import KernelField, bspline_kernel, measurement_interpolant, \
     periodic_spline_coefficients, reproducing_kernel
 
@@ -141,9 +142,12 @@ def solve_cell(cfg, eps, models, coarse=None):
     continuum model in `models` is solved and measured against it. The chain
     starts from `coarse`, the chain displacement of a coarser cell, prolonged
     to this mesh (`_prolong`), or from 0; each model starts from the quintic
-    spline through the chain's site values. A model whose Hessian is
-    indefinite gets a NaN record with the reason and no field. If the chain
-    did not converge, the other records give that as their reason."""
+    spline through the chain's site values. What the models share is
+    computed once per cell: the chain's energy above the homogeneous state
+    (carried by its solution), grad I u at the Gauss points of the error
+    norm, and the FEM load vector. A model whose Hessian is indefinite gets
+    a NaN record with the reason and no field. If the chain did not
+    converge, the other records give that as their reason."""
     N = _eps_to_N(eps)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
@@ -152,23 +156,24 @@ def solve_cell(cfg, eps, models, coarse=None):
     sol_a = system.solve(max_iter=cfg.max_iter,
                          u0=None if coarse is None else _prolong(coarse, N))
     iu = measurement_interpolant(sol_a.displacement, cfg.interp)
+    grad_iu = iu.eval(composite_points(N), 1)
     # the FEM coefficients of the quintic spline through the chain
     start = periodic_spline_coefficients(sol_a.displacement.values, 5)
     space = PeriodicSplineSpace(N)
-    f_cont = lambda x: eps * np.cos(np.pi * eps * x)
+    load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
     cell = Cell(sol_a, [], {}, {})
     chain_failure = ("" if sol_a.converged else
                      f"atomistic chain not converged: {sol_a.message}")
     for key in models:
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
         try:
-            u_c = solve_continuum(model, space, f_cont, cfg.max_iter, start)
+            u_c = solve_continuum(model, space, load, cfg.max_iter, start)
         except IndefiniteHessianError as exc:
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
                 reason=str(exc)))
             continue
-        g_err = grad_l2_distance(iu, u_c, N)
+        g_err = grad_l2_distance(grad_iu, u_c, N)
         e_gap = energy_gap(system, sol_a, model, u_c)
         cell.fields[key] = u_c
         cell.distances[key] = g_err
@@ -360,7 +365,8 @@ _KEY_ALIASES = {"opt.max_iter": "max_iter"}
 
 def load_config(path=None, overrides=None):
     """Flat key = value config (strings, numbers, tuples via literal syntax);
-    '#' starts a comment. CLI overrides win."""
+    '#' starts a comment. CLI overrides win. ValueError names an unknown key,
+    a line without '=' or an eps that is not the reciprocal of an integer."""
     data = {}
     if path:
         with open(path) as fh:
@@ -384,5 +390,8 @@ def load_config(path=None, overrides=None):
             raise ValueError(f"unknown config key {key!r}")
         if key in ("models", "eps_list") and not isinstance(val, tuple):
             val = tuple(val) if isinstance(val, (list, set)) else (val,)
+        if key == "eps_list":
+            for eps in val:
+                _eps_to_N(eps)
         setattr(cfg, key, val)
     return cfg

@@ -11,7 +11,7 @@ from .splines import PiecewisePoly
 __all__ = [
     "PeriodicLatticeField", "finite_difference", "stencil_derivatives",
     "hermite_interpolant", "HermiteInterpolant", "project_mean_zero",
-    "check_admissible",
+    "check_admissible", "STENCIL_MIN_N",
 ]
 
 
@@ -70,12 +70,15 @@ def check_admissible(v, bonds, kappa):
     return worst[0] <= kappa, worst[1], worst[2], worst[0]
 
 
-# fourth-order difference approximations of the first four derivatives,
-# widest stencil halfwidth 3
+# The widest stencil has halfwidth 3, so it needs 2N >= 7 sites: N >= 4.
+STENCIL_MIN_N = 4
+
+
+# fourth-order difference approximations of the first four derivatives
 def stencil_derivatives(v):
     """Site values of the four difference formulas (d1, d2, d3, d4), each a
     fourth-order-accurate approximation of the corresponding derivative."""
-    if 2 * v.N < 7:
+    if v.N < STENCIL_MIN_N:
         raise ValueError("stencils need at least 7 sites")
     u = v.values
 

@@ -1,8 +1,9 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
-Hessian with its grounded block cyclic reduction solve, Newton whose
-factorization certifies each iterate, which stops on a small step and
-evaluates the objective once per point, the one-slot cache through which a
-problem's callbacks share one evaluation per point, and a central-difference
+Hessian with its grounded block cyclic reduction solve, factored once per
+band, Newton whose factorization certifies each iterate, which stops on a
+small step and evaluates the objective once per point, the one-slot cache
+through which a problem's callbacks share one evaluation per point (and its
+Hessian one band per value of its coefficients), and a central-difference
 gradient check. Only numpy is needed."""
 
 from collections import namedtuple
@@ -26,11 +27,13 @@ class PeriodicBand:
     def __init__(self, n, b):
         self.n, self.b = n, b
         self.diags = np.zeros((2 * b + 1, n))
+        self._solve = None      # the factorization `factor` keeps
 
     def add(self, o, values, shift=0):
         """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m;
         an array of offsets o takes the rows of a 2-d `values`."""
         self.diags[self.b + o] += np.roll(values, shift, axis=-1)
+        self._solve = None
 
     def _entries(self):
         rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
@@ -55,8 +58,16 @@ class PeriodicBand:
         return self.factor()(rhs)
 
     def factor(self):
-        """Factor H once and return its `solve`, rhs -> x; raises
-        `np.linalg.LinAlgError` as `solve` does."""
+        """Factor H and return its `solve`, rhs -> x; raises
+        `np.linalg.LinAlgError` as `solve` does. The band keeps the
+        factorization: later calls return it until `add` changes the band
+        (factor once, solve many; Golub & Van Loan, Matrix Computations,
+        §4.2), so change a factored band through `add` only."""
+        if self._solve is None:
+            self._solve = self._factor()
+        return self._solve
+
+    def _factor(self):
         if not np.all(np.isfinite(self.diags)):
             raise ValueError("PeriodicBand has non-finite entries")
         n, diags = self.n, self.diags
@@ -231,7 +242,8 @@ def newton_minimize(problem, x0):
     certified step (Kelley, Solving Nonlinear Equations with Newton's
     Method, SIAM 2003, ch. 2).
 
-    At each iterate x_k the Hessian is factored, which certifies x_k: an
+    At each iterate x_k the Hessian is factored (a band the problem returns
+    again keeps its factorization), which certifies x_k: an
     indefinite Hessian is flagged (that failure mode is informative: it
     exhibits the unstable continuum variants). The factorization then gives
     the Newton step p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf,
@@ -240,8 +252,8 @@ def newton_minimize(problem, x0):
     x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
     rounding error of the computed step, not STEP_RTOL. An exactly zero
     gradient returns x_k itself. `iterations` counts the steps taken, the
-    last one included, and so equals the number of factorizations of a
-    converged solve; `grad_norm` is ||g(x_k)||_inf.
+    last one included, and so equals the number of Hessians a converged
+    solve uses, reused bands included; `grad_norm` is ||g(x_k)||_inf.
 
     The objective is evaluated once per point: the accepted line-search
     trial's value is the next iterate's, and the result carries f at the
@@ -270,7 +282,7 @@ def newton_minimize(problem, x0):
         if gnorm == 0.0:
             return MinimizeResult(x, fx, gnorm, it, True, "converged")
         p = solve(-gx)
-        del solve   # the factorization's memory is free for the next point
+        del solve   # the band holds it for as long as the band is reused
         if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
             x = x + p
             x -= x.mean()
@@ -298,20 +310,31 @@ def newton_minimize(problem, x0):
                           "max iterations")
 
 
-def evaluate_once(evaluate):
-    """`evaluate` with a one-slot cache keyed by the value of its array
-    argument: the bits of a copy of the last argument, so a caller that
-    changes the array in place between calls gets a fresh evaluation. The
-    objective, gradient and Hessian callbacks of a problem share one such
-    evaluation, and Newton calls all three at each iterate."""
+def evaluate_once(evaluate, copy=True):
+    """`evaluate` with a one-slot cache keyed by the bits of its array
+    argument. The key is a copy of the last argument, so a caller that
+    changes the array in place between calls gets a fresh evaluation; with
+    copy=False it is the argument itself, for callers that pass a fresh
+    array each time and keep no reference to it. The old value is dropped
+    before a new one is evaluated.
+
+    The objective, gradient and Hessian callbacks of a problem share one
+    such evaluation, and Newton calls all three at each iterate. A Hessian
+    callback builds its band through another, keyed by the pointwise
+    second-derivative coefficients the band is made of: while they are
+    bitwise unchanged (every point of a linear problem), it returns the
+    same band, and `PeriodicBand.factor` the factorization that band keeps.
+    Identical coefficients give an identical factorization, so the
+    certificate is still exact."""
     slot = [None]
 
     def at(x):
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
         last = slot[0]
-        if last is None or last[0] != key:
-            last = slot[0] = (key, evaluate(x))
+        if last is None or not np.array_equal(last[0].view(np.uint64),
+                                              x.view(np.uint64)):
+            slot[0] = last = None   # free the old value first
+            last = slot[0] = (x.copy() if copy else x, evaluate(x))
         return last[1]
 
     return at

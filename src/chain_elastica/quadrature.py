@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_rule", "composite_integral"]
+__all__ = ["gauss_rule", "composite_points", "composite_integral"]
 
 
 @lru_cache(maxsize=16)
@@ -29,11 +29,16 @@ def gauss_rule(npoints):
     return rule
 
 
+def composite_points(N, npoints=5):
+    """The nodes of the per-element Gauss rule on [-N, N], element by
+    element: shape (2N * npoints,)."""
+    cells = np.arange(-N, N, dtype=float)
+    return (cells[:, None] + gauss_rule(npoints)[0][None, :]).ravel()
+
+
 def composite_integral(f, N, npoints=5):
     """Integral of f over [-N, N] by the per-element Gauss rule; f must be
-    vectorized. Deterministic summation order (elements then nodes)."""
-    t, w = gauss_rule(npoints)
-    cells = np.arange(-N, N, dtype=float)
-    x = (cells[:, None] + t[None, :]).ravel()
-    vals = f(x).reshape(2 * N, npoints)
-    return float(np.sum(vals @ w))
+    vectorized and is called once, at `composite_points(N, npoints)`.
+    Deterministic summation order (elements then nodes)."""
+    vals = f(composite_points(N, npoints)).reshape(2 * N, npoints)
+    return float(np.sum(vals @ gauss_rule(npoints)[1]))

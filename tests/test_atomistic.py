@@ -4,6 +4,7 @@ import pytest
 from chain_elastica.atomistic import (AtomisticSystem, atomistic_stress,
                                       dft_solve, external_work,
                                       hessian_dft_eigenvalues)
+from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
@@ -90,6 +91,43 @@ def test_objective_problem_shares_one_evaluation_per_point():
     prob.objective(u)
     u[:] = b
     assert_same_bits(callbacks(prob, u), want)
+
+
+def test_hessian_callback_refactors_only_for_new_stiffness(monkeypatch):
+    # the harmonic chain has the same bond stiffness at every point: one
+    # band, factored once. A stiffness one ulp away gets a fresh band and a
+    # fresh factorization, the band built from that stiffness
+    factored = []
+    reduce = optimize._cyclic_reduction
+    monkeypatch.setattr(optimize, "_cyclic_reduction",
+                        lambda d, l: factored.append(d) or reduce(d, l))
+    N = 8
+    sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2),
+                           force=lattice_force(N))
+    prob = sys_.objective_problem()
+    a, b = 0.03 * rng.standard_normal((2, 2 * N))
+    H = prob.hessian(a)
+    solve = H.factor()
+    assert prob.hessian(b) is H and H.factor() is solve
+    assert len(factored) == 1
+    k = sys_.bond_stiffness(sys_._strains(b))
+    k[1, 5] = np.nextafter(k[1, 5], np.inf)
+    monkeypatch.setattr(sys_, "bond_stiffness", lambda strains: k.copy())
+    fresh = prob.hessian(b)
+    assert fresh is not H and fresh.factor() is not solve
+    assert len(factored) == 2
+    assert np.array_equal(fresh.diags, sys_.hessian(b, stiffness=k).diags)
+    assert not np.array_equal(fresh.diags, H.diags)
+
+
+def test_solution_carries_its_energy_above_homogeneous():
+    # the energy without the load term, which energy_gap reads
+    N = 8
+    sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2),
+                           force=lattice_force(N))
+    sol = sys_.solve()
+    assert sol.energy_above_homogeneous == sys_.energy_above_homogeneous(
+        sol.displacement)
 
 
 def test_gradient_zero_at_homogeneous():

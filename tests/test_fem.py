@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chain_elastica.atomistic import AtomisticSystem
-from chain_elastica.continuum import SineField, continuum_model
+from chain_elastica.continuum import (SineField, continuum_energy,
+                                      continuum_model)
 from chain_elastica.fem import (IndefiniteHessianError, PeriodicSplineSpace,
                                 assemble, energy_gap, fourier_cos_amplitude,
                                 grad_l2_distance, hessian_smallest_eigenvalue,
@@ -200,6 +201,49 @@ def test_energy_gap_trivial_and_shift_invariant():
     shifted_c = sp.field(c.coeffs + 0.37)   # basis partition of unity
     g2 = energy_gap(sys_, shifted_u, m, shifted_c)
     assert g1 == pytest.approx(g2, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [16, 128])
+@pytest.mark.parametrize("potential", ["harmonic", "lj"])
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6"])
+def test_solver_energy_matches_continuum_energy(key, potential, N):
+    # E_c from the solve's last evaluation is the 5-point rule on the unit
+    # elements that continuum_energy applies through the field's pp-form
+    m = continuum_model(key, make_potential(potential), bonds=(1, 2))
+    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    assert u.energy == pytest.approx(continuum_energy(m, u, N), rel=1e-13,
+                                     abs=0.0)
+
+
+def test_hessian_callback_refactors_only_for_new_density_hessian(
+        monkeypatch):
+    # a harmonic density has the same density_hess planes at every point:
+    # one band, factored once. Planes one ulp away get a fresh band and a
+    # fresh factorization
+    factored = []
+    reduce = optimize._cyclic_reduction
+    monkeypatch.setattr(optimize, "_cyclic_reduction",
+                        lambda d, l: factored.append(d) or reduce(d, l))
+    N = 8
+    m = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
+    prob = assemble(m, PeriodicSplineSpace(N), cos_force(N))
+    a, b = 0.01 * rng.standard_normal((2, 2 * N))
+    H = prob.hessian(a)
+    solve = H.factor()
+    assert prob.hessian(b) is H and H.factor() is solve
+    assert len(factored) == 1
+    density_hess = m.density_hess
+
+    def one_ulp_off(g, args=None):
+        d2w = density_hess(g, args)
+        d2w[1, 1, 2, 3] = np.nextafter(d2w[1, 1, 2, 3], np.inf)
+        return d2w
+
+    monkeypatch.setattr(m, "density_hess", one_ulp_off)
+    fresh = prob.hessian(b)
+    assert fresh is not H and fresh.factor() is not solve
+    assert len(factored) == 2
+    assert not np.array_equal(fresh.diags, H.diags)
 
 
 def _callbacks(prob, c):

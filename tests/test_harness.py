@@ -15,6 +15,7 @@ from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     run_stability, run_sweep, solve_cell,
                                     unfitted_models, write_records_csv,
                                     write_stability)
+from chain_elastica import optimize
 from chain_elastica.optimize import PeriodicBand
 
 
@@ -294,6 +295,52 @@ def test_cli_rejects_empty_out_dir(command, source, tmp_path, capsys):
                        "directory (--out or out_dir)")
 
 
+@pytest.mark.parametrize("argv, user", [
+    (["solve", "--eps", "1"], "the Hermite interpolant in the solution files"),
+    (["solve", "--eps", "0.5"],
+     "the Hermite interpolant in the solution files"),
+    (["solve", "--eps", "0.3333333333333333"],
+     "the Hermite interpolant in the solution files"),
+    (["sweep", "--interp", "pi", "--eps-list", "2^-1..2^-4"], "--interp pi"),
+], ids=["solve-1", "solve-1/2", "solve-1/3", "sweep-pi"])
+def test_cli_rejects_chains_too_small_for_the_hermite_interpolant(
+        argv, user, tmp_path, capsys):
+    # its stencils need 2N >= 7 sites; without the check these ended in a
+    # ValueError traceback from lattice.stencil_derivatives
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    eps = argv[argv.index("--eps") + 1] if "--eps" in argv else "0.5"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"chain-elastica {argv[0]}: error: eps = "
+                       f"{float(eps)!r} is too large: {user} needs "
+                       "eps <= 1/4")
+
+
+def test_cli_solves_the_smallest_hermite_chain(tmp_path):
+    assert cli_main(["solve", "--eps", "0.25", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "solution_atomistic_4.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("no_such_key = 1\n", "unknown config key 'no_such_key'"),
+    ("eps_list = (0.125, 0.3)\n",
+     "eps = 0.3 is not the reciprocal of an integer"),
+    (None, "No such file or directory"),
+], ids=["unknown-key", "bad-eps", "missing-file"])
+def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
+                                                capsys):
+    path = tmp_path / "study.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"chain-elastica sweep: error: --config {path}: "
+                       f"{message}")
+
+
 def test_cli_stability_and_consistency(tmp_path):
     out = tmp_path / "stab"
     rc = cli_main(["stability", "--potential", "harmonic", "--out", str(out)])
@@ -402,6 +449,28 @@ def test_default_lj_sweep_factorization_count(monkeypatch):
                         lambda self: calls.append(self.n) or factor(self))
     run_sweep(StudyConfig(potential="lj", models=("cb", "hoc4")))
     assert len(calls) <= 52
+
+
+def test_default_harmonic_sweep_factorization_count(monkeypatch):
+    # a linear problem has one Hessian: each of the 32 solves factors it
+    # once, where the stopping step factored it again (54)
+    calls = []
+    reduce = optimize._cyclic_reduction
+    monkeypatch.setattr(optimize, "_cyclic_reduction",
+                        lambda d, l: calls.append(d.shape) or reduce(d, l))
+    run_sweep(StudyConfig(potential="harmonic",
+                          models=("cb", "hoc4", "hoc6")))
+    assert len(calls) <= 32
+
+
+def test_a_cell_measures_each_model_as_if_alone():
+    # the chain's energy, grad I u at the Gauss points and the load vector
+    # are computed once per cell and shared by its models
+    cfg = StudyConfig(potential="lj")
+    models = ("cb", "hoc4", "hoc6")
+    together = solve_cell(cfg, 2.0 ** -4, models).records
+    assert together == [solve_cell(cfg, 2.0 ** -4, (key,)).records[0]
+                        for key in models]
 
 
 def test_a_sweep_loads_no_numpy_polynomial(tmp_path):

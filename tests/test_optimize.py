@@ -165,6 +165,23 @@ def test_periodic_band_certificate_checks_every_pivot(n, b):
         H.solve(np.zeros(n))
 
 
+def test_periodic_band_keeps_its_factorization_until_add():
+    # a second solve reuses the factorization; a band changed by `add`,
+    # here its nearest-neighbor bonds doubled, is factored again
+    H = bond_band(16, np.ones((2, 16)))
+    solve = H.factor()
+    assert H.factor() is solve
+    k = np.ones(16)
+    H.add(0, k)
+    H.add(0, k, shift=1)
+    H.add(1, -k)
+    H.add(-1, -k, shift=1)
+    assert H.factor() is not solve
+    rhs = mean_zero(rng.standard_normal(16))
+    want = bond_band(16, np.array([2.0 * k, k])).solve(rhs)
+    assert np.array_equal(H.solve(rhs), want)
+
+
 def test_periodic_band_rejects_non_finite_entries():
     H = bond_band(16, np.ones((2, 16)))
     H.diags[1, 3] = np.nan
