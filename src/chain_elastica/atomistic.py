@@ -186,7 +186,10 @@ def atomistic_stress(system, u, kernel, x):
 
 def hessian_dft_eigenvalues(system):
     """Eigenvalues of the homogeneous-state circulant Hessian, k = 0..2N-1:
-    sum_rho 4 phi_rho''(0) sin^2(pi k rho / 2N)."""
+    sum_rho 4 phi_rho''(0) sin^2(pi k rho / 2N). A closed-form oracle from
+    the potential alone: the tests check `PeriodicBand.eigenvalues`, the
+    spectrum the solver certifies and solves with, against it, so it must
+    not be built on the assembled band."""
     n = 2 * system.N
     k = np.arange(n)
     lam = np.zeros(n)
@@ -198,7 +201,9 @@ def hessian_dft_eigenvalues(system):
 
 def dft_solve(system):
     """Exact mean-zero solution of the linearized (harmonic) problem
-    H u = f via the circulant diagonalization."""
+    H u = f via the circulant diagonalization of `hessian_dft_eigenvalues`.
+    Like that oracle, it checks the solver's spectral path and so must not
+    be built on it."""
     lam = hessian_dft_eigenvalues(system)
     fhat = np.fft.fft(system.force)
     uhat = np.zeros_like(fhat)

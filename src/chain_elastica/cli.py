@@ -27,6 +27,8 @@ from .harness import (StudyConfig, fit_models, load_config, run_consistency,
                       write_consistency, write_fits_json, write_records_csv,
                       write_solution_csvs, write_stability, _eps_to_N)
 from .lattice import STENCIL_MIN_N
+from .potentials import POTENTIAL_KINDS
+from .splines import INTERP_KINDS
 
 
 def _parse_eps_list(text):
@@ -59,8 +61,8 @@ def _eps_arg(parse):
 
 def _build_config(parser, args):
     """The --config file, overridden by every flag given whose destination
-    is a StudyConfig field. A file that cannot be read, or a bad line, key
-    or eps in it, exits with status 2 and a one-line message."""
+    is a StudyConfig field. A file that cannot be read, or a bad line, key,
+    eps or choice in it, exits with status 2 and a one-line message."""
     keys = {f.name for f in dataclasses.fields(StudyConfig)}
     try:
         return load_config(args.config, {k: v for k, v in vars(args).items()
@@ -87,13 +89,13 @@ def main(argv=None):
            for name in ("solve", "sweep", "stability", "consistency")}
     for p in cmd.values():
         p.add_argument("--config", default=None)
-        p.add_argument("--potential", choices=["harmonic", "lj", "morse"])
+        p.add_argument("--potential", choices=POTENTIAL_KINDS)
         p.add_argument("--out", dest="out_dir")
     for name in ("solve", "sweep", "consistency"):
         cmd[name].add_argument("--model", dest="models", action="append",
                                choices=MODEL_KEYS)
     for name in ("solve", "sweep"):
-        cmd[name].add_argument("--interp", choices=["pi", "cubic", "quartic"])
+        cmd[name].add_argument("--interp", choices=INTERP_KINDS)
     cmd["sweep"].add_argument("--eps-list", dest="eps_list",
                               type=_eps_arg(_parse_eps_list))
     cmd["sweep"].add_argument("--eps-min", dest="eps_min_fit", type=float,

@@ -234,12 +234,12 @@ def solve_continuum(model, space, f=None, max_iter=500, x0=None):
 
 def hessian_smallest_eigenvalue(model, space):
     """Smallest eigenvalue of the assembled Hessian at the homogeneous state,
-    restricted to the mean-zero subspace: the Hessian is circulant there, so
-    its eigenvalues are the DFT of its row 0 (k = 0 is the constant mode)."""
+    restricted to the mean-zero subspace: the Hessian is circulant there
+    (for N >= 6, where the band's offsets do not alias), and this is the
+    least of its `PeriodicBand.eigenvalues` over the modes j != 0, the
+    spectrum its factorization certifies."""
     H = assemble(model, space).hessian(np.zeros(space.n))
-    row0 = np.bincount(np.arange(-H.b, H.b + 1) % H.n, weights=H.diags[:, 0],
-                       minlength=H.n)
-    return float(np.min(np.fft.fft(row0).real[1:]))
+    return float(np.min(H.eigenvalues()[1:]))
 
 
 def grad_l2_distance(a, b, N, npoints=5):

@@ -16,14 +16,15 @@ import numpy as np
 from .analysis import find_negative_mode, stability_constants, \
     atomistic_symbol, cb_symbol, hoc_taylor_symbol, direct_symbol
 from .atomistic import AtomisticSolution, AtomisticSystem
-from .continuum import SineField, consistency_residual, continuum_model
+from .continuum import MODEL_KEYS, SineField, consistency_residual, \
+    continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
-from .potentials import make_potential
+from .potentials import POTENTIAL_KINDS, make_potential
 from .quadrature import composite_points
-from .splines import KernelField, bspline_kernel, measurement_interpolant, \
-    periodic_spline_coefficients, reproducing_kernel
+from .splines import INTERP_KINDS, KernelField, bspline_kernel, \
+    measurement_interpolant, periodic_spline_coefficients, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "solve_cell", "run_sweep",
@@ -361,12 +362,16 @@ def write_solution_csvs(out_dir, cell):
 
 # dotted spellings accepted in config files
 _KEY_ALIASES = {"opt.max_iter": "max_iter"}
+# the keys with a fixed set of values: the CLI flags' choices
+_KEY_CHOICES = {"potential": POTENTIAL_KINDS, "models": MODEL_KEYS,
+                "interp": INTERP_KINDS}
 
 
 def load_config(path=None, overrides=None):
     """Flat key = value config (strings, numbers, tuples via literal syntax);
     '#' starts a comment. CLI overrides win. ValueError names an unknown key,
-    a line without '=' or an eps that is not the reciprocal of an integer."""
+    a line without '=', an eps that is not the reciprocal of an integer or a
+    potential, model or interpolant that the CLI flags do not offer."""
     data = {}
     if path:
         with open(path) as fh:
@@ -393,5 +398,11 @@ def load_config(path=None, overrides=None):
         if key == "eps_list":
             for eps in val:
                 _eps_to_N(eps)
+        if key in _KEY_CHOICES:
+            choices = _KEY_CHOICES[key]
+            for v in val if key == "models" else (val,):
+                if v not in choices:
+                    raise ValueError(f"{key}: {v!r} is not one of "
+                                     f"{', '.join(choices)}")
         setattr(cfg, key, val)
     return cfg

@@ -2,7 +2,7 @@
 difference stencils, and the C^4 piecewise degree-9 Hermite interpolant built
 from them."""
 
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,9 +92,13 @@ def stencil_derivatives(v):
     return d1, d2, d3, d4
 
 
+@lru_cache(maxsize=1)
 def _hermite9_matrix():
     """Exact map from the ten nodal data (value + 4 derivatives at both ends
-    of a unit interval) to the ten monomial coefficients."""
+    of a unit interval) to the ten monomial coefficients. Built in exact
+    rational arithmetic on first use, not at import (about 2 ms), and
+    read-only."""
+    from fractions import Fraction
     A = [[0] * 10 for _ in range(10)]
     for m in range(5):
         fact = 1
@@ -119,10 +123,9 @@ def _hermite9_matrix():
             if r != col and M[r][col] != 0:
                 f = M[r][col]
                 M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return np.array([[float(M[i][n + j]) for j in range(n)] for i in range(n)])
-
-
-_H9 = _hermite9_matrix()
+    H9 = np.array([[float(M[i][n + j]) for j in range(n)] for i in range(n)])
+    H9.flags.writeable = False
+    return H9
 
 
 class HermiteInterpolant(PiecewisePoly):
@@ -138,7 +141,7 @@ class HermiteInterpolant(PiecewisePoly):
         right = np.roll(data, -1, axis=0)
         nodal = np.concatenate([data, right], axis=1)        # (2N, 10)
         # monomials in t = x - xi on [xi, xi + 1)
-        super().__init__(nodal @ _H9.T, -v.N, periodic=True)
+        super().__init__(nodal @ _hermite9_matrix().T, -v.N, periodic=True)
 
 
 def hermite_interpolant(v):

@@ -1,10 +1,11 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
-Hessian with its grounded block cyclic reduction solve, factored once per
-band, Newton whose factorization certifies each iterate, which stops on a
-small step and evaluates the objective once per point, the one-slot cache
-through which a problem's callbacks share one evaluation per point (and its
-Hessian one band per value of its coefficients), and a central-difference
-gradient check. Only numpy is needed."""
+Hessian, factored once per band, through its spectrum when it is circulant
+and by a grounded block cyclic reduction otherwise; Newton whose
+factorization certifies each iterate, which stops on a small step and
+evaluates the objective once per point, the one-slot cache through which a
+problem's callbacks share one evaluation per point (and its Hessian one band
+per value of its coefficients), and a central-difference gradient check.
+Only numpy is needed."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -40,17 +41,57 @@ class PeriodicBand:
         cols = (rows + np.arange(-self.b, self.b + 1)[:, None]) % self.n
         return rows.ravel(), cols.ravel(), self.diags.ravel()
 
+    def is_circulant(self):
+        """Is H circulant: no aliased offsets (n > 2b), and every column of
+        `diags` equal to column 0?"""
+        return self.n > 2 * self.b and bool(
+            np.all(self.diags == self.diags[:, :1]))
+
+    def eigenvalues(self):
+        """Eigenvalues of a circulant band, lam[j] for the Fourier modes
+        exp(2 pi i j m / n), j = 0..n-1 (Davis, Circulant Matrices, 1979), in
+        the difference form
+
+            lam_j = -sum_{o=1..b} 2 (H[0, o] + H[0, -o]) sin^2(pi j o / n),
+
+        which takes H·1 = 0 as given (lam_0 = 0), as the refinement residual
+        of `solve` does. Unlike a DFT of row 0, it keeps its relative
+        accuracy on the smooth modes, where lam_j is O((j/n)^2). Raises
+        ValueError unless `is_circulant`."""
+        if not self.is_circulant():
+            raise ValueError("PeriodicBand is not circulant")
+        lam = self._half_spectrum()
+        return np.concatenate([lam, lam[(self.n - 1) // 2:0:-1]])
+
+    def _half_spectrum(self):
+        """lam_j of `eigenvalues` for j = 0..n//2, the modes of an rfft;
+        lam_(n - j) = lam_j."""
+        n, b = self.n, self.b
+        o = np.arange(1, b + 1)
+        half = np.arange(n // 2 + 1)
+        k = np.outer(half, o) % n
+        # sin^2(pi k / n) is even in k with period n: one table for k <= n/2
+        sin2 = np.sin(np.pi / n * half) ** 2
+        return -2.0 * (sin2[np.minimum(k, n - k)]
+                       @ (self.diags[b + o, 0] + self.diags[b - o, 0]))
+
     def solve(self, rhs):
         """Mean-zero solution of H x = rhs for mean-zero rhs.
 
-        Dof 0 is grounded and the rest ordered 1, n-1, 2, n-2, ..., an
-        ordinary band of half-width w = 2b (Golub & Van Loan, Matrix
-        Computations, §4.3). Cut into blocks of width w, it is block
-        tridiagonal and is factored by block cyclic reduction. As H·1 = 0,
-        the grounded matrix is positive definite iff H is on mean-zero
-        vectors, and the reduction's Cholesky pivots succeed iff the grounded
-        matrix is positive definite: `np.linalg.LinAlgError` is raised
-        exactly when H is not positive definite on mean-zero vectors.
+        A circulant band (`is_circulant`) is diagonalized by the DFT:
+        x = irfft(rfft(rhs) / lam) over the modes j != 0 of `eigenvalues`,
+        and `np.linalg.LinAlgError` is raised unless lam_j > 0 for every
+        j != 0, which is exact for a circulant H.
+
+        Any other band goes through a reduction. Dof 0 is grounded and the
+        rest ordered 1, n-1, 2, n-2, ..., an ordinary band of half-width
+        w = 2b (Golub & Van Loan, Matrix Computations, §4.3). Cut into
+        blocks of width w, it is block tridiagonal and is factored by block
+        cyclic reduction. As H·1 = 0, the grounded matrix is positive
+        definite iff H is on mean-zero vectors, and the reduction's Cholesky
+        pivots succeed iff the grounded matrix is positive definite:
+        `np.linalg.LinAlgError` is raised exactly when H is not positive
+        definite on mean-zero vectors.
 
         One step of iterative refinement through the same factorization
         follows, with the residual in the difference form
@@ -70,6 +111,8 @@ class PeriodicBand:
     def _factor(self):
         if not np.all(np.isfinite(self.diags)):
             raise ValueError("PeriodicBand has non-finite entries")
+        if self.is_circulant():
+            return _spectral_solve(self._half_spectrum(), self.n)
         n, diags = self.n, self.diags
         layout = _grounded_layout(n, self.b)
         grounded = _cyclic_reduction(diags, layout)
@@ -102,6 +145,24 @@ class PeriodicBand:
         H = np.zeros((self.n, self.n))
         np.add.at(H, (rows, cols), vals)
         return H
+
+
+def _spectral_solve(lam, n):
+    """The solve rhs -> x of an n×n circulant band whose eigenvalues are
+    lam_j, j = 0..n//2, and lam_(n - j) = lam_j; raises
+    `np.linalg.LinAlgError` unless lam_j > 0 for every mode j != 0."""
+    if not np.all(lam[1:] > 0.0):
+        raise np.linalg.LinAlgError(
+            "PeriodicBand is not positive definite on mean-zero vectors")
+
+    def solve(rhs):
+        xh = np.fft.rfft(rhs)
+        xh[0] = 0.0
+        xh[1:] /= lam[1:]
+        x = np.fft.irfft(xh, n)
+        return x - x.mean()
+
+    return solve
 
 
 _Layout = namedtuple("_Layout", "order cols src dst pad nb")

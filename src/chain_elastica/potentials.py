@@ -4,6 +4,7 @@ forms under a macroscopic deformation gradient, and decay moments."""
 import numpy as np
 
 MAX_DERIVATIVE = 7
+POTENTIAL_KINDS = ("harmonic", "lj", "morse")
 
 # _LJ_COEFFS[p][j] = (-1)^j p (p+1) ... (p+j-1): d^j/ds^j s^-p = c s^-(p+j)
 _LJ_COEFFS = {p: [np.prod(np.arange(p, p + j), dtype=float) * (-1.0) ** j
@@ -13,6 +14,7 @@ _LJ_COEFFS = {p: [np.prod(np.arange(p, p + j), dtype=float) * (-1.0) ** j
 __all__ = [
     "PairPotential", "ShiftedPotential",
     "make_potential", "shifted", "decay_moment", "MAX_DERIVATIVE",
+    "POTENTIAL_KINDS",
 ]
 
 
@@ -27,7 +29,7 @@ class PairPotential:
     """
 
     def __init__(self, kind, eps=1.0, morse_a=4.0):
-        if kind not in ("harmonic", "lj", "morse"):
+        if kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {kind!r}")
         if eps <= 0:
             raise ValueError("scale eps must be positive")

@@ -19,7 +19,7 @@ __all__ = [
     "PiecewisePoly", "bspline", "bspline_kernel", "reproducing_kernel",
     "SplineKernel", "localization_weight", "moment_sum", "nodal_interpolant",
     "convolution_interpolant", "measurement_interpolant", "KernelField",
-    "periodic_spline_coefficients",
+    "periodic_spline_coefficients", "INTERP_KINDS",
 ]
 
 
@@ -276,6 +276,9 @@ def periodic_spline_coefficients(values, degree):
     # uniform periodic odd/even-degree spline collocation is never singular
     assert np.all(np.abs(symbol) > 1e-12), "singular interpolation system"
     return np.real(np.fft.ifft(np.fft.fft(values) / symbol))
+
+
+INTERP_KINDS = ("pi", "cubic", "quartic")
 
 
 def measurement_interpolant(v, kind):

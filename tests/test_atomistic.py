@@ -4,7 +4,6 @@ import pytest
 from chain_elastica.atomistic import (AtomisticSystem, atomistic_stress,
                                       dft_solve, external_work,
                                       hessian_dft_eigenvalues)
-from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
@@ -93,14 +92,12 @@ def test_objective_problem_shares_one_evaluation_per_point():
     assert_same_bits(callbacks(prob, u), want)
 
 
-def test_hessian_callback_refactors_only_for_new_stiffness(monkeypatch):
+def test_hessian_callback_refactors_only_for_new_stiffness(
+        monkeypatch, factorizations):
     # the harmonic chain has the same bond stiffness at every point: one
-    # band, factored once. A stiffness one ulp away gets a fresh band and a
-    # fresh factorization, the band built from that stiffness
-    factored = []
-    reduce = optimize._cyclic_reduction
-    monkeypatch.setattr(optimize, "_cyclic_reduction",
-                        lambda d, l: factored.append(d) or reduce(d, l))
+    # circulant band, factored once through its spectrum. A stiffness one
+    # ulp away gets a fresh band, no longer circulant, and a fresh
+    # factorization by the reduction, the band built from that stiffness
     N = 8
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2),
                            force=lattice_force(N))
@@ -109,13 +106,13 @@ def test_hessian_callback_refactors_only_for_new_stiffness(monkeypatch):
     H = prob.hessian(a)
     solve = H.factor()
     assert prob.hessian(b) is H and H.factor() is solve
-    assert len(factored) == 1
+    assert factorizations == [True]
     k = sys_.bond_stiffness(sys_._strains(b))
     k[1, 5] = np.nextafter(k[1, 5], np.inf)
     monkeypatch.setattr(sys_, "bond_stiffness", lambda strains: k.copy())
     fresh = prob.hessian(b)
     assert fresh is not H and fresh.factor() is not solve
-    assert len(factored) == 2
+    assert factorizations == [True, False]
     assert np.array_equal(fresh.diags, sys_.hessian(b, stiffness=k).diags)
     assert not np.array_equal(fresh.diags, H.diags)
 
@@ -153,6 +150,23 @@ def test_hessian_dft_matches_dense_and_formula():
     assert np.max(np.abs(lam - dense)) < 1e-10
     formula = np.sort(4 * np.sin(np.pi * np.arange(2 * N) / (2 * N)) ** 2)
     assert np.max(np.abs(lam - formula)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 16, 64, 256, 1024, 4096])
+def test_band_spectrum_matches_dft_oracle_on_every_mode(N):
+    # the harmonic chain's band is circulant and its eigenvalues() match the
+    # closed form to a few ulps relative, the smallest mode j = 1 included.
+    # For j > N the closed form's argument pi·j·rho/2N nears a multiple of
+    # pi and its sine loses digits, so there lam_j is checked against the
+    # closed form of its mirror mode 2N - j
+    sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))
+    H = sys_.hessian(np.zeros(2 * N))
+    assert H.is_circulant()
+    lam, ref = H.eigenvalues(), hessian_dft_eigenvalues(sys_)
+    assert lam[0] == 0.0
+    j = np.arange(1, N + 1)
+    for got in (lam[j], lam[2 * N - j]):
+        assert np.max(np.abs(got - ref[j]) / ref[j]) < 4 * np.finfo(float).eps
 
 
 def test_zero_force_gives_zero_displacement():

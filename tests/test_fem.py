@@ -163,6 +163,36 @@ def test_stable_models_positive_definite_unstable_flagged():
         solve_continuum(ill, sp, cos_force(N))
 
 
+@pytest.mark.parametrize("N", [6, 8, 16])
+@pytest.mark.parametrize("key", ["hoc4", "hoc6"])
+def test_harmonic_band_spectrum_matches_dense(key, N):
+    # the homogeneous-state band is circulant: its eigenvalues(), the
+    # spectrum the solver certifies, are those of the dense matrix
+    m = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
+    sp = PeriodicSplineSpace(N)
+    H = assemble(m, sp).hessian(np.zeros(sp.n))
+    assert H.is_circulant()
+    dense = np.linalg.eigvalsh(H.toarray())
+    lam = np.sort(H.eigenvalues())
+    assert np.max(np.abs(lam - dense)) < 1e-14 * dense[-1]
+    assert hessian_smallest_eigenvalue(m, sp) == np.min(H.eigenvalues()[1:])
+
+
+@pytest.mark.parametrize("key, potential", [("ill2", "harmonic"),
+                                            ("first", "morse")])
+def test_unstable_models_fail_the_spectral_certificate(key, potential,
+                                                       factorizations):
+    # from the cold start u = 0 the first Hessian is circulant, and its
+    # spectrum has a negative mode
+    N = 8
+    m = continuum_model(key, make_potential(potential), bonds=(1, 2))
+    sp = PeriodicSplineSpace(N)
+    assert hessian_smallest_eigenvalue(m, sp) < 0.0
+    with pytest.raises(IndefiniteHessianError):
+        solve_continuum(m, sp, cos_force(N))
+    assert factorizations == [True]
+
+
 def test_domain_violation_reports_element():
     N = 8
     sp = PeriodicSplineSpace(N)
@@ -216,14 +246,11 @@ def test_solver_energy_matches_continuum_energy(key, potential, N):
 
 
 def test_hessian_callback_refactors_only_for_new_density_hessian(
-        monkeypatch):
+        monkeypatch, factorizations):
     # a harmonic density has the same density_hess planes at every point:
-    # one band, factored once. Planes one ulp away get a fresh band and a
-    # fresh factorization
-    factored = []
-    reduce = optimize._cyclic_reduction
-    monkeypatch.setattr(optimize, "_cyclic_reduction",
-                        lambda d, l: factored.append(d) or reduce(d, l))
+    # one circulant band, factored once through its spectrum. Planes one ulp
+    # away get a fresh band, no longer circulant, and a fresh factorization
+    # by the reduction
     N = 8
     m = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
     prob = assemble(m, PeriodicSplineSpace(N), cos_force(N))
@@ -231,7 +258,7 @@ def test_hessian_callback_refactors_only_for_new_density_hessian(
     H = prob.hessian(a)
     solve = H.factor()
     assert prob.hessian(b) is H and H.factor() is solve
-    assert len(factored) == 1
+    assert factorizations == [True]
     density_hess = m.density_hess
 
     def one_ulp_off(g, args=None):
@@ -242,7 +269,7 @@ def test_hessian_callback_refactors_only_for_new_density_hessian(
     monkeypatch.setattr(m, "density_hess", one_ulp_off)
     fresh = prob.hessian(b)
     assert fresh is not H and fresh.factor() is not solve
-    assert len(factored) == 2
+    assert factorizations == [True, False]
     assert not np.array_equal(fresh.diags, H.diags)
 
 

@@ -15,7 +15,6 @@ from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     run_stability, run_sweep, solve_cell,
                                     unfitted_models, write_records_csv,
                                     write_stability)
-from chain_elastica import optimize
 from chain_elastica.optimize import PeriodicBand
 
 
@@ -327,7 +326,14 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ("eps_list = (0.125, 0.3)\n",
      "eps = 0.3 is not the reciprocal of an integer"),
     (None, "No such file or directory"),
-], ids=["unknown-key", "bad-eps", "missing-file"])
+    ('potential = "foo"\n', "potential: 'foo' is not one of harmonic, lj, "
+     "morse"),
+    ('models = ("atomistic",)\n', "models: 'atomistic' is not one of cb, "
+     "hoc4, hoc6, ill2, first"),
+    ('interp = "linear"\n', "interp: 'linear' is not one of pi, cubic, "
+     "quartic"),
+], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
+        "bad-model", "bad-interp"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -440,27 +446,27 @@ def test_lj_sweep_certifies_every_cell_of_every_model():
     assert [f.model for f in fits] == list(cfg.models)
 
 
-def test_default_lj_sweep_factorization_count(monkeypatch):
+def test_default_lj_sweep_factorization_count(monkeypatch, factorizations):
     # warm starts and the step test: 49 factorizations where cold starts
-    # with a gradient tolerance took 96
+    # with a gradient tolerance took 96. Only the N = 8 chain, which starts
+    # cold at u = 0, has a circulant Hessian
     calls = []
     factor = PeriodicBand.factor
     monkeypatch.setattr(PeriodicBand, "factor",
                         lambda self: calls.append(self.n) or factor(self))
     run_sweep(StudyConfig(potential="lj", models=("cb", "hoc4")))
     assert len(calls) <= 52
+    assert len(factorizations) == 49
+    assert factorizations.count(True) == 1
 
 
-def test_default_harmonic_sweep_factorization_count(monkeypatch):
+def test_default_harmonic_sweep_factorization_count(factorizations):
     # a linear problem has one Hessian: each of the 32 solves factors it
-    # once, where the stopping step factored it again (54)
-    calls = []
-    reduce = optimize._cyclic_reduction
-    monkeypatch.setattr(optimize, "_cyclic_reduction",
-                        lambda d, l: calls.append(d.shape) or reduce(d, l))
+    # once, where the stopping step factored it again (54). Every one is
+    # circulant and goes through its spectrum
     run_sweep(StudyConfig(potential="harmonic",
                           models=("cb", "hoc4", "hoc6")))
-    assert len(calls) <= 32
+    assert factorizations == [True] * 32
 
 
 def test_a_cell_measures_each_model_as_if_alone():

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,21 @@ def test_hermite_is_c4_at_nodes():
         left = H.eval(np.array([2.0 - h]), deriv)
         right = H.eval(np.array([2.0 + h]), deriv)
         assert abs(left - right) < 1e-5, deriv
+
+
+def test_importing_the_cli_does_not_build_the_hermite_matrix():
+    # a fresh interpreter: the exact rational Hermite matrix, and the
+    # fractions module, wait for the first Hermite interpolant
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; import chain_elastica.cli; "
+            "from chain_elastica import lattice; "
+            "built = lattice._hermite9_matrix.cache_info().currsize; "
+            "loaded = 'fractions' in sys.modules; "
+            "lattice.hermite_interpolant(lattice.PeriodicLatticeField("
+            "[0.0] * 8)); "
+            "print(built, loaded, lattice._hermite9_matrix.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "1"]

@@ -121,6 +121,83 @@ def test_periodic_band_solve_is_accurate_on_long_rings(n, weights):
         assert np.max(np.abs(x - f / lam)) < 1e-13 / lam
 
 
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0],
+                                     [1.0, 0.5, 0.2, 0.1, 0.05]])
+@pytest.mark.parametrize("n", [2048, 8192])
+def test_periodic_band_reduction_is_accurate_on_long_rings(
+        n, weights, factorizations):
+    # the long rings above with each bond weight scaled by a random factor
+    # in [0.5, 1.5]: no longer circulant, so the reduction solves them. The
+    # right-hand side of a smooth mode x is H x in the difference form,
+    # exact on constants; the refined solve recovers x to a few 1e-15
+    gen = np.random.default_rng([n, len(weights)])
+    H = bond_band(n, np.outer(weights, np.ones(n))
+                  * gen.uniform(0.5, 1.5, (len(weights), n)))
+    m = np.arange(n)
+    cols = (m + np.arange(-H.b, H.b + 1)[:, None]) % n
+    for j in (1, 3):
+        x = np.cos(2 * np.pi * j * m / n)
+        rhs = np.einsum("om,om->m", H.diags, x[cols] - x)
+        assert np.max(np.abs(H.solve(rhs) - x)) < 1e-13
+    assert factorizations == [False]
+
+
+@pytest.mark.parametrize("n, singular", [(16, True), (64, True),
+                                         (17, False), (65, False)])
+def test_periodic_band_spectral_certificate_is_exact(n, singular,
+                                                     factorizations):
+    # second-neighbour bonds only: an even ring falls apart into two rings
+    # of n/2 sites, and its alternating mode j = n/2 costs exactly nothing,
+    # lam = 4·sin^2(pi) = 0. That one non-positive mode must fail the
+    # certificate. An odd ring stays connected and is positive definite
+    H = bond_band(n, np.array([np.zeros(n), np.ones(n)]))
+    assert H.is_circulant()
+    lam = H.eigenvalues()
+    assert lam[0] == 0.0
+    assert (lam[1:] <= 0.0).sum() == (1 if singular else 0)
+    rhs = mean_zero(rng.standard_normal(n))
+    if singular:
+        assert lam[n // 2] == 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            H.solve(rhs)
+    else:
+        ref = mean_zero(np.linalg.lstsq(H.toarray(), rhs, rcond=None)[0])
+        assert np.max(np.abs(H.solve(rhs) - ref)) < 1e-12
+    assert factorizations == [True]
+
+
+@pytest.mark.parametrize("n, b", [(11, 5), (64, 2), (1000, 5), (2048, 2)])
+def test_periodic_band_one_ulp_off_circulant_takes_the_reduction(
+        n, b, factorizations):
+    # one bond weight one ulp above the rest: the band is no longer
+    # circulant, is factored by the reduction, and agrees with the spectral
+    # solve of the exactly circulant band to roundoff
+    weights = np.outer(np.linspace(1.0, 0.2, b), np.ones(n))
+    circulant = bond_band(n, weights)
+    weights[b // 2, n // 3] = np.nextafter(weights[b // 2, n // 3], 2.0)
+    off = bond_band(n, weights)
+    assert circulant.is_circulant() and not off.is_circulant()
+    with pytest.raises(ValueError):
+        off.eigenvalues()
+    rhs = mean_zero(rng.standard_normal(n))
+    x, y = circulant.solve(rhs), off.solve(rhs)
+    assert factorizations == [True, False]
+    assert np.max(np.abs(x - y)) < 1e-13 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n, b", [(2, 1), (4, 2), (10, 5)])
+def test_periodic_band_with_aliased_offsets_takes_the_reduction(
+        n, b, factorizations):
+    # n <= 2b aliases offsets: even with equal columns the band is not
+    # treated as circulant, and the reduction solves it
+    H = bond_band(n, np.ones((b, n)))
+    assert not H.is_circulant()
+    rhs = mean_zero(rng.standard_normal(n))
+    ref = mean_zero(np.linalg.lstsq(H.toarray(), rhs, rcond=None)[0])
+    assert np.max(np.abs(H.solve(rhs) - ref)) < 1e-12
+    assert factorizations == [False]
+
+
 @pytest.mark.parametrize("delta, indefinite", [(1e-2, True), (5e-4, False)])
 def test_periodic_band_certificate_sees_global_mode(delta, indefinite):
     # unit nearest-neighbour bonds, weak second-neighbour bonds and one
