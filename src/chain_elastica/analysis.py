@@ -88,12 +88,14 @@ class StabilityReport:
 
 
 def _discrete_atomistic_min(system, N):
-    """min over the nonzero discrete modes of the generalized Rayleigh
-    quotient (circulant Hessian against the discrete-gradient Gram)."""
+    """min over the nonzero discrete modes k = 1..2N-1 of the generalized
+    Rayleigh quotient (circulant Hessian against the discrete-gradient Gram
+    4 sin^2(pi k / 2N), with k taken as min(k, 2N - k) so that the sine's
+    argument is in [0, pi/2])."""
     chain = AtomisticSystem(N, system.potential, bonds=system.bonds, F=system.F)
-    theta = np.pi * np.arange(1, 2 * N) / N
-    return float(np.min(hessian_dft_eigenvalues(chain)[1:]
-                        / (4.0 * np.sin(0.5 * theta) ** 2)))
+    k = np.arange(1, 2 * N)
+    gram = 4.0 * np.sin(np.pi * np.minimum(k, 2 * N - k) / (2 * N)) ** 2
+    return float(np.min(hessian_dft_eigenvalues(chain)[1:] / gram))
 
 
 def stability_constants(system, band=(0.0, 1.0), ngrid=10_000,

@@ -186,8 +186,11 @@ def atomistic_stress(system, u, kernel, x):
 
 def hessian_dft_eigenvalues(system):
     """Eigenvalues of the homogeneous-state circulant Hessian, k = 0..2N-1:
-    sum_rho 4 phi_rho''(0) sin^2(pi k rho / 2N). A closed-form oracle from
-    the potential alone: the tests check `PeriodicBand.eigenvalues`, the
+    sum_rho 4 phi_rho''(0) sin^2(pi k rho / 2N). sin^2(pi m / 2N) has
+    period 2N in m and is even, so each argument is taken as pi m / 2N
+    with m = min(k rho mod 2N, 2N - k rho mod 2N) in [0, pi/2], where the
+    sine keeps its relative accuracy. A closed-form oracle from the
+    potential alone: the tests check `PeriodicBand.eigenvalues`, the
     spectrum the solver certifies and solves with, against it, so it must
     not be built on the assembled band."""
     n = 2 * system.N
@@ -195,7 +198,8 @@ def hessian_dft_eigenvalues(system):
     lam = np.zeros(n)
     for rho in system.bonds:
         phi2 = float(system.phi[rho].derivative(2, np.zeros(1))[0])
-        lam += 4.0 * phi2 * np.sin(np.pi * k * rho / n) ** 2
+        m = k * rho % n
+        lam += 4.0 * phi2 * np.sin(np.pi * np.minimum(m, n - m) / n) ** 2
     return lam
 
 

@@ -77,11 +77,14 @@ class PeriodicSplineSpace:
         cells = np.arange(-self.N, self.N, dtype=float)
         return cells[:, None] + self.qt[None, :]
 
-    def element_columns(self, local):
+    def element_columns(self, local, rows=None):
         """For an array with one column per element, the function o -> its
         columns for the elements (j - o) % n, j = 0..n-1, which hold dof j
-        at offset o."""
-        ext = local[..., self._wrap]
+        at offset o. `rows` takes those rows of a 2-d array, in one copy
+        laid out as without it (column-major), so products with it round
+        the same."""
+        ext = local[..., self._wrap] if rows is None else \
+            local.T[self._wrap[:, None], rows].T
         return lambda o: ext[..., 3 - o:3 - o + self.n]
 
     def load_vector(self, f):
@@ -154,6 +157,8 @@ def assemble(model, space, f=None):
     coefficient vector (`evaluate_once`): the gradients at the quadrature
     points and the model's bond arguments. The Hessian callback returns one
     band per value of the `density_hess` planes at the quadrature points.
+    The planes are symmetric, so the band is keyed on and assembled from
+    the planes (r, s) with r <= s alone; plane (s, r) is read from (r, s).
     The problem's `energy` is the objective without its load term."""
     orders = model.density_orders
     w0 = model.density0()
@@ -194,8 +199,16 @@ def assemble(model, space, f=None):
         dw = model.density_grad(g, args).reshape(-1, n)
         return space.scatter_add(grad_kernel @ dw) - load
 
-    def build_band(d2w):
-        columns = space.element_columns(d2w.reshape(-1, n))
+    upper = np.triu_indices(len(orders))
+    # for each (r, s, q) in the order the Hessian kernel reads them, the row
+    # of plane (min(r, s), max(r, s)) at Gauss point q among the r <= s
+    # planes
+    pair = np.zeros((len(orders),) * 2, dtype=np.intp)
+    pair[upper] = pair.T[upper] = np.arange(len(upper[0]))
+    rows = (pair.reshape(-1, 1) * nq + np.arange(nq)).ravel()
+
+    def build_band(d2w_upper):
+        columns = space.element_columns(d2w_upper.reshape(-1, n), rows)
         H = PeriodicBand(n, 5)
         H.add(np.arange(-5, 6), sum(hess_kernel[io] @ columns(o)
                                     for io, o in enumerate(offsets)))
@@ -205,7 +218,7 @@ def assemble(model, space, f=None):
 
     def hessian(c):
         g, args = at(c)
-        return band(model.density_hess(g, args))
+        return band(model.density_hess(g, args)[upper])
 
     return ContinuumProblem(objective, gradient, hessian, energy=energy)
 

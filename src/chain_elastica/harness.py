@@ -20,17 +20,18 @@ from .continuum import MODEL_KEYS, SineField, consistency_residual, \
     continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
-from .lattice import hermite_interpolant
+from .lattice import PeriodicLatticeField, hermite_interpolant
 from .potentials import POTENTIAL_KINDS, make_potential
 from .quadrature import composite_points
 from .splines import INTERP_KINDS, KernelField, bspline_kernel, \
-    measurement_interpolant, periodic_spline_coefficients, reproducing_kernel
+    measurement_interpolant, periodic_spline_coefficients, \
+    periodic_spline_subdivision, periodic_spline_values, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
-           "fit_models", "unfitted_models", "Cell", "solve_cell", "run_sweep",
-           "run_consistency", "run_stability", "write_records_csv",
-           "write_fits_json", "write_solution_csvs", "write_consistency",
-           "write_stability", "load_config"]
+           "fit_models", "unfitted_models", "Cell", "History", "solve_cell",
+           "run_sweep", "run_consistency", "run_stability",
+           "write_records_csv", "write_fits_json", "write_solution_csvs",
+           "write_consistency", "write_stability", "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
 
@@ -76,6 +77,7 @@ class Cell:
     records: list           # one ConvergenceRecord per model, in model order
     fields: dict            # model -> FemField, for the models solved
     distances: dict         # model -> ||grad I u_a - grad u_c||_L2, lattice units
+    history: "History"      # the start of the next cell
 
 
 @dataclass
@@ -126,54 +128,134 @@ def _lattice_force(N):
     return eps * np.cos(np.pi * eps * xi)
 
 
-def _prolong(u, N):
-    """Start of nested iteration (Hackbusch, Multi-Grid Methods and
-    Applications, 1985) for the chain on 2N sites from the solution u on 2M
-    sites: (N / M)·I u(xi·M / N), with I u the periodic quintic spline
-    through u. The displacement scales like N under the forcing
-    eps·cos(pi·eps·xi)."""
-    M = u.N
-    spline = KernelField(periodic_spline_coefficients(u.values, 5),
-                         bspline_kernel(5), M)
+def _prolong(coeffs, N):
+    """The chain's start on 2N sites from the quintic-spline coefficients of
+    a solution on 2M sites: (N / M)·I u(xi·M / N), with I u that spline.
+    The displacement scales like N under the forcing eps·cos(pi·eps·xi)."""
+    M = coeffs.size // 2
+    spline = KernelField(coeffs, bspline_kernel(5), M)
     return (N / M) * spline.eval(np.arange(-N, N) * (M / N))
+
+
+# Lagrange weights that extrapolate in eps**2 to a cell's eps**2 = h from
+# its coarser solutions at eps**2 = 4h, 16h, 64h (eps halving), finest
+# first, by history length
+_EXTRAPOLATION = {1: np.array([1.0]), 2: np.array([5 / 4, -1 / 4]),
+                  3: np.array([21 / 16, -21 / 64, 1 / 64])}
+
+
+@dataclass
+class History:
+    """The converged solutions of the cells before one eps, the start of
+    nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985):
+    the quintic-spline coefficients of the chain's displacement and of each
+    model's field on the mesh of the last cell, 2N sites, as the rows of one
+    array per solve, finest first. Each holds at most 3 solutions, at eps
+    halving from one row to the next, and none where the last solve
+    failed."""
+    N: int
+    chain: np.ndarray
+    models: dict
+
+    def solutions(self, key=None):
+        """The chain's array (key None) or a model's; no rows for a model
+        the history does not hold."""
+        if key is None:
+            return self.chain
+        return self.models.get(key, np.zeros((0, 2 * self.N)))
+
+    def moved(self, N):
+        """The history on 2N sites when N is 2·self.N, else None: every
+        solution subdivided onto the mesh twice as fine and scaled by 2,
+        like the displacement, all in one call."""
+        if N != 2 * self.N:
+            return None
+        arrays = [self.chain, *self.models.values()]
+        ends = np.cumsum([len(a) for a in arrays])[:-1]
+        chain, *models = np.split(
+            2.0 * periodic_spline_subdivision(np.concatenate(arrays), 5),
+            ends)
+        return History(N, chain, dict(zip(self.models, models)))
+
+    def extrapolated(self, key=None):
+        """The Richardson extrapolation in eps**2 (`_EXTRAPOLATION`) of the
+        chain's solutions (key None) or of a model's. None when there are
+        none, and for a model when there is only one: a model then starts
+        better from the chain of its own cell."""
+        rows = self.solutions(key)
+        if len(rows) < (1 if key is None else 2):
+            return None
+        return _EXTRAPOLATION[len(rows)] @ rows
+
+    def pushed(self, key, new, ok):
+        """The solutions of the chain (key None) or a model after its solve
+        in the next cell: `new` in front of the finest two if the solve
+        converged, else none."""
+        rows = self.solutions(key)
+        return np.vstack([new, rows[:2]]) if ok else rows[:0]
 
 
 def solve_cell(cfg, eps, models, coarse=None):
     """One eps of the study: the atomistic chain is solved once, then each
-    continuum model in `models` is solved and measured against it. The chain
-    starts from `coarse`, the chain displacement of a coarser cell, prolonged
-    to this mesh (`_prolong`), or from 0; each model starts from the quintic
-    spline through the chain's site values. What the models share is
-    computed once per cell: the chain's energy above the homogeneous state
-    (carried by its solution), grad I u at the Gauss points of the error
-    norm, and the FEM load vector. A model whose Hessian is indefinite gets
-    a NaN record with the reason and no field. If the chain did not
-    converge, the other records give that as their reason."""
+    continuum model in `models` is solved and measured against it.
+
+    `coarse` holds solutions of coarser cells: the `History` that the cell
+    before returned, a chain displacement of a coarser cell or None. When
+    this cell halves the eps of a history, each solve starts from the
+    extrapolation of its solutions moved to this mesh
+    (`History.extrapolated`): the chain from that spline at its sites, a
+    model from those coefficients. Otherwise the chain starts from the
+    latest coarser chain prolonged to this mesh (`_prolong`), or from 0.
+    A model without its own extrapolation starts from the quintic spline
+    through the chain's site values.
+
+    What the models share is computed once per cell: the chain's energy
+    above the homogeneous state (carried by its solution), grad I u at the
+    Gauss points of the error norm, and the FEM load vector. A model whose
+    Hessian is indefinite gets a NaN record with the reason and no field.
+    If the chain did not converge, the other records give that as their
+    reason. The cell returns the history for the next one."""
     N = _eps_to_N(eps)
+    if isinstance(coarse, PeriodicLatticeField):
+        coarse = History(coarse.N, periodic_spline_coefficients(
+            coarse.values, 5)[None], {})
+    history = None if coarse is None else coarse.moved(N)
+    if history is None:
+        u0 = None if coarse is None or not len(coarse.chain) else \
+            _prolong(coarse.chain[0], N)
+        history = History(N, np.zeros((0, 2 * N)), {})
+    else:
+        c0 = history.extrapolated()
+        u0 = None if c0 is None else periodic_spline_values(c0, 5)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
                              force=_lattice_force(N), kappa=cfg.kappa)
-    sol_a = system.solve(max_iter=cfg.max_iter,
-                         u0=None if coarse is None else _prolong(coarse, N))
+    sol_a = system.solve(max_iter=cfg.max_iter, u0=u0)
     iu = measurement_interpolant(sol_a.displacement, cfg.interp)
     grad_iu = iu.eval(composite_points(N), 1)
     # the FEM coefficients of the quintic spline through the chain
     start = periodic_spline_coefficients(sol_a.displacement.values, 5)
     space = PeriodicSplineSpace(N)
     load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
-    cell = Cell(sol_a, [], {}, {})
+    cell = Cell(sol_a, [], {}, {},
+                History(N, history.pushed(None, start, sol_a.converged), {}))
     chain_failure = ("" if sol_a.converged else
                      f"atomistic chain not converged: {sol_a.message}")
     for key in models:
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
+        x0 = history.extrapolated(key)
         try:
-            u_c = solve_continuum(model, space, load, cfg.max_iter, start)
+            u_c = solve_continuum(model, space, load, cfg.max_iter,
+                                  start if x0 is None else x0)
         except IndefiniteHessianError as exc:
+            cell.history.models[key] = history.pushed(key, None, False)
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
                 reason=str(exc)))
             continue
+        cell.history.models[key] = history.pushed(key, u_c.coeffs,
+                                                  u_c.result.converged)
         g_err = grad_l2_distance(grad_iu, u_c, N)
         e_gap = energy_gap(system, sol_a, model, u_c)
         cell.fields[key] = u_c
@@ -188,16 +270,16 @@ def solve_cell(cfg, eps, models, coarse=None):
 def run_sweep(cfg):
     """The refinement protocol: for each eps solve both descriptions, measure
     the scaled gradient error and energy gap, then fit slopes per model.
-    The eps run from coarse to fine, and each converged chain is the start
-    of the next (nested iteration, `solve_cell`). Output ordering is
-    deterministic: models in config order, eps descending. See
-    `unfitted_models` for the models left unfitted."""
+    The eps run from coarse to fine, and each cell starts from the history
+    of converged solutions the one before returns (nested iteration,
+    `solve_cell`). Output ordering is deterministic: models in config
+    order, eps descending. See `unfitted_models` for the models left
+    unfitted."""
     by_eps, coarse = [], None
     for eps in sorted(cfg.eps_list, reverse=True):
         cell = solve_cell(cfg, eps, cfg.models, coarse)
         by_eps.append(cell.records)
-        coarse = cell.atomistic.displacement if cell.atomistic.converged \
-            else None
+        coarse = cell.history
     records = [row[i] for i in range(len(cfg.models)) for row in by_eps]
     return records, fit_models(cfg, records, "grad_error")
 

@@ -318,7 +318,9 @@ def newton_minimize(problem, x0):
 
     The objective is evaluated once per point: the accepted line-search
     trial's value is the next iterate's, and the result carries f at the
-    returned point. Backtracking enforces Armijo decrease unless the
+    returned point. At x0 it is evaluated only if the line search or an
+    exit at x0 reads it, so a solve that stops at its first step makes one
+    objective call. Backtracking enforces Armijo decrease unless the
     predicted decrease -g.p is below the objective's rounding level
     (ROUNDOFF_RTOL·|f|); such a step is accepted when it lowers
     ||g||_inf instead."""
@@ -329,7 +331,7 @@ def newton_minimize(problem, x0):
         gx = g(x)
         return gx - gx.mean()
 
-    fx, gx, gnorm = f(x), None, float("nan")
+    fx, gx, gnorm = None, None, float("nan")
     for it in range(problem.max_iter):
         if gx is None:
             gx = centered_gradient(x)
@@ -337,17 +339,20 @@ def newton_minimize(problem, x0):
         try:
             solve = problem.hessian(x).factor()
         except np.linalg.LinAlgError:
-            return MinimizeResult(x, fx, gnorm, it, False,
-                                  "Hessian not positive definite",
+            return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
+                                  False, "Hessian not positive definite",
                                   hessian_indefinite=True)
         if gnorm == 0.0:
-            return MinimizeResult(x, fx, gnorm, it, True, "converged")
+            return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
+                                  True, "converged")
         p = solve(-gx)
         del solve   # the band holds it for as long as the band is reused
         if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
             x = x + p
             x -= x.mean()
             return MinimizeResult(x, f(x), gnorm, it + 1, True, "converged")
+        if fx is None:
+            fx = f(x)
         slope = float(np.dot(gx, p))
         roundoff = -slope <= ROUNDOFF_RTOL * abs(fx)
         alpha = 1.0
@@ -367,8 +372,8 @@ def newton_minimize(problem, x0):
             return MinimizeResult(x, fx, gnorm, it, False,
                                   "backtracking failed")
         x, fx, gx = xn, fn, gn
-    return MinimizeResult(x, fx, gnorm, problem.max_iter, False,
-                          "max iterations")
+    return MinimizeResult(x, f(x) if fx is None else fx, gnorm,
+                          problem.max_iter, False, "max iterations")
 
 
 def evaluate_once(evaluate, copy=True):

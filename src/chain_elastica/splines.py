@@ -19,7 +19,8 @@ __all__ = [
     "PiecewisePoly", "bspline", "bspline_kernel", "reproducing_kernel",
     "SplineKernel", "localization_weight", "moment_sum", "nodal_interpolant",
     "convolution_interpolant", "measurement_interpolant", "KernelField",
-    "periodic_spline_coefficients", "INTERP_KINDS",
+    "periodic_spline_coefficients", "periodic_spline_values",
+    "periodic_spline_subdivision", "INTERP_KINDS",
 ]
 
 
@@ -261,11 +262,10 @@ def convolution_interpolant(v, kernel):
     return KernelField(v.values, kernel.convolve(kernel), v.N)
 
 
-def periodic_spline_coefficients(values, degree):
-    """Coefficients c with sum_j c_j B_degree(xi - j) = values[xi] on the
-    periodic grid, via the circulant symbol in Fourier space."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
+@functools.lru_cache(maxsize=32)
+def _interpolation_symbol(n, degree):
+    """sum_off B_degree(off) cos(2 pi off j / n), j = 0..n-1: the DFT of the
+    circulant collocation matrix on n periodic sites; read-only."""
     rad = (degree + 1) // 2 + 1
     offsets = np.arange(-rad, rad + 1)
     bvals = bspline(degree, offsets.astype(float))
@@ -275,7 +275,51 @@ def periodic_spline_coefficients(values, degree):
             symbol += b * np.cos(2 * np.pi * off * np.arange(n) / n)
     # uniform periodic odd/even-degree spline collocation is never singular
     assert np.all(np.abs(symbol) > 1e-12), "singular interpolation system"
+    symbol.flags.writeable = False
+    return symbol
+
+
+def periodic_spline_coefficients(values, degree):
+    """Coefficients c with sum_j c_j B_degree(xi - j) = values[xi] on the
+    periodic grid, via the circulant symbol in Fourier space (computed once
+    per grid size and degree)."""
+    values = np.asarray(values, dtype=float)
+    symbol = _interpolation_symbol(values.size, degree)
     return np.real(np.fft.ifft(np.fft.fft(values) / symbol))
+
+
+def periodic_spline_values(coeffs, degree):
+    """The values at the sites of the periodic spline
+    sum_j c_j B_degree(xi - j): the inverse of
+    `periodic_spline_coefficients`, through the same circulant symbol."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    symbol = _interpolation_symbol(coeffs.size, degree)
+    return np.real(np.fft.ifft(np.fft.fft(coeffs) * symbol))
+
+
+def periodic_spline_subdivision(coeffs, degree):
+    """Coefficients d on 2n sites with sum_l d_l B_degree(x - l) =
+    sum_j c_j B_degree(x/2 - j), for the coefficients c of a periodic spline
+    on n sites (the last axis of `coeffs`) and an odd degree: the same
+    function on a mesh twice as fine, site j moving to site 2j. From the
+    refinement relation B_d(x/2) = sum_|k|<=h C(d+1, k+h) / 2^d B_d(x - k),
+    h = (d+1)/2, d is c upsampled by 2 and convolved with that mask (Lane &
+    Riesenfeld, IEEE Trans. PAMI 2, 1980): d[2i + k] += C(d+1, k+h) / 2^d
+    · c[i]."""
+    if degree % 2 == 0:
+        raise ValueError("dyadic subdivision keeps only odd-degree centered "
+                         "B-splines on the integers")
+    c = np.asarray(coeffs, dtype=float)
+    n, half = c.shape[-1], (degree + 1) // 2
+    pad = half // 2 + 1
+    ext = np.concatenate([c[..., n - pad:], c, c[..., :pad]], axis=-1)
+    fine = np.zeros(c.shape[:-1] + (2 * n,))
+    for k in range(-half, half + 1):
+        # d[2i + k % 2] takes c[i - s]: the entries of ext from pad - s
+        s = (k - k % 2) // 2
+        fine[..., k % 2::2] += comb(degree + 1, k + half) / 2.0 ** degree \
+            * ext[..., pad - s:pad - s + n]
+    return fine
 
 
 INTERP_KINDS = ("pi", "cubic", "quartic")

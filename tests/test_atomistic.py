@@ -155,18 +155,16 @@ def test_hessian_dft_matches_dense_and_formula():
 @pytest.mark.parametrize("N", [8, 16, 64, 256, 1024, 4096])
 def test_band_spectrum_matches_dft_oracle_on_every_mode(N):
     # the harmonic chain's band is circulant and its eigenvalues() match the
-    # closed form to a few ulps relative, the smallest mode j = 1 included.
-    # For j > N the closed form's argument pi·j·rho/2N nears a multiple of
-    # pi and its sine loses digits, so there lam_j is checked against the
-    # closed form of its mirror mode 2N - j
+    # closed form to a few ulps relative on every mode j = 1..2N-1, the
+    # smallest ones j = 1 and 2N - 1 included: both reduce their sines'
+    # arguments to [0, pi/2]
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))
     H = sys_.hessian(np.zeros(2 * N))
     assert H.is_circulant()
     lam, ref = H.eigenvalues(), hessian_dft_eigenvalues(sys_)
-    assert lam[0] == 0.0
-    j = np.arange(1, N + 1)
-    for got in (lam[j], lam[2 * N - j]):
-        assert np.max(np.abs(got - ref[j]) / ref[j]) < 4 * np.finfo(float).eps
+    assert lam[0] == 0.0 and ref[0] == 0.0
+    j = np.arange(1, 2 * N)
+    assert np.max(np.abs(lam[j] - ref[j]) / ref[j]) < 4 * np.finfo(float).eps
 
 
 def test_zero_force_gives_zero_displacement():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from chain_elastica import cli
+from chain_elastica import cli, harness
 from chain_elastica.analysis import StabilityReport
 from chain_elastica.cli import main as cli_main
 from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
@@ -446,18 +446,40 @@ def test_lj_sweep_certifies_every_cell_of_every_model():
     assert [f.model for f in fits] == list(cfg.models)
 
 
+def _newton_steps(monkeypatch, cfg):
+    """run_sweep(cfg) with the Newton steps of each cell: N -> [chain, then
+    each model that was solved]."""
+    steps = {}
+
+    def counted(cfg, eps, models, coarse=None):
+        cell = solve_cell(cfg, eps, models, coarse)
+        steps[cell.atomistic.displacement.N] = [cell.atomistic.iterations] + [
+            cell.fields[key].result.iterations for key in models
+            if key in cell.fields]
+        return cell
+
+    monkeypatch.setattr(harness, "solve_cell", counted)
+    run_sweep(cfg)
+    return steps
+
+
 def test_default_lj_sweep_factorization_count(monkeypatch, factorizations):
-    # warm starts and the step test: 49 factorizations where cold starts
-    # with a gradient tolerance took 96. Only the N = 8 chain, which starts
-    # cold at u = 0, has a circulant Hessian
+    # nested iteration from the extrapolated coarser solutions and the step
+    # test: 39 factorizations, where prolonged starts took 49 and cold
+    # starts with a gradient tolerance 96. From N = 128 on, each solve takes
+    # one Newton step. Only the N = 8 chain, which starts cold at u = 0,
+    # has a circulant Hessian
     calls = []
     factor = PeriodicBand.factor
     monkeypatch.setattr(PeriodicBand, "factor",
                         lambda self: calls.append(self.n) or factor(self))
-    run_sweep(StudyConfig(potential="lj", models=("cb", "hoc4")))
+    steps = _newton_steps(monkeypatch,
+                          StudyConfig(potential="lj", models=("cb", "hoc4")))
     assert len(calls) <= 52
-    assert len(factorizations) == 49
+    assert len(factorizations) == 39
     assert factorizations.count(True) == 1
+    assert {N: s for N, s in steps.items() if N >= 128} == {
+        N: [1, 1, 1] for N in (128, 256, 512, 1024)}
 
 
 def test_default_harmonic_sweep_factorization_count(factorizations):
@@ -467,6 +489,108 @@ def test_default_harmonic_sweep_factorization_count(factorizations):
     run_sweep(StudyConfig(potential="harmonic",
                           models=("cb", "hoc4", "hoc6")))
     assert factorizations == [True] * 32
+
+
+def test_default_morse_sweep_takes_one_newton_step_per_solve_from_N_128(
+        monkeypatch):
+    # as on the LJ sweep, each start is the Richardson extrapolation in
+    # eps^2 of the coarser solutions, within about 1e-10 relative of the
+    # solution from N = 128 on: the first step already passes the step
+    # test. Prolonged starts took 49 steps
+    steps = _newton_steps(monkeypatch, StudyConfig(potential="morse",
+                                                   models=("cb", "hoc4")))
+    assert sum(map(sum, steps.values())) == 39
+    assert all(s == [1, 1, 1] for N, s in steps.items() if N >= 128)
+
+
+def test_harmonic_sweep_factors_once_per_solve_in_few_newton_steps(
+        monkeypatch, factorizations):
+    # one factorization per solve, as with prolonged starts (54 steps), and
+    # no more than 47 Newton steps: a linear solve takes a second step only
+    # to see that its first one was small
+    steps = _newton_steps(monkeypatch, StudyConfig(
+        potential="harmonic", models=("cb", "hoc4", "hoc6")))
+    assert factorizations == [True] * 32
+    assert sum(map(sum, steps.values())) <= 47
+
+
+def test_extrapolated_and_cold_starts_reach_the_same_cell():
+    # three coarser cells give the N = 256 cell starts extrapolated from
+    # three solutions each: one Newton step per solve, at the minimizers
+    # that cold starts reach, to far below the rows' 1e-6 reference
+    # tolerance
+    cfg = StudyConfig(potential="lj", models=("cb", "hoc4"))
+    history = None
+    for k in (5, 6, 7):
+        history = solve_cell(cfg, 2.0 ** -k, cfg.models, history).history
+    assert [len(history.chain)] + [len(history.models[key])
+                                   for key in cfg.models] == [3, 3, 3]
+    warm = solve_cell(cfg, 2.0 ** -8, cfg.models, history)
+    cold = solve_cell(cfg, 2.0 ** -8, cfg.models)
+    assert warm.atomistic.iterations == 1 < cold.atomistic.iterations
+    for key in cfg.models:
+        assert warm.fields[key].result.iterations == 1
+    scale = np.max(np.abs(cold.atomistic.displacement.values))
+    assert np.max(np.abs(warm.atomistic.displacement.values
+                         - cold.atomistic.displacement.values)) < 1e-12 * scale
+    for w, c in zip(warm.records, cold.records):
+        assert w.converged and c.converged
+        assert w.grad_error == pytest.approx(c.grad_error, rel=1e-7)
+        assert w.energy_gap == pytest.approx(c.energy_gap, rel=1e-6)
+
+
+def test_failed_solves_restart_their_history():
+    # only converged solutions are extrapolated: an unconverged solve and a
+    # model with an indefinite Hessian keep no solutions, and a cell after
+    # an empty history is the cell of cold starts
+    cfg = StudyConfig(potential="harmonic", models=("cb", "ill2"))
+    cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
+    assert [len(cell.history.chain), len(cell.history.models["cb"]),
+            len(cell.history.models["ill2"])] == [1, 1, 0]
+    cfg.max_iter = 1
+    cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
+    assert not cell.atomistic.converged
+    assert [len(cell.history.chain), len(cell.history.models["cb"]),
+            len(cell.history.models["ill2"])] == [0, 0, 0]
+    cfg.max_iter = 500
+    after = solve_cell(cfg, 2.0 ** -4, cfg.models, cell.history).records
+    cold = solve_cell(cfg, 2.0 ** -4, cfg.models).records
+    assert after[0] == cold[0] and after[1].reason == cold[1].reason
+
+
+def test_a_sweep_solves_each_model_as_if_alone():
+    # each model extrapolates from its own history, so its rows do not
+    # depend on the other models of the sweep, bit for bit
+    models = ("cb", "hoc4", "hoc6")
+    cfg = StudyConfig(potential="lj", models=models,
+                      eps_list=tuple(2.0 ** -k for k in range(3, 8)))
+    together, _ = run_sweep(cfg)
+    alone = []
+    for key in models:
+        cfg.models = (key,)
+        alone += run_sweep(cfg)[0]
+    assert together == alone
+
+
+def test_sweep_with_eps_steps_that_are_not_halvings(tmp_path):
+    # 8 -> 10 -> 16 sites per half period: no history moves to the next
+    # mesh, so each chain starts from the previous one prolonged, each model
+    # from the chain's spline, and the cells are those of cold starts
+    out = tmp_path / "out"
+    rc = cli_main(["sweep", "--potential", "lj", "--eps-list",
+                   "0.125,0.1,0.0625", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "records.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["8", "10", "16"] * 2
+    assert all(row.endswith(",true") for row in rows)
+    cfg = StudyConfig(potential="lj")
+    for eps in (0.1, 0.0625):
+        cold = solve_cell(cfg, eps, cfg.models).records
+        for row, rec in zip([r for r in rows if r.split(",")[1] == repr(eps)],
+                            cold):
+            grad, gap = map(float, row.split(",")[3:5])
+            assert grad == pytest.approx(rec.grad_error, rel=1e-9)
+            assert gap == pytest.approx(rec.energy_gap, rel=1e-6)
 
 
 def test_a_cell_measures_each_model_as_if_alone():

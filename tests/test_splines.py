@@ -8,7 +8,11 @@ from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
                                     convolution_interpolant,
                                     localization_weight, measurement_interpolant,
                                     moment_sum, nodal_interpolant,
+                                    periodic_spline_coefficients,
+                                    periodic_spline_subdivision,
+                                    periodic_spline_values,
                                     reproducing_kernel)
+from chain_elastica.splines import _interpolation_symbol
 
 rng = np.random.default_rng(7)
 
@@ -277,3 +281,41 @@ def test_cubic_interpolant_orders():
     der_slope = np.polyfit(np.log(eps), np.log(der_errs), 1)[0]
     assert 3.7 <= val_slope <= 4.3
     assert 3.7 <= der_slope <= 4.3
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("degree", [3, 5])
+def test_subdivision_reproduces_the_coarse_field(degree, N):
+    # the spline on 2N sites is exactly a spline on 4N sites: the subdivided
+    # coefficients give the same function at x -> 2x, to roundoff
+    c = rng.standard_normal(2 * N)
+    fine = periodic_spline_subdivision(c, degree)
+    kernel = bspline_kernel(degree)
+    x = rng.uniform(-N, N, 2000)
+    coarse_field = KernelField(c, kernel, N).eval(x)
+    fine_field = KernelField(fine, kernel, 2 * N).eval(2.0 * x)
+    assert np.max(np.abs(fine_field - coarse_field)) \
+        <= 1e-15 * np.max(np.abs(coarse_field))
+
+
+def test_subdivision_needs_an_odd_degree():
+    # an even-degree B-spline centered on the integers has its knots at the
+    # half-integers, which the doubled mesh does not keep
+    with pytest.raises(ValueError, match="odd-degree"):
+        periodic_spline_subdivision(np.ones(16), 4)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_interpolation_symbol_is_built_once_and_read_only(degree):
+    # the symbol is cached per (n, degree); periodic_spline_values applies
+    # it, the inverse of periodic_spline_coefficients
+    n = 48
+    symbol = _interpolation_symbol(n, degree)
+    assert _interpolation_symbol(n, degree) is symbol
+    assert not symbol.flags.writeable
+    v = rng.standard_normal(n)
+    c = periodic_spline_coefficients(v, degree)
+    sites = np.arange(-n // 2, n // 2, dtype=float)
+    field = KernelField(c, bspline_kernel(degree), n // 2)
+    assert np.max(np.abs(field.eval(sites) - v)) < 1e-13
+    assert np.max(np.abs(periodic_spline_values(c, degree) - v)) < 1e-13
