@@ -19,7 +19,8 @@ __all__ = ["AtomisticSystem", "AtomisticSolution", "external_work",
 class AtomisticSystem:
     """2N-periodic chain with pair potential phi, bonds R = {1..r_cut},
     deformation gradient F (lattice units default 1) and a mean-zero dead
-    load. Immutable; share freely."""
+    load. Displacements and the load are arrays over the sites
+    xi = -N..N-1. Immutable; share freely."""
 
     def __init__(self, N, potential, bonds=(1, 2), F=1.0, force=None, kappa=None):
         self.N = int(N)
@@ -29,11 +30,8 @@ class AtomisticSystem:
             raise ValueError("bonds must be positive integers")
         self.F = float(F)
         self.phi = {rho: shifted(potential, self.F, rho) for rho in self.bonds}
-        if force is None:
-            force = np.zeros(2 * self.N)
-        elif isinstance(force, PeriodicLatticeField):
-            force = force.values
-        self.force = np.asarray(force, dtype=float)
+        self.force = np.zeros(2 * self.N) if force is None else \
+            np.asarray(force, dtype=float)
         if abs(self.force.sum()) > 1e-10 * max(1, 2 * self.N):
             raise ValueError("external force must be mean-zero")
         self.kappa = self.F / 4.0 if kappa is None else float(kappa)
@@ -62,7 +60,6 @@ class AtomisticSystem:
 
     def energy(self, u):
         """sum_xi sum_rho phi_rho(D_rho u(xi))."""
-        u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
         strains = self._strains(u)
         return float(sum(
             self.phi[rho].derivative_unchecked(0, strains[rho]).sum()
@@ -72,7 +69,6 @@ class AtomisticSystem:
         """energy(u) - energy(0), accumulated term by term to avoid the O(N)
         cancellation of the homogeneous offset. Here and in `gradient` and
         `hessian`, `strains` may pass in `_strains(u)` computed once."""
-        u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
         strains = self._strains(u) if strains is None else strains
         total = 0.0
         for rho in self.bonds:
@@ -81,7 +77,6 @@ class AtomisticSystem:
         return total
 
     def gradient(self, u, strains=None):
-        u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
         strains = self._strains(u) if strains is None else strains
         g = np.zeros_like(u)
         for rho in self.bonds:
@@ -100,7 +95,6 @@ class AtomisticSystem:
         `stiffness` may pass in `bond_stiffness(strains)`, and then u is not
         read."""
         if stiffness is None:
-            u = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
             stiffness = self.bond_stiffness(
                 self._strains(u) if strains is None else strains)
         H = PeriodicBand(2 * self.N, self.r_cut())
@@ -138,7 +132,7 @@ class AtomisticSystem:
         res = newton_minimize(prob, x0)
         u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
         ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
-        return AtomisticSolution(u, self.energy_above_homogeneous(u),
+        return AtomisticSolution(u, self.energy_above_homogeneous(u.values),
                                  res.grad_norm, res.iterations,
                                  res.converged, admissible=ok,
                                  worst_bond=(site, rho, worst),

@@ -62,15 +62,17 @@ def _eps_arg(parse):
 def _build_config(parser, args):
     """The --config file, overridden by every flag given whose destination
     is a StudyConfig field. A file that cannot be read, or a bad line, key,
-    eps or choice in it, exits with status 2 and a one-line message."""
+    type, eps or choice in it, or a repeated model, exits with status 2 and
+    a one-line message."""
     keys = {f.name for f in dataclasses.fields(StudyConfig)}
     try:
         return load_config(args.config, {k: v for k, v in vars(args).items()
                                          if k in keys and v is not None})
     except OSError as err:
         parser.error(f"--config {args.config}: {err.strerror}")
-    except (TypeError, ValueError) as err:
-        parser.error(f"--config {args.config}: {err}")
+    except ValueError as err:
+        parser.error(f"--config {args.config}: {err}" if args.config
+                     else str(err))
 
 
 def _check_hermite_cells(parser, eps_values, user):

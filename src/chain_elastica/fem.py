@@ -27,12 +27,16 @@ class IndefiniteHessianError(RuntimeError):
     definite on the mean-zero subspace (the unstable model variants)."""
 
 
-@lru_cache(maxsize=4)
-def _quintic_template(quad_points):
+# Gauss points per element of every FEM integral
+QUAD_POINTS = 5
+
+
+@lru_cache(maxsize=1)
+def _quintic_template():
     """template[o, r, q] = d^r/dx^r B5(t_q - o) at the Gauss nodes t_q, for
     the offsets o = -2..3 of `PeriodicSplineSpace`; the same for every N, so
-    computed once per rule and read-only."""
-    qt = gauss_rule(quad_points)[0]
+    computed once and read-only."""
+    qt = gauss_rule(QUAD_POINTS)[0]
     template = np.array([[bspline(5, qt - o, r) for r in range(6)]
                          for o in range(-2, 4)])
     template.flags.writeable = False
@@ -46,14 +50,13 @@ class PeriodicSplineSpace:
 
     degree = 5
 
-    def __init__(self, N, quad_points=5):
+    def __init__(self, N):
         self.N = int(N)
         self.n = 2 * self.N
-        self.quad_points = quad_points
-        self.qt, self.qw = gauss_rule(quad_points)
+        self.qt, self.qw = gauss_rule(QUAD_POINTS)
         # active local basis offsets on one element [m, m+1): j = m + o
         self.offsets = np.arange(-2, 4)
-        self.template = _quintic_template(quad_points)
+        self.template = _quintic_template()
         # element (j - o) % n, which holds dof j at offset o, sits at column
         # j + 3 - o of the element arrays gathered by `element_columns`
         self._wrap = (np.arange(self.n + 5) - 3) % self.n
@@ -67,13 +70,13 @@ class PeriodicSplineSpace:
         return np.asarray(coeffs, float)[(self.offsets[:, None] + m) % self.n]
 
     def derivatives_at_quad(self, coeffs, orders):
-        """dict order -> (quad_points, n) array of grad^r u at the quadrature
+        """dict order -> (QUAD_POINTS, n) array of grad^r u at the quadrature
         points, element m in column m."""
         C = self.gather(coeffs)
         return {r: self.template[:, r, :].T @ C for r in orders}
 
     def quad_x(self):
-        """Physical quadrature points, shape (n, quad_points)."""
+        """Physical quadrature points, shape (n, QUAD_POINTS)."""
         cells = np.arange(-self.N, self.N, dtype=float)
         return cells[:, None] + self.qt[None, :]
 
@@ -125,9 +128,9 @@ class ContinuumProblem(MinimizeProblem):
 
 
 @lru_cache(maxsize=16)
-def _element_kernels(orders, quad_points):
+def _element_kernels(orders):
     """The element integrals of `assemble` as matrix products, for the
-    density orders and the Gauss rule; computed once and read-only:
+    density orders; computed once and read-only:
       gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
       Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
                                                * d2w[r, s, q, m]
@@ -135,8 +138,8 @@ def _element_kernels(orders, quad_points):
     dofs m + o and m + p: band row m + o, offset p - o. So hess_kernel[o]
     puts the rows (o, p) at the 11 band offsets, and maps the elements
     m = j - o of the rows j to the band's diagonals."""
-    qw = gauss_rule(quad_points)[1]
-    T = _quintic_template(quad_points)[:, orders, :]
+    qw = gauss_rule(QUAD_POINTS)[1]
+    T = _quintic_template()[:, orders, :]
     grad_kernel = (T * qw).reshape(6, -1)
     by_pair = np.einsum("orq,psq,q->oprsq", T, T, qw).reshape(6, 6, -1)
     hess_kernel = np.zeros((6, 11, by_pair.shape[-1]))
@@ -166,15 +169,15 @@ def assemble(model, space, f=None):
         load = np.zeros(space.n)
     else:
         load = space.load_vector(f) if callable(f) else np.asarray(f, float)
-    n, nq, qw, offsets = space.n, space.quad_points, space.qw, space.offsets
-    grad_kernel, hess_kernel = _element_kernels(orders, nq)
+    n, qw, offsets = space.n, space.qw, space.offsets
+    grad_kernel, hess_kernel = _element_kernels(orders)
 
     def evaluate(c):
         """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
         the model's bond arguments there, checked against the potential's
         domain once for all three callbacks."""
         derivs = space.derivatives_at_quad(c, orders)
-        g = np.zeros((5, nq, n))
+        g = np.zeros((5, QUAD_POINTS, n))
         for r in orders:
             g[r - 1] = derivs[r]
         args = model.bond_args(g)
@@ -205,7 +208,8 @@ def assemble(model, space, f=None):
     # planes
     pair = np.zeros((len(orders),) * 2, dtype=np.intp)
     pair[upper] = pair.T[upper] = np.arange(len(upper[0]))
-    rows = (pair.reshape(-1, 1) * nq + np.arange(nq)).ravel()
+    rows = (pair.reshape(-1, 1) * QUAD_POINTS
+            + np.arange(QUAD_POINTS)).ravel()
 
     def build_band(d2w_upper):
         columns = space.element_columns(d2w_upper.reshape(-1, n), rows)
@@ -270,14 +274,15 @@ def grad_l2_distance(a, b, N, npoints=5):
 def energy_gap(system, u_a, model, u_c):
     """|E_a(u_a) - E_c(u_c)| with both energies accumulated relative to the
     homogeneous state (the offsets 2N * sum_rho phi_rho(0) agree exactly).
-    E_a is the one an `AtomisticSolution` carries, and E_c the one a field
+    E_a is the one an `AtomisticSolution` carries (else the chain's energy
+    at a `PeriodicLatticeField` u_a), and E_c the one a field
     from `solve_continuum` carries: its solve's element Gauss rule, by
     default the 5-point rule on the unit elements that `continuum_energy`
     applies to any other field."""
     from .continuum import continuum_energy
     ea = getattr(u_a, "energy_above_homogeneous", None)
     if ea is None:
-        ea = system.energy_above_homogeneous(u_a)
+        ea = system.energy_above_homogeneous(u_a.values)
     ec = getattr(u_c, "energy", None)
     if ec is None:
         ec = continuum_energy(model, u_c, system.N)

@@ -9,7 +9,7 @@ factor eps^(1/2), energies a factor eps.
 import ast
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,12 +20,12 @@ from .continuum import MODEL_KEYS, SineField, consistency_residual, \
     continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
-from .lattice import PeriodicLatticeField, hermite_interpolant
+from .lattice import hermite_interpolant
 from .potentials import POTENTIAL_KINDS, make_potential
 from .quadrature import composite_points
-from .splines import INTERP_KINDS, KernelField, bspline_kernel, \
-    measurement_interpolant, periodic_spline_coefficients, \
-    periodic_spline_subdivision, periodic_spline_values, reproducing_kernel
+from .splines import INTERP_KINDS, measurement_interpolant, \
+    periodic_spline_coefficients, periodic_spline_subdivision, \
+    periodic_spline_values, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "History", "solve_cell",
@@ -128,15 +128,6 @@ def _lattice_force(N):
     return eps * np.cos(np.pi * eps * xi)
 
 
-def _prolong(coeffs, N):
-    """The chain's start on 2N sites from the quintic-spline coefficients of
-    a solution on 2M sites: (N / M)·I u(xi·M / N), with I u that spline.
-    The displacement scales like N under the forcing eps·cos(pi·eps·xi)."""
-    M = coeffs.size // 2
-    spline = KernelField(coeffs, bspline_kernel(5), M)
-    return (N / M) * spline.eval(np.arange(-N, N) * (M / N))
-
-
 # Lagrange weights that extrapolate in eps**2 to a cell's eps**2 = h from
 # its coarser solutions at eps**2 = 4h, 16h, 64h (eps halving), finest
 # first, by history length
@@ -148,114 +139,87 @@ _EXTRAPOLATION = {1: np.array([1.0]), 2: np.array([5 / 4, -1 / 4]),
 class History:
     """The converged solutions of the cells before one eps, the start of
     nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985):
-    the quintic-spline coefficients of the chain's displacement and of each
-    model's field on the mesh of the last cell, 2N sites, as the rows of one
-    array per solve, finest first. Each holds at most 3 solutions, at eps
-    halving from one row to the next, and none where the last solve
-    failed."""
+    for each solve, keyed "chain" or by model key, the quintic-spline
+    coefficients of its solutions on the mesh of the last cell, 2N sites, as
+    the rows of one array, finest first. A solve has 1 to 3 solutions, at
+    eps halving from one row to the next, and none (no key) where its last
+    solve failed."""
     N: int
-    chain: np.ndarray
-    models: dict
-
-    def solutions(self, key=None):
-        """The chain's array (key None) or a model's; no rows for a model
-        the history does not hold."""
-        if key is None:
-            return self.chain
-        return self.models.get(key, np.zeros((0, 2 * self.N)))
+    rows: dict
 
     def moved(self, N):
-        """The history on 2N sites when N is 2·self.N, else None: every
-        solution subdivided onto the mesh twice as fine and scaled by 2,
-        like the displacement, all in one call."""
-        if N != 2 * self.N:
-            return None
-        arrays = [self.chain, *self.models.values()]
+        """The history on 2N sites: when N is 2·self.N, every solution
+        subdivided onto the mesh twice as fine and scaled by 2, like the
+        displacement, all in one call; otherwise an empty one."""
+        if N != 2 * self.N or not self.rows:
+            return History(N, {})
+        arrays = list(self.rows.values())
         ends = np.cumsum([len(a) for a in arrays])[:-1]
-        chain, *models = np.split(
-            2.0 * periodic_spline_subdivision(np.concatenate(arrays), 5),
-            ends)
-        return History(N, chain, dict(zip(self.models, models)))
+        fine = 2.0 * periodic_spline_subdivision(np.concatenate(arrays), 5)
+        return History(N, dict(zip(self.rows, np.split(fine, ends))))
 
-    def extrapolated(self, key=None):
+    def start(self, key, cold):
         """The Richardson extrapolation in eps**2 (`_EXTRAPOLATION`) of the
-        chain's solutions (key None) or of a model's. None when there are
-        none, and for a model when there is only one: a model then starts
-        better from the chain of its own cell."""
-        rows = self.solutions(key)
-        if len(rows) < (1 if key is None else 2):
-            return None
-        return _EXTRAPOLATION[len(rows)] @ rows
+        solutions of `key`, or `cold` when there are none."""
+        rows = self.rows.get(key)
+        return cold if rows is None else _EXTRAPOLATION[len(rows)] @ rows
 
-    def pushed(self, key, new, ok):
-        """The solutions of the chain (key None) or a model after its solve
-        in the next cell: `new` in front of the finest two if the solve
-        converged, else none."""
-        rows = self.solutions(key)
-        return np.vstack([new, rows[:2]]) if ok else rows[:0]
+    def pushed(self, key, new):
+        """The solutions of `key` after it converged to `new` on this mesh:
+        `new` in front of the finest two."""
+        return np.vstack([new, *self.rows.get(key, ())[:2]])
 
 
-def solve_cell(cfg, eps, models, coarse=None):
+def solve_cell(cfg, eps, models, history=None):
     """One eps of the study: the atomistic chain is solved once, then each
     continuum model in `models` is solved and measured against it.
 
-    `coarse` holds solutions of coarser cells: the `History` that the cell
-    before returned, a chain displacement of a coarser cell or None. When
-    this cell halves the eps of a history, each solve starts from the
-    extrapolation of its solutions moved to this mesh
-    (`History.extrapolated`): the chain from that spline at its sites, a
-    model from those coefficients. Otherwise the chain starts from the
-    latest coarser chain prolonged to this mesh (`_prolong`), or from 0.
-    A model without its own extrapolation starts from the quintic spline
-    through the chain's site values.
+    `history` is the `History` that the cell before returned, or None.
+    Every solve starts from the extrapolation of its own solutions there,
+    moved to this mesh (`History.moved`, `History.start`): the chain from
+    that spline at its sites, a model from those coefficients. A solve
+    without solutions starts cold: the chain from 0, a model from the
+    quintic spline through this cell's chain. A history whose eps this cell
+    does not halve moves to an empty one.
 
     What the models share is computed once per cell: the chain's energy
     above the homogeneous state (carried by its solution), grad I u at the
     Gauss points of the error norm, and the FEM load vector. A model whose
     Hessian is indefinite gets a NaN record with the reason and no field.
     If the chain did not converge, the other records give that as their
-    reason. The cell returns the history for the next one."""
+    reason. The cell returns the history for the next one: the converged
+    solves' solutions."""
     N = _eps_to_N(eps)
-    if isinstance(coarse, PeriodicLatticeField):
-        coarse = History(coarse.N, periodic_spline_coefficients(
-            coarse.values, 5)[None], {})
-    history = None if coarse is None else coarse.moved(N)
-    if history is None:
-        u0 = None if coarse is None or not len(coarse.chain) else \
-            _prolong(coarse.chain[0], N)
-        history = History(N, np.zeros((0, 2 * N)), {})
-    else:
-        c0 = history.extrapolated()
-        u0 = None if c0 is None else periodic_spline_values(c0, 5)
+    history = History(N, {}) if history is None else history.moved(N)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
                              force=_lattice_force(N), kappa=cfg.kappa)
-    sol_a = system.solve(max_iter=cfg.max_iter, u0=u0)
+    sol_a = system.solve(max_iter=cfg.max_iter, u0=periodic_spline_values(
+        history.start("chain", np.zeros(2 * N)), 5))
     iu = measurement_interpolant(sol_a.displacement, cfg.interp)
     grad_iu = iu.eval(composite_points(N), 1)
     # the FEM coefficients of the quintic spline through the chain
     start = periodic_spline_coefficients(sol_a.displacement.values, 5)
     space = PeriodicSplineSpace(N)
     load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
-    cell = Cell(sol_a, [], {}, {},
-                History(N, history.pushed(None, start, sol_a.converged), {}))
+    cell = Cell(sol_a, [], {}, {}, History(N, {}))
+    if sol_a.converged:
+        cell.history.rows["chain"] = history.pushed("chain", start)
     chain_failure = ("" if sol_a.converged else
                      f"atomistic chain not converged: {sol_a.message}")
     for key in models:
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
-        x0 = history.extrapolated(key)
         try:
             u_c = solve_continuum(model, space, load, cfg.max_iter,
-                                  start if x0 is None else x0)
+                                  history.start(key, start))
         except IndefiniteHessianError as exc:
-            cell.history.models[key] = history.pushed(key, None, False)
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
                 reason=str(exc)))
             continue
-        cell.history.models[key] = history.pushed(key, u_c.coeffs,
-                                                  u_c.result.converged)
+        if u_c.result.converged:
+            cell.history.rows[key] = history.pushed(key, u_c.coeffs)
         g_err = grad_l2_distance(grad_iu, u_c, N)
         e_gap = energy_gap(system, sol_a, model, u_c)
         cell.fields[key] = u_c
@@ -275,11 +239,11 @@ def run_sweep(cfg):
     `solve_cell`). Output ordering is deterministic: models in config
     order, eps descending. See `unfitted_models` for the models left
     unfitted."""
-    by_eps, coarse = [], None
+    by_eps, history = [], None
     for eps in sorted(cfg.eps_list, reverse=True):
-        cell = solve_cell(cfg, eps, cfg.models, coarse)
+        cell = solve_cell(cfg, eps, cfg.models, history)
         by_eps.append(cell.records)
-        coarse = cell.history
+        history = cell.history
     records = [row[i] for i in range(len(cfg.models)) for row in by_eps]
     return records, fit_models(cfg, records, "grad_error")
 
@@ -449,11 +413,21 @@ _KEY_CHOICES = {"potential": POTENTIAL_KINDS, "models": MODEL_KEYS,
                 "interp": INTERP_KINDS}
 
 
+def _check_type(key, val, want):
+    """ValueError naming the key unless val is a `want`: an int passes for
+    a float, a bool for neither."""
+    if isinstance(val, bool) or not isinstance(
+            val, (int, float) if want is float else want):
+        raise ValueError(f"{key}: {val!r} is not of type {want.__name__}")
+
+
 def load_config(path=None, overrides=None):
     """Flat key = value config (strings, numbers, tuples via literal syntax);
     '#' starts a comment. CLI overrides win. ValueError names an unknown key,
-    a line without '=', an eps that is not the reciprocal of an integer or a
-    potential, model or interpolant that the CLI flags do not offer."""
+    a line without '=', a value whose type is not its `StudyConfig` field's
+    (`kappa` may also be None), an eps that is not the reciprocal of an
+    integer, a repeated model or a potential, model or interpolant that the
+    CLI flags do not offer."""
     data = {}
     if path:
         with open(path) as fh:
@@ -472,13 +446,17 @@ def load_config(path=None, overrides=None):
     if overrides:
         data.update(overrides)
     cfg = StudyConfig()
+    types = {f.name: f.type for f in fields(StudyConfig)}
     for key, val in data.items():
-        if not hasattr(cfg, key):
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
         if key in ("models", "eps_list") and not isinstance(val, tuple):
             val = tuple(val) if isinstance(val, (list, set)) else (val,)
+        if not (key == "kappa" and val is None):
+            _check_type(key, val, types[key])
         if key == "eps_list":
             for eps in val:
+                _check_type(key, eps, float)
                 _eps_to_N(eps)
         if key in _KEY_CHOICES:
             choices = _KEY_CHOICES[key]
@@ -486,5 +464,8 @@ def load_config(path=None, overrides=None):
                 if v not in choices:
                     raise ValueError(f"{key}: {v!r} is not one of "
                                      f"{', '.join(choices)}")
+        if key == "models" and len(set(val)) < len(val):
+            repeated = next(v for v in val if val.count(v) > 1)
+            raise ValueError(f"models: {repeated!r} is repeated")
         setattr(cfg, key, val)
     return cfg

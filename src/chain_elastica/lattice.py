@@ -28,12 +28,6 @@ class PeriodicLatticeField:
             raise ValueError("need exactly 2N values")
         self.N = N
 
-    def value(self, xi):
-        return self.values[(np.asarray(xi) + self.N) % (2 * self.N)]
-
-    def sites(self):
-        return np.arange(-self.N, self.N)
-
     def shifted_values(self, rho):
         """values at xi + rho for all sites, via periodic wrap."""
         return np.roll(self.values, -rho)

@@ -406,21 +406,18 @@ def evaluate_once(evaluate, copy=True):
     return at
 
 
-def gradient_check(problem, x, h=1e-6, directions=None, rng=None):
+def gradient_check(problem, x, h=1e-6):
     """Max relative error between the analytic gradient and central
-    differences of the objective along coordinate (or random) directions."""
+    differences of the objective along the coordinate directions, or 12
+    random unit directions when x has more than 24 entries."""
     x = np.asarray(x, dtype=float)
     g = problem.gradient(x)
     scale = float(np.max(np.abs(g))) + 1e-30
-    if directions is None:
-        n = x.size
-        if n <= 24:
-            dirs = list(np.eye(n))
-        else:
-            rng = rng or np.random.default_rng(0)
-            dirs = [d / np.linalg.norm(d) for d in rng.standard_normal((12, n))]
+    if x.size <= 24:
+        dirs = np.eye(x.size)
     else:
-        dirs = directions
+        dirs = [d / np.linalg.norm(d) for d in
+                np.random.default_rng(0).standard_normal((12, x.size))]
     worst = 0.0
     for d in dirs:
         fd = (problem.objective(x + h * d) - problem.objective(x - h * d)) / (2 * h)

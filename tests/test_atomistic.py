@@ -124,7 +124,7 @@ def test_solution_carries_its_energy_above_homogeneous():
                            force=lattice_force(N))
     sol = sys_.solve()
     assert sol.energy_above_homogeneous == sys_.energy_above_homogeneous(
-        sol.displacement)
+        sol.displacement.values)
 
 
 def test_gradient_zero_at_homogeneous():

@@ -4,10 +4,10 @@ import pytest
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import (SineField, continuum_energy,
                                       continuum_model)
-from chain_elastica.fem import (IndefiniteHessianError, PeriodicSplineSpace,
-                                assemble, energy_gap, fourier_cos_amplitude,
-                                grad_l2_distance, hessian_smallest_eigenvalue,
-                                solve_continuum)
+from chain_elastica.fem import (QUAD_POINTS, IndefiniteHessianError,
+                                PeriodicSplineSpace, assemble, energy_gap,
+                                fourier_cos_amplitude, grad_l2_distance,
+                                hessian_smallest_eigenvalue, solve_continuum)
 from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
@@ -312,7 +312,7 @@ def _einsum_reference(model, space, c):
     """Gradient and dense Hessian of the density energy, element by element
     through np.einsum and explicit index loops."""
     orders = model.density_orders
-    g = np.zeros((5, space.quad_points, space.n))
+    g = np.zeros((5, QUAD_POINTS, space.n))
     for r, d in space.derivatives_at_quad(c, orders).items():
         g[r - 1] = d
     T = space.template[:, orders, :]

@@ -332,8 +332,17 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
      "hoc4, hoc6, ill2, first"),
     ('interp = "linear"\n', "interp: 'linear' is not one of pi, cubic, "
      "quartic"),
+    ('eps_min_fit = "abc"\n', "eps_min_fit: 'abc' is not of type float"),
+    ('r_cut = "two"\n', "r_cut: 'two' is not of type int"),
+    ("max_iter = 2.5\n", "max_iter: 2.5 is not of type int"),
+    ("F = True\n", "F: True is not of type float"),
+    ('kappa = "x"\n', "kappa: 'x' is not of type float"),
+    ('eps_list = (0.125, "x")\n', "eps_list: 'x' is not of type float"),
+    ('models = ("cb", "hoc4", "cb")\n', "models: 'cb' is repeated"),
 ], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
-        "bad-model", "bad-interp"])
+        "bad-model", "bad-interp", "str-for-float", "str-for-int",
+        "float-for-int", "bool-for-float", "str-for-kappa", "str-eps",
+        "repeated-model"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -345,6 +354,25 @@ def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == (f"chain-elastica sweep: error: --config {path}: "
                        f"{message}")
+
+
+def test_load_config_takes_ints_for_floats_and_no_kappa():
+    cfg = load_config(None, {"F": 1, "eps_min_fit": 0, "kappa": None})
+    assert (cfg.F, cfg.eps_min_fit, cfg.kappa) == (1, 0, None)
+    assert load_config(None, {"kappa": 0.5}).kappa == 0.5
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve", "consistency"])
+def test_cli_rejects_a_repeated_model(command, tmp_path, capsys):
+    # each row and fit was written twice, and the models would share one
+    # history
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--model", "cb", "--model", "hoc4", "--model",
+                  "cb", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"chain-elastica {command}: error: models: 'cb' is "
+                       "repeated")
 
 
 def test_cli_stability_and_consistency(tmp_path):
@@ -418,11 +446,14 @@ def test_cli_sweep_reports_a_column_below_resolution(tmp_path, capsys,
 
 
 def test_warm_and_cold_starts_reach_the_same_cell():
-    # a chain started from the prolonged coarser chain and one started from
-    # 0 stop on their steps at the same minimizer, to far below the rows'
-    # 1e-6 reference tolerance
+    # a chain started from its one coarser solution moved to this mesh and
+    # one started from 0 stop on their steps at the same minimizer, to far
+    # below the rows' 1e-6 reference tolerance; the models, without
+    # coarser solutions, start from the chain's spline in both
     cfg = StudyConfig(potential="lj", models=("cb", "hoc4"))
-    coarse = solve_cell(cfg, 2.0 ** -4, ()).atomistic.displacement
+    coarse = solve_cell(cfg, 2.0 ** -4, ()).history
+    assert {key: len(rows) for key, rows in coarse.rows.items()} == {
+        "chain": 1}
     warm = solve_cell(cfg, 2.0 ** -5, cfg.models, coarse)
     cold = solve_cell(cfg, 2.0 ** -5, cfg.models)
     assert warm.atomistic.iterations < cold.atomistic.iterations
@@ -451,8 +482,8 @@ def _newton_steps(monkeypatch, cfg):
     each model that was solved]."""
     steps = {}
 
-    def counted(cfg, eps, models, coarse=None):
-        cell = solve_cell(cfg, eps, models, coarse)
+    def counted(cfg, eps, models, history=None):
+        cell = solve_cell(cfg, eps, models, history)
         steps[cell.atomistic.displacement.N] = [cell.atomistic.iterations] + [
             cell.fields[key].result.iterations for key in models
             if key in cell.fields]
@@ -523,8 +554,8 @@ def test_extrapolated_and_cold_starts_reach_the_same_cell():
     history = None
     for k in (5, 6, 7):
         history = solve_cell(cfg, 2.0 ** -k, cfg.models, history).history
-    assert [len(history.chain)] + [len(history.models[key])
-                                   for key in cfg.models] == [3, 3, 3]
+    assert {key: len(rows) for key, rows in history.rows.items()} == {
+        "chain": 3, "cb": 3, "hoc4": 3}
     warm = solve_cell(cfg, 2.0 ** -8, cfg.models, history)
     cold = solve_cell(cfg, 2.0 ** -8, cfg.models)
     assert warm.atomistic.iterations == 1 < cold.atomistic.iterations
@@ -545,13 +576,12 @@ def test_failed_solves_restart_their_history():
     # an empty history is the cell of cold starts
     cfg = StudyConfig(potential="harmonic", models=("cb", "ill2"))
     cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
-    assert [len(cell.history.chain), len(cell.history.models["cb"]),
-            len(cell.history.models["ill2"])] == [1, 1, 0]
+    assert {key: len(rows) for key, rows in cell.history.rows.items()} == {
+        "chain": 1, "cb": 1}
     cfg.max_iter = 1
     cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
     assert not cell.atomistic.converged
-    assert [len(cell.history.chain), len(cell.history.models["cb"]),
-            len(cell.history.models["ill2"])] == [0, 0, 0]
+    assert cell.history.rows == {}
     cfg.max_iter = 500
     after = solve_cell(cfg, 2.0 ** -4, cfg.models, cell.history).records
     cold = solve_cell(cfg, 2.0 ** -4, cfg.models).records
@@ -573,9 +603,9 @@ def test_a_sweep_solves_each_model_as_if_alone():
 
 
 def test_sweep_with_eps_steps_that_are_not_halvings(tmp_path):
-    # 8 -> 10 -> 16 sites per half period: no history moves to the next
-    # mesh, so each chain starts from the previous one prolonged, each model
-    # from the chain's spline, and the cells are those of cold starts
+    # 8 -> 10 -> 16 sites per half period: each history moves to an empty
+    # one on the next mesh, so every solve starts cold and each cell is
+    # the one `solve_cell` gives without a history, bit for bit
     out = tmp_path / "out"
     rc = cli_main(["sweep", "--potential", "lj", "--eps-list",
                    "0.125,0.1,0.0625", "--out", str(out)])
@@ -589,8 +619,7 @@ def test_sweep_with_eps_steps_that_are_not_halvings(tmp_path):
         for row, rec in zip([r for r in rows if r.split(",")[1] == repr(eps)],
                             cold):
             grad, gap = map(float, row.split(",")[3:5])
-            assert grad == pytest.approx(rec.grad_error, rel=1e-9)
-            assert gap == pytest.approx(rec.energy_gap, rel=1e-6)
+            assert (grad, gap) == (rec.grad_error, rec.energy_gap)
 
 
 def test_a_cell_measures_each_model_as_if_alone():
