@@ -48,9 +48,10 @@ class AtomisticSystem:
     def _strains(self, u):
         """D_rho u(xi) for every bond; raises if a bond is compressed past
         zero length (Lennard-Jones/Morse domain)."""
-        out = {}
+        out, n = {}, len(u)
         for rho in self.bonds:
-            d = np.roll(u, -rho) - u
+            r = rho % n
+            d = np.concatenate((u[r:] - u[:n - r], u[:r] - u[n - r:]))
             if np.any(d + self.F * rho <= 0.0):
                 xi = int(np.argmax(d + self.F * rho <= 0.0)) - self.N
                 raise ValueError(f"bond (xi={xi}, rho={rho}) collapsed to "
@@ -78,10 +79,12 @@ class AtomisticSystem:
 
     def gradient(self, u, strains=None):
         strains = self._strains(u) if strains is None else strains
-        g = np.zeros_like(u)
+        g, n = np.zeros_like(u), len(u)
         for rho in self.bonds:
             fb = self.phi[rho].derivative_unchecked(1, strains[rho])
-            g += np.roll(fb, rho) - fb
+            r = rho % n
+            g[r:] += fb[:n - r] - fb[r:]
+            g[:r] += fb[n - r:] - fb[:r]
         return g
 
     def bond_stiffness(self, strains):
@@ -169,11 +172,13 @@ def atomistic_stress(system, u, kernel, x):
     `segment_kernel` K: one periodic spline, evaluated in one pass."""
     uf = u if isinstance(u, PeriodicLatticeField) else PeriodicLatticeField(u)
     strains = system._strains(uf.values)    # raises on a collapsed bond
-    g = np.zeros_like(uf.values)
+    g, n = np.zeros_like(uf.values), 2 * uf.N
     for rho in system.bonds:
         force = system.phi[rho].derivative_unchecked(1, strains[rho])
         for k in range(rho):
-            g += np.roll(force, k)
+            k %= n
+            g[k:] += force[:n - k]
+            g[:k] += force[n - k:]
     field = KernelField(g, kernel.segment_kernel, uf.N)
     return field.eval(np.asarray(x, dtype=float) - 0.5)
 

@@ -30,7 +30,8 @@ class PeriodicLatticeField:
 
     def shifted_values(self, rho):
         """values at xi + rho for all sites, via periodic wrap."""
-        return np.roll(self.values, -rho)
+        r = rho % self.values.size
+        return np.concatenate((self.values[r:], self.values[:r]))
 
     def mean(self):
         return float(np.mean(self.values))
@@ -77,7 +78,7 @@ def stencil_derivatives(v):
     u = v.values
 
     def D(rho):
-        return np.roll(u, -rho) - u
+        return v.shifted_values(rho) - u
 
     d1 = (-D(2) + 8 * D(1) - 8 * D(-1) + D(-2)) / 12.0
     d2 = (-D(2) + 16 * D(1) + 16 * D(-1) - D(-2)) / 12.0
@@ -132,7 +133,7 @@ class HermiteInterpolant(PiecewisePoly):
         self.N = v.N
         d1, d2, d3, d4 = stencil_derivatives(v)
         data = np.stack([v.values, d1, d2, d3, d4], axis=1)  # (2N, 5)
-        right = np.roll(data, -1, axis=0)
+        right = np.concatenate([data[1:], data[:1]])
         nodal = np.concatenate([data, right], axis=1)        # (2N, 10)
         # monomials in t = x - xi on [xi, xi + 1)
         super().__init__(nodal @ _hermite9_matrix().T, -v.N, periodic=True)

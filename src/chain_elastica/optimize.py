@@ -32,8 +32,12 @@ class PeriodicBand:
 
     def add(self, o, values, shift=0):
         """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m;
-        an array of offsets o takes the rows of a 2-d `values`."""
-        self.diags[self.b + o] += np.roll(values, shift, axis=-1)
+        an array of offsets o takes the rows of a 2-d `values`. The shift
+        splits the add into two slices, so nothing is copied."""
+        rows, s = self.b + o, shift % self.n
+        if s:
+            self.diags[rows, :s] += values[..., self.n - s:]
+        self.diags[rows, s:] += values[..., :self.n - s]
         self._solve = None
 
     def _entries(self):

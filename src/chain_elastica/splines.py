@@ -238,9 +238,12 @@ class KernelField:
         left = kpp.left % 1.0 - N
         # field cell k lies in kernel cell m of site j = left - kpp.left + k - m
         shift = round(left - kpp.left) + N
-        table = np.zeros((2 * N, kpp.coeffs.shape[1]))
+        n, c = 2 * N, self.coeffs[:, None]
+        table = np.zeros((n, kpp.coeffs.shape[1]))
         for m, piece in enumerate(kpp.coeffs):
-            table += np.roll(self.coeffs, m - shift)[:, None] * piece
+            s = (m - shift) % n
+            table[s:] += c[:n - s] * piece
+            table[:s] += c[n - s:] * piece
         self.pp = PiecewisePoly(table, left, periodic=True)
 
     def eval(self, x, deriv=0):
