@@ -13,7 +13,7 @@ import numpy as np
 
 from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
                        newton_minimize)
-from .quadrature import composite_integral, gauss_rule
+from .quadrature import composite_integral, composite_points, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
 __all__ = ["PeriodicSplineSpace", "FemField", "ContinuumProblem", "assemble",
@@ -31,14 +31,15 @@ class IndefiniteHessianError(RuntimeError):
 QUAD_POINTS = 5
 
 
-@lru_cache(maxsize=1)
-def _quintic_template():
-    """template[o, r, q] = d^r/dx^r B5(t_q - o) at the Gauss nodes t_q, for
-    the offsets o = -2..3 of `PeriodicSplineSpace`; the same for every N, so
-    computed once and read-only."""
+@lru_cache(maxsize=None)
+def _gauss_template(degree):
+    """template[o, r, q] = d^r/dx^r B_degree(t_q - o) at the Gauss nodes t_q,
+    r = 0..degree, for the offsets o = -2..3 of `PeriodicSplineSpace`: the
+    sites j = m + o whose B-splines of degree <= 5 reach element [m, m + 1).
+    The same for every N, so computed once per degree and read-only."""
     qt = gauss_rule(QUAD_POINTS)[0]
-    template = np.array([[bspline(5, qt - o, r) for r in range(6)]
-                         for o in range(-2, 4)])
+    template = np.array([[bspline(degree, qt - o, r)
+                          for r in range(degree + 1)] for o in range(-2, 4)])
     template.flags.writeable = False
     return template
 
@@ -53,10 +54,10 @@ class PeriodicSplineSpace:
     def __init__(self, N):
         self.N = int(N)
         self.n = 2 * self.N
-        self.qt, self.qw = gauss_rule(QUAD_POINTS)
+        self.qw = gauss_rule(QUAD_POINTS)[1]
         # active local basis offsets on one element [m, m+1): j = m + o
         self.offsets = np.arange(-2, 4)
-        self.template = _quintic_template()
+        self.template = _gauss_template(5)
         # element (j - o) % n, which holds dof j at offset o, sits at column
         # j + 3 - o of the element arrays gathered by `element_columns`
         self._wrap = (np.arange(self.n + 5) - 3) % self.n
@@ -75,10 +76,13 @@ class PeriodicSplineSpace:
         C = self.gather(coeffs)
         return {r: self.template[:, r, :].T @ C for r in orders}
 
-    def quad_x(self):
-        """Physical quadrature points, shape (n, QUAD_POINTS)."""
-        cells = np.arange(-self.N, self.N, dtype=float)
-        return cells[:, None] + self.qt[None, :]
+    def gradient_at_points(self, field):
+        """grad field at `composite_points(N)`, element by element, for a
+        `KernelField` of `bspline_kernel(d)`, d <= 5, on this mesh: one
+        gather of its coefficients times the Gauss template, with no
+        pp-form table."""
+        return (self.gather(field.coeffs).T
+                @ _gauss_template(field.kernel.degree)[:, 1]).ravel()
 
     def element_columns(self, local, rows=None):
         """For an array with one column per element, the function o -> its
@@ -92,8 +96,7 @@ class PeriodicSplineSpace:
 
     def load_vector(self, f):
         """b_j = int f B_j by the element Gauss rule, for a vectorized f."""
-        x = self.quad_x()
-        fx = f(x.ravel()).reshape(x.shape)
+        fx = f(composite_points(self.N)).reshape(self.n, QUAD_POINTS)
         local = np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw)
         return self.scatter_add(local)
 
@@ -134,12 +137,12 @@ def _element_kernels(orders):
       gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
       Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
                                                * d2w[r, s, q, m]
-    with T the `_quintic_template` rows of the orders. Element m couples
+    with T the `_gauss_template(5)` rows of the orders. Element m couples
     dofs m + o and m + p: band row m + o, offset p - o. So hess_kernel[o]
     puts the rows (o, p) at the 11 band offsets, and maps the elements
     m = j - o of the rows j to the band's diagonals."""
     qw = gauss_rule(QUAD_POINTS)[1]
-    T = _quintic_template()[:, orders, :]
+    T = _gauss_template(5)[:, orders, :]
     grad_kernel = (T * qw).reshape(6, -1)
     by_pair = np.einsum("orq,psq,q->oprsq", T, T, qw).reshape(6, 6, -1)
     hess_kernel = np.zeros((6, 11, by_pair.shape[-1]))

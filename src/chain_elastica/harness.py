@@ -197,11 +197,12 @@ def solve_cell(cfg, eps, models, history=None):
                              force=_lattice_force(N), kappa=cfg.kappa)
     sol_a = system.solve(max_iter=cfg.max_iter, u0=periodic_spline_values(
         history.start("chain", np.zeros(2 * N)), 5))
+    space = PeriodicSplineSpace(N)
     iu = measurement_interpolant(sol_a.displacement, cfg.interp)
-    grad_iu = iu.eval(composite_points(N), 1)
+    grad_iu = (iu.eval(composite_points(N), 1) if cfg.interp == "pi" else
+               space.gradient_at_points(iu))
     # the FEM coefficients of the quintic spline through the chain
     start = periodic_spline_coefficients(sol_a.displacement.values, 5)
-    space = PeriodicSplineSpace(N)
     load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
     cell = Cell(sol_a, [], {}, {}, History(N, {}))
     if sol_a.converged:
@@ -220,7 +221,7 @@ def solve_cell(cfg, eps, models, history=None):
             continue
         if u_c.result.converged:
             cell.history.rows[key] = history.pushed(key, u_c.coeffs)
-        g_err = grad_l2_distance(grad_iu, u_c, N)
+        g_err = grad_l2_distance(grad_iu, space.gradient_at_points(u_c), N)
         e_gap = energy_gap(system, sol_a, model, u_c)
         cell.fields[key] = u_c
         cell.distances[key] = g_err

@@ -165,8 +165,10 @@ class SplineKernel:
         return mirrored.convolve(bspline_kernel(0))
 
 
+@functools.lru_cache(maxsize=None)
 def bspline_kernel(degree):
-    """The plain centered cardinal B-spline as a kernel."""
+    """The plain centered cardinal B-spline as a kernel; one per degree,
+    shared."""
     return SplineKernel(degree, {0: 1.0}, name=f"bspline{degree}")
 
 
@@ -223,9 +225,10 @@ def moment_sum(kernel, rho, x, k):
 class KernelField:
     """Periodic field sum_j coeffs[j] * kernel(x - j), period 2N.
 
-    Held in pp-form on the kernel's breakpoints: cells start at -N for odd
-    degrees and at -N + 1/2 for even ones. eval(x, deriv) gives any
-    derivative order; past the kernel's degree it is 0.
+    Its pp-form on the kernel's breakpoints, `pp`, is built on first use:
+    cells start at -N for odd degrees and at -N + 1/2 for even ones.
+    eval(x, deriv) gives any derivative order; past the kernel's degree it
+    is 0.
     """
 
     def __init__(self, coeffs, kernel, N):
@@ -234,7 +237,10 @@ class KernelField:
         self.N = N
         if self.coeffs.shape != (2 * N,):
             raise ValueError("need one coefficient per site in [-N, N)")
-        kpp = kernel.pp
+
+    @functools.cached_property
+    def pp(self):
+        kpp, N = self.kernel.pp, self.N
         left = kpp.left % 1.0 - N
         # field cell k lies in kernel cell m of site j = left - kpp.left + k - m
         shift = round(left - kpp.left) + N
@@ -244,7 +250,7 @@ class KernelField:
             s = (m - shift) % n
             table[s:] += c[:n - s] * piece
             table[:s] += c[n - s:] * piece
-        self.pp = PiecewisePoly(table, left, periodic=True)
+        return PiecewisePoly(table, left, periodic=True)
 
     def eval(self, x, deriv=0):
         return self.pp.eval(x, deriv)

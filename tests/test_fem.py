@@ -12,8 +12,9 @@ from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
-from chain_elastica.quadrature import gauss_rule
-from chain_elastica.splines import periodic_spline_coefficients
+from chain_elastica.quadrature import composite_points, gauss_rule
+from chain_elastica.splines import (KernelField, bspline_kernel,
+                                    periodic_spline_coefficients)
 
 rng = np.random.default_rng(404)
 
@@ -213,6 +214,18 @@ def test_grad_l2_distance_basic():
     # ||grad a||_{L2} = k sqrt(|Omega|/2) = k sqrt(N)
     assert grad_l2_distance(a, zero, N) == pytest.approx(k * np.sqrt(N), rel=1e-10)
     assert grad_l2_distance(a, zero, N) == grad_l2_distance(zero, a, N)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_gauss_template_gradient_matches_the_pp_form(degree, N):
+    # the measurement's gather and product with the Gauss template against
+    # the field's pp-form at every point of the error norm's rule
+    coeffs = np.random.default_rng(N).standard_normal(2 * N)
+    field = KernelField(coeffs, bspline_kernel(degree), N)
+    got = PeriodicSplineSpace(N).gradient_at_points(field)
+    want = field.eval(composite_points(N), 1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_energy_gap_trivial_and_shift_invariant():

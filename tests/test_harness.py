@@ -632,6 +632,13 @@ def test_a_cell_measures_each_model_as_if_alone():
                         for key in models]
 
 
+def test_a_cell_builds_no_pp_form_of_its_model_fields():
+    # each model is measured at the Gauss points from its coefficients
+    cell = solve_cell(StudyConfig(), 2.0 ** -4, ("cb", "hoc4", "hoc6"))
+    assert len(cell.fields) == 3
+    assert not any("pp" in vars(u) for u in cell.fields.values())
+
+
 def test_a_sweep_loads_no_numpy_polynomial(tmp_path):
     # a fresh interpreter: the Gauss rules need only numpy.linalg
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
