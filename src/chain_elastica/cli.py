@@ -22,10 +22,11 @@ import os
 import sys
 
 from .continuum import MODEL_KEYS
-from .harness import (StudyConfig, fit_models, load_config, run_consistency,
-                      run_stability, run_sweep, solve_cell, unfitted_models,
-                      write_consistency, write_fits_json, write_records_csv,
-                      write_solution_csvs, write_stability, _eps_to_N)
+from .harness import (CONSISTENCY_MODELS, StudyConfig, fit_models,
+                      load_config, run_consistency, run_stability, run_sweep,
+                      solve_cell, unfitted_models, write_consistency,
+                      write_fits_json, write_records_csv, write_solution_csvs,
+                      write_stability, _eps_to_N)
 from .lattice import STENCIL_MIN_N
 from .potentials import POTENTIAL_KINDS
 from .splines import INTERP_KINDS
@@ -61,13 +62,17 @@ def _eps_arg(parse):
 
 def _build_config(parser, args):
     """The --config file, overridden by every flag given whose destination
-    is a StudyConfig field. A file that cannot be read, or a bad line, key,
-    type, eps or choice in it, or a repeated model, exits with status 2 and
-    a one-line message."""
+    is a StudyConfig field; `consistency` models default to its own four.
+    A file that cannot be read, or a bad line, key, type, value, eps or
+    choice in it, or a repeated model, exits with status 2 and a one-line
+    message."""
     keys = {f.name for f in dataclasses.fields(StudyConfig)}
+    defaults = ({"models": CONSISTENCY_MODELS}
+                if args.command == "consistency" else None)
     try:
         return load_config(args.config, {k: v for k, v in vars(args).items()
-                                         if k in keys and v is not None})
+                                         if k in keys and v is not None},
+                           defaults)
     except OSError as err:
         parser.error(f"--config {args.config}: {err.strerror}")
     except ValueError as err:
@@ -152,8 +157,7 @@ def main(argv=None):
         return 0
 
     if args.command == "consistency":
-        rows, fits = (run_consistency(cfg, models=tuple(args.models))
-                      if args.models else run_consistency(cfg))
+        rows, fits = run_consistency(cfg, models=cfg.models)
         write_consistency(cfg.out_dir, rows, fits)
         for key, f in fits.items():
             print(f"{key}: consistency order {f.slope:.3f} (r2 = {f.r2:.5f})")

@@ -176,27 +176,6 @@ class HigherOrder4(_ComposedModel):
                     + rho ** 6 / 576.0 * p2 * g[4])
         return out
 
-    def el_residual(self, u, x):
-        """W(u) = d/dx of the stress along u; W(u) + f = 0 is the strong form
-        of the forced minimization. Needs derivatives up to order 6."""
-        g = np.stack([u.eval(x, j) for j in range(1, 7)])
-        out = np.zeros_like(g[0])
-        for rho in self.bonds:
-            a = rho * g[0] + rho ** 3 / 24.0 * g[2]
-            ap = rho * g[1] + rho ** 3 / 24.0 * g[3]
-            app = rho * g[2] + rho ** 3 / 24.0 * g[4]
-            p2 = self.phi[rho].derivative(2, a)
-            p3 = self.phi[rho].derivative(3, a)
-            p4 = self.phi[rho].derivative(4, a)
-            out += (rho * p2 * ap
-                    + rho ** 3 / 24.0 * p4 * ap ** 3
-                    + rho ** 3 / 12.0 * p3 * ap * app
-                    + rho ** 4 / 24.0 * p3 * ap * g[2]
-                    + rho ** 4 / 24.0 * p2 * g[3]
-                    + rho ** 6 / 576.0 * p3 * ap * g[4]
-                    + rho ** 6 / 576.0 * p2 * g[5])
-        return out
-
 
 class HigherOrder6(_ComposedModel):
     """Sixth-order model: the midpoint expansion kept through grad^5 u."""
@@ -298,8 +277,8 @@ class LatticePointExpansion(_ComposedModel):
     `stress` is the stress this derivation produces before any of the
     cancellation structure is available: the plain density-argument stress.
     Its leading consistency defect is the uncancelled second-gradient term,
-    which is what makes the model low-order. The full variational stress of
-    the same density is kept separately for comparison."""
+    which is what makes the model low-order; the tests compare it with the
+    full variational stress of the same density."""
 
     key = "first"
     density_orders = (1, 2, 3)
@@ -313,21 +292,6 @@ class LatticePointExpansion(_ComposedModel):
         for rho in self.bonds:
             a = rho * g[0] + rho ** 2 / 2.0 * g[1] + rho ** 3 / 6.0 * g[2]
             out += rho * self.phi[rho].derivative(1, a)
-        return out
-
-    def variational_stress(self, u, x):
-        """Exact stress of the density (integration by parts on g2 and g3)."""
-        g = _gradients(u, x, 5)
-        out = np.zeros_like(g[0])
-        for rho in self.bonds:
-            a = rho * g[0] + rho ** 2 / 2.0 * g[1] + rho ** 3 / 6.0 * g[2]
-            ap = rho * g[1] + rho ** 2 / 2.0 * g[2] + rho ** 3 / 6.0 * g[3]
-            app = rho * g[2] + rho ** 2 / 2.0 * g[3] + rho ** 3 / 6.0 * g[4]
-            p1 = self.phi[rho].derivative(1, a)
-            p2 = self.phi[rho].derivative(2, a)
-            p3 = self.phi[rho].derivative(3, a)
-            out += (rho * p1 - rho ** 2 / 2.0 * p2 * ap
-                    + rho ** 3 / 6.0 * (p3 * ap ** 2 + p2 * app))
         return out
 
 

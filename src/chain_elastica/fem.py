@@ -18,8 +18,7 @@ from .splines import KernelField, bspline, bspline_kernel
 
 __all__ = ["PeriodicSplineSpace", "FemField", "ContinuumProblem", "assemble",
            "solve_continuum", "grad_l2_distance", "energy_gap",
-           "fourier_cos_amplitude", "IndefiniteHessianError",
-           "hessian_smallest_eigenvalue"]
+           "fourier_cos_amplitude", "IndefiniteHessianError"]
 
 
 class IndefiniteHessianError(RuntimeError):
@@ -250,16 +249,6 @@ def solve_continuum(model, space, f=None, max_iter=500, x0=None):
     field.result = res
     field.energy = prob.energy(res.x)
     return field
-
-
-def hessian_smallest_eigenvalue(model, space):
-    """Smallest eigenvalue of the assembled Hessian at the homogeneous state,
-    restricted to the mean-zero subspace: the Hessian is circulant there
-    (for N >= 6, where the band's offsets do not alias), and this is the
-    least of its `PeriodicBand.eigenvalues` over the modes j != 0, the
-    spectrum its factorization certifies."""
-    H = assemble(model, space).hessian(np.zeros(space.n))
-    return float(np.min(H.eigenvalues()[1:]))
 
 
 def grad_l2_distance(a, b, N, npoints=5):

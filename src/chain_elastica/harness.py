@@ -34,6 +34,7 @@ __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "write_consistency", "write_stability", "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
+CONSISTENCY_MODELS = ("hoc4", "hoc6", "ill2", "first")
 
 
 @dataclass
@@ -330,7 +331,7 @@ def write_fits_json(path, fits):
 
 
 def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
-                    models=("hoc4", "hoc6", "ill2", "first")):
+                    models=CONSISTENCY_MODELS):
     """Pointwise stress-consistency sweep on the fixed test field
     amplitude * sin(pi x / N). The sixth-order model is paired with the
     quintic kernel, everything else with the cubic one."""
@@ -412,6 +413,10 @@ _KEY_ALIASES = {"opt.max_iter": "max_iter"}
 # the keys with a fixed set of values: the CLI flags' choices
 _KEY_CHOICES = {"potential": POTENTIAL_KINDS, "models": MODEL_KEYS,
                 "interp": INTERP_KINDS}
+# the numeric keys' lower bounds, strict or not
+_KEY_BOUNDS = {"r_cut": (">=", 1), "max_iter": (">=", 1), "F": (">", 0),
+               "eps_scale": (">", 0), "morse_a": (">", 0),
+               "eps_min_fit": (">=", 0)}
 
 
 def _check_type(key, val, want):
@@ -422,14 +427,16 @@ def _check_type(key, val, want):
         raise ValueError(f"{key}: {val!r} is not of type {want.__name__}")
 
 
-def load_config(path=None, overrides=None):
+def load_config(path=None, overrides=None, defaults=None):
     """Flat key = value config (strings, numbers, tuples via literal syntax);
-    '#' starts a comment. CLI overrides win. ValueError names an unknown key,
-    a line without '=', a value whose type is not its `StudyConfig` field's
-    (`kappa` may also be None), an eps that is not the reciprocal of an
-    integer, a repeated model or a potential, model or interpolant that the
-    CLI flags do not offer."""
-    data = {}
+    '#' starts a comment. The file wins over `defaults` (a command's own,
+    where they differ from `StudyConfig`'s), and CLI overrides win over
+    both. ValueError names an unknown key, a line without '=', a value whose
+    type is not its `StudyConfig` field's (`kappa` may also be None) or
+    that is below its `_KEY_BOUNDS`, an eps that is not the reciprocal of
+    an integer, a repeated model or a potential, model or interpolant that
+    the CLI flags do not offer."""
+    data = dict(defaults or {})
     if path:
         with open(path) as fh:
             for raw in fh:
@@ -455,6 +462,10 @@ def load_config(path=None, overrides=None):
             val = tuple(val) if isinstance(val, (list, set)) else (val,)
         if not (key == "kappa" and val is None):
             _check_type(key, val, types[key])
+        if key in _KEY_BOUNDS:
+            op, low = _KEY_BOUNDS[key]
+            if not (val > low or op == ">=" and val == low):
+                raise ValueError(f"{key}: {val!r} is not {op} {low}")
         if key == "eps_list":
             for eps in val:
                 _check_type(key, eps, float)

@@ -152,9 +152,6 @@ class SplineKernel:
         k.reproduction_degree = min(self.reproduction_degree, other.reproduction_degree)
         return k
 
-    def mass(self):
-        return self.integral.right
-
     @functools.cached_property
     def segment_kernel(self):
         """K = zeta_check * B_0 with zeta_check(s) = zeta(-s), one degree up:

@@ -7,7 +7,7 @@ from chain_elastica.continuum import (SineField, continuum_energy,
 from chain_elastica.fem import (QUAD_POINTS, IndefiniteHessianError,
                                 PeriodicSplineSpace, assemble, energy_gap,
                                 fourier_cos_amplitude, grad_l2_distance,
-                                hessian_smallest_eigenvalue, solve_continuum)
+                                solve_continuum)
 from chain_elastica import optimize
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
@@ -17,6 +17,16 @@ from chain_elastica.splines import (KernelField, bspline_kernel,
                                     periodic_spline_coefficients)
 
 rng = np.random.default_rng(404)
+
+
+def hessian_smallest_eigenvalue(model, space):
+    """Smallest eigenvalue of the assembled Hessian at the homogeneous state,
+    restricted to the mean-zero subspace: the Hessian is circulant there
+    (for N >= 6, where the band's offsets do not alias), and this is the
+    least of its `PeriodicBand.eigenvalues` over the modes j != 0, the
+    spectrum its factorization certifies."""
+    H = assemble(model, space).hessian(np.zeros(space.n))
+    return float(np.min(H.eigenvalues()[1:]))
 
 
 def cos_force(N):

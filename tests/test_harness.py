@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -339,10 +340,19 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ('kappa = "x"\n', "kappa: 'x' is not of type float"),
     ('eps_list = (0.125, "x")\n', "eps_list: 'x' is not of type float"),
     ('models = ("cb", "hoc4", "cb")\n', "models: 'cb' is repeated"),
+    # values out of range ended in tracebacks from inside the sweep
+    ("r_cut = 0\n", "r_cut: 0 is not >= 1"),
+    ("max_iter = 0\n", "max_iter: 0 is not >= 1"),
+    ("F = 0.0\n", "F: 0.0 is not > 0"),
+    ("F = -1\n", "F: -1 is not > 0"),
+    ("eps_scale = 0\n", "eps_scale: 0 is not > 0"),
+    ("morse_a = -4.0\n", "morse_a: -4.0 is not > 0"),
+    ("eps_min_fit = -0.5\n", "eps_min_fit: -0.5 is not >= 0"),
 ], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
         "bad-model", "bad-interp", "str-for-float", "str-for-int",
         "float-for-int", "bool-for-float", "str-for-kappa", "str-eps",
-        "repeated-model"])
+        "repeated-model", "r_cut-0", "max_iter-0", "F-0", "F-negative",
+        "eps_scale-0", "morse_a-negative", "eps_min_fit-negative"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -389,6 +399,23 @@ def test_cli_stability_and_consistency(tmp_path):
     assert rc == 0
     fits = json.loads((out2 / "consistency_fit.json").read_text())
     assert fits[0]["slope"] >= 4.8
+
+
+def test_cli_consistency_takes_the_config_models(tmp_path):
+    # the file's models, unless --model is given; without either, the four
+    # consistency models
+    path = tmp_path / "study.cfg"
+    path.write_text('models = ("hoc4",)\n')
+
+    def models(*argv):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert cli_main(["consistency", *argv, "--out", str(out)]) == 0
+        rows = (out / "consistency.csv").read_text().splitlines()[1:]
+        return list(dict.fromkeys(row.split(",")[0] for row in rows))
+
+    assert models("--config", str(path)) == ["hoc4"]
+    assert models("--config", str(path), "--model", "ill2") == ["ill2"]
+    assert models() == ["hoc4", "hoc6", "ill2", "first"]
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -637,6 +664,28 @@ def test_a_cell_builds_no_pp_form_of_its_model_fields():
     cell = solve_cell(StudyConfig(), 2.0 ** -4, ("cb", "hoc4", "hoc6"))
     assert len(cell.fields) == 3
     assert not any("pp" in vars(u) for u in cell.fields.values())
+
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.mark.parametrize("workload, argv", [
+    ("sweep-harmonic", ["--potential", "harmonic", "--model", "cb",
+                        "--model", "hoc4", "--model", "hoc6"]),
+    ("sweep-lj", ["--potential", "lj", "--model", "cb", "--model", "hoc4"]),
+])
+def test_default_sweeps_pass_the_benchmark_checks(workload, argv, tmp_path):
+    # the benchmark's row and slope checks against its recorded references,
+    # read only, so a row that moves fails here before the benchmark runs
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_checks", BENCHMARKS / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert cli_main(["sweep", *argv, "--out", str(tmp_path)]) == 0
+    ops = checks.check_sweep(
+        str(tmp_path), str(BENCHMARKS / "reference" / workload / "sweep"))
+    failed = {op: why for op, why in ops.items() if why is not None}
+    assert ops and not failed, failed
 
 
 def test_a_sweep_loads_no_numpy_polynomial(tmp_path):

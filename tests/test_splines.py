@@ -48,7 +48,7 @@ def test_bspline_derivatives(degree, deriv):
 @pytest.mark.parametrize("degree", [3, 5])
 def test_kernel_mass_and_partition_of_unity(degree):
     z = reproducing_kernel(degree)
-    assert z.mass() == pytest.approx(1.0, abs=1e-14)
+    assert z.integral.right == pytest.approx(1.0, abs=1e-14)
     for x0 in (0.37, -2.11, 0.0):
         s = sum(z(np.array([x0 - k]))[0] for k in range(-12, 13))
         assert s == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +67,7 @@ def test_kernel_outside_support_is_zero():
         r = z.support_radius
         far = np.array([r, r + 0.01, r + 0.5, r + 7.0, 1e6])
         assert np.all(z.antiderivative(-far) == 0.0)
-        assert np.all(z.antiderivative(far) == z.mass())
+        assert np.all(z.antiderivative(far) == z.integral.right)
 
 
 @pytest.mark.parametrize("degree,degmax", [(3, 3), (5, 5)])
