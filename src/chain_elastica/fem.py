@@ -56,6 +56,7 @@ class PeriodicSplineSpace:
         self.qw = gauss_rule(QUAD_POINTS)[1]
         # active local basis offsets on one element [m, m+1): j = m + o
         self.offsets = np.arange(-2, 4)
+        self._sites = (self.offsets[:, None] + np.arange(self.n)) % self.n
         self.template = _gauss_template(5)
         # element (j - o) % n, which holds dof j at offset o, sits at column
         # j + 3 - o of the element arrays gathered by `element_columns`
@@ -66,8 +67,7 @@ class PeriodicSplineSpace:
 
     def gather(self, coeffs):
         """coeffs at (m + o) mod n for every offset o and element m: (6, n)."""
-        m = np.arange(self.n)
-        return np.asarray(coeffs, float)[(self.offsets[:, None] + m) % self.n]
+        return np.asarray(coeffs, float)[self._sites]
 
     def derivatives_at_quad(self, coeffs, orders):
         """dict order -> (QUAD_POINTS, n) array of grad^r u at the quadrature
