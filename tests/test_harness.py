@@ -407,15 +407,15 @@ def test_cli_consistency_takes_the_config_models(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text('models = ("hoc4",)\n')
 
-    def models(*argv):
-        out = tmp_path / str(len(list(tmp_path.iterdir())))
+    def models(out, *argv):
         assert cli_main(["consistency", *argv, "--out", str(out)]) == 0
         rows = (out / "consistency.csv").read_text().splitlines()[1:]
         return list(dict.fromkeys(row.split(",")[0] for row in rows))
 
-    assert models("--config", str(path)) == ["hoc4"]
-    assert models("--config", str(path), "--model", "ill2") == ["ill2"]
-    assert models() == ["hoc4", "hoc6", "ill2", "first"]
+    assert models(tmp_path / "a", "--config", str(path)) == ["hoc4"]
+    assert models(tmp_path / "b", "--config", str(path),
+                  "--model", "ill2") == ["ill2"]
+    assert models(tmp_path / "c") == ["hoc4", "hoc6", "ill2", "first"]
 
 
 def test_importing_the_cli_loads_no_scipy():
