@@ -11,7 +11,7 @@ from .splines import bspline, bspline_kernel, reproducing_kernel, \
     convolution_interpolant, measurement_interpolant, KernelField, PiecewisePoly
 from .optimize import MinimizeProblem, MinimizeResult, newton_minimize, \
     gradient_check
-from .atomistic import AtomisticSystem, AtomisticSolution, external_work, \
+from .atomistic import AtomisticSystem, AtomisticSolution, \
     atomistic_stress, hessian_dft_eigenvalues, dft_solve
 from .continuum import SineField, SumField, continuum_model, MODEL_KEYS, \
     consistency_residual, external_work_gap, continuum_energy

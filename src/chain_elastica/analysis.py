@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomistic import AtomisticSystem, hessian_dft_eigenvalues
+from .atomistic import AtomisticSystem
 from .continuum import HigherOrder4
 from .potentials import decay_moment
 
@@ -88,14 +88,15 @@ class StabilityReport:
 
 
 def _discrete_atomistic_min(system, N):
-    """min over the nonzero discrete modes k = 1..2N-1 of the generalized
-    Rayleigh quotient (circulant Hessian against the discrete-gradient Gram
-    4 sin^2(pi k / 2N), with k taken as min(k, 2N - k) so that the sine's
-    argument is in [0, pi/2])."""
+    """min over the modes k = 1..2N-1 of the spectrum of the chain's
+    homogeneous Hessian band (the one Newton certifies with) over the
+    discrete-gradient Gram 4 sin^2(pi k / 2N), k taken as min(k, 2N - k) so
+    that the sine's argument is in [0, pi/2]."""
     chain = AtomisticSystem(N, system.potential, bonds=system.bonds, F=system.F)
     k = np.arange(1, 2 * N)
     gram = 4.0 * np.sin(np.pi * np.minimum(k, 2 * N - k) / (2 * N)) ** 2
-    return float(np.min(hessian_dft_eigenvalues(chain)[1:] / gram))
+    return float(np.min(chain.hessian(np.zeros(2 * N)).eigenvalues()[1:]
+                        / gram))
 
 
 def stability_constants(system, band=(0.0, 1.0), ngrid=10_000,

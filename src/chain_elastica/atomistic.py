@@ -12,8 +12,8 @@ from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
 from .potentials import shifted
 from .splines import KernelField
 
-__all__ = ["AtomisticSystem", "AtomisticSolution", "external_work",
-           "atomistic_stress", "hessian_dft_eigenvalues", "dft_solve"]
+__all__ = ["AtomisticSystem", "AtomisticSolution", "atomistic_stress",
+           "hessian_dft_eigenvalues", "dft_solve"]
 
 
 class AtomisticSystem:
@@ -154,32 +154,25 @@ class AtomisticSolution:
     message: str = ""       # the minimizer's exit message
 
 
-def external_work(f, u):
-    """Dead-load pairing <f, u> = sum_xi f(xi) u(xi)."""
-    fv = f.values if isinstance(f, PeriodicLatticeField) else np.asarray(f, float)
-    uv = u.values if isinstance(u, PeriodicLatticeField) else np.asarray(u, float)
-    return float(np.dot(fv, uv))
-
-
 def atomistic_stress(system, u, kernel, x):
     """S_a(u; x) = sum_xi sum_rho rho phi_rho'(D_rho u(xi)) chi_{xi,rho}(x),
-    periodic.
+    periodic, for displacements u over the sites xi = -N..N-1, as
+    `AtomisticSystem.energy` and `gradient` take them.
 
     Since chi_{xi,rho} = (1/rho) sum_{k<rho} chi_{xi+k,1}, this equals
     sum_eta g(eta) chi_{eta,1}(x), where the segment force
     g(eta) = sum_rho sum_{k<rho} phi_rho'(D_rho u(eta - k)) is carried across
     [eta, eta + 1] and chi_{eta,1}(x) = K(x - eta - 1/2) for the kernel's
     `segment_kernel` K: one periodic spline, evaluated in one pass."""
-    uf = u if isinstance(u, PeriodicLatticeField) else PeriodicLatticeField(u)
-    strains = system._strains(uf.values)    # raises on a collapsed bond
-    g, n = np.zeros_like(uf.values), 2 * uf.N
+    strains = system._strains(u)    # raises on a collapsed bond
+    g, n = np.zeros(len(u)), len(u)
     for rho in system.bonds:
         force = system.phi[rho].derivative_unchecked(1, strains[rho])
         for k in range(rho):
             k %= n
             g[k:] += force[:n - k]
             g[:k] += force[n - k:]
-    field = KernelField(g, kernel.segment_kernel, uf.N)
+    field = KernelField(g, kernel.segment_kernel, system.N)
     return field.eval(np.asarray(x, dtype=float) - 0.5)
 
 

@@ -16,7 +16,6 @@ computes and checks them.
 import numpy as np
 
 from .atomistic import atomistic_stress
-from .lattice import PeriodicLatticeField
 from .potentials import shifted
 from .quadrature import composite_integral
 from .splines import convolution_interpolant, nodal_interpolant
@@ -347,9 +346,9 @@ def stress_pairing(model, u, v, N, npoints=8):
 def consistency_residual(system, model, u, kernel, x):
     """R(u; x) = S_a(u; x) - S_model(u; x), with the atomistic stress built
     from the lattice samples of u."""
-    sites = np.arange(-system.N, system.N)
-    v = PeriodicLatticeField(u.eval(sites.astype(float), 0), system.N)
-    return atomistic_stress(system, v, kernel, x) - model.stress(u, x)
+    sites = np.arange(-system.N, system.N).astype(float)
+    return atomistic_stress(system, u.eval(sites, 0), kernel, x) \
+        - model.stress(u, x)
 
 
 def external_work_gap(f, v, kernel, npoints=10):

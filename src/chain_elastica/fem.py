@@ -1,7 +1,7 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
-of the continuum energies by per-element Gauss quadrature (the Hessian as a
-`PeriodicBand`, half-bandwidth 5, one per value of its coefficients;
-objective, gradient and Hessian share one evaluation per point), the
+of the continuum energies by per-element Gauss quadrature (objective,
+gradient and Hessian share one evaluation per point, and one slice scatter
+adds up the load, the gradient and the Hessian `PeriodicBand`), the
 continuum solver certified by Newton's last factorization, and L2
 comparisons between smooth fields."""
 
@@ -58,9 +58,8 @@ class PeriodicSplineSpace:
         self.offsets = np.arange(-2, 4)
         self._sites = (self.offsets[:, None] + np.arange(self.n)) % self.n
         self.template = _gauss_template(5)
-        # element (j - o) % n, which holds dof j at offset o, sits at column
-        # j + 3 - o of the element arrays gathered by `element_columns`
-        self._wrap = (np.arange(self.n + 5) - 3) % self.n
+        # element m's offset o lands on dof (m + o) % n: a shift by o % n
+        self._shifts = [int(o) % self.n for o in self.offsets]
 
     def field(self, coeffs):
         return FemField(coeffs, self)
@@ -83,29 +82,24 @@ class PeriodicSplineSpace:
         return (self.gather(field.coeffs).T
                 @ _gauss_template(field.kernel.degree)[:, 1]).ravel()
 
-    def element_columns(self, local, rows=None):
-        """For an array with one column per element, the function o -> its
-        columns for the elements (j - o) % n, j = 0..n-1, which hold dof j
-        at offset o. `rows` takes those rows of a 2-d array, in one copy
-        laid out as without it (column-major), so products with it round
-        the same."""
-        ext = local[..., self._wrap] if rows is None else \
-            local.T[self._wrap[:, None], rows].T
-        return lambda o: ext[..., 3 - o:3 - o + self.n]
-
     def load_vector(self, f):
         """b_j = int f B_j by the element Gauss rule, for a vectorized f."""
         fx = f(composite_points(self.N)).reshape(self.n, QUAD_POINTS)
-        local = np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw)
-        return self.scatter_add(local)
+        return self.scatter_add(
+            np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw))
 
     def scatter_add(self, local):
-        """Accumulate per-element local vectors (6, n) into a global vector:
-        out[j] = sum_o local[o, (j - o) % n]."""
-        columns = self.element_columns(local)
-        out = np.zeros(self.n)
-        for io, o in enumerate(self.offsets):
-            out += columns(o)[io]
+        """out[..., j] = sum_o local[o][..., (j - o) % n], summed in the order
+        of `offsets`, each offset's (..., n) array shifted by o % n in two
+        slice adds. `local` is a (6, ..., n) array, or an iterable of six
+        arrays made one at a time so that they are never all held at once."""
+        n, out = self.n, None
+        for s, part in zip(self._shifts, local):
+            if out is None:
+                out = np.zeros(part.shape)
+            if s:
+                out[..., :s] += part[..., n - s:]
+            out[..., s:] += part[..., :n - s]
         return out
 
 
@@ -171,7 +165,7 @@ def assemble(model, space, f=None):
         load = np.zeros(space.n)
     else:
         load = space.load_vector(f) if callable(f) else np.asarray(f, float)
-    n, qw, offsets = space.n, space.qw, space.offsets
+    n, qw = space.n, space.qw
     grad_kernel, hess_kernel = _element_kernels(orders)
 
     def evaluate(c):
@@ -214,10 +208,13 @@ def assemble(model, space, f=None):
             + np.arange(QUAD_POINTS)).ravel()
 
     def build_band(d2w_upper):
-        columns = space.element_columns(d2w_upper.reshape(-1, n), rows)
+        # column-major: BLAS then rounds equal element columns equally
+        # wherever they sit, which keeps a homogeneous band `is_circulant`;
+        # the six products are streamed, not stacked, to keep memory down
+        d2w = np.asfortranarray(d2w_upper.reshape(-1, n)[rows])
         H = PeriodicBand(n, 5)
-        H.add(np.arange(-5, 6), sum(hess_kernel[io] @ columns(o)
-                                    for io, o in enumerate(offsets)))
+        H.add(np.arange(-5, 6), space.scatter_add(
+            hess_kernel[io] @ d2w for io in range(6)))
         return H
 
     band = evaluate_once(build_band, copy=False)

@@ -9,6 +9,7 @@ factor eps^(1/2), energies a factor eps.
 import ast
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -416,7 +417,7 @@ _KEY_CHOICES = {"potential": POTENTIAL_KINDS, "models": MODEL_KEYS,
 # the numeric keys' lower bounds, strict or not
 _KEY_BOUNDS = {"r_cut": (">=", 1), "max_iter": (">=", 1), "F": (">", 0),
                "eps_scale": (">", 0), "morse_a": (">", 0),
-               "eps_min_fit": (">=", 0)}
+               "eps_min_fit": (">=", 0), "kappa": (">", 0)}
 
 
 def _check_type(key, val, want):
@@ -432,10 +433,10 @@ def load_config(path=None, overrides=None, defaults=None):
     '#' starts a comment. The file wins over `defaults` (a command's own,
     where they differ from `StudyConfig`'s), and CLI overrides win over
     both. ValueError names an unknown key, a line without '=', a value whose
-    type is not its `StudyConfig` field's (`kappa` may also be None) or
-    that is below its `_KEY_BOUNDS`, an eps that is not the reciprocal of
-    an integer, a repeated model or a potential, model or interpolant that
-    the CLI flags do not offer."""
+    type is not its `StudyConfig` field's (`kappa` may also be None), that
+    is below its `_KEY_BOUNDS` or (for a float) not finite, an eps that is
+    not the reciprocal of an integer, a repeated model or a potential, model
+    or interpolant that the CLI flags do not offer."""
     data = dict(defaults or {})
     if path:
         with open(path) as fh:
@@ -462,10 +463,12 @@ def load_config(path=None, overrides=None, defaults=None):
             val = tuple(val) if isinstance(val, (list, set)) else (val,)
         if not (key == "kappa" and val is None):
             _check_type(key, val, types[key])
-        if key in _KEY_BOUNDS:
-            op, low = _KEY_BOUNDS[key]
-            if not (val > low or op == ">=" and val == low):
-                raise ValueError(f"{key}: {val!r} is not {op} {low}")
+            if types[key] is float and not abs(val) <= sys.float_info.max:
+                raise ValueError(f"{key}: {val!r} is not finite")
+            if key in _KEY_BOUNDS:
+                op, low = _KEY_BOUNDS[key]
+                if not (val > low or op == ">=" and val == low):
+                    raise ValueError(f"{key}: {val!r} is not {op} {low}")
         if key == "eps_list":
             for eps in val:
                 _check_type(key, eps, float)

@@ -60,9 +60,10 @@ class PeriodicBand:
 
         which takes H·1 = 0 as given (lam_0 = 0), as the refinement residual
         of `solve` does. Unlike a DFT of row 0, it keeps its relative
-        accuracy on the smooth modes, where lam_j is O((j/n)^2). Raises
-        ValueError unless `is_circulant`."""
-        if not self.is_circulant():
+        accuracy on the smooth modes, where lam_j is O((j/n)^2). It holds
+        with aliased offsets too (n <= 2b, summed as in `toarray`), so it
+        raises ValueError only unless every column equals column 0."""
+        if not np.all(self.diags == self.diags[:, :1]):
             raise ValueError("PeriodicBand is not circulant")
         lam = self._half_spectrum()
         return np.concatenate([lam, lam[(self.n - 1) // 2:0:-1]])

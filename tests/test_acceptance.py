@@ -119,11 +119,11 @@ def test_criterion_5_stress_weak_forms():
         u -= u.mean()
         v = rng.standard_normal(2 * N)
         v -= v.mean()
-        uf, vf = PeriodicLatticeField(u, N), PeriodicLatticeField(v, N)
+        vf = PeriodicLatticeField(v, N)
         vhat = nodal_interpolant(vf, z)
         vtil = convolution_interpolant(vf, z)
         lhs = composite_integral(
-            lambda x: atomistic_stress(system, uf, z, x) * vhat.eval(x, 1),
+            lambda x: atomistic_stress(system, u, z, x) * vhat.eval(x, 1),
             N, npoints=6)
         rhs = float(np.dot(system.gradient(u), vtil.eval(sites)))
         worst_a = max(worst_a, abs(lhs - rhs))
@@ -155,7 +155,7 @@ def _consistency_sizes(model_key, kernel_degree, Ns):
         system = AtomisticSystem(N, pot, bonds=(1,))
         u = SineField(0.1, np.pi / N)
         x = np.linspace(-N, N, 16 * 2 * N, endpoint=False)
-        v = PeriodicLatticeField(u.eval(np.arange(-N, N).astype(float), 0), N)
+        v = u.eval(np.arange(-N, N).astype(float), 0)
         r = consistency_residual(system, model, u, kern, x)
         res.append(np.max(np.abs(r)))
         stress.append(np.max(np.abs(atomistic_stress(system, v, kern, x))))

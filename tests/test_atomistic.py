@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chain_elastica.atomistic import (AtomisticSystem, atomistic_stress,
-                                      dft_solve, external_work,
-                                      hessian_dft_eigenvalues)
+                                      dft_solve, hessian_dft_eigenvalues)
 from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
@@ -199,30 +198,17 @@ def test_force_must_be_mean_zero():
         AtomisticSystem(8, make_potential("harmonic"), force=np.ones(16))
 
 
-def test_external_work():
-    N = 8
-    f = np.zeros(2 * N)
-    u = rng.standard_normal(2 * N)
-    assert external_work(f, u) == 0.0
-    f = rng.standard_normal(2 * N)
-    f -= f.mean()
-    assert abs(external_work(f, np.full(2 * N, 2.2))) < 1e-12
-    v = rng.standard_normal(2 * N)
-    assert external_work(f, u + 2 * v) == pytest.approx(
-        external_work(f, u) + 2 * external_work(f, v), rel=1e-12)
-
-
 def test_homogeneous_stress_is_constant():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))
     z = reproducing_kernel(3)
     x = rng.uniform(-N, N, 9)
-    S = atomistic_stress(sys_, PeriodicLatticeField(np.zeros(2 * N), N), z, x)
+    S = atomistic_stress(sys_, np.zeros(2 * N), z, x)
     expect = sum(rho * float(sys_.phi[rho].derivative(1, np.zeros(1))[0])
                  for rho in (1, 2))
     assert np.max(np.abs(S - expect)) < 1e-12
     sys1 = AtomisticSystem(N, make_potential("harmonic"), bonds=(1,))
-    S1 = atomistic_stress(sys1, PeriodicLatticeField(np.zeros(2 * N), N), z, x)
+    S1 = atomistic_stress(sys1, np.zeros(2 * N), z, x)
     assert np.max(np.abs(S1)) < 1e-14
 
 
@@ -261,7 +247,7 @@ def test_stress_matches_per_bond_sum(potential, kernel):
             x = np.concatenate([np.arange(-3 * N, 3 * N, 0.5),
                                 gen.uniform(-3 * N, 3 * N, 50)])
             want = _per_bond_stress(sys_, u, kernel, x)
-            got = atomistic_stress(sys_, u, kernel, x)
+            got = atomistic_stress(sys_, u.values, kernel, x)
             assert np.max(np.abs(got - want)) \
                 <= 1e-14 * max(1.0, np.max(np.abs(want))), (bonds, N)
 
@@ -278,11 +264,11 @@ def test_stress_weak_form_identity(degree):
         u -= u.mean()
         v = rng.standard_normal(2 * N)
         v -= v.mean()
-        uf, vf = PeriodicLatticeField(u, N), PeriodicLatticeField(v, N)
+        vf = PeriodicLatticeField(v, N)
         vhat = nodal_interpolant(vf, z)
         vtil = convolution_interpolant(vf, z)
         lhs = composite_integral(
-            lambda x: atomistic_stress(sys_, uf, z, x) * vhat.eval(x, 1),
+            lambda x: atomistic_stress(sys_, u, z, x) * vhat.eval(x, 1),
             N, npoints=degree + 3)
         rhs = float(np.dot(sys_.gradient(u), vtil.eval(sites)))
         assert abs(lhs - rhs) < 1e-9

@@ -1,7 +1,9 @@
+import ast
 import importlib.util
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -348,11 +350,21 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ("eps_scale = 0\n", "eps_scale: 0 is not > 0"),
     ("morse_a = -4.0\n", "morse_a: -4.0 is not > 0"),
     ("eps_min_fit = -0.5\n", "eps_min_fit: -0.5 is not >= 0"),
+    # non-finite values ran to the end with every chain failed, or passed
+    ("F = 1e309\n", "F: inf is not finite"),
+    ("eps_scale = -1e309\n", "eps_scale: -inf is not finite"),
+    (f"morse_a = {10 ** 400}\n", f"morse_a: {10 ** 400} is not finite"),
+    ("eps_min_fit = 1e309\n", "eps_min_fit: inf is not finite"),
+    ("kappa = -1.0\n", "kappa: -1.0 is not > 0"),
+    ("kappa = 0\n", "kappa: 0 is not > 0"),
+    ("kappa = 1e309\n", "kappa: inf is not finite"),
 ], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
         "bad-model", "bad-interp", "str-for-float", "str-for-int",
         "float-for-int", "bool-for-float", "str-for-kappa", "str-eps",
         "repeated-model", "r_cut-0", "max_iter-0", "F-0", "F-negative",
-        "eps_scale-0", "morse_a-negative", "eps_min_fit-negative"])
+        "eps_scale-0", "morse_a-negative", "eps_min_fit-negative", "F-inf",
+        "eps_scale-minus-inf", "morse_a-huge-int", "eps_min_fit-inf",
+        "kappa-negative", "kappa-0", "kappa-inf"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -428,6 +440,23 @@ def test_importing_the_cli_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must leave no stale name behind in a module's
+    # `__all__` or among the names the package imports
+    import chain_elastica
+    for info in pkgutil.iter_modules(chain_elastica.__path__):
+        module = importlib.import_module(f"chain_elastica.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+    tree = ast.parse(pathlib.Path(chain_elastica.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) > 50
+    assert [name for name in imported if not hasattr(chain_elastica, name)] \
+        == []
 
 
 def _records_with_a_zero_gap():

@@ -207,9 +207,13 @@ def test_periodic_band_one_ulp_off_circulant_takes_the_reduction(
 def test_periodic_band_with_aliased_offsets_takes_the_reduction(
         n, b, factorizations):
     # n <= 2b aliases offsets: even with equal columns the band is not
-    # treated as circulant, and the reduction solves it
+    # treated as circulant, and the reduction solves it. Its eigenvalues()
+    # still sum the aliased offsets, as the dense matrix does
     H = bond_band(n, np.ones((b, n)))
     assert not H.is_circulant()
+    dense = np.linalg.eigvalsh(H.toarray())
+    assert np.max(np.abs(np.sort(H.eigenvalues()) - dense)) \
+        < 1e-14 * dense[-1]
     rhs = mean_zero(rng.standard_normal(n))
     ref = mean_zero(np.linalg.lstsq(H.toarray(), rhs, rcond=None)[0])
     assert np.max(np.abs(H.solve(rhs) - ref)) < 1e-12
