@@ -64,8 +64,8 @@ def _build_config(parser, args):
     """The --config file, overridden by every flag given whose destination
     is a StudyConfig field; `consistency` models default to its own four.
     A file that cannot be read, or a bad line, key, type, value, eps or
-    choice in it, or a repeated model, exits with status 2 and a one-line
-    message."""
+    choice in it, or a repeated model or N, exits with status 2 and a
+    one-line message."""
     keys = {f.name for f in dataclasses.fields(StudyConfig)}
     defaults = ({"models": CONSISTENCY_MODELS}
                 if args.command == "consistency" else None)

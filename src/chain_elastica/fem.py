@@ -1,9 +1,10 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
 of the continuum energies by per-element Gauss quadrature (objective,
-gradient and Hessian share one evaluation per point, and one slice scatter
-adds up the load, the gradient and the Hessian `PeriodicBand`), the
-continuum solver certified by Newton's last factorization, and L2
-comparisons between smooth fields."""
+gradient and Hessian share one evaluation per point; one slice scatter adds
+up the load, the gradient and the Hessian `PeriodicBand`, which is one
+element's stencil in every column when the planes are equal at every
+element), the continuum solver certified by Newton's last factorization,
+and L2 comparisons between smooth fields."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +37,9 @@ def _gauss_template(degree):
     r = 0..degree, for the offsets o = -2..3 of `PeriodicSplineSpace`: the
     sites j = m + o whose B-splines of degree <= 5 reach element [m, m + 1).
     The same for every N, so computed once per degree and read-only."""
-    qt = gauss_rule(QUAD_POINTS)[0]
-    template = np.array([[bspline(degree, qt - o, r)
-                          for r in range(degree + 1)] for o in range(-2, 4)])
+    x = gauss_rule(QUAD_POINTS)[0] - np.arange(-2, 4)[:, None]
+    template = np.stack([bspline(degree, x, r) for r in range(degree + 1)],
+                        axis=1)
     template.flags.writeable = False
     return template
 
@@ -208,11 +209,20 @@ def assemble(model, space, f=None):
             + np.arange(QUAD_POINTS)).ravel()
 
     def build_band(d2w_upper):
-        # column-major: BLAS then rounds equal element columns equally
-        # wherever they sit, which keeps a homogeneous band `is_circulant`;
-        # the six products are streamed, not stacked, to keep memory down
-        d2w = np.asfortranarray(d2w_upper.reshape(-1, n)[rows])
+        d2w = d2w_upper.reshape(-1, n)
         H = PeriodicBand(n, 5)
+        if np.all(d2w == d2w[:, :1]):
+            # equal planes at every element: one element's stencil in every
+            # column, summed in offset order as `scatter_add` sums it. Its
+            # products take 4 columns, as BLAS rounds 1- and 2-column ones
+            # differently from wider ones
+            one = np.asfortranarray(d2w[rows, :4])
+            H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
+            return H
+        # column-major: a C-ordered operand rounds the products differently
+        # and moves the Morse hoc6 sweep rows (energy_gap at N = 16 in its
+        # 6th digit); the products are streamed, not stacked, to save memory
+        d2w = np.asfortranarray(d2w[rows])
         H.add(np.arange(-5, 6), space.scatter_add(
             hess_kernel[io] @ d2w for io in range(6)))
         return H

@@ -435,8 +435,9 @@ def load_config(path=None, overrides=None, defaults=None):
     both. ValueError names an unknown key, a line without '=', a value whose
     type is not its `StudyConfig` field's (`kappa` may also be None), that
     is below its `_KEY_BOUNDS` or (for a float) not finite, an eps that is
-    not the reciprocal of an integer, a repeated model or a potential, model
-    or interpolant that the CLI flags do not offer."""
+    not the reciprocal of an integer, an empty eps list, a repeated model or
+    N, or a potential, model or interpolant that the CLI flags do not
+    offer."""
     data = dict(defaults or {})
     if path:
         with open(path) as fh:
@@ -470,9 +471,13 @@ def load_config(path=None, overrides=None, defaults=None):
                 if not (val > low or op == ">=" and val == low):
                     raise ValueError(f"{key}: {val!r} is not {op} {low}")
         if key == "eps_list":
-            for eps in val:
+            if not val:
+                raise ValueError("eps_list: no eps values")
+            for i, eps in enumerate(val):
                 _check_type(key, eps, float)
-                _eps_to_N(eps)
+                N = _eps_to_N(eps)
+                if N in map(_eps_to_N, val[:i]):
+                    raise ValueError(f"eps_list: {eps!r} is repeated (N = {N})")
         if key in _KEY_CHOICES:
             choices = _KEY_CHOICES[key]
             for v in val if key == "models" else (val,):

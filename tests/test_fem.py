@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from chain_elastica import fem
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import (SineField, continuum_energy,
                                       continuum_model)
@@ -13,7 +16,7 @@ from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.optimize import gradient_check
 from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_points, gauss_rule
-from chain_elastica.splines import (KernelField, bspline_kernel,
+from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
                                     periodic_spline_coefficients)
 
 rng = np.random.default_rng(404)
@@ -177,11 +180,9 @@ def test_stable_models_positive_definite_unstable_flagged():
 @pytest.mark.parametrize("N", [6, 8, 16, 9, 10, 13, 14])
 @pytest.mark.parametrize("key", ["hoc4", "hoc6", "cb"])
 def test_harmonic_band_spectrum_matches_dense(key, N):
-    # the homogeneous-state band is circulant: its eigenvalues(), the
-    # spectrum the solver certifies, are those of the dense matrix. With a
-    # C-ordered second-derivative operand, BLAS rounds equal elements
-    # differently by position, and the hoc4/hoc6 bands stop being
-    # circulant at every N = 1, 2 (mod 4) from 6 on
+    # the homogeneous-state band is one element's stencil in every column,
+    # so it is circulant by construction: its eigenvalues(), the spectrum
+    # the solver certifies, are those of the dense matrix
     m = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
     H = assemble(m, sp).hessian(np.zeros(sp.n))
@@ -239,6 +240,71 @@ def test_gauss_template_gradient_matches_the_pp_form(degree, N):
     got = PeriodicSplineSpace(N).gradient_at_points(field)
     want = field.eval(composite_points(N), 1)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_gauss_template_matches_one_bspline_call_per_offset_and_order(
+        degree):
+    # the template's six-offset bspline calls against one call per offset
+    # and order, bit for bit
+    qt = gauss_rule(QUAD_POINTS)[0]
+    want = np.array([[bspline(degree, qt - o, r) for r in range(degree + 1)]
+                     for o in range(-2, 4)])
+    got = fem._gauss_template(degree)
+    assert got.shape == want.shape == (6, degree + 1, QUAD_POINTS)
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+class _HomogeneousPlanes:
+    """`model` with its density Hessian replaced by `planes`, (k, k, q) for
+    its k density orders, at every element."""
+
+    def __init__(self, model, planes):
+        self.model, self.planes = model, planes
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def density_hess(self, g, args=None):
+        return np.broadcast_to(self.planes[..., None],
+                               self.planes.shape + g.shape[-1:])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["cb", "hoc4", "hoc6", "ill2"]),
+       st.integers(1, 70))
+def test_one_element_band_matches_the_streamed_band(data, key, N):
+    # equal planes at every element build the band from one element's
+    # stencil: exactly circulant (for n > 10; n <= 10 aliases offsets), and
+    # for cb, hoc4 and ill2 bitwise the band that the six streamed products
+    # and the slice scatter build from the same planes. BLAS can round
+    # hoc6's 45-term sums differently in a narrow product and a wide one
+    # (OpenBLAS 0.3.31 on AVX-512 does past n = 108, and in the last two
+    # columns at n = 2 (mod 4)), so there the bands agree to roundoff only
+    model = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
+    k = len(model.density_orders)
+    a = data.draw(arrays(float, (k, k, QUAD_POINTS),
+                         elements=st.floats(-1e6, 1e6)))
+    planes = a + a.swapaxes(0, 1)
+    sp = PeriodicSplineSpace(N)
+    # scatter nothing: the one-element path must not reach the scatter
+    sp.scatter_add = None
+    H = assemble(_HomogeneousPlanes(model, planes), sp).hessian(
+        np.zeros(sp.n))
+    assert np.all(H.diags == H.diags[:, :1])
+    assert H.is_circulant() == (sp.n > 10)
+    hess_kernel = fem._element_kernels(model.density_orders)[1]
+    d2w = np.asfortranarray(np.broadcast_to(planes.reshape(-1, 1),
+                                            (planes.size, sp.n)))
+    streamed, size = (PeriodicSplineSpace(N).scatter_add(
+        f(hess_kernel[io]) @ f(d2w) for io in range(6))
+        for f in (np.asarray, np.abs))
+    if key == "hoc6":
+        assert np.all(np.abs(H.diags - streamed)
+                      <= 4 * np.finfo(float).eps * size)
+    else:
+        assert np.array_equal(H.diags, streamed)
 
 
 def test_energy_gap_trivial_and_shift_invariant():

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from chain_elastica import cli, harness
+from chain_elastica import cli, fem, harness
 from chain_elastica.analysis import StabilityReport
 from chain_elastica.cli import main as cli_main
 from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
@@ -358,13 +358,21 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ("kappa = -1.0\n", "kappa: -1.0 is not > 0"),
     ("kappa = 0\n", "kappa: 0 is not > 0"),
     ("kappa = 1e309\n", "kappa: inf is not finite"),
+    # a repeated N was solved twice, the second time cold, and both rows
+    # were fitted; an empty list wrote an empty records.csv
+    ("eps_list = (0.125, 0.125, 0.0625)\n",
+     "eps_list: 0.125 is repeated (N = 8)"),
+    ("eps_list = (0.25, 0.125, 0.2500000000001)\n",
+     "eps_list: 0.2500000000001 is repeated (N = 4)"),
+    ("eps_list = ()\n", "eps_list: no eps values"),
 ], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
         "bad-model", "bad-interp", "str-for-float", "str-for-int",
         "float-for-int", "bool-for-float", "str-for-kappa", "str-eps",
         "repeated-model", "r_cut-0", "max_iter-0", "F-0", "F-negative",
         "eps_scale-0", "morse_a-negative", "eps_min_fit-negative", "F-inf",
         "eps_scale-minus-inf", "morse_a-huge-int", "eps_min_fit-inf",
-        "kappa-negative", "kappa-0", "kappa-inf"])
+        "kappa-negative", "kappa-0", "kappa-inf", "repeated-eps",
+        "eps-with-a-repeated-N", "empty-eps-list"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -395,6 +403,20 @@ def test_cli_rejects_a_repeated_model(command, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == (f"chain-elastica {command}: error: models: 'cb' is "
                        "repeated")
+
+
+@pytest.mark.parametrize("eps_list, message", [
+    ("0.125,0.125,0.0625,0.03125", "0.125 is repeated (N = 8)"),
+    ("0.25,0.125,0.2500000000001", "0.2500000000001 is repeated (N = 4)")])
+def test_cli_rejects_a_repeated_eps(eps_list, message, tmp_path, capsys):
+    # the repeated N was solved twice, the second time cold, and fit.json
+    # counted both rows as points
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--eps-list", eps_list, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"chain-elastica sweep: error: eps_list: {message}"
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_cli_stability_and_consistency(tmp_path):
@@ -576,6 +598,40 @@ def test_default_harmonic_sweep_factorization_count(factorizations):
     run_sweep(StudyConfig(potential="harmonic",
                           models=("cb", "hoc4", "hoc6")))
     assert factorizations == [True] * 32
+
+
+def _fem_bands(monkeypatch, cfg):
+    """For each FEM Hessian band that `run_sweep(cfg)` builds, in order:
+    True where it is built from one element's stencil, which writes the
+    band without `PeriodicBand.add`, False where it is streamed."""
+    built = []
+
+    class Band(PeriodicBand):
+        streamed = False
+
+        def __init__(self, n, b):
+            super().__init__(n, b)
+            built.append(self)
+
+        def add(self, *args, **kwargs):
+            self.streamed = True
+            super().add(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "PeriodicBand", Band)
+    run_sweep(cfg)
+    return [not band.streamed for band in built]
+
+
+def test_default_sweeps_build_homogeneous_bands_from_one_element(
+        monkeypatch):
+    # a harmonic density has the same second derivatives at every point,
+    # so each of the 24 continuum solves builds its one band from one
+    # element; no LJ band is homogeneous, as each LJ continuum solve
+    # starts from the deformed chain's spline, not from u = 0
+    assert _fem_bands(monkeypatch, StudyConfig(
+        potential="harmonic", models=("cb", "hoc4", "hoc6"))) == [True] * 24
+    assert _fem_bands(monkeypatch, StudyConfig(
+        potential="lj", models=("cb", "hoc4"))) == [False] * 25
 
 
 def test_default_morse_sweep_takes_one_newton_step_per_solve_from_N_128(

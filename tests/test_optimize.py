@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_elastica.optimize import (STEP_RTOL, MinimizeProblem,
                                      PeriodicBand, gradient_check,
@@ -262,6 +264,67 @@ def test_periodic_band_certificate_checks_every_pivot(n, b):
     assert np.linalg.eigvalsh(P @ H.toarray() @ P)[0] < -1.0
     with pytest.raises(np.linalg.LinAlgError):
         H.solve(np.zeros(n))
+
+
+def random_band(b, n_step, circulant, seed, low):
+    """A random symmetric band with H·1 = 0: bond weights uniform in
+    [low, 1.5], constant along the ring where circulant. n runs in 20
+    log-uniform steps from 2b + 1 (n_step = 0) to 2000 (n_step = 20)."""
+    n = round((2 * b + 1) * (2000 / (2 * b + 1)) ** (n_step / 20))
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(low, 1.5, (b, 1 if circulant else n))
+    H = bond_band(n, np.repeat(weights, n // weights.shape[1], axis=1))
+    assert H.is_circulant() == circulant
+    return H, gen
+
+
+band_draws = dict(b=st.integers(1, 5), n_step=st.integers(0, 20),
+                  circulant=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**band_draws)
+@example(b=5, n_step=20, circulant=False, seed=1)
+def test_periodic_band_solve_matches_lstsq_on_random_bands(
+        b, n_step, circulant, seed):
+    # positive bonds: with weights in [0.5, 1.5], lam_max <= 4·1.5·b
+    # (Gershgorin) and lam_1 >= 0.5·4 sin^2(pi / n) (the nearest-neighbour
+    # ring alone), which bounds the condition number on mean-zero vectors
+    H, gen = random_band(b, n_step, circulant, seed, 0.5)
+    n, A = H.n, H.toarray()
+    rhs = mean_zero(gen.standard_normal(n))
+    ref = mean_zero(scipy.linalg.lstsq(A, rhs, lapack_driver="gelsy")[0])
+    x = H.solve(rhs)
+    cond = 3.0 * b / np.sin(np.pi / n) ** 2
+    tol = 4 * np.finfo(float).eps * cond
+    assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+    assert abs(x.mean()) <= 1e-15 * np.max(np.abs(x))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(low=st.sampled_from([-2.0, -1.0, -0.5, -0.02, 0.25]),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]), **band_draws)
+@example(low=-0.5, scale=1.0, b=2, n_step=20, circulant=False, seed=1)
+@example(low=0.0, scale=1.0, b=1, n_step=20, circulant=True, seed=1)
+@example(low=-2.0, scale=1e-8, b=1, n_step=5, circulant=True, seed=1)
+@example(low=-1.0, scale=1e3, b=3, n_step=12, circulant=True, seed=1)
+def test_periodic_band_factor_raises_exactly_when_grounded_is_indefinite(
+        low, scale, b, n_step, circulant, seed):
+    # negative bonds make some bands indefinite, weak ones (low = -0.02)
+    # barely so, and the scale moves every eigenvalue by its factor. Dof 0
+    # grounded, the margin is 0: factor raises iff the grounded matrix has
+    # an eigenvalue below 0. A band with |lam_min| within 64·n·eps·|lam|max
+    # of 0 is skipped, as a factorization's roundoff may decide it either
+    # way
+    H = random_band(b, n_step, circulant, seed, low)[0]
+    H.diags *= scale
+    lam = np.linalg.eigvalsh(H.toarray()[1:, 1:])
+    assume(abs(lam[0]) > 64 * H.n * np.finfo(float).eps * np.abs(lam).max())
+    if lam[0] < 0.0:
+        with pytest.raises(np.linalg.LinAlgError):
+            H.factor()
+    else:
+        H.factor()
 
 
 def test_periodic_band_keeps_its_factorization_until_add():
