@@ -19,14 +19,9 @@ __all__ = ["atomistic_symbol", "cb_symbol", "hoc_taylor_symbol",
            "StabilityReport"]
 
 
-def _phi2(system):
-    return {rho: float(system.phi[rho].derivative(2, np.zeros(1))[0])
-            for rho in system.bonds}
-
-
 def cb_symbol(system):
     """sum_rho rho^2 phi_rho''(0): the Cauchy-Born modulus."""
-    p2 = _phi2(system)
+    p2 = system.stiffness0
     return sum(rho * rho * p2[rho] for rho in system.bonds)
 
 
@@ -35,7 +30,7 @@ def atomistic_symbol(system, x):
     to the Cauchy-Born modulus at x = 0. Computed from the circulant Hessian
     symbol, normalized against ||grad v||^2."""
     x = np.asarray(x, dtype=float)
-    p2 = _phi2(system)
+    p2 = system.stiffness0
     out = np.zeros_like(x)
     small = np.abs(x) < 1e-9
     xs = np.where(small, 1.0, x)
@@ -49,7 +44,7 @@ def hoc_taylor_symbol(system, x):
     """The truncated-Taylor symbol: per bond,
     [(y^2 - y^4/3 + 2 y^6/45) / (x/2)^2] phi_rho''(0) with y = x rho / 2."""
     x = np.asarray(x, dtype=float)
-    p2 = _phi2(system)
+    p2 = system.stiffness0
     out = np.zeros_like(x)
     for rho in system.bonds:
         y2 = (0.5 * x * rho) ** 2

@@ -42,6 +42,14 @@ class AtomisticSystem:
         return {rho: float(self.phi[rho].derivative(0, np.zeros(1))[0])
                 for rho in self.bonds}
 
+    @cached_property
+    def stiffness0(self):
+        """phi_rho''(0) per bond: the stiffness of the homogeneous state,
+        which its Hessian's DFT eigenvalues and the stability symbols are
+        built from."""
+        return {rho: float(self.phi[rho].derivative(2, np.zeros(1))[0])
+                for rho in self.bonds}
+
     def r_cut(self):
         return max(self.bonds)
 
@@ -188,8 +196,7 @@ def hessian_dft_eigenvalues(system):
     n = 2 * system.N
     k = np.arange(n)
     lam = np.zeros(n)
-    for rho in system.bonds:
-        phi2 = float(system.phi[rho].derivative(2, np.zeros(1))[0])
+    for rho, phi2 in system.stiffness0.items():
         m = k * rho % n
         lam += 4.0 * phi2 * np.sin(np.pi * np.minimum(m, n - m) / n) ** 2
     return lam

@@ -18,6 +18,7 @@ file.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -89,7 +90,11 @@ def _check_hermite_cells(parser, eps_values, user):
                          f"eps <= 1/{STENCIL_MIN_N}")
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser and its subcommand parsers by name, built once per
+    process: parsing keeps no state in them (every `append` list and
+    default is made anew in each call's namespace)."""
     parser = argparse.ArgumentParser(prog="chain-elastica")
     sub = parser.add_subparsers(dest="command", required=True)
     cmd = {name: sub.add_parser(name)
@@ -109,6 +114,11 @@ def main(argv=None):
                               help="exclude eps below this from slope fits")
     cmd["solve"].add_argument("--eps", type=_eps_arg(float),
                               default=2.0 ** -3)
+    return parser, cmd
+
+
+def main(argv=None):
+    parser, cmd = _parser()
     args = parser.parse_args(argv)
     cfg = _build_config(cmd[args.command], args)
     if not cfg.out_dir:

@@ -159,7 +159,9 @@ def assemble(model, space, f=None):
     band per value of the `density_hess` planes at the quadrature points.
     The planes are symmetric, so the band is keyed on and assembled from
     the planes (r, s) with r <= s alone; plane (s, r) is read from (r, s).
-    The problem's `energy` is the objective without its load term."""
+    The problem's `energy` is the objective without its load term; it keeps
+    its last value, so `solve_continuum` reads the one of Newton's last
+    objective call."""
     orders = model.density_orders
     w0 = model.density0()
     if f is None:
@@ -187,6 +189,7 @@ def assemble(model, space, f=None):
 
     at = evaluate_once(evaluate)
 
+    @evaluate_once
     def energy(c):
         g, args = at(c)
         return float(np.sum(qw @ (model.density(g, args) - w0)))

@@ -16,9 +16,8 @@ import numpy as np
 
 from .analysis import find_negative_mode, stability_constants, \
     atomistic_symbol, cb_symbol, hoc_taylor_symbol, direct_symbol
-from .atomistic import AtomisticSolution, AtomisticSystem
-from .continuum import MODEL_KEYS, SineField, consistency_residual, \
-    continuum_model
+from .atomistic import AtomisticSolution, AtomisticSystem, atomistic_stress
+from .continuum import MODEL_KEYS, SineField, continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
@@ -331,27 +330,56 @@ def write_fits_json(path, fits):
     _write_json(path, [asdict(f) for f in fits])
 
 
+class _FieldAt:
+    """A field whose derivatives at the one array `x` are evaluated once
+    each, by the field's own `eval`, and then shared read-only; any other
+    point array goes to the field."""
+
+    def __init__(self, u, x):
+        self.u, self.x, self._at = u, x, {}
+
+    def eval(self, x, deriv=0):
+        if x is not self.x:
+            return self.u.eval(x, deriv)
+        if deriv not in self._at:
+            self._at[deriv] = self.u.eval(x, deriv)
+            self._at[deriv].flags.writeable = False
+        return self._at[deriv]
+
+
 def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
                     models=CONSISTENCY_MODELS):
     """Pointwise stress-consistency sweep on the fixed test field
     amplitude * sin(pi x / N). The sixth-order model is paired with the
-    quintic kernel, everything else with the cubic one."""
+    quintic kernel, everything else with the cubic one. Per N, the field's
+    derivatives at the points (`_FieldAt`) and the atomistic stress, once
+    per kernel degree, are shared by the models: the arrays that
+    `consistency_residual` computes, so each R is that oracle's bit for
+    bit. Rows are in model order, N ascending."""
     pot = cfg.make_potential()
     bonds = cfg.bonds()
-    rows = []
-    for model_key in models:
-        model = continuum_model(model_key, pot, bonds=bonds, F=cfg.F)
-        kernel = reproducing_kernel(5 if model_key == "hoc6" else 3)
-        for N in Ns:
-            system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F)
-            u = SineField(amplitude, np.pi / N)
-            x = np.linspace(-N, N, 16 * 2 * N, endpoint=False)
-            r = consistency_residual(system, model, u, kernel, x)
-            rows.append({"model": model_key, "N": N,
-                         "max_R": float(np.max(np.abs(r))),
-                         "l2_R": float(np.sqrt(np.mean(r ** 2) * 2 * N))})
+    cont = {key: continuum_model(key, pot, bonds=bonds, F=cfg.F)
+            for key in models}
+    by_model = {key: [] for key in models}
+    for N in Ns:
+        system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F)
+        x = np.linspace(-N, N, 16 * 2 * N, endpoint=False)
+        u = _FieldAt(SineField(amplitude, np.pi / N), x)
+        samples = u.eval(np.arange(-N, N).astype(float), 0)
+        stress_a = {}
+        for key, model in cont.items():
+            degree = 5 if key == "hoc6" else 3
+            if degree not in stress_a:
+                stress_a[degree] = atomistic_stress(
+                    system, samples, reproducing_kernel(degree), x)
+            r = stress_a[degree] - model.stress(u, x)
+            by_model[key].append({
+                "model": key, "N": N, "max_R": float(np.max(np.abs(r))),
+                "l2_R": float(np.sqrt(np.mean(r ** 2) * 2 * N))})
+        del x, u, samples, stress_a     # before the next N's arrays
+    rows = [row for key in models for row in by_model[key]]
     fits = {key: _slope_fit(key, [(1.0 / row["N"], row["max_R"])
-                                  for row in rows if row["model"] == key])
+                                  for row in by_model[key]])
             for key in models}
     return rows, fits
 

@@ -180,9 +180,11 @@ _REPRO_TAPS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def reproducing_kernel(degree):
     """Kernel of the given B-spline degree whose nodal series reproduces
-    polynomials of that degree (needed for the bond-weight moment identities)."""
+    polynomials of that degree (needed for the bond-weight moment
+    identities); one per degree, shared."""
     if degree not in _REPRO_TAPS:
         raise ValueError(f"no reproducing kernel tabulated for degree {degree}")
     k = SplineKernel(degree, _REPRO_TAPS[degree], name=f"repro{degree}")

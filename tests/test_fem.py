@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +337,32 @@ def test_solver_energy_matches_continuum_energy(key, potential, N):
     u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
     assert u.energy == pytest.approx(continuum_energy(m, u, N), rel=1e-13,
                                      abs=0.0)
+
+
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6"])
+def test_a_solve_evaluates_the_density_once_per_objective_call(key,
+                                                               monkeypatch):
+    # the field's energy is the one of Newton's last objective call, with
+    # no evaluation of its own, and bitwise a fresh problem's there
+    N = 16
+    m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
+    calls = {"density": 0, "objective": 0}
+    density, newton = m.density, fem.newton_minimize
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(m, "density", counted("density", density))
+    monkeypatch.setattr(fem, "newton_minimize", lambda prob, x0: newton(
+        dataclasses.replace(prob, objective=counted("objective",
+                                                    prob.objective)), x0))
+    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    assert calls["density"] == calls["objective"] > 1
+    assert u.energy == assemble(m, PeriodicSplineSpace(N),
+                                cos_force(N)).energy(u.result.x)
 
 
 def test_hessian_callback_refactors_only_for_new_density_hessian(

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+from fractions import Fraction
 import json
 import os
 import pathlib
@@ -9,9 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chain_elastica import cli, fem, harness
 from chain_elastica.analysis import StabilityReport
+from chain_elastica.atomistic import AtomisticSystem
+from chain_elastica.continuum import (MODEL_KEYS, SineField,
+                                      consistency_residual, continuum_model)
 from chain_elastica.cli import main as cli_main
 from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     fit_slope, load_config, run_consistency,
@@ -19,6 +24,7 @@ from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     unfitted_models, write_records_csv,
                                     write_stability)
 from chain_elastica.optimize import PeriodicBand
+from chain_elastica.splines import reproducing_kernel
 
 
 def test_fit_slope_synthetic():
@@ -77,6 +83,31 @@ def test_run_consistency_orders():
     assert all(r["max_R"] > 0 for r in rows)
 
 
+@pytest.mark.parametrize("potential", ["harmonic", "lj"])
+def test_consistency_rows_are_each_models_alone_and_the_oracles(potential):
+    # the per-N work the models share changes no row, bit for bit: each
+    # model's rows are those of a run with that model alone, in any order
+    # of the others, and the R of `consistency_residual` gives them
+    cfg = StudyConfig(potential=potential)
+    together, _ = run_consistency(cfg, models=MODEL_KEYS)
+    alone = {key: run_consistency(cfg, models=(key,))[0]
+             for key in MODEL_KEYS}
+    assert together == [row for key in MODEL_KEYS for row in alone[key]]
+    reverse, _ = run_consistency(cfg, models=MODEL_KEYS[::-1])
+    assert reverse == [row for key in MODEL_KEYS[::-1] for row in alone[key]]
+    pot = cfg.make_potential()
+    for row in together:
+        N, key = row["N"], row["model"]
+        r = consistency_residual(
+            AtomisticSystem(N, pot, bonds=cfg.bonds(), F=cfg.F),
+            continuum_model(key, pot, bonds=cfg.bonds(), F=cfg.F),
+            SineField(0.1, np.pi / N),
+            reproducing_kernel(5 if key == "hoc6" else 3),
+            np.linspace(-N, N, 16 * 2 * N, endpoint=False))
+        assert row["max_R"] == float(np.max(np.abs(r)))
+        assert row["l2_R"] == float(np.sqrt(np.mean(r ** 2) * 2 * N))
+
+
 def test_run_stability_smoke():
     cfg = StudyConfig(potential="harmonic")
     report, modes, table = run_stability(cfg, Ns=(8, 16))
@@ -100,6 +131,30 @@ def test_cli_outputs_deterministic(tmp_path):
         for name in names:
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes()), (argv[0], name)
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # one parser serves every call of a process: a second pass of the same
+    # calls, a failed one among them, writes the same bytes as the first
+    assert cli._parser() is cli._parser()
+    calls = (["consistency"], ["stability", "--potential", "lj"],
+             ["sweep", "--eps-list", "0.3"],
+             ["sweep", "--model", "cb", "--eps-list", "2^-3..2^-5"])
+    for tag in ("a", "b"):
+        for argv in calls:
+            argv = argv + ["--out", str(tmp_path / tag / argv[0])]
+            if "0.3" in argv:
+                with pytest.raises(SystemExit) as exc:
+                    cli_main(argv)
+                assert exc.value.code == 2
+            else:
+                assert cli_main(argv) == 0
+    for command in ("consistency", "stability", "sweep"):
+        a, b = tmp_path / "a" / command, tmp_path / "b" / command
+        names = sorted(p.name for p in a.iterdir())
+        assert names and names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_written_formats(tmp_path):
@@ -698,6 +753,22 @@ def test_failed_solves_restart_their_history():
     after = solve_cell(cfg, 2.0 ** -4, cfg.models, cell.history).records
     cold = solve_cell(cfg, 2.0 ** -4, cfg.models).records
     assert after[0] == cold[0] and after[1].reason == cold[1].reason
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3,
+                       max_size=3),
+       h=st.fractions(min_value=Fraction(1, 2 ** 40), max_value=1))
+def test_extrapolation_is_exact_on_polynomials_in_eps_squared(coeffs, h):
+    # the weights for k solutions at eps**2 = 4h, 16h, 64h give p(h)
+    # exactly, in rational arithmetic, for every p of degree below k
+    for rows, weights in harness._EXTRAPOLATION.items():
+        weights = [Fraction(float(w)) for w in weights]
+        for degree in range(rows):
+            p = [sum(c * t ** i for i, c in enumerate(coeffs[:degree + 1]))
+                 for t in (h, 4 * h, 16 * h, 64 * h)]
+            assert sum(w * v for w, v in zip(weights, p[1:])) == p[0], \
+                (rows, degree)
 
 
 def test_a_sweep_solves_each_model_as_if_alone():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 from chain_elastica.lattice import PeriodicLatticeField, project_mean_zero
@@ -296,6 +297,39 @@ def test_subdivision_reproduces_the_coarse_field(degree, N):
     fine_field = KernelField(fine, kernel, 2 * N).eval(2.0 * x)
     assert np.max(np.abs(fine_field - coarse_field)) \
         <= 1e-15 * np.max(np.abs(coarse_field))
+
+
+# n values from a seeded normal draw, at scales 1e-3 to 1e3
+site_draws = dict(n=st.integers(8, 512), seed=st.integers(0, 2 ** 32 - 1),
+                  scale=st.sampled_from([1e-3, 1.0, 1e3]))
+
+
+def _site_values(n, seed, scale):
+    return scale * np.random.default_rng(seed).standard_normal(n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degree=st.sampled_from([3, 4, 5]), **site_draws)
+def test_spline_values_invert_spline_coefficients(degree, n, seed, scale):
+    v = _site_values(n, seed, scale)
+    bound = 1e-13 * np.max(np.abs(v))
+    c = periodic_spline_coefficients(v, degree)
+    assert np.max(np.abs(periodic_spline_values(c, degree) - v)) <= bound
+    assert np.max(np.abs(periodic_spline_coefficients(
+        periodic_spline_values(v, degree), degree) - v)) <= bound
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degree=st.sampled_from([3, 5]), **site_draws)
+def test_subdivision_keeps_the_values_at_the_coarse_sites(degree, n, seed,
+                                                          scale):
+    # coarse site j is fine site 2j
+    c = _site_values(n, seed, scale)
+    coarse = periodic_spline_values(c, degree)
+    fine = periodic_spline_values(periodic_spline_subdivision(c, degree),
+                                  degree)
+    assert np.max(np.abs(fine[::2] - coarse)) \
+        <= 1e-13 * np.max(np.abs(coarse))
 
 
 def test_subdivision_needs_an_odd_degree():
