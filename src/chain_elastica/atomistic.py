@@ -7,8 +7,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
-from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
-                       newton_minimize)
+from .optimize import (DomainError, MinimizeProblem, PeriodicBand,
+                       evaluate_once, newton_minimize)
 from .potentials import shifted
 from .splines import KernelField
 
@@ -54,16 +54,16 @@ class AtomisticSystem:
         return max(self.bonds)
 
     def _strains(self, u):
-        """D_rho u(xi) for every bond; raises if a bond is compressed past
-        zero length (Lennard-Jones/Morse domain)."""
+        """D_rho u(xi) for every bond; raises DomainError if a bond is
+        compressed past zero length (Lennard-Jones/Morse domain)."""
         out, n = {}, len(u)
         for rho in self.bonds:
             r = rho % n
             d = np.concatenate((u[r:] - u[:n - r], u[:r] - u[n - r:]))
             if np.any(d + self.F * rho <= 0.0):
                 xi = int(np.argmax(d + self.F * rho <= 0.0)) - self.N
-                raise ValueError(f"bond (xi={xi}, rho={rho}) collapsed to "
-                                 "nonpositive length")
+                raise DomainError(f"bond (xi={xi}, rho={rho}) collapsed to "
+                                  "nonpositive length")
             out[rho] = d
         return out
 

@@ -29,6 +29,7 @@ from .harness import (CONSISTENCY_MODELS, StudyConfig, fit_models,
                       write_fits_json, write_records_csv, write_solution_csvs,
                       write_stability, _eps_to_N)
 from .lattice import STENCIL_MIN_N
+from .optimize import DomainError
 from .potentials import POTENTIAL_KINDS
 from .splines import INTERP_KINDS
 
@@ -167,10 +168,21 @@ def main(argv=None):
         return 0
 
     if args.command == "consistency":
-        rows, fits = run_consistency(cfg, models=cfg.models)
+        try:
+            rows, fits = run_consistency(cfg, models=cfg.models)
+        except DomainError as err:
+            cmd["consistency"].error(str(err))
         write_consistency(cfg.out_dir, rows, fits)
         for key, f in fits.items():
             print(f"{key}: consistency order {f.slope:.3f} (r2 = {f.r2:.5f})")
+        # a model with a max_R below resolution has no fit: say so once
+        unfitted = {}
+        for row in rows:
+            if not row["max_R"] > 0.0:
+                unfitted.setdefault(row["model"], row)
+        for key, row in unfitted.items():
+            print(f"{key}: not fitted, max_R {row['max_R']!r} at N = "
+                  f"{row['N']} is not positive (below resolution)")
         return 0
 
     return 1

@@ -16,6 +16,7 @@ computes and checks them.
 import numpy as np
 
 from .atomistic import atomistic_stress
+from .optimize import DomainError
 from .potentials import shifted
 from .quadrature import composite_integral
 from .splines import convolution_interpolant, nodal_interpolant
@@ -82,14 +83,14 @@ class _ComposedModel:
 
     def _checked_args(self, g, args):
         """`args` as passed, or bond_args(g) after checking that every bond
-        length is positive; raises ValueError naming the bond."""
+        length is positive; raises DomainError naming the bond."""
         if args is not None:
             return args
         args = self.bond_args(g)
         for rho in self.bonds:
             if np.any(args[rho] + self.F * rho <= 0.0):
-                raise ValueError(f"bond rho={rho}: pair potential evaluated "
-                                 "at nonpositive distance")
+                raise DomainError(f"bond rho={rho}: pair potential "
+                                  "evaluated at nonpositive distance")
         return args
 
     def domain_margin(self, g, args=None):

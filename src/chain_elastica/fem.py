@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimize import (MinimizeProblem, PeriodicBand, evaluate_once,
-                       newton_minimize)
+from .optimize import (DomainError, MinimizeProblem, PeriodicBand,
+                       evaluate_once, newton_minimize)
 from .quadrature import composite_integral, composite_points, gauss_rule
 from .splines import KernelField, bspline, bspline_kernel
 
@@ -183,8 +183,8 @@ def assemble(model, space, f=None):
         margin = model.domain_margin(g, args)
         if np.any(margin <= 0.0):
             elem = int(np.argmin(margin) % n) - space.N
-            raise ValueError(f"density domain violation in element "
-                             f"[{elem}, {elem + 1}]")
+            raise DomainError(f"density domain violation in element "
+                              f"[{elem}, {elem + 1}]")
         return g, args
 
     at = evaluate_once(evaluate)
@@ -244,13 +244,18 @@ def solve_continuum(model, space, f=None, max_iter=500, x0=None):
     by default). Newton's last factorization certifies the stationary point
     as a local minimizer; the unstable variants fail that check and raise
     IndefiniteHessianError (a stationary point of an energy that is
-    unbounded below is not a solution of the minimization problem). f is
-    passed to `assemble`. The field's `energy` is the problem's at the
-    returned coefficients, from the evaluation of Newton's last objective
-    call."""
+    unbounded below is not a solution of the minimization problem), and a
+    start outside the potential's domain raises DomainError. f is passed
+    to `assemble`. The field's `energy` is the problem's at the returned
+    coefficients, from the evaluation of Newton's last objective call."""
     prob = assemble(model, space, f)
     prob.max_iter = max_iter
-    res = newton_minimize(prob, np.zeros(space.n) if x0 is None else x0)
+    try:
+        res = newton_minimize(prob, np.zeros(space.n) if x0 is None else x0)
+    except DomainError as err:
+        raise DomainError(
+            f"continuum model {model.key!r} starts outside the potential's "
+            f"domain at N={space.N}: {err}") from None
     if res.hessian_indefinite:
         raise IndefiniteHessianError(
             f"continuum model {model.key!r} is not positive definite on the "

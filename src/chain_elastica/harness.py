@@ -21,6 +21,7 @@ from .continuum import MODEL_KEYS, SineField, continuum_model
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
+from .optimize import DomainError
 from .potentials import POTENTIAL_KINDS, make_potential
 from .quadrature import composite_points
 from .splines import INTERP_KINDS, measurement_interpolant, \
@@ -186,7 +187,8 @@ def solve_cell(cfg, eps, models, history=None):
     What the models share is computed once per cell: the chain's energy
     above the homogeneous state (carried by its solution), grad I u at the
     Gauss points of the error norm, and the FEM load vector. A model whose
-    Hessian is indefinite gets a NaN record with the reason and no field.
+    Hessian is indefinite, or whose start is outside the potential's
+    domain, gets a NaN record with the reason and no field.
     If the chain did not converge, the other records give that as their
     reason. The cell returns the history for the next one: the converged
     solves' solutions."""
@@ -215,7 +217,7 @@ def solve_cell(cfg, eps, models, history=None):
         try:
             u_c = solve_continuum(model, space, load, cfg.max_iter,
                                   history.start(key, start))
-        except IndefiniteHessianError as exc:
+        except (IndefiniteHessianError, DomainError) as exc:
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
                 reason=str(exc)))
@@ -355,7 +357,9 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
     derivatives at the points (`_FieldAt`) and the atomistic stress, once
     per kernel degree, are shared by the models: the arrays that
     `consistency_residual` computes, so each R is that oracle's bit for
-    bit. Rows are in model order, N ascending."""
+    bit. Rows are in model order, N ascending. A model with a max_R that
+    is not positive (below resolution) is left out of `fits`. DomainError
+    names F and N where the test field leaves the potential's domain."""
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     cont = {key: continuum_model(key, pot, bonds=bonds, F=cfg.F)
@@ -369,10 +373,16 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
         stress_a = {}
         for key, model in cont.items():
             degree = 5 if key == "hoc6" else 3
-            if degree not in stress_a:
-                stress_a[degree] = atomistic_stress(
-                    system, samples, reproducing_kernel(degree), x)
-            r = stress_a[degree] - model.stress(u, x)
+            try:
+                if degree not in stress_a:
+                    stress_a[degree] = atomistic_stress(
+                        system, samples, reproducing_kernel(degree), x)
+                r = stress_a[degree] - model.stress(u, x)
+            except DomainError as err:
+                raise DomainError(
+                    f"F = {cfg.F!r}: the test field {amplitude!r}*"
+                    f"sin(pi x / N) leaves the potential's domain at "
+                    f"N = {N}: {err}") from None
             by_model[key].append({
                 "model": key, "N": N, "max_R": float(np.max(np.abs(r))),
                 "l2_R": float(np.sqrt(np.mean(r ** 2) * 2 * N))})
@@ -380,7 +390,8 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
     rows = [row for key in models for row in by_model[key]]
     fits = {key: _slope_fit(key, [(1.0 / row["N"], row["max_R"])
                                   for row in by_model[key]])
-            for key in models}
+            for key in models
+            if all(row["max_R"] > 0.0 for row in by_model[key])}
     return rows, fits
 
 
@@ -463,9 +474,9 @@ def load_config(path=None, overrides=None, defaults=None):
     both. ValueError names an unknown key, a line without '=', a value whose
     type is not its `StudyConfig` field's (`kappa` may also be None), that
     is below its `_KEY_BOUNDS` or (for a float) not finite, an eps that is
-    not the reciprocal of an integer, an empty eps list, a repeated model or
-    N, or a potential, model or interpolant that the CLI flags do not
-    offer."""
+    not the reciprocal of an integer, an empty eps or model list, a repeated
+    model or N, a `kappa` that is not below F, or a potential, model or
+    interpolant that the CLI flags do not offer."""
     data = dict(defaults or {})
     if path:
         with open(path) as fh:
@@ -512,8 +523,14 @@ def load_config(path=None, overrides=None, defaults=None):
                 if v not in choices:
                     raise ValueError(f"{key}: {v!r} is not one of "
                                      f"{', '.join(choices)}")
+        if key == "models" and not val:
+            raise ValueError("models: no models")
         if key == "models" and len(set(val)) < len(val):
             repeated = next(v for v in val if val.count(v) > 1)
             raise ValueError(f"models: {repeated!r} is repeated")
         setattr(cfg, key, val)
+    if cfg.kappa is not None and not cfg.kappa < cfg.F:
+        # the strain -kappa would take a nearest-neighbour bond to length
+        # F - kappa <= 0, outside the potential's domain
+        raise ValueError(f"kappa: {cfg.kappa!r} is not < F = {cfg.F!r}")
     return cfg

@@ -14,8 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["PeriodicBand", "MinimizeProblem", "MinimizeResult",
-           "newton_minimize", "evaluate_once", "gradient_check"]
+__all__ = ["PeriodicBand", "DomainError", "MinimizeProblem",
+           "MinimizeResult", "newton_minimize", "evaluate_once",
+           "gradient_check"]
 
 _DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
 
@@ -100,7 +101,10 @@ class PeriodicBand:
 
         One step of iterative refinement through the same factorization
         follows, with the residual in the difference form
-        sum_o H[m, m + o]·(x[m + o] - x[m]), which is exact on constants."""
+        sum_o H[m, m + o]·(x[m + o] - x[m]), which is exact on constants.
+        The reduction's solve also has `passes(rhs)`, which yields the
+        mean-zero solution of the first pass and then the refined one, for
+        a caller that can stop on the first."""
         return self.factor()(rhs)
 
     def factor(self):
@@ -122,7 +126,9 @@ class PeriodicBand:
         layout = _grounded_layout(n, self.b)
         grounded = _cyclic_reduction(diags, layout)
 
-        def solve(rhs):
+        def passes(rhs):
+            """The mean-zero solution after the first reduction pass, then
+            after the refinement pass, which continues from the first."""
             x = np.zeros(n)
             x[layout.order], v = grounded(
                 np.column_stack([rhs[layout.order], np.ones(n - 1)])).T
@@ -135,13 +141,19 @@ class PeriodicBand:
                 y[layout.order] -= (r0 / n) * v
 
             spread_row0(rhs, x)
+            yield x - x.mean()
             r = rhs - np.einsum("om,om->m", diags, x[layout.cols] - x)
             d = np.zeros(n)
             d[layout.order] = grounded(r[layout.order, None])[:, 0]
             spread_row0(r, d)
             x += d
-            return x - x.mean()
+            yield x - x.mean()
 
+        def solve(rhs):
+            *_, x = passes(rhs)
+            return x
+
+        solve.passes = passes
         return solve
 
     def toarray(self):
@@ -276,6 +288,12 @@ def _cyclic_reduction(diags, layout):
     return solve
 
 
+class DomainError(ValueError):
+    """Raised by a problem's callbacks at a point outside the domain of
+    its objective, such as a chain with a bond compressed to nonpositive
+    length."""
+
+
 @dataclass
 class MinimizeProblem:
     objective: Callable
@@ -316,7 +334,13 @@ def newton_minimize(problem, x0):
     the result is x_k + p_k. So x_k already agrees with the minimizer to
     about 8 digits relative to ||x||_inf, and in Newton's quadratic regime
     x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
-    rounding error of the computed step, not STEP_RTOL. An exactly zero
+    rounding error of the computed step, not STEP_RTOL. A reduction solve's
+    first pass is tested before its refinement pass runs (`PeriodicBand`):
+    that p_k is good to about 1e-12 relative, so refining it would move
+    x_k + p_k by about 1e-20 of ||x||_inf, below one ulp, and a final step
+    makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982). A step that continues is refined, as `PeriodicBand.solve` is,
+    and its stop test is made again on the refined p_k. An exactly zero
     gradient returns x_k itself. `iterations` counts the steps taken, the
     last one included, and so equals the number of Hessians a converged
     solve uses, reused bands included; `grad_norm` is ||g(x_k)||_inf.
@@ -328,7 +352,9 @@ def newton_minimize(problem, x0):
     objective call. Backtracking enforces Armijo decrease unless the
     predicted decrease -g.p is below the objective's rounding level
     (ROUNDOFF_RTOL·|f|); such a step is accepted when it lowers
-    ||g||_inf instead."""
+    ||g||_inf instead. A trial at which the objective raises DomainError
+    is rejected like one that fails the test; a start outside the domain
+    raises it from the callbacks."""
     x = np.asarray(x0, dtype=float) - np.mean(x0)
     f, g = problem.objective, problem.gradient
 
@@ -350,12 +376,16 @@ def newton_minimize(problem, x0):
         if gnorm == 0.0:
             return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
                                   True, "converged")
-        p = solve(-gx)
-        del solve   # the band holds it for as long as the band is reused
-        if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
-            x = x + p
-            x -= x.mean()
-            return MinimizeResult(x, f(x), gnorm, it + 1, True, "converged")
+        # a reduction solve yields its first pass before it refines: a step
+        # that stops on it needs no refinement
+        passes = getattr(solve, "passes", None)
+        for p in passes(-gx) if passes else (solve(-gx),):
+            if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
+                x = x + p
+                x -= x.mean()
+                return MinimizeResult(x, f(x), gnorm, it + 1, True,
+                                      "converged")
+        del solve, passes   # the band holds them while it is reused
         if fx is None:
             fx = f(x)
         slope = float(np.dot(gx, p))
@@ -364,7 +394,11 @@ def newton_minimize(problem, x0):
         for _ in range(60):
             xn = x + alpha * p
             xn -= xn.mean()
-            fn = f(xn)
+            try:
+                fn = f(xn)
+            except DomainError:     # a trial outside the domain: rejected
+                alpha *= 0.5
+                continue
             if roundoff:
                 gn = centered_gradient(xn)
                 if np.max(np.abs(gn)) < gnorm:

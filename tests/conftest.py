@@ -1,5 +1,6 @@
 import pytest
 
+from chain_elastica import optimize
 from chain_elastica.optimize import PeriodicBand
 
 
@@ -13,4 +14,19 @@ def factorizations(monkeypatch):
     monkeypatch.setattr(
         PeriodicBand, "_factor",
         lambda self: calls.append(self.is_circulant()) or factor(self))
+    return calls
+
+
+@pytest.fixture
+def reduction_passes(monkeypatch):
+    """Every pass through a cyclic reduction's solve made during the test,
+    in order, as the size n of the band solved."""
+    calls = []
+    reduction = optimize._cyclic_reduction
+
+    def counted(diags, layout):
+        solve = reduction(diags, layout)
+        return lambda rhs: calls.append(len(rhs) + 1) or solve(rhs)
+
+    monkeypatch.setattr(optimize, "_cyclic_reduction", counted)
     return calls

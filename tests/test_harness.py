@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib.util
+import io
 from fractions import Fraction
 import json
 import os
@@ -7,10 +9,11 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chain_elastica import cli, fem, harness
 from chain_elastica.analysis import StabilityReport
@@ -24,6 +27,7 @@ from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     unfitted_models, write_records_csv,
                                     write_stability)
 from chain_elastica.optimize import PeriodicBand
+from chain_elastica.potentials import POTENTIAL_KINDS
 from chain_elastica.splines import reproducing_kernel
 
 
@@ -413,6 +417,8 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ("kappa = -1.0\n", "kappa: -1.0 is not > 0"),
     ("kappa = 0\n", "kappa: 0 is not > 0"),
     ("kappa = 1e309\n", "kappa: inf is not finite"),
+    # the stability report's strain interval reached a collapsed bond
+    ("F = 0.5\nkappa = 0.5\n", "kappa: 0.5 is not < F = 0.5"),
     # a repeated N was solved twice, the second time cold, and both rows
     # were fitted; an empty list wrote an empty records.csv
     ("eps_list = (0.125, 0.125, 0.0625)\n",
@@ -420,14 +426,17 @@ def test_cli_solves_the_smallest_hermite_chain(tmp_path):
     ("eps_list = (0.25, 0.125, 0.2500000000001)\n",
      "eps_list: 0.2500000000001 is repeated (N = 4)"),
     ("eps_list = ()\n", "eps_list: no eps values"),
+    # no models wrote header-only records.csv and consistency.csv
+    ("models = ()\n", "models: no models"),
 ], ids=["unknown-key", "bad-eps", "missing-file", "bad-potential",
         "bad-model", "bad-interp", "str-for-float", "str-for-int",
         "float-for-int", "bool-for-float", "str-for-kappa", "str-eps",
         "repeated-model", "r_cut-0", "max_iter-0", "F-0", "F-negative",
         "eps_scale-0", "morse_a-negative", "eps_min_fit-negative", "F-inf",
         "eps_scale-minus-inf", "morse_a-huge-int", "eps_min_fit-inf",
-        "kappa-negative", "kappa-0", "kappa-inf", "repeated-eps",
-        "eps-with-a-repeated-N", "empty-eps-list"])
+        "kappa-negative", "kappa-0", "kappa-inf", "kappa-not-below-F",
+        "repeated-eps", "eps-with-a-repeated-N", "empty-eps-list",
+        "no-models"])
 def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
                                                 capsys):
     path = tmp_path / "study.cfg"
@@ -439,6 +448,66 @@ def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1] == (f"chain-elastica sweep: error: --config {path}: "
                        f"{message}")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=st.sampled_from(["sweep", "solve", "consistency",
+                                "stability"]),
+       potential=st.sampled_from(POTENTIAL_KINDS),
+       F=st.one_of(st.sampled_from([1e-9, 0.01, 1.0]), st.floats(1e-9, 1e4)),
+       r_cut=st.integers(1, 9),
+       kappa=st.one_of(st.none(), st.floats(1e-6, 1e3)),
+       eps_scale=st.floats(1e-3, 1e3),
+       models=st.lists(st.sampled_from(MODEL_KEYS), unique=True, max_size=3),
+       eps_list=st.sampled_from([(0.25,), (0.25, 0.125),
+                                 (0.125, 0.0625, 0.03125)]),
+       max_iter=st.integers(1, 6))
+# a line-search trial that collapsed a bond and a consistency test field
+# that collapsed one ended in tracebacks; no models exited 0 with
+# header-only files
+@example(command="sweep", potential="harmonic", F=1e-9, r_cut=2, kappa=None,
+         eps_scale=1.0, models=["cb", "hoc4"], eps_list=(0.25, 0.125),
+         max_iter=500)
+@example(command="consistency", potential="harmonic", F=0.01, r_cut=2,
+         kappa=None, eps_scale=1.0, models=["hoc4"], eps_list=(0.25,),
+         max_iter=500)
+@example(command="sweep", potential="harmonic", F=1.0, r_cut=2, kappa=None,
+         eps_scale=1.0, models=[], eps_list=(0.25,), max_iter=500)
+def test_cli_config_fuzz_exits_0_or_2_with_one_line(
+        command, potential, F, r_cut, kappa, eps_scale, models, eps_list,
+        max_iter):
+    # any config of valid types on tiny cells: the command runs and reports
+    # on every model (exit 0), or names the bad input in one line (exit 2);
+    # any other exception fails the test. max_iter is kept small to bound
+    # the time per example
+    text = (f"potential = {potential!r}\nF = {F!r}\nr_cut = {r_cut}\n"
+            f"kappa = {kappa!r}\neps_scale = {eps_scale!r}\n"
+            f"models = {tuple(models)!r}\neps_list = {eps_list!r}\n"
+            f"max_iter = {max_iter}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "study.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, "--config", path, "--out", os.path.join(tmp, "out")]
+        if command == "solve":
+            argv += ["--eps", repr(eps_list[-1])]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines, printed = err.getvalue().splitlines(), out.getvalue().splitlines()
+    if code == 2:
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert lines[-1].startswith(f"chain-elastica {command}: error: ")
+        return
+    assert code == 0 and not lines and printed
+    if command != "stability":
+        for key in models:
+            assert any(line.startswith(f"{key}:") or f"u_{key}|" in line
+                       for line in printed)
 
 
 def test_load_config_takes_ints_for_floats_and_no_kappa():

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chain_elastica.optimize import (STEP_RTOL, MinimizeProblem,
-                                     PeriodicBand, gradient_check,
-                                     newton_minimize)
+from chain_elastica import atomistic, fem
+from chain_elastica.harness import StudyConfig, run_sweep
+from chain_elastica.optimize import (STEP_RTOL, DomainError,
+                                     MinimizeProblem, PeriodicBand,
+                                     gradient_check, newton_minimize)
 
 rng = np.random.default_rng(11)
 
@@ -495,3 +497,99 @@ def test_newton_flags_an_indefinite_start_before_stepping():
     res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
     assert res.hessian_indefinite and not res.converged
     assert res.iterations == 0 and res.grad_norm > 0.0
+
+
+def smooth_ring(n):
+    """`exponential_ring` under a smooth load of three Fourier modes, whose
+    solution stays in Newton's reach at every n."""
+    gen = np.random.default_rng(0)
+    m = np.arange(n)
+    load = sum(gen.uniform(-0.3, 0.3)
+               * np.sin(2 * np.pi * k * m / n + gen.uniform(0.0, 6.0))
+               for k in (1, 2, 3)) * 6 * np.pi / n
+    return exponential_ring(n, mean_zero(load))
+
+
+def test_newton_refines_only_the_steps_that_continue(reduction_passes):
+    # each Hessian is a new band. The first, at the homogeneous start, is
+    # circulant and solved through its spectrum; the others are factored
+    # by the reduction. A step that continues makes the first pass and the
+    # refinement pass, and the step that stops makes the first pass alone
+    n = 64
+    prob = smooth_ring(n)
+    hessian = prob.hessian
+    prob.hessian = lambda x: reduction_passes.append("H") or hessian(x)
+    res = newton_minimize(prob, np.zeros(n))
+    assert res.converged and res.iterations >= 3
+    assert reduction_passes == (["H"] + ["H", n, n] * (res.iterations - 2)
+                                + ["H", n])
+
+
+def test_newton_final_step_is_the_refined_one_to_an_ulp():
+    # the final step skips its refinement: the point it returns is within
+    # one ulp of ||x||_inf of x_k plus the refined step at the last
+    # certified point x_k
+    n = 2048
+    prob = smooth_ring(n)
+    factored = []
+    hessian = prob.hessian
+    prob.hessian = lambda x: factored.append(x.copy()) or hessian(x)
+    res = newton_minimize(prob, np.zeros(n))
+    assert res.converged
+    x_k = factored[-1]
+    p_k = hessian(x_k).solve(-mean_zero(prob.gradient(x_k)))
+    want = (x_k + p_k) - (x_k + p_k).mean()
+    assert np.max(np.abs(res.x - want)) <= np.spacing(np.max(np.abs(want)))
+
+
+def test_default_lj_sweep_skips_the_refinement_of_every_final_step(
+        reduction_passes, factorizations, monkeypatch):
+    # 8 cells of chain, cb and hoc4: 24 solves and 39 Newton steps, each
+    # factoring its own band, 38 by the reduction and 1 through the
+    # spectrum. The 24 final steps make one reduction pass each and the 14
+    # others two: 52 passes
+    steps = []
+
+    def counted(problem, x0):
+        res = newton_minimize(problem, x0)
+        steps.append(res.iterations)
+        return res
+
+    for module in (atomistic, fem):
+        monkeypatch.setattr(module, "newton_minimize", counted)
+    run_sweep(StudyConfig(potential="lj"))
+    assert len(steps) == 24 and sum(steps) == 39
+    assert factorizations.count(False) == 38
+    assert factorizations.count(True) == 1
+    assert len(reduction_passes) == 52
+
+
+def test_newton_rejects_trials_outside_the_domain():
+    # a quadratic whose minimizer x* lies outside its domain |x|_2 < R,
+    # R = |x*|_2 / 2: each trial past the boundary raises DomainError and
+    # is halved, and the iterates close in on the boundary along the ray
+    # to x* without converging. There the Armijo decrease falls below the
+    # objective's rounding, so the solve ends in "backtracking failed" or
+    # in rounding-level steps up to max_iter. A start outside the domain
+    # raises
+    n = 12
+    gen = np.random.default_rng(8)
+    H = bond_band(n, gen.uniform(0.5, 1.5, (2, n)))
+    xstar = H.solve(mean_zero(gen.standard_normal(n)))
+    prob = quadratic_problem(H, H.toarray() @ xstar)
+    R = 0.5 * np.linalg.norm(xstar)
+    objective, gradient = prob.objective, prob.gradient
+
+    def inside(x):
+        if np.linalg.norm(x) >= R:
+            raise DomainError("outside the ball")
+        return x
+
+    prob.objective = lambda x: objective(inside(x))
+    res = newton_minimize(prob, np.zeros(n))
+    assert not res.converged
+    assert res.message in ("backtracking failed", "max iterations")
+    assert R * (1 - 1e-9) < np.linalg.norm(res.x) < R
+    prob.gradient = lambda x: gradient(inside(x))
+    with pytest.raises(DomainError):
+        newton_minimize(prob, xstar)
