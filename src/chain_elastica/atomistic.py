@@ -119,7 +119,8 @@ class AtomisticSystem:
     def objective_problem(self, max_iter=500):
         """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
         callbacks share the strains of one point (`evaluate_once`), and the
-        Hessian callback returns one band per value of `bond_stiffness`."""
+        Hessian callback returns one band per value of `bond_stiffness`. It
+        is `quadratic` when the potential is."""
         f = self.force
         strains = evaluate_once(self._strains)
         band = evaluate_once(lambda k: self.hessian(None, stiffness=k),
@@ -135,7 +136,8 @@ class AtomisticSystem:
         def hess(u):
             return band(self.bond_stiffness(strains(u)))
 
-        return MinimizeProblem(obj, grad, hess, max_iter=max_iter)
+        return MinimizeProblem(obj, grad, hess, max_iter=max_iter,
+                               quadratic=self.potential.quadratic)
 
     def solve(self, max_iter=500, u0=None):
         prob = self.objective_problem(max_iter)

@@ -161,7 +161,8 @@ def assemble(model, space, f=None):
     the planes (r, s) with r <= s alone; plane (s, r) is read from (r, s).
     The problem's `energy` is the objective without its load term; it keeps
     its last value, so `solve_continuum` reads the one of Newton's last
-    objective call."""
+    objective call. Every model's density is quadratic in the gradients
+    exactly when the potential is, and so is the problem (`quadratic`)."""
     orders = model.density_orders
     w0 = model.density0()
     if f is None:
@@ -236,7 +237,9 @@ def assemble(model, space, f=None):
         g, args = at(c)
         return band(model.density_hess(g, args)[upper])
 
-    return ContinuumProblem(objective, gradient, hessian, energy=energy)
+    return ContinuumProblem(objective, gradient, hessian,
+                            quadratic=model.potential.quadratic,
+                            energy=energy)
 
 
 def solve_continuum(model, space, f=None, max_iter=500, x0=None):

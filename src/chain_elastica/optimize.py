@@ -1,10 +1,11 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
 Hessian, factored once per band, through its spectrum when it is circulant
 and by a grounded block cyclic reduction otherwise; Newton whose
-factorization certifies each iterate, which stops on a small step and
-evaluates the objective once per point, the one-slot cache through which a
-problem's callbacks share one evaluation per point (and its Hessian one band
-per value of its coefficients), and a central-difference gradient check.
+factorization certifies each iterate, which stops on a small step (a
+quadratic problem after its first) and evaluates the objective once per
+point, the one-slot cache through which a problem's callbacks share one
+evaluation per point (and its Hessian one band per value of its
+coefficients), and a central-difference gradient check.
 Only numpy is needed."""
 
 from collections import namedtuple
@@ -300,6 +301,7 @@ class MinimizeProblem:
     gradient: Callable
     hessian: Callable          # x -> PeriodicBand
     max_iter: int = 500
+    quadratic: bool = False    # is the objective quadratic in x?
 
 
 @dataclass
@@ -341,9 +343,19 @@ def newton_minimize(problem, x0):
     makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982). A step that continues is refined, as `PeriodicBand.solve` is,
     and its stop test is made again on the refined p_k. An exactly zero
-    gradient returns x_k itself. `iterations` counts the steps taken, the
-    last one included, and so equals the number of Hessians a converged
-    solve uses, reused bands included; `grad_norm` is ||g(x_k)||_inf.
+    gradient returns x_k itself.
+
+    A `quadratic` problem stops after its first step: its Hessian is the
+    same at every point, so the factorization at x_0 certifies the whole
+    problem and x_0 + p_0, with p_0 from the refined solve, is its
+    minimizer to roundoff (Nocedal & Wright, Numerical Optimization, §3.3).
+    The result is that point, with f evaluated there and one iteration. If
+    that evaluation raises DomainError, the minimizer lies outside the
+    objective's domain and the damped steps below run from x_0 instead.
+
+    `iterations` counts the steps taken, the last one included, and so
+    equals the number of Hessians a converged solve uses, reused bands
+    included; `grad_norm` is ||g(x_k)||_inf.
 
     The objective is evaluated once per point: the accepted line-search
     trial's value is the next iterate's, and the result carries f at the
@@ -376,6 +388,15 @@ def newton_minimize(problem, x0):
         if gnorm == 0.0:
             return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
                                   True, "converged")
+        if problem.quadratic and it == 0:
+            # one step from a certified start reaches the minimizer, unless
+            # that lies outside the domain: then the damped loop runs
+            xn = x + solve(-gx)
+            xn -= xn.mean()
+            try:
+                return MinimizeResult(xn, f(xn), gnorm, 1, True, "converged")
+            except DomainError:
+                pass
         # a reduction solve yields its first pass before it refines: a step
         # that stops on it needs no refinement
         passes = getattr(solve, "passes", None)

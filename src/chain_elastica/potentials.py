@@ -70,6 +70,12 @@ class PairPotential:
             return E * E - 2.0 * E - 0.0
         return scale * ((-2.0 * a) ** j * E * E - 2.0 * (-a) ** j * E)
 
+    @property
+    def quadratic(self):
+        """Is phi quadratic (phi''' = 0)? Then the chain's energy and every
+        continuum model's density are quadratic in the displacement."""
+        return self.kind == "harmonic"
+
     def __call__(self, r):
         return self.derivative(0, r)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from chain_elastica import optimize
+from chain_elastica import atomistic, fem, optimize
 from chain_elastica.optimize import PeriodicBand
 
 
@@ -29,4 +29,21 @@ def reduction_passes(monkeypatch):
         return lambda rhs: calls.append(len(rhs) + 1) or solve(rhs)
 
     monkeypatch.setattr(optimize, "_cyclic_reduction", counted)
+    return calls
+
+
+@pytest.fixture
+def newton_iterations(monkeypatch):
+    """The `iterations` of every Newton solve that the chain's and the
+    FEM's solvers make during the test, in order."""
+    calls = []
+    newton = optimize.newton_minimize
+
+    def counted(problem, x0):
+        res = newton(problem, x0)
+        calls.append(res.iterations)
+        return res
+
+    for module in (atomistic, fem):
+        monkeypatch.setattr(module, "newton_minimize", counted)
     return calls

@@ -814,14 +814,29 @@ def test_failed_solves_restart_their_history():
     cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
     assert {key: len(rows) for key, rows in cell.history.rows.items()} == {
         "chain": 1, "cb": 1}
-    cfg.max_iter = 1
-    cell = solve_cell(cfg, 2.0 ** -3, cfg.models)
+    # one Newton step ends a harmonic solve, so the unconverged chain is
+    # Lennard-Jones's, stopped after its first step
+    lj = StudyConfig(potential="lj", models=cfg.models, max_iter=1)
+    cell = solve_cell(lj, 2.0 ** -3, cfg.models)
     assert not cell.atomistic.converged
     assert cell.history.rows == {}
-    cfg.max_iter = 500
     after = solve_cell(cfg, 2.0 ** -4, cfg.models, cell.history).records
     cold = solve_cell(cfg, 2.0 ** -4, cfg.models).records
     assert after[0] == cold[0] and after[1].reason == cold[1].reason
+
+
+@pytest.mark.parametrize("scale, model", [
+    (dict(F=998925.3, eps_scale=0.1), "cb"),
+    (dict(F=1e-6, eps_scale=1e-6, r_cut=3), "hoc4")])
+def test_harmonic_cells_at_extreme_scale_converge_in_one_step(scale, model):
+    # quadratic problems at scales where the step test of the damped loop
+    # fails: cb at F ~ 1e6 ended "backtracking failed" after 4 steps, and
+    # hoc4 at eps_scale 1e-6 ran all 500
+    cfg = StudyConfig(potential="harmonic", models=(model,), **scale)
+    cell = solve_cell(cfg, 0.25, cfg.models)
+    assert cell.atomistic.converged and cell.atomistic.iterations == 1
+    assert cell.records[0].converged and cell.records[0].reason == ""
+    assert cell.fields[model].result.iterations == 1
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

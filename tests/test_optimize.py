@@ -3,11 +3,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chain_elastica import atomistic, fem
+from chain_elastica.atomistic import AtomisticSystem
+from chain_elastica.continuum import MODEL_KEYS, continuum_model
+from chain_elastica.fem import PeriodicSplineSpace, assemble
 from chain_elastica.harness import StudyConfig, run_sweep
 from chain_elastica.optimize import (STEP_RTOL, DomainError,
                                      MinimizeProblem, PeriodicBand,
                                      gradient_check, newton_minimize)
+from chain_elastica.potentials import POTENTIAL_KINDS, make_potential
 
 rng = np.random.default_rng(11)
 
@@ -24,11 +27,11 @@ def bond_band(n, weights):
     return H
 
 
-def quadratic_problem(H, b):
+def quadratic_problem(H, b, quadratic=False):
     A = H.toarray()
     return MinimizeProblem(objective=lambda x: 0.5 * x @ A @ x - b @ x,
                            gradient=lambda x: A @ x - b,
-                           hessian=lambda x: H)
+                           hessian=lambda x: H, quadratic=quadratic)
 
 
 def mean_zero(v):
@@ -364,6 +367,26 @@ def test_newton_one_step_on_quadratic():
     assert np.max(np.abs(res.x - xstar)) < 1e-10
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**band_draws)
+@example(b=5, n_step=20, circulant=False, seed=1)
+def test_newton_on_a_quadratic_problem_takes_one_step(
+        b, n_step, circulant, seed):
+    # a problem flagged quadratic returns x_0 + p_0 from a random start,
+    # within the bound of `test_periodic_band_solve_matches_lstsq_on_random_bands`
+    H, gen = random_band(b, n_step, circulant, seed, 0.5)
+    n, A = H.n, H.toarray()
+    load = mean_zero(gen.standard_normal(n))
+    ref = mean_zero(scipy.linalg.lstsq(A, load, lapack_driver="gelsy")[0])
+    x0 = mean_zero(gen.standard_normal(n)) * np.max(np.abs(ref))
+    res = newton_minimize(quadratic_problem(H, load, quadratic=True), x0)
+    assert res.converged and res.iterations == 1
+    cond = 3.0 * b / np.sin(np.pi / n) ** 2
+    tol = 4 * np.finfo(float).eps * cond
+    assert np.max(np.abs(res.x - ref)) <= tol * np.max(np.abs(ref))
+    assert res.fun == 0.5 * res.x @ A @ res.x - load @ res.x
+
+
 def test_newton_flags_indefinite():
     n = 12
     H = indefinite_band(n, 2)
@@ -543,42 +566,55 @@ def test_newton_final_step_is_the_refined_one_to_an_ulp():
 
 
 def test_default_lj_sweep_skips_the_refinement_of_every_final_step(
-        reduction_passes, factorizations, monkeypatch):
+        reduction_passes, factorizations, newton_iterations):
     # 8 cells of chain, cb and hoc4: 24 solves and 39 Newton steps, each
     # factoring its own band, 38 by the reduction and 1 through the
     # spectrum. The 24 final steps make one reduction pass each and the 14
     # others two: 52 passes
-    steps = []
-
-    def counted(problem, x0):
-        res = newton_minimize(problem, x0)
-        steps.append(res.iterations)
-        return res
-
-    for module in (atomistic, fem):
-        monkeypatch.setattr(module, "newton_minimize", counted)
     run_sweep(StudyConfig(potential="lj"))
-    assert len(steps) == 24 and sum(steps) == 39
+    assert len(newton_iterations) == 24 and sum(newton_iterations) == 39
     assert factorizations.count(False) == 38
     assert factorizations.count(True) == 1
     assert len(reduction_passes) == 52
 
 
-def test_newton_rejects_trials_outside_the_domain():
-    # a quadratic whose minimizer x* lies outside its domain |x|_2 < R,
-    # R = |x*|_2 / 2: each trial past the boundary raises DomainError and
-    # is halved, and the iterates close in on the boundary along the ray
-    # to x* without converging. There the Armijo decrease falls below the
-    # objective's rounding, so the solve ends in "backtracking failed" or
-    # in rounding-level steps up to max_iter. A start outside the domain
-    # raises
+def test_default_harmonic_sweep_takes_one_step_per_solve(
+        newton_iterations):
+    # every problem of the harmonic sweep is quadratic: 8 cells of chain,
+    # cb, hoc4 and hoc6, each solve one certified step
+    run_sweep(StudyConfig(potential="harmonic",
+                          models=("cb", "hoc4", "hoc6")))
+    assert newton_iterations == [1] * 32
+
+
+@pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+def test_only_harmonic_problems_are_quadratic(kind):
+    # the flag is the potential's, and it is true exactly where the chain's
+    # and every model's Hessian is the same band at every point
+    pot = make_potential(kind)
+    assert pot.quadratic == (kind == "harmonic")
+    space, gen = PeriodicSplineSpace(8), np.random.default_rng(2)
+    problems = [AtomisticSystem(8, pot).objective_problem()] + [
+        assemble(continuum_model(key, pot), space) for key in MODEL_KEYS]
+    for prob in problems:
+        assert prob.quadratic == pot.quadratic
+        x = mean_zero(0.01 * gen.standard_normal(16))
+        same = np.allclose(prob.hessian(x).diags,
+                           prob.hessian(np.zeros(16)).diags,
+                           rtol=1e-12, atol=0.0)
+        assert same == pot.quadratic
+
+
+def ball_problem(quadratic=False):
+    """A quadratic whose minimizer x* lies outside its domain |x|_2 < R,
+    R = |x*|_2 / 2: its objective raises DomainError outside the ball."""
     n = 12
     gen = np.random.default_rng(8)
     H = bond_band(n, gen.uniform(0.5, 1.5, (2, n)))
     xstar = H.solve(mean_zero(gen.standard_normal(n)))
-    prob = quadratic_problem(H, H.toarray() @ xstar)
+    prob = quadratic_problem(H, H.toarray() @ xstar, quadratic)
     R = 0.5 * np.linalg.norm(xstar)
-    objective, gradient = prob.objective, prob.gradient
+    objective = prob.objective
 
     def inside(x):
         if np.linalg.norm(x) >= R:
@@ -586,6 +622,18 @@ def test_newton_rejects_trials_outside_the_domain():
         return x
 
     prob.objective = lambda x: objective(inside(x))
+    return prob, inside, xstar, R
+
+
+def test_newton_rejects_trials_outside_the_domain():
+    # each trial past the boundary of `ball_problem` raises DomainError and
+    # is halved, and the iterates close in on the boundary along the ray
+    # to x* without converging. There the Armijo decrease falls below the
+    # objective's rounding, so the solve ends in "backtracking failed" or
+    # in rounding-level steps up to max_iter. A start outside the domain
+    # raises
+    prob, inside, xstar, R = ball_problem()
+    n, gradient = len(xstar), prob.gradient
     res = newton_minimize(prob, np.zeros(n))
     assert not res.converged
     assert res.message in ("backtracking failed", "max iterations")
@@ -593,3 +641,15 @@ def test_newton_rejects_trials_outside_the_domain():
     prob.gradient = lambda x: gradient(inside(x))
     with pytest.raises(DomainError):
         newton_minimize(prob, xstar)
+
+
+def test_newton_on_a_quadratic_outside_its_domain_takes_the_damped_steps():
+    # the one step of a quadratic problem ends outside the domain, so the
+    # damped steps run from x_0 and end as they do unflagged
+    prob, _, xstar, _ = ball_problem()
+    want = newton_minimize(prob, np.zeros(len(xstar)))
+    res = newton_minimize(ball_problem(quadratic=True)[0],
+                          np.zeros(len(xstar)))
+    assert res.message == want.message and not res.converged
+    assert np.array_equal(res.x, want.x)
+    assert res.iterations == want.iterations and res.fun == want.fun
