@@ -95,21 +95,13 @@ class AtomisticSystem:
             g[:r] += fb[n - r:] - fb[:r]
         return g
 
-    def bond_stiffness(self, strains):
-        """phi_rho''(D_rho u) per bond, shape (len(bonds), 2N): the pointwise
-        coefficients the Hessian is built from."""
-        return np.array([self.phi[rho].derivative_unchecked(2, strains[rho])
-                         for rho in self.bonds])
-
-    def hessian(self, u, strains=None, stiffness=None):
-        """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0).
-        `stiffness` may pass in `bond_stiffness(strains)`, and then u is not
-        read."""
-        if stiffness is None:
-            stiffness = self.bond_stiffness(
-                self._strains(u) if strains is None else strains)
+    def hessian(self, u, strains=None):
+        """Periodic-banded Hessian, half-bandwidth r_cut (circulant at u = 0),
+        from the bond stiffnesses phi_rho''(D_rho u)."""
+        strains = self._strains(u) if strains is None else strains
         H = PeriodicBand(2 * self.N, self.r_cut())
-        for rho, k in zip(self.bonds, stiffness):
+        for rho in self.bonds:
+            k = self.phi[rho].derivative_unchecked(2, strains[rho])
             H.add(0, k)
             H.add(0, k, shift=rho)
             H.add(rho, -k)
@@ -119,12 +111,10 @@ class AtomisticSystem:
     def objective_problem(self, max_iter=500):
         """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
         callbacks share the strains of one point (`evaluate_once`), and the
-        Hessian callback returns one band per value of `bond_stiffness`. It
-        is `quadratic` when the potential is."""
+        Hessian callback builds a fresh band from them at every call. It is
+        `quadratic` when the potential is."""
         f = self.force
         strains = evaluate_once(self._strains)
-        band = evaluate_once(lambda k: self.hessian(None, stiffness=k),
-                             copy=False)
 
         def obj(u):
             return (self.energy_above_homogeneous(u, strains(u))
@@ -134,7 +124,7 @@ class AtomisticSystem:
             return self.gradient(u, strains(u)) - f
 
         def hess(u):
-            return band(self.bond_stiffness(strains(u)))
+            return self.hessian(u, strains(u))
 
         return MinimizeProblem(obj, grad, hess, max_iter=max_iter,
                                quadratic=self.potential.quadratic)

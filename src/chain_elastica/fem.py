@@ -155,11 +155,9 @@ def assemble(model, space, f=None):
     relative to the homogeneous state to keep the tiny energy differences
     well conditioned. The three callbacks share one evaluation per
     coefficient vector (`evaluate_once`): the gradients at the quadrature
-    points and the model's bond arguments. The Hessian callback returns one
-    band per value of the `density_hess` planes at the quadrature points.
-    The planes are symmetric, so the band is keyed on and assembled from
-    the planes (r, s) with r <= s alone; plane (s, r) is read from (r, s).
-    The problem's `energy` is the objective without its load term; it keeps
+    points and the model's bond arguments. The Hessian callback builds a
+    fresh band from the `density_hess` planes there at every call. The
+    problem's `energy` is the objective without its load term; it keeps
     its last value, so `solve_continuum` reads the one of Newton's last
     objective call. Every model's density is quadratic in the gradients
     exactly when the potential is, and so is the problem (`quadratic`)."""
@@ -203,39 +201,26 @@ def assemble(model, space, f=None):
         dw = model.density_grad(g, args).reshape(-1, n)
         return space.scatter_add(grad_kernel @ dw) - load
 
-    upper = np.triu_indices(len(orders))
-    # for each (r, s, q) in the order the Hessian kernel reads them, the row
-    # of plane (min(r, s), max(r, s)) at Gauss point q among the r <= s
-    # planes
-    pair = np.zeros((len(orders),) * 2, dtype=np.intp)
-    pair[upper] = pair.T[upper] = np.arange(len(upper[0]))
-    rows = (pair.reshape(-1, 1) * QUAD_POINTS
-            + np.arange(QUAD_POINTS)).ravel()
-
-    def build_band(d2w_upper):
-        d2w = d2w_upper.reshape(-1, n)
+    def hessian(c):
+        g, args = at(c)
+        # rows (r, s, q), in the order the Hessian kernel reads them
+        d2w = model.density_hess(g, args).reshape(-1, n)
         H = PeriodicBand(n, 5)
         if np.all(d2w == d2w[:, :1]):
             # equal planes at every element: one element's stencil in every
             # column, summed in offset order as `scatter_add` sums it. Its
             # products take 4 columns, as BLAS rounds 1- and 2-column ones
             # differently from wider ones
-            one = np.asfortranarray(d2w[rows, :4])
+            one = np.asfortranarray(d2w[:, :4])
             H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
             return H
         # column-major: a C-ordered operand rounds the products differently
         # and moves the Morse hoc6 sweep rows (energy_gap at N = 16 in its
         # 6th digit); the products are streamed, not stacked, to save memory
-        d2w = np.asfortranarray(d2w[rows])
+        d2w = np.asfortranarray(d2w)
         H.add(np.arange(-5, 6), space.scatter_add(
             hess_kernel[io] @ d2w for io in range(6)))
         return H
-
-    band = evaluate_once(build_band, copy=False)
-
-    def hessian(c):
-        g, args = at(c)
-        return band(model.density_hess(g, args)[upper])
 
     return ContinuumProblem(objective, gradient, hessian,
                             quadratic=model.potential.quadratic,

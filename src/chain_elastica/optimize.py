@@ -1,12 +1,11 @@
 """Unconstrained minimization over mean-zero vectors: the periodic banded
-Hessian, factored once per band, through its spectrum when it is circulant
-and by a grounded block cyclic reduction otherwise; Newton whose
-factorization certifies each iterate, which stops on a small step (a
-quadratic problem after its first) and evaluates the objective once per
-point, the one-slot cache through which a problem's callbacks share one
-evaluation per point (and its Hessian one band per value of its
-coefficients), and a central-difference gradient check.
-Only numpy is needed."""
+Hessian, factored through its spectrum when it is circulant and by a
+grounded block cyclic reduction otherwise; Newton, which builds and factors
+a fresh Hessian at each iterate, so that the factorization certifies it,
+stops on a small step (a quadratic problem after its first) and evaluates
+the objective once per point; the one-slot cache through which a problem's
+callbacks share one evaluation per point; and a central-difference gradient
+check. Only numpy is needed."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ class PeriodicBand:
     def __init__(self, n, b):
         self.n, self.b = n, b
         self.diags = np.zeros((2 * b + 1, n))
-        self._solve = None      # the factorization `factor` keeps
 
     def add(self, o, values, shift=0):
         """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m;
@@ -40,12 +38,6 @@ class PeriodicBand:
         if s:
             self.diags[rows, :s] += values[..., self.n - s:]
         self.diags[rows, s:] += values[..., :self.n - s]
-        self._solve = None
-
-    def _entries(self):
-        rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
-        cols = (rows + np.arange(-self.b, self.b + 1)[:, None]) % self.n
-        return rows.ravel(), cols.ravel(), self.diags.ravel()
 
     def is_circulant(self):
         """Is H circulant: no aliased offsets (n > 2b), and every column of
@@ -64,7 +56,7 @@ class PeriodicBand:
         of `solve` does. Unlike a DFT of row 0, it keeps its relative
         accuracy on the smooth modes, where lam_j is O((j/n)^2). It holds
         with aliased offsets too (n <= 2b, summed as in `toarray`), so it
-        raises ValueError only unless every column equals column 0."""
+        raises ValueError exactly when some column differs from column 0."""
         if not np.all(self.diags == self.diags[:, :1]):
             raise ValueError("PeriodicBand is not circulant")
         lam = self._half_spectrum()
@@ -103,26 +95,23 @@ class PeriodicBand:
         One step of iterative refinement through the same factorization
         follows, with the residual in the difference form
         sum_o H[m, m + o]·(x[m + o] - x[m]), which is exact on constants.
-        The reduction's solve also has `passes(rhs)`, which yields the
-        mean-zero solution of the first pass and then the refined one, for
-        a caller that can stop on the first."""
-        return self.factor()(rhs)
+        The solution is the last pass of `factor`'s passes."""
+        *_, x = self.factor()(rhs)
+        return x
 
     def factor(self):
-        """Factor H and return its `solve`, rhs -> x; raises
-        `np.linalg.LinAlgError` as `solve` does. The band keeps the
-        factorization: later calls return it until `add` changes the band
-        (factor once, solve many; Golub & Van Loan, Matrix Computations,
-        §4.2), so change a factored band through `add` only."""
-        if self._solve is None:
-            self._solve = self._factor()
-        return self._solve
-
-    def _factor(self):
+        """Factor H and return its passes: rhs -> an iterator over mean-zero
+        solutions of H x = rhs, the last of which `solve` returns. The
+        spectral path yields its one solution; the reduction yields its
+        first pass and then the refined one, for a caller that can stop on
+        the first. Raises `np.linalg.LinAlgError` as `solve` does. One
+        factorization serves any number of right-hand sides (Golub & Van
+        Loan, Matrix Computations, §4.2); the band does not keep it, so
+        every call factors anew."""
         if not np.all(np.isfinite(self.diags)):
             raise ValueError("PeriodicBand has non-finite entries")
         if self.is_circulant():
-            return _spectral_solve(self._half_spectrum(), self.n)
+            return _spectral_passes(self._half_spectrum(), self.n)
         n, diags = self.n, self.diags
         layout = _grounded_layout(n, self.b)
         grounded = _cyclic_reduction(diags, layout)
@@ -150,37 +139,34 @@ class PeriodicBand:
             x += d
             yield x - x.mean()
 
-        def solve(rhs):
-            *_, x = passes(rhs)
-            return x
-
-        solve.passes = passes
-        return solve
+        return passes
 
     def toarray(self):
         """The dense matrix, for tests."""
-        rows, cols, vals = self._entries()
+        rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
+        cols = (rows + np.arange(-self.b, self.b + 1)[:, None]) % self.n
         H = np.zeros((self.n, self.n))
-        np.add.at(H, (rows, cols), vals)
+        np.add.at(H, (rows, cols), self.diags)
         return H
 
 
-def _spectral_solve(lam, n):
-    """The solve rhs -> x of an n×n circulant band whose eigenvalues are
-    lam_j, j = 0..n//2, and lam_(n - j) = lam_j; raises
-    `np.linalg.LinAlgError` unless lam_j > 0 for every mode j != 0."""
+def _spectral_passes(lam, n):
+    """The passes of `PeriodicBand.factor` for an n×n circulant band whose
+    eigenvalues are lam_j, j = 0..n//2, and lam_(n - j) = lam_j: one, the
+    solution; raises `np.linalg.LinAlgError` unless lam_j > 0 for every
+    mode j != 0."""
     if not np.all(lam[1:] > 0.0):
         raise np.linalg.LinAlgError(
             "PeriodicBand is not positive definite on mean-zero vectors")
 
-    def solve(rhs):
+    def passes(rhs):
         xh = np.fft.rfft(rhs)
         xh[0] = 0.0
         xh[1:] /= lam[1:]
         x = np.fft.irfft(xh, n)
-        return x - x.mean()
+        yield x - x.mean()
 
-    return solve
+    return passes
 
 
 _Layout = namedtuple("_Layout", "order cols src dst pad nb")
@@ -328,11 +314,11 @@ def newton_minimize(problem, x0):
     certified step (Kelley, Solving Nonlinear Equations with Newton's
     Method, SIAM 2003, ch. 2).
 
-    At each iterate x_k the Hessian is factored (a band the problem returns
-    again keeps its factorization), which certifies x_k: an
-    indefinite Hessian is flagged (that failure mode is informative: it
-    exhibits the unstable continuum variants). The factorization then gives
-    the Newton step p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf,
+    At each iterate x_k the problem builds a fresh Hessian, whose one
+    factorization certifies x_k: an indefinite Hessian is flagged (that
+    failure mode is informative: it exhibits the unstable continuum
+    variants). Its passes (`PeriodicBand.factor`) then give the Newton step
+    p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf,
     the result is x_k + p_k. So x_k already agrees with the minimizer to
     about 8 digits relative to ||x||_inf, and in Newton's quadratic regime
     x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
@@ -354,8 +340,8 @@ def newton_minimize(problem, x0):
     objective's domain and the damped steps below run from x_0 instead.
 
     `iterations` counts the steps taken, the last one included, and so
-    equals the number of Hessians a converged solve uses, reused bands
-    included; `grad_norm` is ||g(x_k)||_inf.
+    equals the number of Hessians a converged solve builds and factors;
+    `grad_norm` is ||g(x_k)||_inf.
 
     The objective is evaluated once per point: the accepted line-search
     trial's value is the next iterate's, and the result carries f at the
@@ -380,7 +366,7 @@ def newton_minimize(problem, x0):
             gx = centered_gradient(x)
         gnorm = float(np.max(np.abs(gx)))
         try:
-            solve = problem.hessian(x).factor()
+            passes = problem.hessian(x).factor()
         except np.linalg.LinAlgError:
             return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
                                   False, "Hessian not positive definite",
@@ -391,7 +377,8 @@ def newton_minimize(problem, x0):
         if problem.quadratic and it == 0:
             # one step from a certified start reaches the minimizer, unless
             # that lies outside the domain: then the damped loop runs
-            xn = x + solve(-gx)
+            *_, p = passes(-gx)
+            xn = x + p
             xn -= xn.mean()
             try:
                 return MinimizeResult(xn, f(xn), gnorm, 1, True, "converged")
@@ -399,14 +386,13 @@ def newton_minimize(problem, x0):
                 pass
         # a reduction solve yields its first pass before it refines: a step
         # that stops on it needs no refinement
-        passes = getattr(solve, "passes", None)
-        for p in passes(-gx) if passes else (solve(-gx),):
+        for p in passes(-gx):
             if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
                 x = x + p
                 x -= x.mean()
                 return MinimizeResult(x, f(x), gnorm, it + 1, True,
                                       "converged")
-        del solve, passes   # the band holds them while it is reused
+        del passes      # free the factorization before the line search
         if fx is None:
             fx = f(x)
         slope = float(np.dot(gx, p))
@@ -436,22 +422,15 @@ def newton_minimize(problem, x0):
                           problem.max_iter, False, "max iterations")
 
 
-def evaluate_once(evaluate, copy=True):
+def evaluate_once(evaluate):
     """`evaluate` with a one-slot cache keyed by the bits of its array
     argument. The key is a copy of the last argument, so a caller that
-    changes the array in place between calls gets a fresh evaluation; with
-    copy=False it is the argument itself, for callers that pass a fresh
-    array each time and keep no reference to it. The old value is dropped
-    before a new one is evaluated.
+    changes the array in place between calls gets a fresh evaluation. The
+    old value is dropped before a new one is evaluated.
 
     The objective, gradient and Hessian callbacks of a problem share one
-    such evaluation, and Newton calls all three at each iterate. A Hessian
-    callback builds its band through another, keyed by the pointwise
-    second-derivative coefficients the band is made of: while they are
-    bitwise unchanged (every point of a linear problem), it returns the
-    same band, and `PeriodicBand.factor` the factorization that band keeps.
-    Identical coefficients give an identical factorization, so the
-    certificate is still exact."""
+    such evaluation, and Newton calls all three at each iterate; the
+    Hessian callback builds a fresh band from it at every call."""
     slot = [None]
 
     def at(x):
@@ -460,7 +439,7 @@ def evaluate_once(evaluate, copy=True):
         if last is None or not np.array_equal(last[0].view(np.uint64),
                                               x.view(np.uint64)):
             slot[0] = last = None   # free the old value first
-            last = slot[0] = (x.copy() if copy else x, evaluate(x))
+            last = slot[0] = (x.copy(), evaluate(x))
         return last[1]
 
     return at

@@ -10,9 +10,9 @@ def factorizations(monkeypatch):
     True where the band is circulant and takes the spectral path, False
     where it takes the cyclic reduction."""
     calls = []
-    factor = PeriodicBand._factor
+    factor = PeriodicBand.factor
     monkeypatch.setattr(
-        PeriodicBand, "_factor",
+        PeriodicBand, "factor",
         lambda self: calls.append(self.is_circulant()) or factor(self))
     return calls
 

@@ -91,31 +91,6 @@ def test_objective_problem_shares_one_evaluation_per_point():
     assert_same_bits(callbacks(prob, u), want)
 
 
-def test_hessian_callback_refactors_only_for_new_stiffness(
-        monkeypatch, factorizations):
-    # the harmonic chain has the same bond stiffness at every point: one
-    # circulant band, factored once through its spectrum. A stiffness one
-    # ulp away gets a fresh band, no longer circulant, and a fresh
-    # factorization by the reduction, the band built from that stiffness
-    N = 8
-    sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2),
-                           force=lattice_force(N))
-    prob = sys_.objective_problem()
-    a, b = 0.03 * rng.standard_normal((2, 2 * N))
-    H = prob.hessian(a)
-    solve = H.factor()
-    assert prob.hessian(b) is H and H.factor() is solve
-    assert factorizations == [True]
-    k = sys_.bond_stiffness(sys_._strains(b))
-    k[1, 5] = np.nextafter(k[1, 5], np.inf)
-    monkeypatch.setattr(sys_, "bond_stiffness", lambda strains: k.copy())
-    fresh = prob.hessian(b)
-    assert fresh is not H and fresh.factor() is not solve
-    assert factorizations == [True, False]
-    assert np.array_equal(fresh.diags, sys_.hessian(b, stiffness=k).diags)
-    assert not np.array_equal(fresh.diags, H.diags)
-
-
 def test_solution_carries_its_energy_above_homogeneous():
     # the energy without the load term, which energy_gap reads
     N = 8

@@ -365,34 +365,6 @@ def test_a_solve_evaluates_the_density_once_per_objective_call(key,
                                 cos_force(N)).energy(u.result.x)
 
 
-def test_hessian_callback_refactors_only_for_new_density_hessian(
-        monkeypatch, factorizations):
-    # a harmonic density has the same density_hess planes at every point:
-    # one circulant band, factored once through its spectrum. Planes one ulp
-    # away get a fresh band, no longer circulant, and a fresh factorization
-    # by the reduction
-    N = 8
-    m = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
-    prob = assemble(m, PeriodicSplineSpace(N), cos_force(N))
-    a, b = 0.01 * rng.standard_normal((2, 2 * N))
-    H = prob.hessian(a)
-    solve = H.factor()
-    assert prob.hessian(b) is H and H.factor() is solve
-    assert factorizations == [True]
-    density_hess = m.density_hess
-
-    def one_ulp_off(g, args=None):
-        d2w = density_hess(g, args)
-        d2w[1, 1, 2, 3] = np.nextafter(d2w[1, 1, 2, 3], np.inf)
-        return d2w
-
-    monkeypatch.setattr(m, "density_hess", one_ulp_off)
-    fresh = prob.hessian(b)
-    assert fresh is not H and fresh.factor() is not solve
-    assert factorizations == [True, False]
-    assert not np.array_equal(fresh.diags, H.diags)
-
-
 def _callbacks(prob, c):
     return (prob.objective(c), prob.gradient(c), prob.hessian(c).diags)
 

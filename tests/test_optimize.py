@@ -154,16 +154,19 @@ def test_periodic_band_reduction_is_accurate_on_long_rings(
     # the long rings above with each bond weight scaled by a random factor
     # in [0.5, 1.5]: no longer circulant, so the reduction solves them. The
     # right-hand side of a smooth mode x is H x in the difference form,
-    # exact on constants; the refined solve recovers x to a few 1e-15
+    # exact on constants; the refined solve recovers x to a few 1e-15. One
+    # factorization serves both right-hand sides
     gen = np.random.default_rng([n, len(weights)])
     H = bond_band(n, np.outer(weights, np.ones(n))
                   * gen.uniform(0.5, 1.5, (len(weights), n)))
+    passes = H.factor()
     m = np.arange(n)
     cols = (m + np.arange(-H.b, H.b + 1)[:, None]) % n
     for j in (1, 3):
         x = np.cos(2 * np.pi * j * m / n)
         rhs = np.einsum("om,om->m", H.diags, x[cols] - x)
-        assert np.max(np.abs(H.solve(rhs) - x)) < 1e-13
+        *_, got = passes(rhs)
+        assert np.max(np.abs(got - x)) < 1e-13
     assert factorizations == [False]
 
 
@@ -332,28 +335,42 @@ def test_periodic_band_factor_raises_exactly_when_grounded_is_indefinite(
         H.factor()
 
 
-def test_periodic_band_keeps_its_factorization_until_add():
-    # a second solve reuses the factorization; a band changed by `add`,
-    # here its nearest-neighbor bonds doubled, is factored again
-    H = bond_band(16, np.ones((2, 16)))
-    solve = H.factor()
-    assert H.factor() is solve
-    k = np.ones(16)
-    H.add(0, k)
-    H.add(0, k, shift=1)
-    H.add(1, -k)
-    H.add(-1, -k, shift=1)
-    assert H.factor() is not solve
-    rhs = mean_zero(rng.standard_normal(16))
-    want = bond_band(16, np.array([2.0 * k, k])).solve(rhs)
-    assert np.array_equal(H.solve(rhs), want)
-
-
 def test_periodic_band_rejects_non_finite_entries():
     H = bond_band(16, np.ones((2, 16)))
     H.diags[1, 3] = np.nan
     with pytest.raises(ValueError):
         H.solve(np.zeros(16))
+
+
+@pytest.mark.parametrize("circulant", [True, False])
+def test_factor_yields_passes_whose_last_is_the_solve(circulant):
+    # the spectral path yields its one solution, the reduction its first
+    # pass and then the refined one; `solve` returns the last pass
+    n = 64
+    gen = np.random.default_rng(3)
+    H = bond_band(n, np.ones((2, n)) if circulant
+                  else gen.uniform(0.5, 1.5, (2, n)))
+    assert H.is_circulant() == circulant
+    rhs = mean_zero(gen.standard_normal(n))
+    got = list(H.factor()(rhs))
+    assert len(got) == (1 if circulant else 2)
+    assert np.array_equal(H.solve(rhs), got[-1])
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "lj"])
+def test_hessian_callbacks_build_a_fresh_band_per_call(kind):
+    # no band is kept between calls: each call at a point builds a new one
+    # with the bits of the last, and a band holds its entries alone
+    N = 8
+    pot = make_potential(kind)
+    x = 0.01 * np.random.default_rng(5).standard_normal(2 * N)
+    for prob in (AtomisticSystem(N, pot).objective_problem(),
+                 assemble(continuum_model("hoc4", pot),
+                          PeriodicSplineSpace(N))):
+        a, b = prob.hessian(x), prob.hessian(x)
+        assert b is not a and vars(b).keys() == {"n", "b", "diags"}
+        assert np.array_equal(a.diags.view(np.uint64),
+                              b.diags.view(np.uint64))
 
 
 def test_newton_one_step_on_quadratic():
