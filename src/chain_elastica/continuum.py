@@ -97,8 +97,11 @@ class _ComposedModel:
         """min over bonds of the physical bond length arguments; <= 0 means a
         potential-domain violation somewhere."""
         args = self.bond_args(g) if args is None else args
-        return np.min(np.stack([args[rho] + self.F * rho
-                                for rho in self.bonds]), axis=0)
+        first, *rest = self.bonds
+        margin = args[first] + self.F * first
+        for rho in rest:
+            np.minimum(margin, args[rho] + self.F * rho, out=margin)
+        return margin
 
     def density(self, g, args=None):
         args = self._checked_args(g, args)

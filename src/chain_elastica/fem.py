@@ -70,10 +70,14 @@ class PeriodicSplineSpace:
         return np.asarray(coeffs, float)[self._sites]
 
     def derivatives_at_quad(self, coeffs, orders):
-        """dict order -> (QUAD_POINTS, n) array of grad^r u at the quadrature
-        points, element m in column m."""
+        """(5, QUAD_POINTS, n) array with grad^r u at the quadrature points
+        in slot r - 1 for each r in orders, element m in column m, and zero
+        slots for the other orders. Each product is written in place."""
         C = self.gather(coeffs)
-        return {r: self.template[:, r, :].T @ C for r in orders}
+        g = np.zeros((5, QUAD_POINTS, self.n))
+        for r in orders:
+            np.matmul(self.template[:, r, :].T, C, out=g[r - 1])
+        return g
 
     def gradient_at_points(self, field):
         """grad field at `composite_points(N)`, element by element, for a
@@ -155,12 +159,14 @@ def assemble(model, space, f=None):
     relative to the homogeneous state to keep the tiny energy differences
     well conditioned. The three callbacks share one evaluation per
     coefficient vector (`evaluate_once`): the gradients at the quadrature
-    points and the model's bond arguments. The Hessian callback builds a
-    fresh band from the `density_hess` planes there at every call. The
-    problem's `energy` is the objective without its load term; it keeps
-    its last value, so `solve_continuum` reads the one of Newton's last
-    objective call. Every model's density is quadratic in the gradients
-    exactly when the potential is, and so is the problem (`quadratic`)."""
+    points, written in place into one array, and the model's bond
+    arguments, whose domain is checked there once. The old evaluation is
+    dropped before a new one is made. The Hessian callback builds a fresh
+    band from the `density_hess` planes there at every call. The problem's `energy` is the objective without its load
+    term; it keeps its last value, so `solve_continuum` reads the one of
+    Newton's last objective call. Every model's density is quadratic in
+    the gradients exactly when the potential is, and so is the problem
+    (`quadratic`)."""
     orders = model.density_orders
     w0 = model.density0()
     if f is None:
@@ -174,10 +180,7 @@ def assemble(model, space, f=None):
         """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
         the model's bond arguments there, checked against the potential's
         domain once for all three callbacks."""
-        derivs = space.derivatives_at_quad(c, orders)
-        g = np.zeros((5, QUAD_POINTS, n))
-        for r in orders:
-            g[r - 1] = derivs[r]
+        g = space.derivatives_at_quad(c, orders)
         args = model.bond_args(g)
         margin = model.domain_margin(g, args)
         if np.any(margin <= 0.0):

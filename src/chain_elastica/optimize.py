@@ -172,7 +172,7 @@ def _spectral_passes(lam, n):
 _Layout = namedtuple("_Layout", "order cols src dst pad nb")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _grounded_layout(n, b):
     """Index maps from an (n, b) PeriodicBand to its grounded, zig-zag
     ordered matrix cut into nb blocks of width w = 2b: the ordering; the
@@ -180,7 +180,11 @@ def _grounded_layout(n, b):
     entries on or above the block diagonal and their flat targets in
     [diagonal blocks (nb, w, w); upper blocks (nb + 1, w, w)], where upper
     block i couples blocks i - 1 and i and the first and last stay zero;
-    and the diagonal targets of the nb·w - (n - 1) padding unknowns."""
+    and the diagonal targets of the nb·w - (n - 1) padding unknowns.
+
+    Only the last layout is kept: a sweep cell factors all the chain's
+    (n, r_cut) bands and then all its models' (n, 5) bands, so an older
+    layout would not be read again."""
     w = 2 * b
     j = np.arange(n)
     pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
@@ -212,7 +216,13 @@ def _cyclic_reduction(diags, layout):
     Schur complement on the odd blocks, again block tridiagonal. The last
     _DENSE or fewer unknowns get one dense Cholesky and, per solve, one LU
     solve. A is positive definite iff every pivot is, so
-    `np.linalg.LinAlgError` is raised iff A is not."""
+    `np.linalg.LinAlgError` is raised iff A is not.
+
+    A level keeps what the solve reads, D^-1 of its pivots, the couplings
+    Ct and P = D^-1 C, and frees each of its other arrays once it has been
+    read: the old U and Ut once C and Ct are built, the old D (at the
+    first level, all the blocks) once its pivots are inverted, C once P is
+    formed, and S once the next level's blocks are filled."""
     nb, w = layout.nb, 2 * (len(diags) // 2)
     blocks = np.bincount(layout.dst, weights=diags.ravel()[layout.src],
                          minlength=(2 * nb + 1) * w * w)
@@ -220,6 +230,7 @@ def _cyclic_reduction(diags, layout):
     D, U = np.split(blocks, [nb * w * w])
     D, U = D.reshape(nb, w, w), U.reshape(nb + 1, w, w)
     Ut = np.ascontiguousarray(U.transpose(0, 2, 1))     # Ut[i] = A[i, i - 1]
+    del blocks
     levels = []
     while len(D) > 1 and len(D) * w > _DENSE:
         npiv, nodd = (len(D) + 1) // 2, len(D) // 2
@@ -228,15 +239,19 @@ def _cyclic_reduction(diags, layout):
         # C = [A[2t, 2t-1], A[2t, 2t+1]] and Ct its transpose
         C = np.concatenate([Ut[0:2 * npiv:2], U[1::2]], axis=2)
         Ct = np.concatenate([U[0:2 * npiv:2], Ut[1::2]], axis=1)
+        del U, Ut
         np.linalg.cholesky(D[0::2])     # the certificate: raises unless > 0
         Dinv = np.linalg.inv(D[0::2])
+        D = D[1::2].copy()      # the odd blocks; the old D is freed
         P = Dinv @ C
+        del C
         S = Ct @ P              # [[left, left-right], [right-left, right]]
-        D = D[1::2] - S[:nodd, w:, w:]
+        D -= S[:nodd, w:, w:]
         D[:npiv - 1] -= S[1:, :w, :w]
         U, Ut = np.zeros((2, nodd + 1, w, w))
         np.negative(S[:, :w, w:], out=U[:npiv])
         np.negative(S[:, w:, :w], out=Ut[:npiv])
+        del S
         levels.append((Dinv, Ct, P))
 
     m = len(D)
@@ -329,7 +344,10 @@ def newton_minimize(problem, x0):
     makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982). A step that continues is refined, as `PeriodicBand.solve` is,
     and its stop test is made again on the refined p_k. An exactly zero
-    gradient returns x_k itself.
+    gradient returns x_k itself. The step's factorization is freed before
+    f is evaluated at the point returned or at a line-search trial, so an
+    evaluation never holds its memory as well (a quadratic problem's one
+    evaluation below does, as its fallback reads the same factorization).
 
     A `quadratic` problem stops after its first step: its Hessian is the
     same at every point, so the factorization at x_0 certifies the whole
@@ -372,6 +390,7 @@ def newton_minimize(problem, x0):
                                   False, "Hessian not positive definite",
                                   hessian_indefinite=True)
         if gnorm == 0.0:
+            del passes
             return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
                                   True, "converged")
         if problem.quadratic and it == 0:
@@ -387,12 +406,14 @@ def newton_minimize(problem, x0):
         # a reduction solve yields its first pass before it refines: a step
         # that stops on it needs no refinement
         for p in passes(-gx):
-            if np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p)):
-                x = x + p
-                x -= x.mean()
-                return MinimizeResult(x, f(x), gnorm, it + 1, True,
-                                      "converged")
-        del passes      # free the factorization before the line search
+            stop = np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p))
+            if stop:
+                break
+        del passes      # free the factorization before f is evaluated again
+        if stop:
+            x = x + p
+            x -= x.mean()
+            return MinimizeResult(x, f(x), gnorm, it + 1, True, "converged")
         if fx is None:
             fx = f(x)
         slope = float(np.dot(gx, p))

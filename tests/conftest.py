@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from chain_elastica import atomistic, fem, optimize
@@ -47,3 +49,24 @@ def newton_iterations(monkeypatch):
     for module in (atomistic, fem):
         monkeypatch.setattr(module, "newton_minimize", counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn() and returns the peak, in bytes, of the
+    memory that tracemalloc traces while fn runs, above what it traced when
+    fn started."""
+    def peak(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak

@@ -405,9 +405,7 @@ def _einsum_reference(model, space, c):
     through np.einsum and explicit index loops, each with the sums of the
     magnitudes of its element terms, the scale of its roundoff."""
     orders = model.density_orders
-    g = np.zeros((5, QUAD_POINTS, space.n))
-    for r, d in space.derivatives_at_quad(c, orders).items():
-        g[r - 1] = d
+    g = space.derivatives_at_quad(c, orders)
     T = space.template[:, orders, :]
     dw = model.density_grad(g)
     d2w = model.density_hess(g)

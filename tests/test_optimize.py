@@ -1,11 +1,14 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
+from chain_elastica import optimize
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import MODEL_KEYS, continuum_model
-from chain_elastica.fem import PeriodicSplineSpace, assemble
+from chain_elastica.fem import PeriodicSplineSpace, assemble, solve_continuum
 from chain_elastica.harness import StudyConfig, run_sweep
 from chain_elastica.optimize import (STEP_RTOL, DomainError,
                                      MinimizeProblem, PeriodicBand,
@@ -670,3 +673,69 @@ def test_newton_on_a_quadratic_outside_its_domain_takes_the_damped_steps():
     assert res.message == want.message and not res.converged
     assert np.array_equal(res.x, want.x)
     assert res.iterations == want.iterations and res.fun == want.fun
+
+
+def _lj_problem(kind, N):
+    """The LJ chain's problem, or the LJ hoc4 FEM problem, with 2N unknowns
+    under the sweep's load at eps = 1/N."""
+    pot, eps = make_potential("lj"), 1.0 / N
+    if kind == "chain":
+        force = eps * np.cos(np.pi * eps * np.arange(-N, N))
+        return AtomisticSystem(N, pot, force=force).objective_problem()
+    return assemble(continuum_model("hoc4", pot), PeriodicSplineSpace(N),
+                    lambda x: eps * np.cos(np.pi * eps * x))
+
+
+@pytest.mark.parametrize("kind", ["chain", "hoc4"])
+def test_newton_frees_each_factorization_before_it_evaluates_f(
+        kind, monkeypatch):
+    # at every objective call, the last one of the converged step included,
+    # no solve that a factorization returned is alive: Newton drops each
+    # step's passes before it evaluates f at a point. From u = 0 the first
+    # Hessian is circulant and the later ones take the reduction
+    made = []
+    for name in ("_cyclic_reduction", "_spectral_passes"):
+        def tracked(*args, make=getattr(optimize, name), name=name):
+            solve = make(*args)
+            made.append((name, weakref.ref(solve)))
+            return solve
+
+        monkeypatch.setattr(optimize, name, tracked)
+    N = 64
+    prob = _lj_problem(kind, N)
+    objective, alive = prob.objective, []
+
+    def checked(x):
+        alive.append([name for name, ref in made if ref() is not None])
+        return objective(x)
+
+    prob.objective = checked
+    res = newton_minimize(prob, np.zeros(2 * N))
+    assert res.converged and res.iterations >= 2
+    assert {name for name, _ in made} == {"_cyclic_reduction",
+                                          "_spectral_passes"}
+    assert alive == [[]] * len(alive) and len(alive) >= res.iterations
+
+
+def test_default_lj_sweep_reads_one_cached_layout():
+    # a cell factors all the chain's (n, r_cut) bands and then all the
+    # models' (n, 5) bands, so one cached layout serves every hit
+    optimize._grounded_layout.cache_clear()
+    run_sweep(StudyConfig(potential="lj"))
+    info = optimize._grounded_layout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (16, 22, 1)
+
+
+def test_warm_lj_hoc4_solve_keeps_its_traced_peak(traced_peak):
+    # one LJ hoc4 solve at N = 4096 (n = 8192), warm: each reduction level
+    # keeps only what its solve reads, and Newton frees a factorization
+    # before it evaluates the point it returns. This peak reads 8.41 MB;
+    # it read 10.47 MB while each level held its used-up temporaries and
+    # the converged step's factorization outlived the step
+    N = 4096
+    model = continuum_model("hoc4", make_potential("lj"))
+    space = PeriodicSplineSpace(N)
+    load = space.load_vector(lambda x: np.cos(np.pi * x / N) / N)
+    solve_continuum(model, space, load)
+    peak = traced_peak(lambda: solve_continuum(model, space, load))
+    assert peak <= 8.8e6
