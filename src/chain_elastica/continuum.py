@@ -71,6 +71,10 @@ class _ComposedModel:
         self.bonds = tuple(int(r) for r in bonds)
         self.F = float(F)
         self.phi = {rho: shifted(potential, self.F, rho) for rho in self.bonds}
+        # each bond's coefficients at g's slots, and at the density orders'
+        self._coeffs = {rho: self._arg_coeffs(rho) for rho in self.bonds}
+        slots = np.array(self.density_orders) - 1
+        self._rows = {rho: c[slots] for rho, c in self._coeffs.items()}
 
     def _arg_coeffs(self, rho):
         raise NotImplementedError
@@ -78,8 +82,9 @@ class _ComposedModel:
     def bond_args(self, g):
         """rho -> the strain argument of phi_rho at the points of g."""
         g = np.asarray(g, dtype=float)
-        return {rho: np.tensordot(self._arg_coeffs(rho), g, axes=(0, 0))
-                for rho in self.bonds}
+        flat = g.reshape(len(g), -1)
+        return {rho: (c @ flat).reshape(g.shape[1:])
+                for rho, c in self._coeffs.items()}
 
     def _checked_args(self, g, args):
         """`args` as passed, or bond_args(g) after checking that every bond
@@ -116,10 +121,8 @@ class _ComposedModel:
     def density_grad(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self._checked_args(g, args)
-        slots = np.array(self.density_orders) - 1
-        out = np.zeros((len(slots),) + np.shape(g[0]))
-        for rho in self.bonds:
-            c = self._arg_coeffs(rho)[slots]
+        out = np.zeros((len(self.density_orders),) + np.shape(g[0]))
+        for rho, c in self._rows.items():
             d1 = self.phi[rho].derivative_unchecked(1, args[rho])
             for i, cm in enumerate(c):
                 out[i] += cm * d1
@@ -128,14 +131,16 @@ class _ComposedModel:
     def density_hess(self, g, args=None):
         g = np.asarray(g, dtype=float)
         args = self._checked_args(g, args)
-        slots = np.array(self.density_orders) - 1
-        out = np.zeros((len(slots), len(slots)) + np.shape(g[0]))
-        for rho in self.bonds:
-            c = self._arg_coeffs(rho)[slots]
+        k = len(self.density_orders)
+        out = np.zeros((k, k) + np.shape(g[0]))
+        for rho, c in self._rows.items():
             d2 = self.phi[rho].derivative_unchecked(2, args[rho])
             for i, cm in enumerate(c):
-                for j, cn in enumerate(c):
-                    out[i, j] += cm * cn * d2
+                for j in range(i, k):
+                    out[i, j] += cm * c[j] * d2
+        # plane (j, i) is plane (i, j), as c_n c_m == c_m c_n
+        for i in range(k):
+            out[i + 1:, i] = out[i, i + 1:]
         return out
 
 
@@ -221,11 +226,10 @@ class IllPosedSecondGradient(_ComposedModel):
     key = "ill2"
     density_orders = (1, 2)
 
-    def bond_args(self, g):
+    def _arg_coeffs(self, rho):
         """Not of composed form: phi_rho and its derivatives are taken at
         rho grad u, and the density methods below add the g2 terms."""
-        g = np.asarray(g, dtype=float)
-        return {rho: rho * g[0] for rho in self.bonds}
+        return np.array([rho, 0.0, 0.0, 0.0, 0.0])
 
     def density(self, g, args=None):
         g = np.asarray(g, dtype=float)
@@ -257,7 +261,7 @@ class IllPosedSecondGradient(_ComposedModel):
             cross = -rho ** 5 / 12.0 * phi(3, a) * g[1]
             out[0, 1] += cross
             out[1, 0] += cross
-            out[1, 1] += -rho ** 4 / 12.0 * phi(2, a) * np.ones_like(g[0])
+            out[1, 1] += -rho ** 4 / 12.0 * phi(2, a)
         return out
 
     def stress(self, u, x):
@@ -317,10 +321,7 @@ def continuum_energy(model, u, N, npoints=5):
     w0 = model.density0()
 
     def f(x):
-        g = np.zeros((5,) + x.shape)
-        for j in model.density_orders:
-            g[j - 1] = u.eval(x, j)
-        return model.density(g) - w0
+        return model.density(_gradients(u, x, 5)) - w0
 
     return composite_integral(f, N, npoints)
 
@@ -329,10 +330,7 @@ def first_variation_pairing(model, u, v, N, npoints=8):
     """<delta E(u), v> = int sum_m dW/dg_m grad^m v dx: the exact Gateaux
     derivative of the density energy."""
     def f(x):
-        g = np.zeros((5,) + x.shape)
-        for j in model.density_orders:
-            g[j - 1] = u.eval(x, j)
-        dw = model.density_grad(g)
+        dw = model.density_grad(_gradients(u, x, 5))
         out = np.zeros_like(x)
         for i, j in enumerate(model.density_orders):
             out += dw[i] * v.eval(x, j)

@@ -1,10 +1,10 @@
 """Periodic quintic-spline finite elements on the unit lattice mesh: assembly
 of the continuum energies by per-element Gauss quadrature (objective,
-gradient and Hessian share one evaluation per point; one slice scatter adds
-up the load, the gradient and the Hessian `PeriodicBand`, which is one
-element's stencil in every column when the planes are equal at every
-element), the continuum solver certified by Newton's last factorization,
-and L2 comparisons between smooth fields."""
+gradient and Hessian share one evaluation per point; one slice scatter
+along the dofs adds up the load, the gradient and the dof-major rows of the
+Hessian `PeriodicBand`, which is one element's stencil in every column when
+the planes are equal at every element), the continuum solver certified by
+Newton's last factorization, and L2 comparisons between smooth fields."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,17 +94,17 @@ class PeriodicSplineSpace:
             np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw))
 
     def scatter_add(self, local):
-        """out[..., j] = sum_o local[o][..., (j - o) % n], summed in the order
-        of `offsets`, each offset's (..., n) array shifted by o % n in two
-        slice adds. `local` is a (6, ..., n) array, or an iterable of six
-        arrays made one at a time so that they are never all held at once."""
+        """out[j] = sum_o local[o][(j - o) % n], summed in the order of
+        `offsets`, each offset's (n, ...) part shifted by o % n in two slice
+        adds. `local` is a (6, n, ...) array, or an iterable of six parts
+        made one at a time so that they are never all held at once."""
         n, out = self.n, None
         for s, part in zip(self._shifts, local):
             if out is None:
                 out = np.zeros(part.shape)
             if s:
-                out[..., :s] += part[..., n - s:]
-            out[..., s:] += part[..., :n - s]
+                out[:s] += part[n - s:]
+            out[s:] += part[:n - s]
         return out
 
 
@@ -162,11 +162,12 @@ def assemble(model, space, f=None):
     points, written in place into one array, and the model's bond
     arguments, whose domain is checked there once. The old evaluation is
     dropped before a new one is made. The Hessian callback builds a fresh
-    band from the `density_hess` planes there at every call. The problem's `energy` is the objective without its load
-    term; it keeps its last value, so `solve_continuum` reads the one of
-    Newton's last objective call. Every model's density is quadratic in
-    the gradients exactly when the potential is, and so is the problem
-    (`quadratic`)."""
+    band from the `density_hess` planes there at every call. The problem's
+    `energy` is the objective without its load term; it keeps its last
+    value, so `solve_continuum` reads the one of Newton's last objective
+    call. Every model's density is quadratic in the gradients exactly when
+    the potential is, and so is the problem (`quadratic`): then its planes
+    are equal at every point, and the Hessian evaluates those of 4."""
     orders = model.density_orders
     w0 = model.density0()
     if f is None:
@@ -175,11 +176,10 @@ def assemble(model, space, f=None):
         load = space.load_vector(f) if callable(f) else np.asarray(f, float)
     n, qw = space.n, space.qw
     grad_kernel, hess_kernel = _element_kernels(orders)
+    quadratic = model.potential.quadratic
 
     def evaluate(c):
-        """grad^r u at the quadrature points in slot r - 1, (5, q, n), and
-        the model's bond arguments there, checked against the potential's
-        domain once for all three callbacks."""
+        """(g, the bond arguments) at c, checked against the domain once."""
         g = space.derivatives_at_quad(c, orders)
         args = model.bond_args(g)
         margin = model.domain_margin(g, args)
@@ -206,10 +206,13 @@ def assemble(model, space, f=None):
 
     def hessian(c):
         g, args = at(c)
+        if quadratic:
+            # equal planes everywhere: those of the columns read below
+            g, args = g[..., :4], {rho: a[..., :4] for rho, a in args.items()}
         # rows (r, s, q), in the order the Hessian kernel reads them
-        d2w = model.density_hess(g, args).reshape(-1, n)
+        d2w = model.density_hess(g, args).reshape(-1, g.shape[-1])
         H = PeriodicBand(n, 5)
-        if np.all(d2w == d2w[:, :1]):
+        if quadratic or np.all(d2w == d2w[:, :1]):
             # equal planes at every element: one element's stencil in every
             # column, summed in offset order as `scatter_add` sums it. Its
             # products take 4 columns, as BLAS rounds 1- and 2-column ones
@@ -217,17 +220,14 @@ def assemble(model, space, f=None):
             one = np.asfortranarray(d2w[:, :4])
             H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
             return H
-        # column-major: a C-ordered operand rounds the products differently
-        # and moves the Morse hoc6 sweep rows (energy_gap at N = 16 in its
-        # 6th digit); the products are streamed, not stacked, to save memory
-        d2w = np.asfortranarray(d2w)
-        H.add(np.arange(-5, 6), space.scatter_add(
-            hess_kernel[io] @ d2w for io in range(6)))
+        # dof-major (n, 11) element rows, streamed (not stacked) through the
+        # scatter and written into the band once
+        H.diags[:] = space.scatter_add(
+            d2w.T @ hess_kernel[io].T for io in range(6)).T
         return H
 
     return ContinuumProblem(objective, gradient, hessian,
-                            quadratic=model.potential.quadratic,
-                            energy=energy)
+                            quadratic=quadratic, energy=energy)
 
 
 def solve_continuum(model, space, f=None, max_iter=500, x0=None):

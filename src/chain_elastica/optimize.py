@@ -31,13 +31,12 @@ class PeriodicBand:
         self.diags = np.zeros((2 * b + 1, n))
 
     def add(self, o, values, shift=0):
-        """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m;
-        an array of offsets o takes the rows of a 2-d `values`. The shift
-        splits the add into two slices, so nothing is copied."""
-        rows, s = self.b + o, shift % self.n
+        """H[(m + shift) % n, (m + shift + o) % n] += values[m] for all m.
+        The shift splits the add into two slices, so nothing is copied."""
+        row, s = self.diags[self.b + o], shift % self.n
         if s:
-            self.diags[rows, :s] += values[..., self.n - s:]
-        self.diags[rows, s:] += values[..., :self.n - s]
+            row[:s] += values[self.n - s:]
+        row[s:] += values[:self.n - s]
 
     def is_circulant(self):
         """Is H circulant: no aliased offsets (n > 2b), and every column of

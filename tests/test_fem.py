@@ -258,6 +258,19 @@ def test_gauss_template_matches_one_bspline_call_per_offset_and_order(
     assert not got.flags.writeable
 
 
+def _streamed_scatter(parts, n):
+    """The band of (11, n) element rows streamed through a scatter along
+    columns: part io shifted by (io - 2) % n in two slice adds, summed in
+    offset order. The reference for `assemble`'s dof-major scatter."""
+    out = np.zeros((11, n))
+    for io, part in enumerate(parts):
+        s = (io - 2) % n
+        if s:
+            out[:, :s] += part[:, n - s:]
+        out[:, s:] += part[:, :n - s]
+    return out
+
+
 class _HomogeneousPlanes:
     """`model` with its density Hessian replaced by `planes`, (k, k, q) for
     its k density orders, at every element."""
@@ -299,8 +312,8 @@ def test_one_element_band_matches_the_streamed_band(data, key, N):
     hess_kernel = fem._element_kernels(model.density_orders)[1]
     d2w = np.asfortranarray(np.broadcast_to(planes.reshape(-1, 1),
                                             (planes.size, sp.n)))
-    streamed, size = (PeriodicSplineSpace(N).scatter_add(
-        f(hess_kernel[io]) @ f(d2w) for io in range(6))
+    streamed, size = (_streamed_scatter(
+        (f(hess_kernel[io]) @ f(d2w) for io in range(6)), sp.n)
         for f in (np.asarray, np.abs))
     if key == "hoc6":
         assert np.all(np.abs(H.diags - streamed)
@@ -398,6 +411,88 @@ def test_assembled_callbacks_share_one_evaluation_per_point(key):
     prob.gradient(c)
     c[:] = b
     _assert_same_bits(_callbacks(prob, c), want)
+
+
+def _reference_callbacks(model, space, c):
+    """Objective, gradient and Hessian band of `assemble(model, space)` at
+    c by the formulas the fast paths replaced: bond arguments by
+    np.tensordot, coefficient rows rebuilt per call, density planes at every
+    element, and (11, n) element rows from a column-major operand streamed
+    through `_streamed_scatter`; with the band of the magnitudes of its
+    terms, the scale of its roundoff."""
+    n = space.n
+    g = space.derivatives_at_quad(c, model.density_orders)
+    if model.key == "ill2":
+        args = {rho: rho * g[0] for rho in model.bonds}
+        dw, d2w = model.density_grad(g, args), model.density_hess(g, args)
+    else:
+        args = {rho: np.tensordot(model._arg_coeffs(rho), g, axes=(0, 0))
+                for rho in model.bonds}
+        slots = np.array(model.density_orders) - 1
+        dw = np.zeros((len(slots),) + g.shape[1:])
+        d2w = np.zeros((len(slots), len(slots)) + g.shape[1:])
+        for rho in model.bonds:
+            row = model._arg_coeffs(rho)[slots]
+            d1 = model.phi[rho].derivative_unchecked(1, args[rho])
+            d2 = model.phi[rho].derivative_unchecked(2, args[rho])
+            for i, cm in enumerate(row):
+                dw[i] += cm * d1
+                for j, cn in enumerate(row):
+                    d2w[i, j] += cm * cn * d2
+    energy = float(np.sum(space.qw @ (model.density(g, args)
+                                      - model.density0())))
+    grad_kernel, hess_kernel = fem._element_kernels(model.density_orders)
+    grad = space.scatter_add(grad_kernel @ dw.reshape(-1, n))
+    d2w = np.asfortranarray(d2w.reshape(-1, n))
+    band, size = (_streamed_scatter((f(hess_kernel[io]) @ f(d2w)
+                                     for io in range(6)), n)
+                  for f in (np.asarray, np.abs))
+    return energy, grad, band, size
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("potential, key", [
+    ("lj", "cb"), ("lj", "hoc4"), ("lj", "ill2"),
+    ("harmonic", "cb"), ("harmonic", "hoc4"), ("harmonic", "hoc6")])
+def test_callbacks_match_the_formulas_they_replaced(potential, key, N):
+    # objective, gradient and band bitwise those of the reference formulas;
+    # hoc6's 45-term products round differently in the one-element path
+    # (see test_one_element_band_matches_the_streamed_band), so its band
+    # agrees to roundoff only
+    m = continuum_model(key, make_potential(potential), bonds=(1, 2))
+    sp = PeriodicSplineSpace(N)
+    c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(sp.n)
+    energy, grad, band, size = _reference_callbacks(m, sp, c)
+    prob = assemble(m, sp)
+    assert prob.energy(c) == energy
+    assert np.array_equal(prob.gradient(c), grad)
+    H = prob.hessian(c).diags
+    if key == "hoc6":
+        assert np.all(np.abs(H - band) <= 4 * np.finfo(float).eps * size)
+    else:
+        assert np.array_equal(H, band)
+
+
+@pytest.mark.parametrize("N", [1, 1024])
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "ill2", "first"])
+def test_quadratic_hessian_evaluates_the_planes_of_four_elements(key, N):
+    # a quadratic density has equal planes everywhere, so the Hessian
+    # callback evaluates them on the (at most) 4 element columns that the
+    # one-element stencil reads, not on all n
+    m = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
+    sp = PeriodicSplineSpace(N)
+    columns = []
+    density_hess = m.density_hess
+
+    def recorded(g, args=None):
+        columns.append({g.shape[-1]} | {a.shape[-1] for a in args.values()})
+        return density_hess(g, args)
+
+    m.density_hess = recorded
+    c = 0.05 * np.random.default_rng(N).standard_normal(sp.n)
+    H = assemble(m, sp).hessian(c)
+    assert columns == [{min(sp.n, 4)}]
+    assert np.all(H.diags == H.diags[:, :1])
 
 
 def _einsum_reference(model, space, c):

@@ -726,8 +726,9 @@ def test_default_harmonic_sweep_factorization_count(factorizations):
 
 def _fem_bands(monkeypatch, cfg):
     """For each FEM Hessian band that `run_sweep(cfg)` builds, in order:
-    True where it is built from one element's stencil, which writes the
-    band without `PeriodicBand.add`, False where it is streamed."""
+    True where it is built from one element's stencil, False where its
+    element rows are streamed through `PeriodicSplineSpace.scatter_add`,
+    which scatters 2-d parts for nothing else."""
     built = []
 
     class Band(PeriodicBand):
@@ -737,11 +738,16 @@ def _fem_bands(monkeypatch, cfg):
             super().__init__(n, b)
             built.append(self)
 
-        def add(self, *args, **kwargs):
-            self.streamed = True
-            super().add(*args, **kwargs)
+    scatter = fem.PeriodicSplineSpace.scatter_add
+
+    def scatter_add(self, local):
+        out = scatter(self, local)
+        if out.ndim == 2:
+            built[-1].streamed = True
+        return out
 
     monkeypatch.setattr(fem, "PeriodicBand", Band)
+    monkeypatch.setattr(fem.PeriodicSplineSpace, "scatter_add", scatter_add)
     run_sweep(cfg)
     return [not band.streamed for band in built]
 
