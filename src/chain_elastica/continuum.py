@@ -65,6 +65,9 @@ class _ComposedModel:
 
     key = ""
     density_orders = (1,)     # gradient slots the density depends on
+    # is the solution within O(eps^4) of the chain's? Such a model starts
+    # best from the quintic spline through the chain (`solve_cell`)
+    starts_from_chain = False
 
     def __init__(self, potential, bonds=(1, 2), F=1.0):
         self.potential = potential
@@ -165,6 +168,7 @@ class HigherOrder4(_ComposedModel):
 
     key = "hoc4"
     density_orders = (1, 3)
+    starts_from_chain = True
 
     def _arg_coeffs(self, rho):
         return np.array([rho, 0.0, rho ** 3 / 24.0, 0.0, 0.0])
@@ -190,6 +194,7 @@ class HigherOrder6(_ComposedModel):
 
     key = "hoc6"
     density_orders = (1, 3, 5)
+    starts_from_chain = True
 
     def _arg_coeffs(self, rho):
         return np.array([rho, 0.0, rho ** 3 / 24.0, 0.0, rho ** 5 / 1920.0])

@@ -141,7 +141,8 @@ _EXTRAPOLATION = {1: np.array([1.0]), 2: np.array([5 / 4, -1 / 4]),
 class History:
     """The converged solutions of the cells before one eps, the start of
     nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985):
-    for each solve, keyed "chain" or by model key, the quintic-spline
+    for each solve that keeps them, keyed "chain" or by model key (not the
+    models that `starts_from_chain`), the quintic-spline
     coefficients of its solutions on the mesh of the last cell, 2N sites, as
     the rows of one array, finest first. A solve has 1 to 3 solutions, at
     eps halving from one row to the next, and none (no key) where its last
@@ -177,12 +178,15 @@ def solve_cell(cfg, eps, models, history=None):
     continuum model in `models` is solved and measured against it.
 
     `history` is the `History` that the cell before returned, or None.
-    Every solve starts from the extrapolation of its own solutions there,
-    moved to this mesh (`History.moved`, `History.start`): the chain from
-    that spline at its sites, a model from those coefficients. A solve
-    without solutions starts cold: the chain from 0, a model from the
-    quintic spline through this cell's chain. A history whose eps this cell
-    does not halve moves to an empty one.
+    The chain and every model that does not `starts_from_chain` start from
+    the extrapolation of their own solutions there, moved to this mesh
+    (`History.moved`, `History.start`): the chain from that spline at its
+    sites, a model from those coefficients. A solve without solutions
+    starts cold: the chain from 0, a model from the quintic spline through
+    this cell's chain. A model that `starts_from_chain` (hoc4, hoc6) always
+    starts from that spline, which lies closer to its solution than the
+    extrapolation of its own, and keeps no history. A history whose eps
+    this cell does not halve moves to an empty one.
 
     What the models share is computed once per cell: the chain's energy
     above the homogeneous state (carried by its solution), grad I u at the
@@ -190,8 +194,8 @@ def solve_cell(cfg, eps, models, history=None):
     Hessian is indefinite, or whose start is outside the potential's
     domain, gets a NaN record with the reason and no field.
     If the chain did not converge, the other records give that as their
-    reason. The cell returns the history for the next one: the converged
-    solves' solutions."""
+    reason. The cell returns the history for the next one: the solutions
+    of the converged solves that keep one."""
     N = _eps_to_N(eps)
     history = History(N, {}) if history is None else history.moved(N)
     pot = cfg.make_potential()
@@ -216,13 +220,14 @@ def solve_cell(cfg, eps, models, history=None):
         model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
         try:
             u_c = solve_continuum(model, space, load, cfg.max_iter,
-                                  history.start(key, start))
+                                  start if model.starts_from_chain
+                                  else history.start(key, start))
         except (IndefiniteHessianError, DomainError) as exc:
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
                 reason=str(exc)))
             continue
-        if u_c.result.converged:
+        if u_c.result.converged and not model.starts_from_chain:
             cell.history.rows[key] = history.pushed(key, u_c.coeffs)
         g_err = grad_l2_distance(grad_iu, space.gradient_at_points(u_c), N)
         e_gap = energy_gap(system, sol_a, model, u_c)

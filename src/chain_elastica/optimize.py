@@ -13,12 +13,28 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["PeriodicBand", "DomainError", "MinimizeProblem",
            "MinimizeResult", "newton_minimize", "evaluate_once",
            "gradient_check"]
 
 _DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
+
+
+@lru_cache(maxsize=2)
+def _sin2_table(n, b):
+    """sin^2(pi j o / n) for j = 0..n//2 and o = 1..b, read-only, from one
+    sin^2 sweep over k <= n/2 (it is even in k with period n). A sweep cell
+    reads two, its chain's (n, r_cut) and its models' (n, 5); only those
+    are kept."""
+    o = np.arange(1, b + 1)
+    half = np.arange(n // 2 + 1)
+    k = np.outer(half, o) % n
+    sin2 = np.sin(np.pi / n * half) ** 2
+    table = sin2[np.minimum(k, n - k)]
+    table.flags.writeable = False
+    return table
 
 
 class PeriodicBand:
@@ -64,13 +80,9 @@ class PeriodicBand:
     def _half_spectrum(self):
         """lam_j of `eigenvalues` for j = 0..n//2, the modes of an rfft;
         lam_(n - j) = lam_j."""
-        n, b = self.n, self.b
+        b = self.b
         o = np.arange(1, b + 1)
-        half = np.arange(n // 2 + 1)
-        k = np.outer(half, o) % n
-        # sin^2(pi k / n) is even in k with period n: one table for k <= n/2
-        sin2 = np.sin(np.pi / n * half) ** 2
-        return -2.0 * (sin2[np.minimum(k, n - k)]
+        return -2.0 * (_sin2_table(self.n, b)
                        @ (self.diags[b + o, 0] + self.diags[b - o, 0]))
 
     def solve(self, rhs):
@@ -181,21 +193,32 @@ def _grounded_layout(n, b):
     block i couples blocks i - 1 and i and the first and last stay zero;
     and the diagonal targets of the nb·w - (n - 1) padding unknowns.
 
+    Dof j sits at position pos[j] of the zig-zag order, in block pos // w
+    at offset pos % w. Entry (m, q = cols[., m]) lies on or above the block
+    diagonal iff pos[q] >= w·(pos[m] // w), and in the upper block iff
+    pos[q] >= w·(pos[m] // w + 1), as coupled blocks are adjacent. Its
+    target is then pos[q] plus a per-row constant, so one gather of pos
+    at `cols` and per-dof tables give every entry.
+
     Only the last layout is kept: a sweep cell factors all the chain's
     (n, r_cut) bands and then all its models' (n, 5) bands, so an older
     layout would not be read again."""
     w = 2 * b
     j = np.arange(n)
     pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)   # pos[0] < 0
-    order = np.argsort(pos)[1:]
+    order = np.empty(n - 1, dtype=np.intp)
+    order[pos[1:]] = j[1:]
     nb = -(-(n - 1) // w)
-    cols = (j + np.arange(-b, b + 1)[:, None]) % n
-    p = np.broadcast_to(pos, (2 * b + 1, n)).ravel()
-    q = pos[cols].ravel()
-    src = np.flatnonzero((p >= 0) & (q >= 0) & (q // w >= p // w))
-    p, q = p[src], q[src]
-    dst = (p // w + np.where(q // w > p // w, nb + 1, 0)) * w * w \
-        + p % w * w + q % w
+    cols = sliding_window_view(np.arange(-b, n + b) % n, n).copy()
+    block, offset = np.divmod(pos, w)
+    # the target of entry (m, q) less pos[q], for q in the block of m
+    diag = block * (w * w - w) + offset * w
+    block[0] = nb           # the grounded row 0 keeps no entry
+    first = block * w       # the first position of m's block
+    at = pos[cols]          # column 0, at pos -2, falls below every first
+    src = np.flatnonzero(at >= first)
+    at += np.where(at >= first + w, diag + (nb + 1) * w * w - w, diag)
+    dst = at.ravel()[src]
     pad = np.arange(n - 1, nb * w)
     pad = pad // w * w * w + pad % w * (w + 1)
     layout = _Layout(order, cols, src, dst, pad, nb)

@@ -270,17 +270,29 @@ def convolution_interpolant(v, kernel):
     return KernelField(v.values, kernel.convolve(kernel), v.N)
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_taps(degree):
+    """(off, B_degree(off)) for the integers off where B_degree is nonzero,
+    in increasing off."""
+    rad = (degree + 1) // 2
+    offsets = np.arange(-rad, rad + 1)
+    return tuple((int(off), float(b)) for off, b in
+                 zip(offsets, bspline(degree, offsets.astype(float)))
+                 if b != 0.0)
+
+
 @functools.lru_cache(maxsize=32)
 def _interpolation_symbol(n, degree):
-    """sum_off B_degree(off) cos(2 pi off j / n), j = 0..n-1: the DFT of the
-    circulant collocation matrix on n periodic sites; read-only."""
-    rad = (degree + 1) // 2 + 1
-    offsets = np.arange(-rad, rad + 1)
-    bvals = bspline(degree, offsets.astype(float))
-    symbol = np.zeros(n)
-    for off, b in zip(offsets, bvals):
-        if b != 0.0:
-            symbol += b * np.cos(2 * np.pi * off * np.arange(n) / n)
+    """sum_off B_degree(off) cos(2 pi off j / n), j = 0..n//2: the DFT of
+    the circulant collocation matrix on n periodic sites at the modes of an
+    rfft; read-only. As cos is even, each tap reads one table of
+    cos(2 pi k / n), k <= max|off|·(n//2), at k = |off|·j: a strided
+    slice."""
+    taps, h = _integer_taps(degree), n // 2
+    cos = np.cos(2 * np.pi / n * np.arange(taps[-1][0] * h + 1))
+    symbol = np.zeros(h + 1)
+    for off, b in taps:
+        symbol += b * cos[:abs(off) * h + 1:abs(off)] if off else b
     # uniform periodic odd/even-degree spline collocation is never singular
     assert np.all(np.abs(symbol) > 1e-12), "singular interpolation system"
     symbol.flags.writeable = False
@@ -292,17 +304,26 @@ def periodic_spline_coefficients(values, degree):
     periodic grid, via the circulant symbol in Fourier space (computed once
     per grid size and degree)."""
     values = np.asarray(values, dtype=float)
-    symbol = _interpolation_symbol(values.size, degree)
-    return np.real(np.fft.ifft(np.fft.fft(values) / symbol))
+    n = values.size
+    return np.fft.irfft(np.fft.rfft(values) / _interpolation_symbol(n, degree),
+                        n)
 
 
 def periodic_spline_values(coeffs, degree):
     """The values at the sites of the periodic spline
-    sum_j c_j B_degree(xi - j): the inverse of
-    `periodic_spline_coefficients`, through the same circulant symbol."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    symbol = _interpolation_symbol(coeffs.size, degree)
-    return np.real(np.fft.ifft(np.fft.fft(coeffs) * symbol))
+    sum_j c_j B_degree(xi - j), the inverse of
+    `periodic_spline_coefficients`: the periodic convolution
+    sum_off B_degree(off) c[xi - off] over the nonzero integer taps of
+    B_degree (de Boor, A Practical Guide to Splines, ch. IX), which wraps
+    more than once on fewer sites than taps."""
+    c = np.asarray(coeffs, dtype=float)
+    n, taps = c.size, _integer_taps(degree)
+    rad = taps[-1][0]
+    ext = np.take(c, np.arange(-rad, n + rad), mode="wrap")
+    values = np.zeros(n)
+    for off, b in taps:
+        values += b * ext[rad - off:rad - off + n]
+    return values
 
 
 def periodic_spline_subdivision(coeffs, degree):

@@ -27,8 +27,9 @@ from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
                                     unfitted_models, write_records_csv,
                                     write_stability)
 from chain_elastica.optimize import PeriodicBand
-from chain_elastica.potentials import POTENTIAL_KINDS
-from chain_elastica.splines import reproducing_kernel
+from chain_elastica.potentials import POTENTIAL_KINDS, make_potential
+from chain_elastica.splines import (periodic_spline_coefficients,
+                                    reproducing_kernel)
 
 
 def test_fit_slope_synthetic():
@@ -697,11 +698,12 @@ def _newton_steps(monkeypatch, cfg):
 
 
 def test_default_lj_sweep_factorization_count(monkeypatch, factorizations):
-    # nested iteration from the extrapolated coarser solutions and the step
-    # test: 39 factorizations, where prolonged starts took 49 and cold
-    # starts with a gradient tolerance 96. From N = 128 on, each solve takes
-    # one Newton step. Only the N = 8 chain, which starts cold at u = 0,
-    # has a circulant Hessian
+    # nested iteration from the extrapolated coarser solutions for the
+    # chain and cb, hoc4 started from the chain's spline, and the step
+    # test: 37 factorizations, where hoc4's own extrapolated history took
+    # 39, prolonged starts 49 and cold starts with a gradient tolerance 96.
+    # From N = 128 on, each solve takes one Newton step. Only the N = 8
+    # chain, which starts cold at u = 0, has a circulant Hessian
     calls = []
     factor = PeriodicBand.factor
     monkeypatch.setattr(PeriodicBand, "factor",
@@ -709,7 +711,7 @@ def test_default_lj_sweep_factorization_count(monkeypatch, factorizations):
     steps = _newton_steps(monkeypatch,
                           StudyConfig(potential="lj", models=("cb", "hoc4")))
     assert len(calls) <= 52
-    assert len(factorizations) == 39
+    assert len(factorizations) == 37
     assert factorizations.count(True) == 1
     assert {N: s for N, s in steps.items() if N >= 128} == {
         N: [1, 1, 1] for N in (128, 256, 512, 1024)}
@@ -756,23 +758,25 @@ def test_default_sweeps_build_homogeneous_bands_from_one_element(
         monkeypatch):
     # a harmonic density has the same second derivatives at every point,
     # so each of the 24 continuum solves builds its one band from one
-    # element; no LJ band is homogeneous, as each LJ continuum solve
-    # starts from the deformed chain's spline, not from u = 0
+    # element; none of the 23 LJ bands is homogeneous, as each LJ
+    # continuum solve starts from a deformed state, not from u = 0
     assert _fem_bands(monkeypatch, StudyConfig(
         potential="harmonic", models=("cb", "hoc4", "hoc6"))) == [True] * 24
     assert _fem_bands(monkeypatch, StudyConfig(
-        potential="lj", models=("cb", "hoc4"))) == [False] * 25
+        potential="lj", models=("cb", "hoc4"))) == [False] * 23
 
 
 def test_default_morse_sweep_takes_one_newton_step_per_solve_from_N_128(
         monkeypatch):
-    # as on the LJ sweep, each start is the Richardson extrapolation in
-    # eps^2 of the coarser solutions, within about 1e-10 relative of the
-    # solution from N = 128 on: the first step already passes the step
-    # test. Prolonged starts took 49 steps
+    # as on the LJ sweep, each start of the chain and cb is the Richardson
+    # extrapolation in eps^2 of the coarser solutions, and hoc4 starts from
+    # the chain's spline; each is within about 1e-10 relative of the
+    # solution from N = 128 on, so the first step already passes the step
+    # test. hoc4's own extrapolated history took 39 steps, prolonged
+    # starts 49
     steps = _newton_steps(monkeypatch, StudyConfig(potential="morse",
                                                    models=("cb", "hoc4")))
-    assert sum(map(sum, steps.values())) == 39
+    assert sum(map(sum, steps.values())) == 37
     assert all(s == [1, 1, 1] for N, s in steps.items() if N >= 128)
 
 
@@ -788,16 +792,17 @@ def test_harmonic_sweep_factors_once_per_solve_in_few_newton_steps(
 
 
 def test_extrapolated_and_cold_starts_reach_the_same_cell():
-    # three coarser cells give the N = 256 cell starts extrapolated from
-    # three solutions each: one Newton step per solve, at the minimizers
-    # that cold starts reach, to far below the rows' 1e-6 reference
-    # tolerance
+    # three coarser cells give the N = 256 cell's chain and cb starts
+    # extrapolated from three solutions each, and hoc4, which keeps no
+    # history, starts from the chain's spline: one Newton step per solve,
+    # at the minimizers that cold starts reach, to far below the rows' 1e-6
+    # reference tolerance
     cfg = StudyConfig(potential="lj", models=("cb", "hoc4"))
     history = None
     for k in (5, 6, 7):
         history = solve_cell(cfg, 2.0 ** -k, cfg.models, history).history
     assert {key: len(rows) for key, rows in history.rows.items()} == {
-        "chain": 3, "cb": 3, "hoc4": 3}
+        "chain": 3, "cb": 3}
     warm = solve_cell(cfg, 2.0 ** -8, cfg.models, history)
     cold = solve_cell(cfg, 2.0 ** -8, cfg.models)
     assert warm.atomistic.iterations == 1 < cold.atomistic.iterations
@@ -810,6 +815,33 @@ def test_extrapolated_and_cold_starts_reach_the_same_cell():
         assert w.converged and c.converged
         assert w.grad_error == pytest.approx(c.grad_error, rel=1e-7)
         assert w.energy_gap == pytest.approx(c.energy_gap, rel=1e-6)
+
+
+def test_models_started_from_the_chain_keep_no_history(monkeypatch):
+    # the class attribute, not the key, picks hoc4 and hoc6. They start
+    # from the quintic spline through this cell's chain in every cell and
+    # keep no rows; cb starts from its own extrapolated rows
+    pot = make_potential("morse")
+    assert [key for key in MODEL_KEYS
+            if continuum_model(key, pot).starts_from_chain] == ["hoc4", "hoc6"]
+    starts = {}
+    solve = harness.solve_continuum
+
+    def recorded(model, space, load, max_iter, x0):
+        starts[model.key] = x0.copy()
+        return solve(model, space, load, max_iter, x0)
+
+    monkeypatch.setattr(harness, "solve_continuum", recorded)
+    cfg = StudyConfig(potential="morse", models=("cb", "hoc4", "hoc6"))
+    history = solve_cell(cfg, 2.0 ** -3, cfg.models).history
+    cell = solve_cell(cfg, 2.0 ** -4, cfg.models, history)
+    assert {key: len(rows) for key, rows in cell.history.rows.items()} == {
+        "chain": 2, "cb": 2}
+    spline = periodic_spline_coefficients(
+        cell.atomistic.displacement.values, 5)
+    assert np.array_equal(starts["hoc4"], spline)
+    assert np.array_equal(starts["hoc6"], spline)
+    assert not np.array_equal(starts["cb"], spline)
 
 
 def test_failed_solves_restart_their_history():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chain_elastica import optimize
+from chain_elastica import optimize, splines
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import MODEL_KEYS, continuum_model
 from chain_elastica.fem import PeriodicSplineSpace, assemble, solve_continuum
@@ -586,15 +586,15 @@ def test_newton_final_step_is_the_refined_one_to_an_ulp():
 
 def test_default_lj_sweep_skips_the_refinement_of_every_final_step(
         reduction_passes, factorizations, newton_iterations):
-    # 8 cells of chain, cb and hoc4: 24 solves and 39 Newton steps, each
-    # factoring its own band, 38 by the reduction and 1 through the
-    # spectrum. The 24 final steps make one reduction pass each and the 14
-    # others two: 52 passes
+    # 8 cells of chain, cb and hoc4: 24 solves and 37 Newton steps, each
+    # factoring its own band, 36 by the reduction and 1 through the
+    # spectrum. The 24 final steps make one reduction pass each and the 12
+    # others two: 48 passes
     run_sweep(StudyConfig(potential="lj"))
-    assert len(newton_iterations) == 24 and sum(newton_iterations) == 39
-    assert factorizations.count(False) == 38
+    assert len(newton_iterations) == 24 and sum(newton_iterations) == 37
+    assert factorizations.count(False) == 36
     assert factorizations.count(True) == 1
-    assert len(reduction_passes) == 52
+    assert len(reduction_passes) == 48
 
 
 def test_default_harmonic_sweep_takes_one_step_per_solve(
@@ -722,7 +722,82 @@ def test_default_lj_sweep_reads_one_cached_layout():
     optimize._grounded_layout.cache_clear()
     run_sweep(StudyConfig(potential="lj"))
     info = optimize._grounded_layout.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (16, 22, 1)
+    assert (info.misses, info.hits, info.currsize) == (16, 20, 1)
+
+
+def _oracle_sizes(b):
+    """n = 1..64, and for the b of the default sweeps, the chains' b = 2
+    and the FEM's b = 5, their n = 2N, N = 8..1024."""
+    sweep = [2 * N for N in (64, 128, 256, 512, 1024)] if b in (2, 5) else []
+    return list(range(1, 65)) + sweep
+
+
+def _argsort_layout(n, b):
+    """`optimize._grounded_layout` as first built: the zig-zag order by an
+    argsort of the positions, and each entry's block and offset by // and %
+    of its positions over the (2b + 1, n) arrays."""
+    w = 2 * b
+    j = np.arange(n)
+    pos = np.where(2 * j <= n, 2 * j - 2, 2 * (n - j) - 1)
+    order = np.argsort(pos)[1:]
+    nb = -(-(n - 1) // w)
+    cols = (j + np.arange(-b, b + 1)[:, None]) % n
+    p = np.broadcast_to(pos, (2 * b + 1, n)).ravel()
+    q = pos[cols].ravel()
+    src = np.flatnonzero((p >= 0) & (q >= 0) & (q // w >= p // w))
+    p, q = p[src], q[src]
+    dst = (p // w + np.where(q // w > p // w, nb + 1, 0)) * w * w \
+        + p % w * w + q % w
+    pad = np.arange(n - 1, nb * w)
+    pad = pad // w * w * w + pad % w * (w + 1)
+    return optimize._Layout(order, cols, src, dst, pad, nb)
+
+
+@pytest.mark.parametrize("b", range(1, 8))
+def test_grounded_layout_matches_the_argsort_construction(b):
+    # array for array, dtype and shape included, aliased n <= 2b too
+    for n in _oracle_sizes(b):
+        got, want = optimize._grounded_layout(n, b), _argsort_layout(n, b)
+        assert got.nb == want.nb, n
+        for name in ("order", "cols", "src", "dst", "pad"):
+            a, r = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (r.dtype, r.shape), (n, name)
+            assert np.array_equal(a, r), (n, name)
+            assert not a.flags.writeable, (n, name)
+
+
+@pytest.mark.parametrize("b", range(1, 8))
+def test_band_spectrum_matches_the_sin2_formula_bit_for_bit(b):
+    # lam_j = -sum_o 2 (H[0, o] + H[0, -o]) sin^2(pi j o / n), from one
+    # sin^2 sweep per call, equals the cached table's product bitwise, on
+    # circulant bands and on equal-column aliased ones (n <= 2b)
+    gen = np.random.default_rng(b)
+    o = np.arange(1, b + 1)
+    for n in _oracle_sizes(b):
+        H = PeriodicBand(n, b)
+        H.diags[:] = gen.standard_normal(2 * b + 1)[:, None]
+        half = np.arange(n // 2 + 1)
+        k = np.outer(half, o) % n
+        sin2 = np.sin(np.pi / n * half) ** 2
+        lam = -2.0 * (sin2[np.minimum(k, n - k)]
+                      @ (H.diags[b + o, 0] + H.diags[b - o, 0]))
+        assert np.array_equal(H._half_spectrum(), lam), n
+        assert np.array_equal(H.eigenvalues(), np.concatenate(
+            [lam, lam[(n - 1) // 2:0:-1]])), n
+
+
+def test_default_harmonic_sweep_builds_each_table_once_per_size():
+    # per cell, the chain's band reads the (2N, 2) sin^2 table and the three
+    # models' bands the (2N, 5) one, built once and read twice; the quintic
+    # start and the quartic measurement each build one interpolation symbol
+    splines._interpolation_symbol.cache_clear()
+    optimize._sin2_table.cache_clear()
+    run_sweep(StudyConfig(potential="harmonic",
+                          models=("cb", "hoc4", "hoc6")))
+    symbols = splines._interpolation_symbol.cache_info()
+    tables = optimize._sin2_table.cache_info()
+    assert (symbols.misses, symbols.hits, symbols.currsize) == (16, 0, 16)
+    assert (tables.misses, tables.hits, tables.currsize) == (16, 16, 2)
 
 
 def test_warm_lj_hoc4_solve_keeps_its_traced_peak(traced_peak):

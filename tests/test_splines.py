@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 from chain_elastica.lattice import PeriodicLatticeField, project_mean_zero
@@ -310,6 +310,13 @@ def _site_values(n, seed, scale):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(degree=st.sampled_from([3, 4, 5]), **site_draws)
+@example(degree=3, n=1, seed=1, scale=1.0)
+@example(degree=4, n=2, seed=2, scale=1e3)
+@example(degree=5, n=3, seed=3, scale=1e-3)
+@example(degree=5, n=4, seed=4, scale=1.0)
+@example(degree=4, n=9, seed=5, scale=1.0)
+@example(degree=3, n=31, seed=6, scale=1.0)
+@example(degree=5, n=257, seed=7, scale=1e3)
 def test_spline_values_invert_spline_coefficients(degree, n, seed, scale):
     v = _site_values(n, seed, scale)
     bound = 1e-13 * np.max(np.abs(v))
@@ -339,13 +346,44 @@ def test_subdivision_needs_an_odd_degree():
         periodic_spline_subdivision(np.ones(16), 4)
 
 
+def _fft_spline_values(c, degree):
+    """The values at the sites of the periodic spline sum_j c_j B_d(xi - j)
+    by their definition in Fourier space: the FFT of c times the DFT of the
+    circulant collocation matrix, a cos sweep over n per B-spline tap."""
+    n = c.size
+    rad = (degree + 1) // 2 + 1
+    offsets = np.arange(-rad, rad + 1)
+    symbol = np.zeros(n)
+    for off, b in zip(offsets, bspline(degree, offsets.astype(float))):
+        if b != 0.0:
+            symbol += b * np.cos(2 * np.pi * off * np.arange(n) / n)
+    return np.real(np.fft.ifft(np.fft.fft(c) * symbol))
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [17, 31, 255, 2048])
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_spline_values_match_the_fft_definition(degree, n):
+    # the convolution over the integer taps of B_d is the symbol's product
+    # in Fourier space, also below the 3 or 5 taps, where it wraps more than
+    # once; it builds no symbol
+    c = rng.standard_normal(n)
+    _interpolation_symbol.cache_clear()
+    got = periodic_spline_values(c, degree)
+    assert _interpolation_symbol.cache_info().misses == 0
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - _fft_spline_values(c, degree))) \
+        <= 1e-13 * np.max(np.abs(c))
+
+
 @pytest.mark.parametrize("degree", [3, 4, 5])
 def test_interpolation_symbol_is_built_once_and_read_only(degree):
-    # the symbol is cached per (n, degree); periodic_spline_values applies
-    # it, the inverse of periodic_spline_coefficients
+    # the symbol is cached per (n, degree), at the n//2 + 1 modes of an
+    # rfft; periodic_spline_coefficients divides by it, the inverse of
+    # periodic_spline_values
     n = 48
     symbol = _interpolation_symbol(n, degree)
     assert _interpolation_symbol(n, degree) is symbol
+    assert symbol.shape == (n // 2 + 1,)
     assert not symbol.flags.writeable
     v = rng.standard_normal(n)
     c = periodic_spline_coefficients(v, degree)
