@@ -7,8 +7,8 @@ Run:  python demos/01_potentials_and_interpolants.py
 import numpy as np
 
 from chain_elastica import (PeriodicLatticeField, bspline, hermite_interpolant,
-                            make_potential, moment_sum, nodal_interpolant,
-                            reproducing_kernel)
+                            make_potential, reproducing_kernel)
+from chain_elastica.oracles import moment_sum, nodal_interpolant
 
 print("== pair potentials (lattice units, rest length 1) ==")
 for kind in ("harmonic", "lj", "morse"):

@@ -5,7 +5,8 @@ Run:  python demos/02_atomistic_chain.py
 
 import numpy as np
 
-from chain_elastica import AtomisticSystem, dft_solve, make_potential
+from chain_elastica import AtomisticSystem, make_potential
+from chain_elastica.oracles import dft_solve
 
 N = 64
 eps = 1.0 / N

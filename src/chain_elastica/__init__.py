@@ -1,5 +1,7 @@
 """1D periodic atomistic chains, their strain-gradient continuum limits, and
-the numerical machinery to measure the modeling error between them."""
+the numerical machinery to measure the modeling error between them. The
+reference oracles the tests check it against are in `chain_elastica.oracles`,
+which this package does not import."""
 
 from .potentials import PairPotential, ShiftedPotential, make_potential, \
     shifted, decay_moment
@@ -7,14 +9,12 @@ from .lattice import PeriodicLatticeField, finite_difference, \
     stencil_derivatives, hermite_interpolant, project_mean_zero, \
     check_admissible
 from .splines import bspline, bspline_kernel, reproducing_kernel, \
-    SplineKernel, localization_weight, moment_sum, nodal_interpolant, \
-    convolution_interpolant, measurement_interpolant, KernelField, PiecewisePoly
-from .optimize import MinimizeProblem, MinimizeResult, newton_minimize, \
-    gradient_check
-from .atomistic import AtomisticSystem, AtomisticSolution, \
-    atomistic_stress, hessian_dft_eigenvalues, dft_solve
-from .continuum import SineField, SumField, continuum_model, MODEL_KEYS, \
-    consistency_residual, external_work_gap, continuum_energy
+    SplineKernel, localization_weight, measurement_interpolant, KernelField, \
+    PiecewisePoly
+from .optimize import MinimizeProblem, MinimizeResult, newton_minimize
+from .atomistic import AtomisticSystem, AtomisticSolution, atomistic_stress
+from .continuum import SineField, continuum_model, MODEL_KEYS, \
+    consistency_residual
 from .fem import PeriodicSplineSpace, FemField, assemble, solve_continuum, \
     grad_l2_distance, energy_gap, IndefiniteHessianError
 from .analysis import atomistic_symbol, cb_symbol, hoc_taylor_symbol, \

@@ -1,5 +1,6 @@
-"""The periodic atomistic chain: energy, first/second variations, solver, the
-distributional atomistic stress, and circulant/DFT oracles."""
+"""The periodic atomistic chain: energy, first/second variations, solver, and
+the distributional atomistic stress. The circulant/DFT oracles that check
+them are in `oracles`."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,8 +13,7 @@ from .optimize import (DomainError, MinimizeProblem, PeriodicBand,
 from .potentials import shifted
 from .splines import KernelField
 
-__all__ = ["AtomisticSystem", "AtomisticSolution", "atomistic_stress",
-           "hessian_dft_eigenvalues", "dft_solve"]
+__all__ = ["AtomisticSystem", "AtomisticSolution", "atomistic_stress"]
 
 
 class AtomisticSystem:
@@ -67,15 +67,9 @@ class AtomisticSystem:
             out[rho] = d
         return out
 
-    def energy(self, u):
-        """sum_xi sum_rho phi_rho(D_rho u(xi))."""
-        strains = self._strains(u)
-        return float(sum(
-            self.phi[rho].derivative_unchecked(0, strains[rho]).sum()
-            for rho in self.bonds))
-
     def energy_above_homogeneous(self, u, strains=None):
-        """energy(u) - energy(0), accumulated term by term to avoid the O(N)
+        """E_a(u) - E_a(0) with E_a(u) = sum_xi sum_rho phi_rho(D_rho u(xi)),
+        accumulated term by term (less `_phi0`) to avoid the O(N)
         cancellation of the homogeneous offset. Here and in `gradient` and
         `hessian`, `strains` may pass in `_strains(u)` computed once."""
         strains = self._strains(u) if strains is None else strains
@@ -157,7 +151,7 @@ class AtomisticSolution:
 def atomistic_stress(system, u, kernel, x):
     """S_a(u; x) = sum_xi sum_rho rho phi_rho'(D_rho u(xi)) chi_{xi,rho}(x),
     periodic, for displacements u over the sites xi = -N..N-1, as
-    `AtomisticSystem.energy` and `gradient` take them.
+    `AtomisticSystem.gradient` takes them.
 
     Since chi_{xi,rho} = (1/rho) sum_{k<rho} chi_{xi+k,1}, this equals
     sum_eta g(eta) chi_{eta,1}(x), where the segment force
@@ -175,33 +169,3 @@ def atomistic_stress(system, u, kernel, x):
     field = KernelField(g, kernel.segment_kernel, system.N)
     return field.eval(np.asarray(x, dtype=float) - 0.5)
 
-
-def hessian_dft_eigenvalues(system):
-    """Eigenvalues of the homogeneous-state circulant Hessian, k = 0..2N-1:
-    sum_rho 4 phi_rho''(0) sin^2(pi k rho / 2N). sin^2(pi m / 2N) has
-    period 2N in m and is even, so each argument is taken as pi m / 2N
-    with m = min(k rho mod 2N, 2N - k rho mod 2N) in [0, pi/2], where the
-    sine keeps its relative accuracy. A closed-form oracle from the
-    potential alone: the tests check `PeriodicBand.eigenvalues`, the
-    spectrum the solver certifies and solves with, against it, so it must
-    not be built on the assembled band."""
-    n = 2 * system.N
-    k = np.arange(n)
-    lam = np.zeros(n)
-    for rho, phi2 in system.stiffness0.items():
-        m = k * rho % n
-        lam += 4.0 * phi2 * np.sin(np.pi * np.minimum(m, n - m) / n) ** 2
-    return lam
-
-
-def dft_solve(system):
-    """Exact mean-zero solution of the linearized (harmonic) problem
-    H u = f via the circulant diagonalization of `hessian_dft_eigenvalues`.
-    Like that oracle, it checks the solver's spectral path and so must not
-    be built on it."""
-    lam = hessian_dft_eigenvalues(system)
-    fhat = np.fft.fft(system.force)
-    uhat = np.zeros_like(fhat)
-    uhat[1:] = fhat[1:] / lam[1:]
-    u = np.real(np.fft.ifft(uhat))
-    return PeriodicLatticeField(u - u.mean(), system.N)

@@ -1,6 +1,8 @@
-"""Continuum energy densities and stresses for the five model variants, the
-Euler-Lagrange residual of the fourth-order model, the pointwise consistency
-residual against the atomistic stress, and the external-work consistency gap.
+"""Continuum energy densities and stresses for the five model variants and
+the pointwise consistency residual against the atomistic stress. The
+continuum energy of any smooth field, the stress and first-variation
+pairings and the external-work gap, which the tests check these against,
+are in `oracles`.
 
 Gradient-argument convention: g has shape (5, ...) and holds
 (grad u, grad^2 u, ..., grad^5 u) at the evaluation points. The density
@@ -18,15 +20,12 @@ import numpy as np
 from .atomistic import atomistic_stress
 from .optimize import DomainError
 from .potentials import shifted
-from .quadrature import composite_integral
-from .splines import convolution_interpolant, nodal_interpolant
 
 __all__ = [
-    "SineField", "SumField", "continuum_model", "MODEL_KEYS",
+    "SineField", "continuum_model", "MODEL_KEYS",
     "CauchyBorn", "HigherOrder4", "HigherOrder6",
     "IllPosedSecondGradient", "LatticePointExpansion",
-    "consistency_residual", "external_work_gap", "continuum_energy",
-    "first_variation_pairing", "stress_pairing",
+    "consistency_residual",
 ]
 
 
@@ -42,14 +41,6 @@ class SineField:
         x = np.asarray(x, dtype=float)
         return (self.amplitude * self.wavenumber ** deriv
                 * np.sin(self.wavenumber * x + self.phase + 0.5 * np.pi * deriv))
-
-
-class SumField:
-    def __init__(self, *fields):
-        self.fields = fields
-
-    def eval(self, x, deriv=0):
-        return sum(f.eval(x, deriv) for f in self.fields)
 
 
 def _gradients(u, x, upto):
@@ -319,37 +310,6 @@ def continuum_model(kind, potential, bonds=(1, 2), F=1.0):
     return _MODELS[kind](potential, bonds, F)
 
 
-def continuum_energy(model, u, N, npoints=5):
-    """Integral of the density along the smooth field u over [-N, N], less
-    the homogeneous density: the offset is removed pointwise, which keeps
-    the small energy differences well conditioned."""
-    w0 = model.density0()
-
-    def f(x):
-        return model.density(_gradients(u, x, 5)) - w0
-
-    return composite_integral(f, N, npoints)
-
-
-def first_variation_pairing(model, u, v, N, npoints=8):
-    """<delta E(u), v> = int sum_m dW/dg_m grad^m v dx: the exact Gateaux
-    derivative of the density energy."""
-    def f(x):
-        dw = model.density_grad(_gradients(u, x, 5))
-        out = np.zeros_like(x)
-        for i, j in enumerate(model.density_orders):
-            out += dw[i] * v.eval(x, j)
-        return out
-
-    return composite_integral(f, N, npoints)
-
-
-def stress_pairing(model, u, v, N, npoints=8):
-    """int S(u; x) grad v dx."""
-    return composite_integral(lambda x: model.stress(u, x) * v.eval(x, 1),
-                              N, npoints)
-
-
 def consistency_residual(system, model, u, kernel, x):
     """R(u; x) = S_a(u; x) - S_model(u; x), with the atomistic stress built
     from the lattice samples of u."""
@@ -357,15 +317,3 @@ def consistency_residual(system, model, u, kernel, x):
     return atomistic_stress(system, u.eval(sites, 0), kernel, x) \
         - model.stress(u, x)
 
-
-def external_work_gap(f, v, kernel, npoints=10):
-    """|<f, v_tilde>_lattice - <f, v_hat>_continuum| for a mean-zero force:
-    the discrete pairing samples the quasi-interpolant at the sites, the
-    continuum pairing integrates against the nodal interpolant."""
-    N = v.N
-    sites = np.arange(-N, N).astype(float)
-    vt = convolution_interpolant(v, kernel)
-    vh = nodal_interpolant(v, kernel)
-    discrete = float(np.dot(f(sites), vt.eval(sites)))
-    integral = composite_integral(lambda x: f(x) * vh.eval(x), N, npoints)
-    return abs(discrete - integral)

@@ -4,7 +4,8 @@ gradient and Hessian share one evaluation per point; one slice scatter
 along the dofs adds up the load, the gradient and the dof-major rows of the
 Hessian `PeriodicBand`, which is one element's stencil in every column when
 the planes are equal at every element), the continuum solver certified by
-Newton's last factorization, and L2 comparisons between smooth fields."""
+Newton's last factorization, the gradient L2 distance between smooth fields
+and the energy gap between a chain and a continuum solution."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +20,7 @@ from .splines import KernelField, bspline, bspline_kernel
 
 __all__ = ["PeriodicSplineSpace", "FemField", "ContinuumProblem", "assemble",
            "solve_continuum", "grad_l2_distance", "energy_gap",
-           "fourier_cos_amplitude", "IndefiniteHessianError"]
+           "IndefiniteHessianError"]
 
 
 class IndefiniteHessianError(RuntimeError):
@@ -269,26 +270,10 @@ def grad_l2_distance(a, b, N, npoints=5):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def energy_gap(system, u_a, model, u_c):
-    """|E_a(u_a) - E_c(u_c)| with both energies accumulated relative to the
-    homogeneous state (the offsets 2N * sum_rho phi_rho(0) agree exactly).
-    E_a is the one an `AtomisticSolution` carries (else the chain's energy
-    at a `PeriodicLatticeField` u_a), and E_c the one a field
-    from `solve_continuum` carries: its solve's element Gauss rule, by
-    default the 5-point rule on the unit elements that `continuum_energy`
-    applies to any other field."""
-    from .continuum import continuum_energy
-    ea = getattr(u_a, "energy_above_homogeneous", None)
-    if ea is None:
-        ea = system.energy_above_homogeneous(u_a.values)
-    ec = getattr(u_c, "energy", None)
-    if ec is None:
-        ec = continuum_energy(model, u_c, system.N)
-    return abs(ea - ec)
-
-
-def fourier_cos_amplitude(field, wavenumber, N, npoints=5):
-    """Coefficient of cos(k x) in the field over [-N, N]."""
-    val = composite_integral(lambda x: field.eval(x) * np.cos(wavenumber * x),
-                             N, npoints)
-    return val / N
+def energy_gap(sol_a, u_c):
+    """|E_a - E_c| for an `AtomisticSolution` sol_a and a field u_c from
+    `solve_continuum`, each energy the one its solve carries, accumulated
+    relative to the homogeneous state (the offsets 2N * sum_rho phi_rho(0)
+    agree exactly): E_c comes from the solve's element Gauss rule, the
+    5-point rule on the unit elements."""
+    return abs(sol_a.energy_above_homogeneous - u_c.energy)

@@ -230,7 +230,7 @@ def solve_cell(cfg, eps, models, history=None):
         if u_c.result.converged and not model.starts_from_chain:
             cell.history.rows[key] = history.pushed(key, u_c.coeffs)
         g_err = grad_l2_distance(grad_iu, space.gradient_at_points(u_c), N)
-        e_gap = energy_gap(system, sol_a, model, u_c)
+        e_gap = energy_gap(sol_a, u_c)
         cell.fields[key] = u_c
         cell.distances[key] = g_err
         cell.records.append(ConvergenceRecord(

@@ -3,9 +3,8 @@ Hessian, factored through its spectrum when it is circulant and by a
 grounded block cyclic reduction otherwise; Newton, which builds and factors
 a fresh Hessian at each iterate, so that the factorization certifies it,
 stops on a small step (a quadratic problem after its first) and evaluates
-the objective once per point; the one-slot cache through which a problem's
-callbacks share one evaluation per point; and a central-difference gradient
-check. Only numpy is needed."""
+the objective once per point; and the one-slot cache through which a
+problem's callbacks share one evaluation per point. Only numpy is needed."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -16,8 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["PeriodicBand", "DomainError", "MinimizeProblem",
-           "MinimizeResult", "newton_minimize", "evaluate_once",
-           "gradient_check"]
+           "MinimizeResult", "newton_minimize", "evaluate_once"]
 
 _DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
 
@@ -40,7 +38,7 @@ def _sin2_table(n, b):
 class PeriodicBand:
     """Symmetric periodic-banded n×n matrix with H·1 = 0, stored in O(n) as
     diags[b + o, m] = H[m, (m + o) % n] for |o| <= b. When n <= 2b, aliased
-    offsets hold parts of one entry, which `solve` and `toarray` sum."""
+    offsets hold parts of one entry, which `factor` and `eigenvalues` sum."""
 
     def __init__(self, n, b):
         self.n, self.b = n, b
@@ -68,9 +66,9 @@ class PeriodicBand:
             lam_j = -sum_{o=1..b} 2 (H[0, o] + H[0, -o]) sin^2(pi j o / n),
 
         which takes H·1 = 0 as given (lam_0 = 0), as the refinement residual
-        of `solve` does. Unlike a DFT of row 0, it keeps its relative
+        of `factor` does. Unlike a DFT of row 0, it keeps its relative
         accuracy on the smooth modes, where lam_j is O((j/n)^2). It holds
-        with aliased offsets too (n <= 2b, summed as in `toarray`), so it
+        with aliased offsets too (n <= 2b, their parts summed), so it
         raises ValueError exactly when some column differs from column 0."""
         if not np.all(self.diags == self.diags[:, :1]):
             raise ValueError("PeriodicBand is not circulant")
@@ -85,40 +83,28 @@ class PeriodicBand:
         return -2.0 * (_sin2_table(self.n, b)
                        @ (self.diags[b + o, 0] + self.diags[b - o, 0]))
 
-    def solve(self, rhs):
-        """Mean-zero solution of H x = rhs for mean-zero rhs.
+    def factor(self):
+        """Factor H and return its passes: rhs -> an iterator over mean-zero
+        solutions of H x = rhs for mean-zero rhs, the last of which is the
+        solution. One factorization serves any number of right-hand sides
+        (Golub & Van Loan, Matrix Computations, §4.2); the band does not
+        keep it, so every call factors anew. `np.linalg.LinAlgError` is
+        raised exactly when H is not positive definite on mean-zero vectors.
 
-        A circulant band (`is_circulant`) is diagonalized by the DFT:
-        x = irfft(rfft(rhs) / lam) over the modes j != 0 of `eigenvalues`,
-        and `np.linalg.LinAlgError` is raised unless lam_j > 0 for every
-        j != 0, which is exact for a circulant H.
+        A circulant band (`is_circulant`) is diagonalized by the DFT, its
+        one pass x = irfft(rfft(rhs) / lam) over the modes j != 0 of
+        `eigenvalues`; lam_j > 0 for every j != 0 is then exact.
 
         Any other band goes through a reduction. Dof 0 is grounded and the
         rest ordered 1, n-1, 2, n-2, ..., an ordinary band of half-width
-        w = 2b (Golub & Van Loan, Matrix Computations, §4.3). Cut into
-        blocks of width w, it is block tridiagonal and is factored by block
-        cyclic reduction. As H·1 = 0, the grounded matrix is positive
-        definite iff H is on mean-zero vectors, and the reduction's Cholesky
-        pivots succeed iff the grounded matrix is positive definite:
-        `np.linalg.LinAlgError` is raised exactly when H is not positive
-        definite on mean-zero vectors.
-
-        One step of iterative refinement through the same factorization
-        follows, with the residual in the difference form
-        sum_o H[m, m + o]·(x[m + o] - x[m]), which is exact on constants.
-        The solution is the last pass of `factor`'s passes."""
-        *_, x = self.factor()(rhs)
-        return x
-
-    def factor(self):
-        """Factor H and return its passes: rhs -> an iterator over mean-zero
-        solutions of H x = rhs, the last of which `solve` returns. The
-        spectral path yields its one solution; the reduction yields its
-        first pass and then the refined one, for a caller that can stop on
-        the first. Raises `np.linalg.LinAlgError` as `solve` does. One
-        factorization serves any number of right-hand sides (Golub & Van
-        Loan, Matrix Computations, §4.2); the band does not keep it, so
-        every call factors anew."""
+        w = 2b (Golub & Van Loan, §4.3). Cut into blocks of width w, it is
+        block tridiagonal and is factored by block cyclic reduction. As
+        H·1 = 0, the grounded matrix is positive definite iff H is on
+        mean-zero vectors, which its Cholesky pivots certify. Its first pass
+        is followed by one step of iterative refinement through the same
+        factorization, with the residual in the difference form
+        sum_o H[m, m + o]·(x[m + o] - x[m]), exact on constants: a caller
+        can stop on the first pass."""
         if not np.all(np.isfinite(self.diags)):
             raise ValueError("PeriodicBand has non-finite entries")
         if self.is_circulant():
@@ -151,14 +137,6 @@ class PeriodicBand:
             yield x - x.mean()
 
         return passes
-
-    def toarray(self):
-        """The dense matrix, for tests."""
-        rows = np.broadcast_to(np.arange(self.n), self.diags.shape)
-        cols = (rows + np.arange(-self.b, self.b + 1)[:, None]) % self.n
-        H = np.zeros((self.n, self.n))
-        np.add.at(H, (rows, cols), self.diags)
-        return H
 
 
 def _spectral_passes(lam, n):
@@ -364,8 +342,8 @@ def newton_minimize(problem, x0):
     that p_k is good to about 1e-12 relative, so refining it would move
     x_k + p_k by about 1e-20 of ||x||_inf, below one ulp, and a final step
     makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-    1982). A step that continues is refined, as `PeriodicBand.solve` is,
-    and its stop test is made again on the refined p_k. An exactly zero
+    1982). A step that continues is refined by the last pass, and its stop
+    test is made again on the refined p_k. An exactly zero
     gradient returns x_k itself. The step's factorization is freed before
     f is evaluated at the point returned or at a line-search trial, so an
     evaluation never holds its memory as well (a quadratic problem's one
@@ -487,21 +465,3 @@ def evaluate_once(evaluate):
 
     return at
 
-
-def gradient_check(problem, x, h=1e-6):
-    """Max relative error between the analytic gradient and central
-    differences of the objective along the coordinate directions, or 12
-    random unit directions when x has more than 24 entries."""
-    x = np.asarray(x, dtype=float)
-    g = problem.gradient(x)
-    scale = float(np.max(np.abs(g))) + 1e-30
-    if x.size <= 24:
-        dirs = np.eye(x.size)
-    else:
-        dirs = [d / np.linalg.norm(d) for d in
-                np.random.default_rng(0).standard_normal((12, x.size))]
-    worst = 0.0
-    for d in dirs:
-        fd = (problem.objective(x + h * d) - problem.objective(x - h * d)) / (2 * h)
-        worst = max(worst, abs(fd - float(np.dot(g, d))) / scale)
-    return worst

@@ -17,8 +17,8 @@ import numpy as np
 
 __all__ = [
     "PiecewisePoly", "bspline", "bspline_kernel", "reproducing_kernel",
-    "SplineKernel", "localization_weight", "moment_sum", "nodal_interpolant",
-    "convolution_interpolant", "measurement_interpolant", "KernelField",
+    "SplineKernel", "localization_weight", "measurement_interpolant",
+    "KernelField",
     "periodic_spline_coefficients", "periodic_spline_values",
     "periodic_spline_subdivision", "INTERP_KINDS",
 ]
@@ -130,7 +130,12 @@ class SplineKernel:
         for j, c in self.taps.items():
             table[j - lo:j - lo + degree + 1] += c * pieces
         self.pp = PiecewisePoly(table, lo - 0.5 * (degree + 1))
-        self.integral = self.pp.antiderivative()
+
+    @functools.cached_property
+    def integral(self):
+        """The antiderivative of the kernel, built on first use: only the
+        bond weights read it."""
+        return self.pp.antiderivative()
 
     def __call__(self, x, deriv=0):
         if not 0 <= deriv <= self.degree:
@@ -204,23 +209,6 @@ def localization_weight(kernel, xi, rho, x):
     return (kernel.antiderivative(xi - x + rho) - kernel.antiderivative(xi - x)) / rho
 
 
-def moment_sum(kernel, rho, x, k):
-    """sum_xi chi_{xi,rho}(x) (xi - x)^k.
-
-    Equals (-rho)^k / (k+1) whenever the kernel reproduces polynomials of
-    degree >= k. Returns (value, guaranteed); guaranteed is False past the
-    kernel's reproduction degree, where no identity is claimed.
-    """
-    x = float(x)
-    rad = kernel.support_radius + abs(rho) + 1
-    lo = int(np.floor(x - rad)) - 1
-    hi = int(np.ceil(x + rad)) + 1
-    xis = np.arange(lo, hi + 1)
-    w = localization_weight(kernel, xis, rho, np.full(xis.shape, x))
-    value = float(np.sum(w * (xis - x) ** k))
-    return value, k <= kernel.reproduction_degree
-
-
 class KernelField:
     """Periodic field sum_j coeffs[j] * kernel(x - j), period 2N.
 
@@ -253,21 +241,6 @@ class KernelField:
 
     def eval(self, x, deriv=0):
         return self.pp.eval(x, deriv)
-
-
-def nodal_interpolant(v, kernel):
-    """v_hat(x) = sum_xi v(xi) zeta(x - xi), periodic.
-
-    With a reproducing kernel this preserves polynomials up to the kernel's
-    reproduction degree on windows where periodicity does not interfere; it is
-    a quasi-interpolant, not an interpolant, for plain B-spline kernels.
-    """
-    return KernelField(v.values, kernel, v.N)
-
-
-def convolution_interpolant(v, kernel):
-    """v_tilde = zeta * v_hat = sum_xi v(xi) (zeta*zeta)(x - xi)."""
-    return KernelField(v.values, kernel.convolve(kernel), v.N)
 
 
 @functools.lru_cache(maxsize=None)

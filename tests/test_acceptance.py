@@ -10,20 +10,23 @@ import pytest
 from chain_elastica.analysis import (atomistic_symbol, cb_symbol,
                                      direct_symbol, find_negative_mode,
                                      hoc_taylor_symbol)
-from chain_elastica.atomistic import AtomisticSystem, atomistic_stress, dft_solve
-from chain_elastica.continuum import (SineField, SumField, consistency_residual,
-                                      continuum_model, external_work_gap,
-                                      first_variation_pairing, stress_pairing)
-from chain_elastica.fem import (PeriodicSplineSpace, assemble,
-                                fourier_cos_amplitude, solve_continuum)
+from chain_elastica.atomistic import AtomisticSystem, atomistic_stress
+from chain_elastica.continuum import (SineField, consistency_residual,
+                                      continuum_model)
+from chain_elastica.fem import PeriodicSplineSpace, assemble, solve_continuum
 from chain_elastica.harness import (StudyConfig, fit_models, fit_slope,
                                     run_sweep, write_records_csv)
 from chain_elastica.lattice import PeriodicLatticeField
-from chain_elastica.optimize import gradient_check
+from chain_elastica.oracles import (SumField, band_toarray,
+                                    convolution_interpolant, dft_solve,
+                                    external_work_gap,
+                                    first_variation_pairing,
+                                    fourier_cos_amplitude, gradient_check,
+                                    hessian_dft_eigenvalues, moment_sum,
+                                    nodal_interpolant, stress_pairing)
 from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_integral
-from chain_elastica.splines import (convolution_interpolant, moment_sum,
-                                    nodal_interpolant, reproducing_kernel)
+from chain_elastica.splines import reproducing_kernel
 
 EPS_SWEEP = tuple(2.0 ** -k for k in range(3, 9))
 
@@ -217,9 +220,9 @@ def test_criterion_7_gradients_and_dft():
         fem_errs.append(gradient_check(prob, 0.01 * rng.standard_normal(2 * N),
                                        h=1e-6))
     har = AtomisticSystem(8, make_potential("harmonic"), bonds=(1,))
-    from chain_elastica.atomistic import hessian_dft_eigenvalues
     lam = np.sort(hessian_dft_eigenvalues(har))
-    dense = np.sort(np.linalg.eigvalsh(har.hessian(np.zeros(16)).toarray()))
+    dense = np.sort(np.linalg.eigvalsh(
+        band_toarray(har.hessian(np.zeros(16)))))
     eig_err = float(np.max(np.abs(lam - dense)))
     ok = atom_err <= 1e-6 and max(fem_errs) <= 1e-6 and eig_err <= 1e-10
     assert report(7, ok, f"gradient checks: atomistic {atom_err:.2e}, fem "

@@ -4,8 +4,9 @@ import pytest
 from chain_elastica.analysis import (atomistic_symbol, cb_symbol,
                                      direct_symbol, find_negative_mode,
                                      hoc_taylor_symbol, stability_constants)
-from chain_elastica.atomistic import AtomisticSystem, hessian_dft_eigenvalues
+from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import continuum_model
+from chain_elastica.oracles import band_toarray, hessian_dft_eigenvalues
 from chain_elastica.potentials import make_potential
 
 
@@ -27,7 +28,7 @@ def test_atomistic_symbol_matches_rayleigh_quotient():
     # the circulant Hessian against the discrete-gradient Gram matrix
     N = 8
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))
-    H = sys_.hessian(np.zeros(2 * N)).toarray()
+    H = band_toarray(sys_.hessian(np.zeros(2 * N)))
     D = np.eye(2 * N)
     D = np.roll(D, -1, axis=1) - D       # first difference
     G = D.T @ D

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from chain_elastica.atomistic import (AtomisticSystem, atomistic_stress,
-                                      dft_solve, hessian_dft_eigenvalues)
+from chain_elastica.atomistic import AtomisticSystem, atomistic_stress
 from chain_elastica.lattice import PeriodicLatticeField
-from chain_elastica.optimize import gradient_check
+from chain_elastica.oracles import (band_toarray, convolution_interpolant,
+                                    dft_solve, gradient_check,
+                                    hessian_dft_eigenvalues,
+                                    nodal_interpolant)
 from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_integral
 from chain_elastica.splines import (SplineKernel, bspline_kernel,
-                                    convolution_interpolant,
-                                    localization_weight, nodal_interpolant,
-                                    reproducing_kernel)
+                                    localization_weight, reproducing_kernel)
 
 rng = np.random.default_rng(101)
 
@@ -20,19 +20,32 @@ def lattice_force(N):
     return eps * np.cos(np.pi * eps * np.arange(-N, N))
 
 
+def chain_energy(sys_, u):
+    """E_a(u) = sum_xi sum_rho phi_rho(D_rho u(xi)): the energy above the
+    homogeneous state plus its offset 2N sum_rho phi_rho(0)."""
+    return (sys_.energy_above_homogeneous(u)
+            + 2 * sys_.N * sum(sys_._phi0.values()))
+
+
 def test_energy_values_homogeneous():
     N = 8
     har = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))
-    assert har.energy(np.zeros(2 * N)) == pytest.approx(N, abs=1e-12)
+    assert har.energy_above_homogeneous(np.zeros(2 * N)) == 0.0
+    assert chain_energy(har, np.zeros(2 * N)) == pytest.approx(N, abs=1e-12)
     lj = AtomisticSystem(N, make_potential("lj"), bonds=(1,))
-    assert lj.energy(np.zeros(2 * N)) == pytest.approx(-2 * N, abs=1e-12)
+    assert lj.energy_above_homogeneous(np.zeros(2 * N)) == 0.0
+    assert chain_energy(lj, np.zeros(2 * N)) == pytest.approx(-2 * N,
+                                                              abs=1e-12)
 
 
 def test_energy_translation_invariance():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))
     u = 0.02 * rng.standard_normal(2 * N)
-    assert sys_.energy(u + 3.3) == pytest.approx(sys_.energy(u), rel=1e-13)
+    assert chain_energy(sys_, u + 3.3) == pytest.approx(chain_energy(sys_, u),
+                                                        rel=1e-13)
+    assert sys_.energy_above_homogeneous(u + 3.3) == pytest.approx(
+        sys_.energy_above_homogeneous(u), rel=1e-12)
 
 
 def test_bond_collapse_names_the_bond():
@@ -41,7 +54,7 @@ def test_bond_collapse_names_the_bond():
     u = np.zeros(2 * N)
     u[3] = -1.5          # bond (xi=2, rho=1) has length 1 + u[3]-u[2] < 0
     with pytest.raises(ValueError, match="rho=1"):
-        sys_.energy(u)
+        sys_.energy_above_homogeneous(u)
 
 
 def test_stress_raises_on_a_collapsed_bond():
@@ -110,7 +123,7 @@ def test_gradient_zero_at_homogeneous():
 def test_hessian_is_circulant_and_symmetric():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))
-    H = sys_.hessian(np.zeros(2 * N)).toarray()
+    H = band_toarray(sys_.hessian(np.zeros(2 * N)))
     assert np.array_equal(H, H.T)
     for shift in (1, 3):
         assert np.allclose(np.roll(np.roll(H, shift, 0), shift, 1), H)
@@ -120,7 +133,8 @@ def test_hessian_dft_matches_dense_and_formula():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1,))
     lam = np.sort(hessian_dft_eigenvalues(sys_))
-    dense = np.sort(np.linalg.eigvalsh(sys_.hessian(np.zeros(2 * N)).toarray()))
+    dense = np.sort(np.linalg.eigvalsh(
+        band_toarray(sys_.hessian(np.zeros(2 * N)))))
     assert np.max(np.abs(lam - dense)) < 1e-10
     formula = np.sort(4 * np.sin(np.pi * np.arange(2 * N) / (2 * N)) ** 2)
     assert np.max(np.abs(lam - formula)) < 1e-12

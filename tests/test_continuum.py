@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from chain_elastica.atomistic import AtomisticSystem
-from chain_elastica.continuum import (SineField, SumField, MODEL_KEYS,
-                                      consistency_residual, continuum_energy,
-                                      continuum_model, external_work_gap,
-                                      first_variation_pairing, stress_pairing)
+from chain_elastica.continuum import (SineField, MODEL_KEYS,
+                                      consistency_residual, continuum_model)
 from chain_elastica.lattice import PeriodicLatticeField
+from chain_elastica.oracles import (SumField, continuum_energy,
+                                    external_work_gap,
+                                    first_variation_pairing, stress_pairing)
 from chain_elastica.potentials import make_potential
 from chain_elastica.splines import reproducing_kernel
 

@@ -7,15 +7,13 @@ from hypothesis.extra.numpy import arrays
 
 from chain_elastica import fem
 from chain_elastica.atomistic import AtomisticSystem
-from chain_elastica.continuum import (SineField, continuum_energy,
-                                      continuum_model)
+from chain_elastica.continuum import SineField, continuum_model
 from chain_elastica.fem import (QUAD_POINTS, IndefiniteHessianError,
                                 PeriodicSplineSpace, assemble, energy_gap,
-                                fourier_cos_amplitude, grad_l2_distance,
-                                solve_continuum)
+                                grad_l2_distance, solve_continuum)
 from chain_elastica import optimize
-from chain_elastica.lattice import PeriodicLatticeField
-from chain_elastica.optimize import gradient_check
+from chain_elastica.oracles import (band_toarray, continuum_energy,
+                                    fourier_cos_amplitude, gradient_check)
 from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_points, gauss_rule
 from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
@@ -109,7 +107,7 @@ def test_assembled_hessian_matches_gradient_differences():
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
     prob = assemble(m, sp, cos_force(N))
     c = 0.01 * rng.standard_normal(2 * N)
-    H = prob.hessian(c).toarray()
+    H = band_toarray(prob.hessian(c))
     assert np.max(np.abs(H - H.T)) < 1e-12
     d = rng.standard_normal(2 * N)
     d /= np.linalg.norm(d)
@@ -126,7 +124,7 @@ def test_harmonic_cb_hessian_symbol():
     prob = assemble(m, sp)
     k = np.pi / N
     c = periodic_spline_coefficients(np.sin(k * np.arange(-N, N)), 5)
-    H = prob.hessian(np.zeros(2 * N)).toarray()
+    H = band_toarray(prob.hessian(np.zeros(2 * N)))
     quad_form = float(c @ H @ c)
     # ||grad v||^2 = k^2 N for the unit-amplitude mode; c0 = sum rho^2 phi''
     c0 = 5.0
@@ -189,7 +187,7 @@ def test_harmonic_band_spectrum_matches_dense(key, N):
     sp = PeriodicSplineSpace(N)
     H = assemble(m, sp).hessian(np.zeros(sp.n))
     assert H.is_circulant()
-    dense = np.linalg.eigvalsh(H.toarray())
+    dense = np.linalg.eigvalsh(band_toarray(H))
     lam = np.sort(H.eigenvalues())
     assert np.max(np.abs(lam - dense)) < 1e-14 * dense[-1]
     assert hessian_smallest_eigenvalue(m, sp) == np.min(H.eigenvalues()[1:])
@@ -323,21 +321,29 @@ def test_one_element_band_matches_the_streamed_band(data, key, N):
 
 
 def test_energy_gap_trivial_and_shift_invariant():
+    # the gap reads the energies the two solves carry: 0 for the unforced
+    # solves, which stay at the homogeneous state; both energies are blind
+    # to a rigid shift
     N = 16
     pot = make_potential("lj")
-    sys_ = AtomisticSystem(N, pot, bonds=(1, 2))
     m = continuum_model("hoc4", pot, bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
-    zero_u = PeriodicLatticeField(np.zeros(2 * N), N)
-    zero_c = sp.field(np.zeros(2 * N))
-    assert energy_gap(sys_, zero_u, m, zero_c) < 1e-14
-    u = PeriodicLatticeField(0.01 * rng.standard_normal(2 * N), N)
+    assert energy_gap(AtomisticSystem(N, pot, bonds=(1, 2)).solve(),
+                      solve_continuum(m, sp)) < 1e-14
+    sites = np.arange(-N, N)
+    sol_a = AtomisticSystem(N, pot, bonds=(1, 2),
+                            force=cos_force(N)(sites)).solve()
+    u_c = solve_continuum(m, sp, cos_force(N))
+    assert energy_gap(sol_a, u_c) == abs(sol_a.energy_above_homogeneous
+                                         - u_c.energy) > 0.0
+    sys_ = AtomisticSystem(N, pot, bonds=(1, 2))
+    u = 0.01 * rng.standard_normal(2 * N)
     c = sp.field(0.01 * rng.standard_normal(2 * N))
-    g1 = energy_gap(sys_, u, m, c)
-    shifted_u = PeriodicLatticeField(u.values + 0.37, N)
     shifted_c = sp.field(c.coeffs + 0.37)   # basis partition of unity
-    g2 = energy_gap(sys_, shifted_u, m, shifted_c)
-    assert g1 == pytest.approx(g2, rel=1e-9)
+    assert sys_.energy_above_homogeneous(u + 0.37) == pytest.approx(
+        sys_.energy_above_homogeneous(u), rel=1e-9)
+    assert continuum_energy(m, shifted_c, N) == pytest.approx(
+        continuum_energy(m, c, N), rel=1e-9)
 
 
 @pytest.mark.parametrize("N", [16, 128])
@@ -535,7 +541,7 @@ def test_element_products_match_einsum_reference(key, potential):
             grad_size, H_size = np.abs(grad), np.abs(H)
         assert np.max(np.abs(prob.gradient(c) - grad)) \
             <= tol * np.max(grad_size)
-        assert np.max(np.abs(prob.hessian(c).toarray() - H)) \
+        assert np.max(np.abs(band_toarray(prob.hessian(c)) - H)) \
             <= tol * np.max(H_size)
 
 

@@ -601,7 +601,7 @@ def test_every_exported_name_resolves():
     tree = ast.parse(pathlib.Path(chain_elastica.__file__).read_text())
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(imported) > 50
+    assert len(imported) > 48
     assert [name for name in imported if not hasattr(chain_elastica, name)] \
         == []
 
@@ -978,3 +978,31 @@ def test_a_sweep_loads_no_numpy_polynomial(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_no_command_loads_the_oracles(tmp_path):
+    # the reference oracles stay off every command's path: neither the
+    # package nor a command imports them, at import time or later
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    commands = [["sweep", "--eps-list", "2^-3..2^-5"], ["solve"],
+                ["consistency"], ["stability"]]
+    code = "\n".join([
+        "import sys",
+        "from chain_elastica.cli import main",
+        "def loaded(step):",
+        "    print('oracles after', step, 'chain_elastica.oracles' in "
+        "sys.modules)",
+        "loaded('import')",
+        f"for argv in {commands!r}:",
+        f"    assert main(argv + ['--out', {str(tmp_path)!r} + '/' + argv[0]])"
+        " == 0",
+        "    loaded(argv[0])"])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = [line for line in proc.stdout.splitlines()
+              if line.startswith("oracles after")]
+    assert report == [f"oracles after {step} False" for step in
+                      ("import", "sweep", "solve", "consistency",
+                       "stability")]

@@ -5,10 +5,11 @@ from scipy.interpolate import BSpline
 
 from chain_elastica.lattice import PeriodicLatticeField, project_mean_zero
 from chain_elastica.quadrature import composite_integral, gauss_rule
-from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
-                                    convolution_interpolant,
-                                    localization_weight, measurement_interpolant,
-                                    moment_sum, nodal_interpolant,
+from chain_elastica.oracles import (convolution_interpolant, moment_sum,
+                                    nodal_interpolant)
+from chain_elastica.splines import (KernelField, SplineKernel, bspline,
+                                    bspline_kernel, localization_weight,
+                                    measurement_interpolant,
                                     periodic_spline_coefficients,
                                     periodic_spline_subdivision,
                                     periodic_spline_values,
@@ -53,6 +54,14 @@ def test_kernel_mass_and_partition_of_unity(degree):
     for x0 in (0.37, -2.11, 0.0):
         s = sum(z(np.array([x0 - k]))[0] for k in range(-12, 13))
         assert s == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_kernel_builds_its_antiderivative_on_first_use():
+    # only the bond weights read it: kernels built for fields never do
+    z = SplineKernel(3, {-1: 0.5, 0: 1.0}).convolve(bspline_kernel(0))
+    assert "integral" not in vars(z)
+    assert z.antiderivative(np.array([1e6]))[0] == z.integral.right
+    assert "integral" in vars(z)
 
 
 def test_kernel_outside_support_is_zero():
