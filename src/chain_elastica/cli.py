@@ -25,9 +25,9 @@ import sys
 from .continuum import MODEL_KEYS
 from .harness import (CONSISTENCY_MODELS, StudyConfig, fit_models,
                       load_config, run_consistency, run_stability, run_sweep,
-                      solve_cell, unfitted_models, write_consistency,
-                      write_fits_json, write_records_csv, write_solution_csvs,
-                      write_stability, _eps_to_N)
+                      solve_cell, unfitted_consistency, unfitted_models,
+                      write_consistency, write_fits_json, write_records_csv,
+                      write_solution_csvs, write_stability, _eps_to_N)
 from .lattice import STENCIL_MIN_N
 from .optimize import DomainError
 from .potentials import POTENTIAL_KINDS
@@ -175,14 +175,8 @@ def main(argv=None):
         write_consistency(cfg.out_dir, rows, fits)
         for key, f in fits.items():
             print(f"{key}: consistency order {f.slope:.3f} (r2 = {f.r2:.5f})")
-        # a model with a max_R below resolution has no fit: say so once
-        unfitted = {}
-        for row in rows:
-            if not row["max_R"] > 0.0:
-                unfitted.setdefault(row["model"], row)
-        for key, row in unfitted.items():
-            print(f"{key}: not fitted, max_R {row['max_R']!r} at N = "
-                  f"{row['N']} is not positive (below resolution)")
+        for key, why in unfitted_consistency(rows).items():
+            print(f"{key}: not fitted, {why}")
         return 0
 
     return 1

@@ -4,13 +4,14 @@ continuum energy of any smooth field, the stress and first-variation
 pairings and the external-work gap, which the tests check these against,
 are in `oracles`.
 
-Gradient-argument convention: g has shape (5, ...) and holds
-(grad u, grad^2 u, ..., grad^5 u) at the evaluation points. The density
-methods also take `args`, the model's `bond_args(g)`, so that callers that
-evaluate several of them at one point compute the bond arguments once and
-check them against the potential's domain once: passed `args` are taken as
-checked (`domain_margin` > 0, as `fem.assemble` ensures), while args=None
-computes and checks them.
+Gradient-argument convention: every model method, the stress included,
+reads a field through its gradient stack g of shape (5, ...), which holds
+(grad u, grad^2 u, ..., grad^5 u) at the evaluation points (`gradients`).
+The density methods also take `args`, the model's `bond_args(g)`, so that
+callers that evaluate several of them at one point compute the bond
+arguments once and check them against the potential's domain once: passed
+`args` are taken as checked (`domain_margin` > 0, as `fem.assemble`
+ensures), while args=None computes and checks them.
 `density_grad` and `density_hess` return only the planes of the model's
 `density_orders`, in that order: shapes (k, ...) and (k, k, ...).
 """
@@ -25,7 +26,7 @@ __all__ = [
     "SineField", "continuum_model", "MODEL_KEYS",
     "CauchyBorn", "HigherOrder4", "HigherOrder6",
     "IllPosedSecondGradient", "LatticePointExpansion",
-    "consistency_residual",
+    "gradients", "consistency_residual",
 ]
 
 
@@ -43,8 +44,10 @@ class SineField:
                 * np.sin(self.wavenumber * x + self.phase + 0.5 * np.pi * deriv))
 
 
-def _gradients(u, x, upto):
-    return np.stack([u.eval(x, j) for j in range(1, upto + 1)])
+def gradients(u, x):
+    """The gradient stack g = (grad u, ..., grad^5 u) of the field u at the
+    points x, shape (5,) + x.shape: what every model method reads."""
+    return np.stack([u.eval(x, j) for j in range(1, 6)])
 
 
 class _ComposedModel:
@@ -147,9 +150,8 @@ class CauchyBorn(_ComposedModel):
     def _arg_coeffs(self, rho):
         return np.array([rho, 0.0, 0.0, 0.0, 0.0])
 
-    def stress(self, u, x):
-        g1 = u.eval(x, 1)
-        return sum(rho * self.phi[rho].derivative(1, rho * g1)
+    def stress(self, g):
+        return sum(rho * self.phi[rho].derivative(1, rho * g[0])
                    for rho in self.bonds)
 
 
@@ -164,8 +166,7 @@ class HigherOrder4(_ComposedModel):
     def _arg_coeffs(self, rho):
         return np.array([rho, 0.0, rho ** 3 / 24.0, 0.0, 0.0])
 
-    def stress(self, u, x):
-        g = _gradients(u, x, 5)
+    def stress(self, g):
         out = np.zeros_like(g[0])
         for rho in self.bonds:
             a = rho * g[0] + rho ** 3 / 24.0 * g[2]
@@ -190,11 +191,10 @@ class HigherOrder6(_ComposedModel):
     def _arg_coeffs(self, rho):
         return np.array([rho, 0.0, rho ** 3 / 24.0, 0.0, rho ** 5 / 1920.0])
 
-    def stress(self, u, x):
+    def stress(self, g):
         """Eight-term stress, consistent to sixth order; the exact variational
         stress of this density needs derivatives beyond order 6, so the
         expansion truncated at the model's order is used instead."""
-        g = _gradients(u, x, 5)
         out = np.zeros_like(g[0])
         for rho in self.bonds:
             ar = rho * g[0]
@@ -260,10 +260,9 @@ class IllPosedSecondGradient(_ComposedModel):
             out[1, 1] += -rho ** 4 / 12.0 * phi(2, a)
         return out
 
-    def stress(self, u, x):
+    def stress(self, g):
         """Variational stress of the density (one integration by parts on the
         second-gradient slot)."""
-        g = _gradients(u, x, 3)
         out = np.zeros_like(g[0])
         for rho in self.bonds:
             a = rho * g[0]
@@ -289,8 +288,7 @@ class LatticePointExpansion(_ComposedModel):
     def _arg_coeffs(self, rho):
         return np.array([rho, rho ** 2 / 2.0, rho ** 3 / 6.0, 0.0, 0.0])
 
-    def stress(self, u, x):
-        g = _gradients(u, x, 3)
+    def stress(self, g):
         out = np.zeros_like(g[0])
         for rho in self.bonds:
             a = rho * g[0] + rho ** 2 / 2.0 * g[1] + rho ** 3 / 6.0 * g[2]
@@ -315,5 +313,5 @@ def consistency_residual(system, model, u, kernel, x):
     from the lattice samples of u."""
     sites = np.arange(-system.N, system.N).astype(float)
     return atomistic_stress(system, u.eval(sites, 0), kernel, x) \
-        - model.stress(u, x)
+        - model.stress(gradients(u, x))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import find_negative_mode, stability_constants, \
     atomistic_symbol, cb_symbol, hoc_taylor_symbol, direct_symbol
 from .atomistic import AtomisticSolution, AtomisticSystem, atomistic_stress
-from .continuum import MODEL_KEYS, SineField, continuum_model
+from .continuum import MODEL_KEYS, SineField, continuum_model, gradients
 from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
     solve_continuum, IndefiniteHessianError
 from .lattice import hermite_interpolant
@@ -30,9 +30,10 @@ from .splines import INTERP_KINDS, measurement_interpolant, \
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "History", "solve_cell",
-           "run_sweep", "run_consistency", "run_stability",
-           "write_records_csv", "write_fits_json", "write_solution_csvs",
-           "write_consistency", "write_stability", "load_config"]
+           "run_sweep", "run_consistency", "unfitted_consistency",
+           "run_stability", "write_records_csv", "write_fits_json",
+           "write_solution_csvs", "write_consistency", "write_stability",
+           "load_config"]
 
 _DEFAULT_EPS = tuple(2.0 ** -k for k in range(3, 11))
 CONSISTENCY_MODELS = ("hoc4", "hoc6", "ill2", "first")
@@ -337,34 +338,18 @@ def write_fits_json(path, fits):
     _write_json(path, [asdict(f) for f in fits])
 
 
-class _FieldAt:
-    """A field whose derivatives at the one array `x` are evaluated once
-    each, by the field's own `eval`, and then shared read-only; any other
-    point array goes to the field."""
-
-    def __init__(self, u, x):
-        self.u, self.x, self._at = u, x, {}
-
-    def eval(self, x, deriv=0):
-        if x is not self.x:
-            return self.u.eval(x, deriv)
-        if deriv not in self._at:
-            self._at[deriv] = self.u.eval(x, deriv)
-            self._at[deriv].flags.writeable = False
-        return self._at[deriv]
-
-
 def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
                     models=CONSISTENCY_MODELS):
     """Pointwise stress-consistency sweep on the fixed test field
     amplitude * sin(pi x / N). The sixth-order model is paired with the
     quintic kernel, everything else with the cubic one. Per N, the field's
-    derivatives at the points (`_FieldAt`) and the atomistic stress, once
-    per kernel degree, are shared by the models: the arrays that
+    gradient stack at the points (`gradients`) and the atomistic stress,
+    once per kernel degree, are shared by the models: the arrays that
     `consistency_residual` computes, so each R is that oracle's bit for
-    bit. Rows are in model order, N ascending. A model with a max_R that
-    is not positive (below resolution) is left out of `fits`. DomainError
-    names F and N where the test field leaves the potential's domain."""
+    bit. Rows are in model order, N ascending; the models that
+    `unfitted_consistency` names are left out of `fits`. DomainError names
+    F and N where the test field or a model's stress argument leaves the
+    potential's domain."""
     pot = cfg.make_potential()
     bonds = cfg.bonds()
     cont = {key: continuum_model(key, pot, bonds=bonds, F=cfg.F)
@@ -373,7 +358,8 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
     for N in Ns:
         system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F)
         x = np.linspace(-N, N, 16 * 2 * N, endpoint=False)
-        u = _FieldAt(SineField(amplitude, np.pi / N), x)
+        u = SineField(amplitude, np.pi / N)
+        g = gradients(u, x)
         samples = u.eval(np.arange(-N, N).astype(float), 0)
         stress_a = {}
         for key, model in cont.items():
@@ -382,7 +368,7 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
                 if degree not in stress_a:
                     stress_a[degree] = atomistic_stress(
                         system, samples, reproducing_kernel(degree), x)
-                r = stress_a[degree] - model.stress(u, x)
+                r = stress_a[degree] - model.stress(g)
             except DomainError as err:
                 raise DomainError(
                     f"F = {cfg.F!r}: the test field {amplitude!r}*"
@@ -391,13 +377,26 @@ def run_consistency(cfg, Ns=(8, 16, 32, 64, 128), amplitude=0.1,
             by_model[key].append({
                 "model": key, "N": N, "max_R": float(np.max(np.abs(r))),
                 "l2_R": float(np.sqrt(np.mean(r ** 2) * 2 * N))})
-        del x, u, samples, stress_a     # before the next N's arrays
+        del x, g, samples, stress_a     # before the next N's arrays
     rows = [row for key in models for row in by_model[key]]
+    unfitted = unfitted_consistency(rows)
     fits = {key: _slope_fit(key, [(1.0 / row["N"], row["max_R"])
                                   for row in by_model[key]])
-            for key in models
-            if all(row["max_R"] > 0.0 for row in by_model[key])}
+            for key in models if key not in unfitted}
     return rows, fits
+
+
+def unfitted_consistency(rows):
+    """model -> why, in row order, for each model of the consistency rows
+    that `run_consistency` leaves unfitted: one with a max_R that is not
+    positive (below resolution), its first such row named."""
+    unfitted = {}
+    for row in rows:
+        if not row["max_R"] > 0.0:
+            unfitted.setdefault(row["model"], (
+                f"max_R {row['max_R']!r} at N = {row['N']} is not "
+                "positive (below resolution)"))
+    return unfitted
 
 
 def write_consistency(out_dir, rows, fits):

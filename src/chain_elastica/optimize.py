@@ -346,16 +346,16 @@ def newton_minimize(problem, x0):
     test is made again on the refined p_k. An exactly zero
     gradient returns x_k itself. The step's factorization is freed before
     f is evaluated at the point returned or at a line-search trial, so an
-    evaluation never holds its memory as well (a quadratic problem's one
-    evaluation below does, as its fallback reads the same factorization).
+    evaluation never holds its memory as well.
 
     A `quadratic` problem stops after its first step: its Hessian is the
     same at every point, so the factorization at x_0 certifies the whole
-    problem and x_0 + p_0, with p_0 from the refined solve, is its
-    minimizer to roundoff (Nocedal & Wright, Numerical Optimization, §3.3).
-    The result is that point, with f evaluated there and one iteration. If
-    that evaluation raises DomainError, the minimizer lies outside the
-    objective's domain and the damped steps below run from x_0 instead.
+    problem and x_0 + p_0 is its minimizer to roundoff (Nocedal & Wright,
+    Numerical Optimization, §3.3), with p_0 from the refined solve unless a
+    first pass already meets the stop test. The result is that point, with
+    f evaluated there and one iteration. If f raises DomainError at any
+    stopping point x_k + p_k, that point lies outside the objective's
+    domain and the damped steps below run from x_k instead.
 
     `iterations` counts the steps taken, the last one included, and so
     equals the number of Hessians a converged solve builds and factors;
@@ -393,27 +393,25 @@ def newton_minimize(problem, x0):
             del passes
             return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
                                   True, "converged")
-        if problem.quadratic and it == 0:
-            # one step from a certified start reaches the minimizer, unless
-            # that lies outside the domain: then the damped loop runs
-            *_, p = passes(-gx)
-            xn = x + p
-            xn -= xn.mean()
-            try:
-                return MinimizeResult(xn, f(xn), gnorm, 1, True, "converged")
-            except DomainError:
-                pass
         # a reduction solve yields its first pass before it refines: a step
         # that stops on it needs no refinement
         for p in passes(-gx):
             stop = np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p))
             if stop:
                 break
+        else:
+            # one refined step from a certified start reaches a quadratic
+            # problem's minimizer
+            stop = problem.quadratic and it == 0
         del passes      # free the factorization before f is evaluated again
         if stop:
-            x = x + p
-            x -= x.mean()
-            return MinimizeResult(x, f(x), gnorm, it + 1, True, "converged")
+            xn = x + p
+            xn -= xn.mean()
+            try:
+                return MinimizeResult(xn, f(xn), gnorm, it + 1, True,
+                                      "converged")
+            except DomainError:     # the stopping point is outside: damp
+                pass
         if fx is None:
             fx = f(x)
         slope = float(np.dot(gx, p))

@@ -6,7 +6,7 @@ runs."""
 
 import numpy as np
 
-from .continuum import _gradients
+from .continuum import gradients
 from .lattice import PeriodicLatticeField
 from .quadrature import composite_integral
 from .splines import KernelField, localization_weight
@@ -63,7 +63,7 @@ def continuum_energy(model, u, N, npoints=5):
     w0 = model.density0()
 
     def f(x):
-        return model.density(_gradients(u, x, 5)) - w0
+        return model.density(gradients(u, x)) - w0
 
     return composite_integral(f, N, npoints)
 
@@ -72,7 +72,7 @@ def first_variation_pairing(model, u, v, N, npoints=8):
     """<delta E(u), v> = int sum_m dW/dg_m grad^m v dx: the exact Gateaux
     derivative of the density energy."""
     def f(x):
-        dw = model.density_grad(_gradients(u, x, 5))
+        dw = model.density_grad(gradients(u, x))
         out = np.zeros_like(x)
         for i, j in enumerate(model.density_orders):
             out += dw[i] * v.eval(x, j)
@@ -83,8 +83,8 @@ def first_variation_pairing(model, u, v, N, npoints=8):
 
 def stress_pairing(model, u, v, N, npoints=8):
     """int S(u; x) grad v dx."""
-    return composite_integral(lambda x: model.stress(u, x) * v.eval(x, 1),
-                              N, npoints)
+    return composite_integral(
+        lambda x: model.stress(gradients(u, x)) * v.eval(x, 1), N, npoints)
 
 
 def external_work_gap(f, v, kernel, npoints=10):

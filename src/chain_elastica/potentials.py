@@ -3,6 +3,8 @@ forms under a macroscopic deformation gradient, and decay moments."""
 
 import numpy as np
 
+from .optimize import DomainError
+
 MAX_DERIVATIVE = 7
 POTENTIAL_KINDS = ("harmonic", "lj", "morse")
 
@@ -38,10 +40,11 @@ class PairPotential:
         self.morse_a = float(morse_a)
 
     def derivative(self, j, r):
-        """phi^(j)(r) for 0 <= j <= 7; raises ValueError unless every r > 0."""
+        """phi^(j)(r) for 0 <= j <= 7; raises DomainError unless every
+        r > 0."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
-            raise ValueError("pair potential evaluated at nonpositive distance")
+            raise DomainError("pair potential evaluated at nonpositive distance")
         return self.derivative_unchecked(j, r)
 
     def derivative_unchecked(self, j, r):
@@ -101,12 +104,12 @@ class ShiftedPotential:
         self.shift = self.F * self.rho
 
     def derivative(self, j, s):
-        """phi_rho^(j)(s); raises ValueError naming the bond unless every
+        """phi_rho^(j)(s); raises DomainError naming the bond unless every
         length s + F·rho is positive."""
         try:
             return self.base.derivative(j, np.asarray(s, dtype=float) + self.shift)
-        except ValueError as exc:
-            raise ValueError(f"bond rho={self.rho}: {exc}") from None
+        except DomainError as exc:
+            raise DomainError(f"bond rho={self.rho}: {exc}") from None
 
     def derivative_unchecked(self, j, s):
         """`derivative` for strains whose lengths the caller has checked."""

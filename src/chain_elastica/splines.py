@@ -254,11 +254,10 @@ def _integer_taps(degree):
                  if b != 0.0)
 
 
-@functools.lru_cache(maxsize=32)
 def _interpolation_symbol(n, degree):
     """sum_off B_degree(off) cos(2 pi off j / n), j = 0..n//2: the DFT of
     the circulant collocation matrix on n periodic sites at the modes of an
-    rfft; read-only. As cos is even, each tap reads one table of
+    rfft. As cos is even, each tap reads one table of
     cos(2 pi k / n), k <= max|off|·(n//2), at k = |off|·j: a strided
     slice."""
     taps, h = _integer_taps(degree), n // 2
@@ -268,14 +267,13 @@ def _interpolation_symbol(n, degree):
         symbol += b * cos[:abs(off) * h + 1:abs(off)] if off else b
     # uniform periodic odd/even-degree spline collocation is never singular
     assert np.all(np.abs(symbol) > 1e-12), "singular interpolation system"
-    symbol.flags.writeable = False
     return symbol
 
 
 def periodic_spline_coefficients(values, degree):
     """Coefficients c with sum_j c_j B_degree(xi - j) = values[xi] on the
-    periodic grid, via the circulant symbol in Fourier space (computed once
-    per grid size and degree)."""
+    periodic grid, via the circulant symbol in Fourier space, built in O(n)
+    per call."""
     values = np.asarray(values, dtype=float)
     n = values.size
     return np.fft.irfft(np.fft.rfft(values) / _interpolation_symbol(n, degree),

@@ -21,11 +21,12 @@ from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import (MODEL_KEYS, SineField,
                                       consistency_residual, continuum_model)
 from chain_elastica.cli import main as cli_main
-from chain_elastica.harness import (ConvergenceRecord, StudyConfig, fit_models,
-                                    fit_slope, load_config, run_consistency,
+from chain_elastica.harness import (CONSISTENCY_MODELS, ConvergenceRecord,
+                                    StudyConfig, fit_models, fit_slope,
+                                    load_config, run_consistency,
                                     run_stability, run_sweep, solve_cell,
-                                    unfitted_models, write_records_csv,
-                                    write_stability)
+                                    unfitted_consistency, unfitted_models,
+                                    write_records_csv, write_stability)
 from chain_elastica.optimize import PeriodicBand
 from chain_elastica.potentials import POTENTIAL_KINDS, make_potential
 from chain_elastica.splines import (periodic_spline_coefficients,
@@ -111,6 +112,35 @@ def test_consistency_rows_are_each_models_alone_and_the_oracles(potential):
             np.linspace(-N, N, 16 * 2 * N, endpoint=False))
         assert row["max_R"] == float(np.max(np.abs(r)))
         assert row["l2_R"] == float(np.sqrt(np.mean(r ** 2) * 2 * N))
+
+
+@pytest.mark.parametrize("models", [("hoc4",), CONSISTENCY_MODELS])
+def test_consistency_evaluates_the_test_field_once_per_N(models,
+                                                         monkeypatch):
+    # per N, the field's five derivatives at the points and its values at
+    # the sites, whatever the number of models: they share one stack
+    calls, eval_ = [], SineField.eval
+
+    def counted(self, x, deriv=0):
+        calls.append(deriv)
+        return eval_(self, x, deriv)
+
+    monkeypatch.setattr(SineField, "eval", counted)
+    Ns = (8, 16, 32)
+    run_consistency(StudyConfig(potential="lj"), Ns=Ns, models=models)
+    assert sorted(calls) == [d for d in range(6) for _ in Ns]
+
+
+def test_a_zero_test_field_leaves_the_model_unfitted():
+    # the nearest-neighbour harmonic chain and model are both stress-free
+    # at u = 0, so every max_R is 0.0: below resolution, and left out of
+    # the fits
+    rows, fits = run_consistency(StudyConfig(potential="harmonic", r_cut=1),
+                                 Ns=(8, 16, 32), amplitude=0.0,
+                                 models=("hoc4",))
+    assert [row["max_R"] for row in rows] == [0.0] * 3 and fits == {}
+    assert unfitted_consistency(rows) == {
+        "hoc4": "max_R 0.0 at N = 8 is not positive (below resolution)"}
 
 
 def test_run_stability_smoke():
@@ -558,6 +588,24 @@ def test_cli_stability_and_consistency(tmp_path):
     assert rc == 0
     fits = json.loads((out2 / "consistency_fit.json").read_text())
     assert fits[0]["slope"] >= 4.8
+
+
+@pytest.mark.parametrize("F", [0.0391, 0.0385])
+def test_cli_consistency_names_a_stress_outside_the_domain(F, tmp_path,
+                                                           capsys):
+    # at N = 8 the chain's bonds stay positive, but a model's stress takes
+    # phi_1 at a compressed bond: one line naming F, the bond and N
+    path = tmp_path / "study.cfg"
+    path.write_text(f"F = {F!r}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["consistency", "--potential", "lj", "--config", str(path),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (
+        f"chain-elastica consistency: error: F = {F!r}: the test field "
+        "0.1*sin(pi x / N) leaves the potential's domain at N = 8: bond "
+        "rho=1: pair potential evaluated at nonpositive distance")
 
 
 def test_cli_consistency_takes_the_config_models(tmp_path):

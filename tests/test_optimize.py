@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chain_elastica import optimize, splines
+from chain_elastica import optimize
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import MODEL_KEYS, continuum_model
 from chain_elastica.fem import PeriodicSplineSpace, assemble, solve_continuum
@@ -627,15 +627,15 @@ def test_only_harmonic_problems_are_quadratic(kind):
         assert same == pot.quadratic
 
 
-def ball_problem(quadratic=False):
+def ball_problem(quadratic=False, shrink=0.5):
     """A quadratic whose minimizer x* lies outside its domain |x|_2 < R,
-    R = |x*|_2 / 2: its objective raises DomainError outside the ball."""
+    R = shrink·|x*|_2: its objective raises DomainError outside the ball."""
     n = 12
     gen = np.random.default_rng(8)
     H = bond_band(n, gen.uniform(0.5, 1.5, (2, n)))
     xstar = band_solve(H, mean_zero(gen.standard_normal(n)))
     prob = quadratic_problem(H, band_toarray(H) @ xstar, quadratic)
-    R = 0.5 * np.linalg.norm(xstar)
+    R = shrink * np.linalg.norm(xstar)
     objective = prob.objective
 
     def inside(x):
@@ -675,6 +675,19 @@ def test_newton_on_a_quadratic_outside_its_domain_takes_the_damped_steps():
     assert res.message == want.message and not res.converged
     assert np.array_equal(res.x, want.x)
     assert res.iterations == want.iterations and res.fun == want.fun
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_newton_damps_a_stopping_point_outside_the_domain(quadratic):
+    # from a start within STEP_RTOL of x*, which lies just outside the
+    # domain, the first step stops at x*: f raises there, and the damped
+    # steps run from x_0 instead of the error escaping
+    prob, _, xstar, R = ball_problem(quadratic, shrink=1 - 1e-9)
+    prob.max_iter = 5
+    res = newton_minimize(prob, (1 - 2e-9) * xstar)
+    assert not res.converged
+    assert res.message in ("backtracking failed", "max iterations")
+    assert np.linalg.norm(res.x) < R
 
 
 def _lj_problem(kind, N):
@@ -791,15 +804,11 @@ def test_band_spectrum_matches_the_sin2_formula_bit_for_bit(b):
 
 def test_default_harmonic_sweep_builds_each_table_once_per_size():
     # per cell, the chain's band reads the (2N, 2) sin^2 table and the three
-    # models' bands the (2N, 5) one, built once and read twice; the quintic
-    # start and the quartic measurement each build one interpolation symbol
-    splines._interpolation_symbol.cache_clear()
+    # models' bands the (2N, 5) one, built once and read twice
     optimize._sin2_table.cache_clear()
     run_sweep(StudyConfig(potential="harmonic",
                           models=("cb", "hoc4", "hoc6")))
-    symbols = splines._interpolation_symbol.cache_info()
     tables = optimize._sin2_table.cache_info()
-    assert (symbols.misses, symbols.hits, symbols.currsize) == (16, 0, 16)
     assert (tables.misses, tables.hits, tables.currsize) == (16, 16, 2)
 
 

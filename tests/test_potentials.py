@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chain_elastica.optimize import DomainError
 from chain_elastica.potentials import (PairPotential, decay_moment,
                                        make_potential, shifted)
 
@@ -70,9 +71,13 @@ def test_scaled_rest_length(kind):
 
 
 def test_domain_errors():
+    # a nonpositive distance is a DomainError, which a shifted potential
+    # re-raises naming its bond; an unsupported order is a ValueError
     p = make_potential("lj")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         p.derivative(0, -1.0)
+    with pytest.raises(DomainError, match="^bond rho=2: pair potential"):
+        shifted(p, 1.0, 2).derivative(1, -2.5)
     with pytest.raises(ValueError):
         p.derivative(8, 1.0)
 

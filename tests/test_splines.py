@@ -14,6 +14,7 @@ from chain_elastica.splines import (KernelField, SplineKernel, bspline,
                                     periodic_spline_subdivision,
                                     periodic_spline_values,
                                     reproducing_kernel)
+from chain_elastica import splines
 from chain_elastica.splines import _interpolation_symbol
 
 rng = np.random.default_rng(7)
@@ -371,14 +372,16 @@ def _fft_spline_values(c, degree):
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [17, 31, 255, 2048])
 @pytest.mark.parametrize("degree", [3, 4, 5])
-def test_spline_values_match_the_fft_definition(degree, n):
+def test_spline_values_match_the_fft_definition(degree, n, monkeypatch):
     # the convolution over the integer taps of B_d is the symbol's product
     # in Fourier space, also below the 3 or 5 taps, where it wraps more than
     # once; it builds no symbol
     c = rng.standard_normal(n)
-    _interpolation_symbol.cache_clear()
+    built = []
+    monkeypatch.setattr(splines, "_interpolation_symbol",
+                        lambda *args: built.append(args))
     got = periodic_spline_values(c, degree)
-    assert _interpolation_symbol.cache_info().misses == 0
+    assert built == []
     assert got.shape == (n,)
     assert np.max(np.abs(got - _fft_spline_values(c, degree))) \
         <= 1e-13 * np.max(np.abs(c))
@@ -386,14 +389,12 @@ def test_spline_values_match_the_fft_definition(degree, n):
 
 @pytest.mark.parametrize("degree", [3, 4, 5])
 def test_interpolation_symbol_is_built_once_and_read_only(degree):
-    # the symbol is cached per (n, degree), at the n//2 + 1 modes of an
-    # rfft; periodic_spline_coefficients divides by it, the inverse of
+    # the symbol is built anew per call, at the n//2 + 1 modes of an rfft;
+    # periodic_spline_coefficients divides by it, the inverse of
     # periodic_spline_values
     n = 48
     symbol = _interpolation_symbol(n, degree)
-    assert _interpolation_symbol(n, degree) is symbol
     assert symbol.shape == (n // 2 + 1,)
-    assert not symbol.flags.writeable
     v = rng.standard_normal(n)
     c = periodic_spline_coefficients(v, degree)
     sites = np.arange(-n // 2, n // 2, dtype=float)
