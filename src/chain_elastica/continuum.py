@@ -14,6 +14,17 @@ arguments once and check them against the potential's domain once: passed
 ensures), while args=None computes and checks them.
 `density_grad` and `density_hess` return only the planes of the model's
 `density_orders`, in that order: shapes (k, ...) and (k, k, ...).
+
+Every model but ill2 has the composed density sum_rho phi_rho(a_rho) with
+a_rho = sum_m c_m(rho) grad^m u, and says so by `bond_form`. The FEM then
+reads only its per-bond `coeffs` and its potential, and builds the bond
+strains from the coefficients directly, one derivative of phi per bond and
+point (`fem.assemble`); the density methods serve the stability symbols,
+the oracles and ill2. The ill2 density adds (rho^4/24) phi_rho''(a) g2^2
+terms that are not functions of one bond argument, so the FEM assembles it
+from its density planes, as before. A stress checks the argument of each
+bond once, by the checked phi_rho', and takes the higher orders there
+unchecked.
 """
 
 import numpy as np
@@ -53,8 +64,9 @@ def gradients(u, x):
 class _ComposedModel:
     """Variants whose density is sum_rho phi_rho(sum_m c_m(rho) grad^m u).
 
-    Subclasses fix the per-bond argument coefficients c(rho); the shifted
-    potentials phi_rho(r) = phi(r + F rho) carry the deformation gradient.
+    Subclasses fix the per-bond argument coefficients c(rho), public as
+    `coeffs` (rho -> the five entries at g's slots); the shifted potentials
+    phi_rho(r) = phi(r + F rho) carry the deformation gradient.
     """
 
     key = ""
@@ -62,6 +74,10 @@ class _ComposedModel:
     # is the solution within O(eps^4) of the chain's? Such a model starts
     # best from the quintic spline through the chain (`solve_cell`)
     starts_from_chain = False
+    # is the density the bond sum above, so that `fem.assemble` may build it
+    # from one strain template per bond (its bond form) instead of from the
+    # density methods' planes (its slot form)?
+    bond_form = True
 
     def __init__(self, potential, bonds=(1, 2), F=1.0):
         self.potential = potential
@@ -69,9 +85,9 @@ class _ComposedModel:
         self.F = float(F)
         self.phi = {rho: shifted(potential, self.F, rho) for rho in self.bonds}
         # each bond's coefficients at g's slots, and at the density orders'
-        self._coeffs = {rho: self._arg_coeffs(rho) for rho in self.bonds}
+        self.coeffs = {rho: self._arg_coeffs(rho) for rho in self.bonds}
         slots = np.array(self.density_orders) - 1
-        self._rows = {rho: c[slots] for rho, c in self._coeffs.items()}
+        self._rows = {rho: c[slots] for rho, c in self.coeffs.items()}
 
     def _arg_coeffs(self, rho):
         raise NotImplementedError
@@ -81,7 +97,7 @@ class _ComposedModel:
         g = np.asarray(g, dtype=float)
         flat = g.reshape(len(g), -1)
         return {rho: (c @ flat).reshape(g.shape[1:])
-                for rho, c in self._coeffs.items()}
+                for rho, c in self.coeffs.items()}
 
     def _checked_args(self, g, args):
         """`args` as passed, or bond_args(g) after checking that every bond
@@ -172,8 +188,7 @@ class HigherOrder4(_ComposedModel):
             a = rho * g[0] + rho ** 3 / 24.0 * g[2]
             ap = rho * g[1] + rho ** 3 / 24.0 * g[3]     # d a / dx
             p1 = self.phi[rho].derivative(1, a)
-            p2 = self.phi[rho].derivative(2, a)
-            p3 = self.phi[rho].derivative(3, a)
+            p2, p3 = (self.phi[rho].derivative_unchecked(j, a) for j in (2, 3))
             out += (rho * p1
                     + rho ** 3 / 24.0 * p3 * ap ** 2
                     + rho ** 4 / 24.0 * p2 * g[2]
@@ -199,10 +214,8 @@ class HigherOrder6(_ComposedModel):
         for rho in self.bonds:
             ar = rho * g[0]
             p1 = self.phi[rho].derivative(1, ar)
-            p2 = self.phi[rho].derivative(2, ar)
-            p3 = self.phi[rho].derivative(3, ar)
-            p4 = self.phi[rho].derivative(4, ar)
-            p5 = self.phi[rho].derivative(5, ar)
+            p2, p3, p4, p5 = (self.phi[rho].derivative_unchecked(j, ar)
+                              for j in (2, 3, 4, 5))
             out += (rho * p1
                     + rho ** 4 / 12.0 * p2 * g[2]
                     + rho ** 5 / 24.0 * p3 * g[1] ** 2
@@ -221,6 +234,8 @@ class IllPosedSecondGradient(_ComposedModel):
 
     key = "ill2"
     density_orders = (1, 2)
+    # its g2 terms are not functions of one bond argument
+    bond_form = False
 
     def _arg_coeffs(self, rho):
         """Not of composed form: phi_rho and its derivatives are taken at
@@ -266,9 +281,11 @@ class IllPosedSecondGradient(_ComposedModel):
         out = np.zeros_like(g[0])
         for rho in self.bonds:
             a = rho * g[0]
-            out += (rho * self.phi[rho].derivative(1, a)
-                    + rho ** 4 / 12.0 * self.phi[rho].derivative(2, a) * g[2]
-                    + rho ** 5 / 24.0 * self.phi[rho].derivative(3, a) * g[1] ** 2)
+            p1 = self.phi[rho].derivative(1, a)
+            p2, p3 = (self.phi[rho].derivative_unchecked(j, a) for j in (2, 3))
+            out += (rho * p1
+                    + rho ** 4 / 12.0 * p2 * g[2]
+                    + rho ** 5 / 24.0 * p3 * g[1] ** 2)
         return out
 
 

@@ -5,7 +5,13 @@ along the dofs adds up the load, the gradient and the dof-major rows of the
 Hessian `PeriodicBand`, which is one element's stencil in every column when
 the planes are equal at every element), the continuum solver certified by
 Newton's last factorization, the gradient L2 distance between smooth fields
-and the energy gap between a chain and a continuum solution."""
+and the energy gap between a chain and a continuum solution.
+
+A composed density sum_rho phi_rho(a_rho) (every model but ill2) is
+assembled in bond form, from one strain template per bond and phi's
+derivatives at the bond lengths; ill2's, whose g2 terms are not functions
+of one bond argument, in slot form, from its density methods' planes of
+the gradient orders. Both build their Hessian bands by one builder."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -129,27 +135,147 @@ class ContinuumProblem(MinimizeProblem):
     energy: Callable = None
 
 
+def _band_kernel(by_pair):
+    """The Hessian kernel (6, 11, K) of element terms by_pair[o, p, k]:
+    element m couples dofs m + o and m + p, band row m + o, offset p - o.
+    So kernel[o] puts the rows (o, p) at the 11 band offsets, and maps the
+    elements m = j - o of the rows j to the band's diagonals. Read-only."""
+    kernel = np.zeros((6, 11, by_pair.shape[-1]))
+    for io in range(6):
+        kernel[io, 5 - io:11 - io] = by_pair[io]
+    kernel.flags.writeable = False
+    return kernel
+
+
 @lru_cache(maxsize=16)
 def _element_kernels(orders):
-    """The element integrals of `assemble` as matrix products, for the
+    """The slot form's element integrals as matrix products, for the
     density orders; computed once and read-only:
       gradient  local[o, m] = sum_rq w_q T[o, r, q] dw[r, q, m]
       Hessian   local[o, p, m] = sum_rsq w_q T[o, r, q] T[p, s, q]
                                                * d2w[r, s, q, m]
-    with T the `_gauss_template(5)` rows of the orders. Element m couples
-    dofs m + o and m + p: band row m + o, offset p - o. So hess_kernel[o]
-    puts the rows (o, p) at the 11 band offsets, and maps the elements
-    m = j - o of the rows j to the band's diagonals."""
+    with T the `_gauss_template(5)` rows of the orders, and the Hessian's
+    in `_band_kernel` layout."""
     qw = gauss_rule(QUAD_POINTS)[1]
     T = _gauss_template(5)[:, orders, :]
     grad_kernel = (T * qw).reshape(6, -1)
+    grad_kernel.flags.writeable = False
     by_pair = np.einsum("orq,psq,q->oprsq", T, T, qw).reshape(6, 6, -1)
-    hess_kernel = np.zeros((6, 11, by_pair.shape[-1]))
-    for io in range(6):
-        hess_kernel[io, 5 - io:11 - io] = by_pair[io]
-    for a in (grad_kernel, hess_kernel):
+    return grad_kernel, _band_kernel(by_pair)
+
+
+@lru_cache(maxsize=16)
+def _bond_kernels(coeffs):
+    """The bond form's tables for the per-bond coefficient rows `coeffs`
+    (a tuple of five-entry tuples, entry m - 1 for grad^m u), computed once
+    and read-only. Row k = (bond rho, Gauss point q) of
+      template[k, o] = sum_m c_m(rho) T[o, m, q]
+    gives the bond strains at an element from its six coefficients, with T
+    the `_gauss_template(5)`; w[k] = w_q, and
+      gradient  local[o, m] = sum_k w_k template[k, o] phi'(k, m)
+      Hessian   local[o, p, m] = sum_k w_k template[k, o] template[k, p]
+                                                   * phi''(k, m)
+    the gradient's as (6, K) rows, the Hessian's in `_band_kernel`
+    layout."""
+    qw = gauss_rule(QUAD_POINTS)[1]
+    T = _gauss_template(5)[:, 1:, :]
+    template = np.concatenate([np.einsum("m,omq->qo", c, T)
+                               for c in np.array(coeffs)])
+    w = np.tile(qw, len(coeffs))
+    grad_kernel = template.T * w
+    for a in (template, w, grad_kernel):
         a.flags.writeable = False
-    return grad_kernel, hess_kernel
+    return (template, w, grad_kernel,
+            _band_kernel(grad_kernel[:, None] * template.T))
+
+
+def _check_domain(margin, space):
+    """Raise DomainError naming the element of the smallest `margin`, a
+    (..., n) array with element m in column m, unless all of it is
+    positive."""
+    if margin.min() <= 0.0:
+        elem = int(np.argmin(margin) % space.n) - space.N
+        raise DomainError(f"density domain violation in element "
+                          f"[{elem}, {elem + 1}]")
+
+
+def _slot_form(model, space):
+    """`assemble`'s evaluation of any model through its density methods:
+    the gradient stack g at the Gauss points and the model's bond arguments,
+    with the (k, n) first-derivative and (k^2, n) second-derivative planes
+    of its `density_orders`, and the matching element kernels."""
+    orders, n = model.density_orders, space.n
+    w0 = model.density0()
+
+    def evaluate(c):
+        g = space.derivatives_at_quad(c, orders)
+        args = model.bond_args(g)
+        _check_domain(model.domain_margin(g, args), space)
+        return g, args
+
+    def energy(at):
+        g, args = at
+        return float(np.sum(space.qw @ (model.density(g, args) - w0)))
+
+    def first(at):
+        return model.density_grad(*at).reshape(-1, n)
+
+    def second(at, cols):
+        g, args = at
+        g, args = g[..., cols], {rho: a[..., cols] for rho, a in args.items()}
+        return model.density_hess(g, args).reshape(-1, g.shape[-1])
+
+    return (evaluate, energy, first, second) + _element_kernels(orders)
+
+
+def _bond_form(model, space):
+    """`assemble`'s evaluation of a composed density sum_rho phi_rho(a_rho)
+    (`bond_form`): the bond lengths a_rho + F rho at every bond and Gauss
+    point, one (B Q, 6) x (6, n) product, and phi', phi'' there, one call
+    of the potential each, with the `_bond_kernels`."""
+    template, w, grad_kernel, hess_kernel = _bond_kernels(
+        tuple(tuple(c.tolist()) for c in model.coeffs.values()))
+    shift = np.repeat(model.F * np.array(model.bonds, float),
+                      QUAD_POINTS)[:, None]
+    phi = model.potential.derivative_unchecked
+    phi0 = phi(0, shift)
+
+    def evaluate(c):
+        lengths = template @ space.gather(c)
+        lengths += shift
+        _check_domain(lengths, space)
+        return lengths
+
+    def energy(lengths):
+        return float(np.sum(w @ (phi(0, lengths) - phi0)))
+
+    def first(lengths):
+        return phi(1, lengths)
+
+    def second(lengths, cols):
+        return phi(2, lengths[:, cols])
+
+    return evaluate, energy, first, second, grad_kernel, hess_kernel
+
+
+def _hessian_band(space, hess_kernel, planes, equal):
+    """The band of the element Hessians from their planes, (K, columns)
+    with element m in column m, contracted with `hess_kernel`. When the
+    planes are `equal` at every element (a quadratic problem, whose planes
+    then hold 4 columns), or found to be, every column of the band is one
+    element's stencil, summed in offset order as `scatter_add` sums it.
+    Its products take 4 columns, as BLAS rounds 1- and 2-column ones
+    differently from wider ones. Otherwise dof-major (n, 11) element rows
+    are streamed (not stacked) through the scatter and written into the
+    band once."""
+    H = PeriodicBand(space.n, 5)
+    if equal or np.all(planes == planes[:, :1]):
+        one = np.asfortranarray(planes[:, :4])
+        H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
+        return H
+    H.diags[:] = space.scatter_add(
+        planes.T @ hess_kernel[io].T for io in range(6)).T
+    return H
 
 
 def assemble(model, space, f=None):
@@ -158,74 +284,50 @@ def assemble(model, space, f=None):
     f is the load density (vectorized), or its `space.load_vector`, which
     several models on one space can share. The density is accumulated
     relative to the homogeneous state to keep the tiny energy differences
-    well conditioned. The three callbacks share one evaluation per
-    coefficient vector (`evaluate_once`): the gradients at the quadrature
-    points, written in place into one array, and the model's bond
+    well conditioned.
+
+    A model whose density is a bond sum (`bond_form`: cb, hoc4, hoc6,
+    first) is assembled in bond form: the strain of bond rho at the Gauss
+    points is sum_m c_m(rho) grad^m u, so one template row per bond and
+    point maps an element's six coefficients to it, and phi, phi' and phi''
+    of every bond are one call of the potential at the lengths. ill2's
+    density is not such a sum, and is assembled in slot form, from the
+    planes of its density methods at the gradient stack.
+
+    The three callbacks share one evaluation per coefficient vector
+    (`evaluate_once`): the bond lengths, or the gradient stack and bond
     arguments, whose domain is checked there once. The old evaluation is
     dropped before a new one is made. The Hessian callback builds a fresh
-    band from the `density_hess` planes there at every call. The problem's
+    band from the second-derivative planes at every call. The problem's
     `energy` is the objective without its load term; it keeps its last
     value, so `solve_continuum` reads the one of Newton's last objective
     call. Every model's density is quadratic in the gradients exactly when
     the potential is, and so is the problem (`quadratic`): then its planes
-    are equal at every point, and the Hessian evaluates those of 4."""
-    orders = model.density_orders
-    w0 = model.density0()
+    are equal at every point, and the Hessian evaluates those of 4
+    elements."""
     if f is None:
         load = np.zeros(space.n)
     else:
         load = space.load_vector(f) if callable(f) else np.asarray(f, float)
-    n, qw = space.n, space.qw
-    grad_kernel, hess_kernel = _element_kernels(orders)
     quadratic = model.potential.quadratic
-
-    def evaluate(c):
-        """(g, the bond arguments) at c, checked against the domain once."""
-        g = space.derivatives_at_quad(c, orders)
-        args = model.bond_args(g)
-        margin = model.domain_margin(g, args)
-        if np.any(margin <= 0.0):
-            elem = int(np.argmin(margin) % n) - space.N
-            raise DomainError(f"density domain violation in element "
-                              f"[{elem}, {elem + 1}]")
-        return g, args
-
+    cols = slice(0, 4) if quadratic else slice(None)
+    evaluate, energy_at, first, second, grad_kernel, hess_kernel = (
+        _bond_form if model.bond_form else _slot_form)(model, space)
     at = evaluate_once(evaluate)
 
     @evaluate_once
     def energy(c):
-        g, args = at(c)
-        return float(np.sum(qw @ (model.density(g, args) - w0)))
+        return energy_at(at(c))
 
     def objective(c):
         return energy(c) - float(np.dot(load, c))
 
     def gradient(c):
-        g, args = at(c)
-        dw = model.density_grad(g, args).reshape(-1, n)
-        return space.scatter_add(grad_kernel @ dw) - load
+        return space.scatter_add(grad_kernel @ first(at(c))) - load
 
     def hessian(c):
-        g, args = at(c)
-        if quadratic:
-            # equal planes everywhere: those of the columns read below
-            g, args = g[..., :4], {rho: a[..., :4] for rho, a in args.items()}
-        # rows (r, s, q), in the order the Hessian kernel reads them
-        d2w = model.density_hess(g, args).reshape(-1, g.shape[-1])
-        H = PeriodicBand(n, 5)
-        if quadratic or np.all(d2w == d2w[:, :1]):
-            # equal planes at every element: one element's stencil in every
-            # column, summed in offset order as `scatter_add` sums it. Its
-            # products take 4 columns, as BLAS rounds 1- and 2-column ones
-            # differently from wider ones
-            one = np.asfortranarray(d2w[:, :4])
-            H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
-            return H
-        # dof-major (n, 11) element rows, streamed (not stacked) through the
-        # scatter and written into the band once
-        H.diags[:] = space.scatter_add(
-            d2w.T @ hess_kernel[io].T for io in range(6)).T
-        return H
+        return _hessian_band(space, hess_kernel, second(at(c), cols),
+                             quadratic)
 
     return ContinuumProblem(objective, gradient, hessian,
                             quadratic=quadratic, energy=energy)

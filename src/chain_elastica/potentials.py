@@ -50,7 +50,7 @@ class PairPotential:
     def derivative_unchecked(self, j, r):
         """`derivative` for distances r the caller has already checked to be
         positive: the solvers check their points once (the chain's
-        `_strains`, the FEM's `domain_margin`), not once per call."""
+        `_strains`, the FEM's bond lengths), not once per call."""
         if not 0 <= j <= MAX_DERIVATIVE:
             raise ValueError(f"derivative order {j} unsupported (max {MAX_DERIVATIVE})")
         s = np.asarray(r, dtype=float) / self.eps

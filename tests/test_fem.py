@@ -269,21 +269,6 @@ def _streamed_scatter(parts, n):
     return out
 
 
-class _HomogeneousPlanes:
-    """`model` with its density Hessian replaced by `planes`, (k, k, q) for
-    its k density orders, at every element."""
-
-    def __init__(self, model, planes):
-        self.model, self.planes = model, planes
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)
-
-    def density_hess(self, g, args=None):
-        return np.broadcast_to(self.planes[..., None],
-                               self.planes.shape + g.shape[-1:])
-
-
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from(["cb", "hoc4", "hoc6", "ill2"]),
        st.integers(1, 70))
@@ -294,7 +279,9 @@ def test_one_element_band_matches_the_streamed_band(data, key, N):
     # and the slice scatter build from the same planes. BLAS can round
     # hoc6's 45-term sums differently in a narrow product and a wide one
     # (OpenBLAS 0.3.31 on AVX-512 does past n = 108, and in the last two
-    # columns at n = 2 (mod 4)), so there the bands agree to roundoff only
+    # columns at n = 2 (mod 4)), so there the bands agree to roundoff only.
+    # The band builder is the one both forms of `assemble` share; the
+    # planes are the slot form's
     model = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
     k = len(model.density_orders)
     a = data.draw(arrays(float, (k, k, QUAD_POINTS),
@@ -303,13 +290,12 @@ def test_one_element_band_matches_the_streamed_band(data, key, N):
     sp = PeriodicSplineSpace(N)
     # scatter nothing: the one-element path must not reach the scatter
     sp.scatter_add = None
-    H = assemble(_HomogeneousPlanes(model, planes), sp).hessian(
-        np.zeros(sp.n))
+    hess_kernel = fem._element_kernels(model.density_orders)[1]
+    d2w = np.broadcast_to(planes.reshape(-1, 1), (planes.size, sp.n))
+    H = fem._hessian_band(sp, hess_kernel, d2w, False)
     assert np.all(H.diags == H.diags[:, :1])
     assert H.is_circulant() == (sp.n > 10)
-    hess_kernel = fem._element_kernels(model.density_orders)[1]
-    d2w = np.asfortranarray(np.broadcast_to(planes.reshape(-1, 1),
-                                            (planes.size, sp.n)))
+    d2w = np.asfortranarray(d2w)
     streamed, size = (_streamed_scatter(
         (f(hess_kernel[io]) @ f(d2w) for io in range(6)), sp.n)
         for f in (np.asarray, np.abs))
@@ -362,22 +348,27 @@ def test_solver_energy_matches_continuum_energy(key, potential, N):
 def test_a_solve_evaluates_the_density_once_per_objective_call(key,
                                                                monkeypatch):
     # the field's energy is the one of Newton's last objective call, with
-    # no evaluation of its own, and bitwise a fresh problem's there
+    # no evaluation of its own, and bitwise a fresh problem's there; the
+    # bond form evaluates phi of every bond at the elements' points in one
+    # call of the potential
     N = 16
     m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
     calls = {"density": 0, "objective": 0}
-    density, newton = m.density, fem.newton_minimize
+    phi, newton = m.potential.derivative_unchecked, fem.newton_minimize
 
-    def counted(name, fn):
+    def counted_phi(j, r):
+        calls["density"] += j == 0 and np.shape(r)[-1] == 2 * N
+        return phi(j, r)
+
+    def counted(fn):
         def call(*args):
-            calls[name] += 1
+            calls["objective"] += 1
             return fn(*args)
         return call
 
-    monkeypatch.setattr(m, "density", counted("density", density))
+    monkeypatch.setattr(m.potential, "derivative_unchecked", counted_phi)
     monkeypatch.setattr(fem, "newton_minimize", lambda prob, x0: newton(
-        dataclasses.replace(prob, objective=counted("objective",
-                                                    prob.objective)), x0))
+        dataclasses.replace(prob, objective=counted(prob.objective)), x0))
     u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
     assert calls["density"] == calls["objective"] > 1
     assert u.energy == assemble(m, PeriodicSplineSpace(N),
@@ -421,11 +412,10 @@ def test_assembled_callbacks_share_one_evaluation_per_point(key):
 
 def _reference_callbacks(model, space, c):
     """Objective, gradient and Hessian band of `assemble(model, space)` at
-    c by the formulas the fast paths replaced: bond arguments by
+    c by the slot-form formulas of an earlier version: bond arguments by
     np.tensordot, coefficient rows rebuilt per call, density planes at every
     element, and (11, n) element rows from a column-major operand streamed
-    through `_streamed_scatter`; with the band of the magnitudes of its
-    terms, the scale of its roundoff."""
+    through `_streamed_scatter`."""
     n = space.n
     g = space.derivatives_at_quad(c, model.density_orders)
     if model.key == "ill2":
@@ -450,10 +440,51 @@ def _reference_callbacks(model, space, c):
     grad_kernel, hess_kernel = fem._element_kernels(model.density_orders)
     grad = space.scatter_add(grad_kernel @ dw.reshape(-1, n))
     d2w = np.asfortranarray(d2w.reshape(-1, n))
-    band, size = (_streamed_scatter((f(hess_kernel[io]) @ f(d2w)
-                                     for io in range(6)), n)
-                  for f in (np.asarray, np.abs))
-    return energy, grad, band, size
+    band = _streamed_scatter((hess_kernel[io] @ d2w for io in range(6)), n)
+    return energy, grad, band
+
+
+def _roundoff_scales(model, space, c):
+    """For a composed model: the sums of the magnitudes of the terms of the
+    energy, the gradient and the Hessian band of `assemble(model, space)`
+    at c, the scales of their roundoff in either form. A derivative
+    phi_rho^(j) is taken at a bond argument that sums six rounded products
+    of the gathered coefficients, so its terms carry, to first order,
+    |phi_rho^(j+1)| times 6 times the sum of those products' magnitudes
+    (Higham's gamma_6) besides |phi_rho^(j)|; the energy's also carry the
+    homogeneous density it subtracts."""
+    n, eps = space.n, np.finfo(float).eps
+    slots = np.array(model.density_orders) - 1
+    k = len(slots)
+    g = space.derivatives_at_quad(c, model.density_orders)
+    args = model.bond_args(g)
+    T, C = np.abs(space.template[:, 1:, :]), np.abs(space.gather(c))
+    energy = 0.0
+    dw = np.zeros((k,) + g.shape[1:])
+    d2w = np.zeros((k, k) + g.shape[1:])
+    for rho, coeffs in model.coeffs.items():
+        arg = 6 * np.einsum("m,omq,oe->qe", np.abs(coeffs), T, C)
+        p = [np.abs(model.phi[rho].derivative(j, args[rho])) for j in range(4)]
+        p00 = abs(model.phi[rho].derivative(0, np.zeros(1))[0])
+        energy += float(np.sum(space.qw @ (p[0] + p00 + p[1] * arg)))
+        row = np.abs(coeffs[slots])
+        dw += row[:, None, None] * (p[1] + p[2] * arg)
+        d2w += np.multiply.outer(row, row)[..., None, None] * (p[2]
+                                                               + p[3] * arg)
+    grad_kernel, hess_kernel = fem._element_kernels(model.density_orders)
+    grad = space.scatter_add(np.abs(grad_kernel) @ dw.reshape(-1, n))
+    band = _streamed_scatter((np.abs(hess_kernel[io]) @ d2w.reshape(-1, n)
+                              for io in range(6)), n)
+    return eps * energy, eps * grad, eps * band
+
+
+def _assert_within_roundoff(prob, model, space, c, want):
+    """prob's energy, gradient and band at c within 4 roundoff scales of
+    `want`'s."""
+    scales = _roundoff_scales(model, space, c)
+    got = (prob.energy(c), prob.gradient(c), prob.hessian(c).diags)
+    for a, b, scale in zip(got, want, scales):
+        assert np.all(np.abs(a - b) <= 4 * scale)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
@@ -461,43 +492,81 @@ def _reference_callbacks(model, space, c):
     ("lj", "cb"), ("lj", "hoc4"), ("lj", "ill2"),
     ("harmonic", "cb"), ("harmonic", "hoc4"), ("harmonic", "hoc6")])
 def test_callbacks_match_the_formulas_they_replaced(potential, key, N):
-    # objective, gradient and band bitwise those of the reference formulas;
-    # hoc6's 45-term products round differently in the one-element path
-    # (see test_one_element_band_matches_the_streamed_band), so its band
-    # agrees to roundoff only
+    # ill2's slot form keeps the reference formulas' objective, gradient
+    # and band bit for bit; the composed models' bond form sums other
+    # terms, and agrees with them to roundoff
     m = continuum_model(key, make_potential(potential), bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
     c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(sp.n)
-    energy, grad, band, size = _reference_callbacks(m, sp, c)
+    want = _reference_callbacks(m, sp, c)
     prob = assemble(m, sp)
-    assert prob.energy(c) == energy
-    assert np.array_equal(prob.gradient(c), grad)
-    H = prob.hessian(c).diags
-    if key == "hoc6":
-        assert np.all(np.abs(H - band) <= 4 * np.finfo(float).eps * size)
+    if key == "ill2":
+        _assert_same_bits((prob.energy(c), prob.gradient(c),
+                           prob.hessian(c).diags), want)
     else:
-        assert np.array_equal(H, band)
+        _assert_within_roundoff(prob, m, sp, c, want)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("potential", ["harmonic", "lj", "morse"])
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "first"])
+def test_bond_form_matches_the_slot_form(key, potential, N):
+    # the same composed model assembled from its density methods' planes
+    # (the slot form, which ill2 takes), at a stretched chain
+    m, slot = (continuum_model(key, make_potential(potential), bonds=(1, 2),
+                               F=1.1) for _ in range(2))
+    slot.bond_form = False
+    sp = PeriodicSplineSpace(N)
+    c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(sp.n)
+    want = assemble(slot, sp)
+    _assert_within_roundoff(assemble(m, sp), m, sp, c, (
+        want.energy(c), want.gradient(c), want.hessian(c).diags))
+
+
+@pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "first"])
+def test_bond_form_names_the_element_the_slot_form_names(key):
+    # a start outside the potential's domain names the element of the
+    # shortest bond, whichever form evaluates it
+    N = 8
+    sp = PeriodicSplineSpace(N)
+    for j in (0, 4, 15):
+        bad = np.zeros(sp.n)
+        bad[j], bad[(j + 1) % sp.n] = 4.0, -4.0
+        messages = []
+        for bond_form in (True, False):
+            m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
+            m.bond_form = bond_form
+            with pytest.raises(optimize.DomainError, match="element") as err:
+                solve_continuum(m, sp, x0=bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("N", [1, 1024])
 @pytest.mark.parametrize("key", ["cb", "hoc4", "hoc6", "ill2", "first"])
 def test_quadratic_hessian_evaluates_the_planes_of_four_elements(key, N):
     # a quadratic density has equal planes everywhere, so the Hessian
-    # callback evaluates them on the (at most) 4 element columns that the
-    # one-element stencil reads, not on all n
+    # callback evaluates phi'' at the points of the (at most) 4 element
+    # columns that the one-element stencil reads, not at all n: once for
+    # the bond form, and in the density planes of ill2's slot form
     m = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
-    columns = []
-    density_hess = m.density_hess
+    calls = []
+    phi = m.potential.derivative_unchecked
 
-    def recorded(g, args=None):
-        columns.append({g.shape[-1]} | {a.shape[-1] for a in args.values()})
-        return density_hess(g, args)
+    def recorded(j, r):
+        calls.append((j, np.shape(r)[-1]))
+        return phi(j, r)
 
-    m.density_hess = recorded
+    m.potential.derivative_unchecked = recorded
     c = 0.05 * np.random.default_rng(N).standard_normal(sp.n)
-    H = assemble(m, sp).hessian(c)
-    assert columns == [{min(sp.n, 4)}]
+    prob = assemble(m, sp)
+    calls.clear()
+    H = prob.hessian(c)
+    assert {cols for _, cols in calls} == {min(sp.n, 4)}
+    assert (2, min(sp.n, 4)) in calls
+    if m.bond_form:
+        assert calls == [(2, min(sp.n, 4))]
     assert np.all(H.diags == H.diags[:, :1])
 
 

@@ -28,7 +28,8 @@ from chain_elastica.harness import (CONSISTENCY_MODELS, ConvergenceRecord,
                                     unfitted_consistency, unfitted_models,
                                     write_records_csv, write_stability)
 from chain_elastica.optimize import PeriodicBand
-from chain_elastica.potentials import POTENTIAL_KINDS, make_potential
+from chain_elastica.potentials import (POTENTIAL_KINDS, PairPotential,
+                                      make_potential)
 from chain_elastica.splines import (periodic_spline_coefficients,
                                     reproducing_kernel)
 
@@ -129,6 +130,23 @@ def test_consistency_evaluates_the_test_field_once_per_N(models,
     Ns = (8, 16, 32)
     run_consistency(StudyConfig(potential="lj"), Ns=Ns, models=models)
     assert sorted(calls) == [d for d in range(6) for _ in Ns]
+
+
+def test_consistency_checks_each_stress_argument_once(monkeypatch):
+    # each model's stress checks the argument of each bond once, and takes
+    # its other derivative orders unchecked: one checked call per model,
+    # bond and N
+    calls, derivative = [], PairPotential.derivative
+
+    def counted(self, j, r):
+        calls.append(j)
+        return derivative(self, j, r)
+
+    monkeypatch.setattr(PairPotential, "derivative", counted)
+    cfg = StudyConfig(potential="lj")
+    Ns = (8, 16, 32, 64, 128)
+    run_consistency(cfg, Ns=Ns)
+    assert len(calls) == len(CONSISTENCY_MODELS) * len(cfg.bonds()) * len(Ns)
 
 
 def test_a_zero_test_field_leaves_the_model_unfitted():
