@@ -186,10 +186,10 @@ def test_cli_outputs_deterministic(tmp_path):
                     == (outs[1] / name).read_bytes()), (argv[0], name)
 
 
-def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
-    # one parser serves every call of a process: a second pass of the same
-    # calls, a failed one among them, writes the same bytes as the first
-    assert cli._parser() is cli._parser()
+def test_cli_parsing_keeps_no_state(tmp_path):
+    # every call of a process parses through the same flag tables: a second
+    # pass of the same calls, a failed one among them, writes the same bytes
+    # as the first
     calls = (["consistency"], ["stability", "--potential", "lj"],
              ["sweep", "--eps-list", "0.3"],
              ["sweep", "--model", "cb", "--eps-list", "2^-3..2^-5"])
@@ -346,7 +346,10 @@ def test_cli_rejects_atomistic_model(capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main([command, "--model", "atomistic"])
         assert exc.value.code == 2
-    assert "invalid choice: 'atomistic'" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"chain-elastica {command}: error: ")
+        assert "invalid choice: 'atomistic'" in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,12 +364,73 @@ def test_cli_rejects_atomistic_model(capsys):
     ["consistency", "--eps", "0.25"],
     ["solve", "--eps-list", "2^-3..2^-4"],
     ["solve", "--eps-min", "0.5"],
+    # a flag is spelled out in full: no prefix of one is taken for it
+    ["sweep", "--pot", "lj"],
+    ["stability", "--pot=lj"],
 ])
 def test_cli_rejects_flags_the_command_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    flag = argv[1].partition("=")[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"chain-elastica {argv[0]}: error: unrecognized argument {flag!r} "
+        f"({argv[0]} takes {', '.join(cli._COMMAND_FLAGS[argv[0]])})"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "chain-elastica: error: no command (choose from sweep, solve, "
+     "consistency, stability)"),
+    (["fit"], "chain-elastica: error: invalid command 'fit' (choose from "
+     "sweep, solve, consistency, stability)"),
+    (["--potential", "lj"], "chain-elastica: error: invalid command "
+     "'--potential' (choose from sweep, solve, consistency, stability)"),
+    (["sweep", "--potential"],
+     "chain-elastica sweep: error: argument --potential: expected one "
+     "argument"),
+    (["solve", "--eps", "--model", "cb"],
+     "chain-elastica solve: error: argument --eps: expected one argument"),
+    (["consistency", "--model=hoc4", "--model"],
+     "chain-elastica consistency: error: argument --model: expected one "
+     "argument"),
+    (["stability", "lj"], "chain-elastica stability: error: unrecognized "
+     "argument 'lj' (stability takes --config, --potential, --out)"),
+    (["sweep", "--interp=linear"], "chain-elastica sweep: error: argument "
+     "--interp: invalid choice: 'linear' (choose from 'pi', 'cubic', "
+     "'quartic')"),
+], ids=["no-command", "unknown-command", "flag-before-command",
+        "no-value-at-end", "flag-for-value", "no-value-after-equals-form",
+        "positional", "bad-choice-equals-form"])
+def test_cli_rejects_a_bad_command_line_with_one_line(argv, line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and not captured.out
+
+
+def test_cli_takes_flag_equals_value(tmp_path):
+    # --flag=value and --flag value write the same bytes
+    argv = ["sweep", "--potential", "lj", "--model", "cb", "--eps-list",
+            "2^-3..2^-5", "--out"]
+    assert cli_main(argv + [str(tmp_path / "a")]) == 0
+    joined = ["sweep"] + [f"{flag}={value}" for flag, value
+                          in zip(argv[1::2], argv[2::2])]
+    assert cli_main(joined + [f"--out={tmp_path / 'b'}"]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "-h"],
+                                  ["solve", "--eps", "0.25", "--help"]])
+def test_cli_help_prints_the_usage(argv, capsys):
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.__doc__ and not captured.err
+    assert "chain-elastica sweep [common]" in captured.out
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,9 +446,10 @@ def test_cli_rejects_invalid_eps(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith(f"chain-elastica {argv[0]}: error: argument "
-                              f"{argv[1]}: {argv[2]!r}: ")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"chain-elastica {argv[0]}: error: argument "
+                             f"{argv[1]}: {argv[2]!r}: ")
 
 
 @pytest.mark.parametrize("command", ["stability", "consistency", "sweep",
@@ -400,9 +465,9 @@ def test_cli_rejects_empty_out_dir(command, source, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == (f"chain-elastica {command}: error: empty output "
-                       "directory (--out or out_dir)")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chain-elastica {command}: error: empty output "
+                   "directory (--out or out_dir)"]
 
 
 @pytest.mark.parametrize("argv, user", [
@@ -421,10 +486,9 @@ def test_cli_rejects_chains_too_small_for_the_hermite_interpolant(
         cli_main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
     eps = argv[argv.index("--eps") + 1] if "--eps" in argv else "0.5"
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == (f"chain-elastica {argv[0]}: error: eps = "
-                       f"{float(eps)!r} is too large: {user} needs "
-                       "eps <= 1/4")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chain-elastica {argv[0]}: error: eps = "
+                   f"{float(eps)!r} is too large: {user} needs eps <= 1/4"]
 
 
 def test_cli_solves_the_smallest_hermite_chain(tmp_path):
@@ -494,9 +558,9 @@ def test_cli_config_errors_exit_2_with_one_line(text, message, tmp_path,
     with pytest.raises(SystemExit) as exc:
         cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == (f"chain-elastica sweep: error: --config {path}: "
-                       f"{message}")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chain-elastica sweep: error: --config {path}: "
+                   f"{message}"]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -549,8 +613,8 @@ def test_cli_config_fuzz_exits_0_or_2_with_one_line(
             code = exc.code
     lines, printed = err.getvalue().splitlines(), out.getvalue().splitlines()
     if code == 2:
-        assert [line for line in lines if "error:" in line] == lines[-1:]
-        assert lines[-1].startswith(f"chain-elastica {command}: error: ")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"chain-elastica {command}: error: ")
         return
     assert code == 0 and not lines and printed
     if command != "stability":
@@ -573,9 +637,9 @@ def test_cli_rejects_a_repeated_model(command, tmp_path, capsys):
         cli_main([command, "--model", "cb", "--model", "hoc4", "--model",
                   "cb", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == (f"chain-elastica {command}: error: models: 'cb' is "
-                       "repeated")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chain-elastica {command}: error: models: 'cb' is "
+                   "repeated"]
 
 
 @pytest.mark.parametrize("eps_list, message", [
@@ -587,8 +651,8 @@ def test_cli_rejects_a_repeated_eps(eps_list, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["sweep", "--eps-list", eps_list, "--out", str(tmp_path)])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == f"chain-elastica sweep: error: eps_list: {message}"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"chain-elastica sweep: error: eps_list: {message}"]
     assert not (tmp_path / "records.csv").exists()
 
 
@@ -619,11 +683,11 @@ def test_cli_consistency_names_a_stress_outside_the_domain(F, tmp_path,
         cli_main(["consistency", "--potential", "lj", "--config", str(path),
                   "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == (
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
         f"chain-elastica consistency: error: F = {F!r}: the test field "
         "0.1*sin(pi x / N) leaves the potential's domain at N = 8: bond "
-        "rho=1: pair potential evaluated at nonpositive distance")
+        "rho=1: pair potential evaluated at nonpositive distance"]
 
 
 def test_cli_consistency_takes_the_config_models(tmp_path):
@@ -1048,16 +1112,18 @@ def test_a_sweep_loads_no_numpy_polynomial(tmp_path):
 
 def test_no_command_loads_the_oracles(tmp_path):
     # the reference oracles stay off every command's path: neither the
-    # package nor a command imports them, at import time or later
+    # package nor a command imports them, at import time or later; nor do
+    # they load argparse or what it loads to word its messages
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    names = ("chain_elastica.oracles", "argparse", "gettext", "locale")
     commands = [["sweep", "--eps-list", "2^-3..2^-5"], ["solve"],
                 ["consistency"], ["stability"]]
     code = "\n".join([
         "import sys",
         "from chain_elastica.cli import main",
         "def loaded(step):",
-        "    print('oracles after', step, 'chain_elastica.oracles' in "
-        "sys.modules)",
+        f"    for name in {names!r}:",
+        "        print(name, 'after', step, name in sys.modules)",
         "loaded('import')",
         f"for argv in {commands!r}:",
         f"    assert main(argv + ['--out', {str(tmp_path)!r} + '/' + argv[0]])"
@@ -1068,7 +1134,7 @@ def test_no_command_loads_the_oracles(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = [line for line in proc.stdout.splitlines()
-              if line.startswith("oracles after")]
-    assert report == [f"oracles after {step} False" for step in
+              if line.startswith(names)]
+    assert report == [f"{name} after {step} False" for step in
                       ("import", "sweep", "solve", "consistency",
-                       "stability")]
+                       "stability") for name in names]
