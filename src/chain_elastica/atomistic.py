@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
-from .optimize import (DomainError, MinimizeProblem, PeriodicBand,
-                       evaluate_once, newton_minimize)
+from .optimize import (DomainError, PeriodicBand, evaluate_once,
+                       newton_minimize, stack_of_one)
 from .potentials import shifted
 from .splines import KernelField
 
@@ -103,7 +103,8 @@ class AtomisticSystem:
         return H
 
     def objective_problem(self, max_iter=500):
-        """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors; its
+        """E_a(u) - <f, u> as a MinimizeProblem over mean-zero vectors, a
+        stack of one; its
         callbacks share the strains of one point (`evaluate_once`), and the
         Hessian callback builds a fresh band from them at every call. It is
         `quadratic` when the potential is."""
@@ -120,13 +121,17 @@ class AtomisticSystem:
         def hess(u):
             return self.hessian(u, strains(u))
 
-        return MinimizeProblem(obj, grad, hess, max_iter=max_iter,
-                               quadratic=self.potential.quadratic)
+        return stack_of_one(obj, grad, hess, max_iter=max_iter,
+                            quadratic=self.potential.quadratic)
 
     def solve(self, max_iter=500, u0=None):
+        """Minimize from u0 (zero by default); a start with a collapsed
+        bond raises DomainError."""
         prob = self.objective_problem(max_iter)
         x0 = np.zeros(2 * self.N) if u0 is None else np.asarray(u0, float)
-        res = newton_minimize(prob, x0)
+        res, = newton_minimize(prob, x0[None])
+        if res.outside_domain:
+            raise DomainError(res.message)
         u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
         ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
         return AtomisticSolution(u, self.energy_above_homogeneous(u.values),

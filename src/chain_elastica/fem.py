@@ -36,6 +36,11 @@ class IndefiniteHessianError(RuntimeError):
 
 # Gauss points per element of every FEM integral
 QUAD_POINTS = 5
+# `scatter_add` takes one bincount up to this n and slice adds above it:
+# for three stacked (6, n) arrays, 1.7 against 32 us at n = 16, 9 against
+# 33 at 256, 33 against 40 at 1024 and 67 against 46 at 2048, where the
+# bincount's (rows, 6, n) targets also take one more array of that size
+_BINCOUNT_MAX_N = 512
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +73,7 @@ class PeriodicSplineSpace:
         self.template = _gauss_template(5)
         # element m's offset o lands on dof (m + o) % n: a shift by o % n
         self._shifts = [int(o) % self.n for o in self.offsets]
+        self._stacked = {}
 
     def field(self, coeffs):
         return FemField(coeffs, self)
@@ -100,19 +106,44 @@ class PeriodicSplineSpace:
         return self.scatter_add(
             np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw))
 
-    def scatter_add(self, local):
-        """out[j] = sum_o local[o][(j - o) % n], summed in the order of
-        `offsets`, each offset's (n, ...) part shifted by o % n in two slice
-        adds. `local` is a (6, n, ...) array, or an iterable of six parts
-        made one at a time so that they are never all held at once."""
-        n, out = self.n, None
-        for s, part in zip(self._shifts, local):
+    def scatter_add(self, local, out=None):
+        """out[..., j] = sum_o local[o][..., (j - o) % n], summed in the
+        order of `offsets`, starting from zero. `local` is a (6, ..., n)
+        array, or an iterable of six (..., n) parts made one at a time so
+        that they are never all held at once. `out`, if given, receives the
+        sum. Each part is shifted by o % n in two slice adds along its last
+        axis; an array of n <= `_BINCOUNT_MAX_N` goes through one
+        `np.bincount`, which adds the same terms to each entry in the same
+        order, at a fraction of the slices' per-call cost."""
+        n = self.n
+        if isinstance(local, np.ndarray) and n <= _BINCOUNT_MAX_N:
+            parts = np.moveaxis(local, 0, -2)
+            rows = parts.size // (6 * n)
+            total = np.bincount(self._stacked_sites(rows), parts.ravel(),
+                                minlength=rows * n)
+            total = total.reshape(parts.shape[:-2] + (n,))
             if out is None:
-                out = np.zeros(part.shape)
+                return total
+            out[...] = total
+            return out
+        for i, (s, part) in enumerate(zip(self._shifts, local)):
+            if i == 0 and out is None:
+                out = np.zeros_like(part)
+            elif i == 0:
+                out[...] = 0.0
             if s:
-                out[:s] += part[n - s:]
-            out[s:] += part[:n - s]
+                out[..., :s] += part[..., n - s:]
+            out[..., s:] += part[..., :n - s]
         return out
+
+    def _stacked_sites(self, rows):
+        """The flat targets of the (rows, 6, n) parts of `scatter_add`:
+        row r's offset o at element m lands on r n + (m + o) % n."""
+        sites = self._stacked.get(rows)
+        if sites is None:
+            sites = self._stacked[rows] = (
+                self._sites + self.n * np.arange(rows)[:, None, None]).ravel()
+        return sites
 
 
 class FemField(KernelField):
@@ -165,100 +196,160 @@ def _element_kernels(orders):
 
 
 @lru_cache(maxsize=16)
-def _bond_kernels(coeffs):
-    """The bond form's tables for the per-bond coefficient rows `coeffs`
-    (a tuple of five-entry tuples, entry m - 1 for grad^m u), computed once
-    and read-only. Row k = (bond rho, Gauss point q) of
+def _bond_kernels(stack):
+    """The bond form's tables for a stack of models, each given by its
+    per-bond coefficient rows (a tuple of five-entry tuples, entry m - 1
+    for grad^m u), computed once and read-only. For each model, row
+    k = (bond rho, Gauss point q) of
       template[k, o] = sum_m c_m(rho) T[o, m, q]
     gives the bond strains at an element from its six coefficients, with T
     the `_gauss_template(5)`; w[k] = w_q, and
       gradient  local[o, m] = sum_k w_k template[k, o] phi'(k, m)
       Hessian   local[o, p, m] = sum_k w_k template[k, o] template[k, p]
                                                    * phi''(k, m)
-    the gradient's as (6, K) rows, the Hessian's in `_band_kernel`
-    layout."""
+    the gradient's as (6, K) rows, the Hessian's in `_band_kernel` layout.
+    The templates and gradient rows are stacked over the models, (m, K, 6)
+    and (m, 6, K); the Hessian kernels are one per model."""
     qw = gauss_rule(QUAD_POINTS)[1]
     T = _gauss_template(5)[:, 1:, :]
-    template = np.concatenate([np.einsum("m,omq->qo", c, T)
-                               for c in np.array(coeffs)])
-    w = np.tile(qw, len(coeffs))
-    grad_kernel = template.T * w
+    template = np.stack([np.concatenate([np.einsum("m,omq->qo", c, T)
+                                         for c in np.array(coeffs)])
+                         for coeffs in stack])
+    w = np.tile(qw, len(stack[0]))
+    grad_kernel = template.swapaxes(1, 2) * w
+    hess_kernels = tuple(_band_kernel(g[:, None] * t.T)
+                         for g, t in zip(grad_kernel, template))
     for a in (template, w, grad_kernel):
         a.flags.writeable = False
-    return (template, w, grad_kernel,
-            _band_kernel(grad_kernel[:, None] * template.T))
+    return template, w, grad_kernel, hess_kernels
 
 
-def _check_domain(margin, space):
-    """Raise DomainError naming the element of the smallest `margin`, a
-    (..., n) array with element m in column m, unless all of it is
-    positive."""
-    if margin.min() <= 0.0:
-        elem = int(np.argmin(margin) % space.n) - space.N
-        raise DomainError(f"density domain violation in element "
-                          f"[{elem}, {elem + 1}]")
+def _check_domain(margin, rows, space):
+    """Raise DomainError unless every entry of `margin`, (k, ..., n) with
+    element m in column m for the stack rows `rows`, is positive; it names,
+    for each row that is not, the element of its smallest entry."""
+    if margin.min() > 0.0:
+        return
+    outside = {}
+    for j in np.flatnonzero(margin.reshape(len(margin), -1).min(axis=1)
+                            <= 0.0):
+        elem = int(np.argmin(margin[j]) % space.n) - space.N
+        outside[rows[j]] = (f"density domain violation in element "
+                            f"[{elem}, {elem + 1}]")
+    if outside:
+        raise DomainError(next(iter(outside.values())), rows=outside)
 
 
-def _slot_form(model, space):
-    """`assemble`'s evaluation of any model through its density methods:
-    the gradient stack g at the Gauss points and the model's bond arguments,
+def _slot_form(models, space):
+    """`assemble`'s evaluation of one model through its density methods: the
+    gradient stack g at the Gauss points and the model's bond arguments,
     with the (k, n) first-derivative and (k^2, n) second-derivative planes
     of its `density_orders`, and the matching element kernels."""
+    model, = models
     orders, n = model.density_orders, space.n
     w0 = model.density0()
+    grad_kernel, hess_kernel = _element_kernels(orders)
 
-    def evaluate(c):
-        g = space.derivatives_at_quad(c, orders)
+    def evaluate(c, rows):
+        g = space.derivatives_at_quad(c[0], orders)
         args = model.bond_args(g)
-        _check_domain(model.domain_margin(g, args), space)
+        _check_domain(model.domain_margin(g, args)[None], rows, space)
         return g, args
 
-    def energy(at):
+    def energy(rows, at):
         g, args = at
-        return float(np.sum(space.qw @ (model.density(g, args) - w0)))
+        return np.array([np.sum(space.qw @ (model.density(g, args) - w0))])
 
-    def first(at):
-        return model.density_grad(*at).reshape(-1, n)
+    def gradient_parts(rows, at):
+        return (grad_kernel @ model.density_grad(*at).reshape(-1, n))[:, None]
 
-    def second(at, cols):
+    def hessian_planes(rows, at, cols):
         g, args = at
         g, args = g[..., cols], {rho: a[..., cols] for rho, a in args.items()}
-        return model.density_hess(g, args).reshape(-1, g.shape[-1])
+        yield (model.density_hess(g, args).reshape(-1, g.shape[-1]),
+               hess_kernel)
 
-    return (evaluate, energy, first, second) + _element_kernels(orders)
+    return evaluate, energy, gradient_parts, hessian_planes, lambda: None
 
 
-def _bond_form(model, space):
-    """`assemble`'s evaluation of a composed density sum_rho phi_rho(a_rho)
-    (`bond_form`): the bond lengths a_rho + F rho at every bond and Gauss
-    point, one (B Q, 6) x (6, n) product, and phi', phi'' there, one call
-    of the potential each, with the `_bond_kernels`."""
-    template, w, grad_kernel, hess_kernel = _bond_kernels(
-        tuple(tuple(c.tolist()) for c in model.coeffs.values()))
+def _bond_stack(models, space):
+    """`assemble`'s evaluation of composed densities sum_rho phi_rho(a_rho)
+    (`bond_form`) that share their potential, bonds and F, on a stack of
+    coefficient rows, one per model: the bond lengths a_rho + F rho at every
+    bond and Gauss point, from one gather and one stacked (B Q, 6) x (6, n)
+    product, and phi, phi' or phi'' there, one call of the potential for the
+    stack, with each model's `_bond_kernels`. The lengths, which the
+    callbacks share as their evaluation, the planes and the other arrays of
+    a call are views of one block, allocated for the whole stack and
+    written in place: a call for k rows uses the first k of each. The last
+    callable returned drops the block, to be made anew by the next call."""
+    template, w, grad_kernel, hess_kernels = _bond_kernels(tuple(
+        tuple(tuple(c.tolist()) for c in m.coeffs.values()) for m in models))
+    model = models[0]
     shift = np.repeat(model.F * np.array(model.bonds, float),
                       QUAD_POINTS)[:, None]
-    phi = model.potential.derivative_unchecked
-    phi0 = phi(0, shift)
+    potential = model.potential
+    phi0 = potential.derivative_unchecked(0, shift)
+    m, K, n = len(models), len(w), space.n
+    size = m * K * n
+    block = [np.empty(n * m * (2 * K + max(K, 6)))]
+    views = {}
 
-    def evaluate(c):
-        lengths = template @ space.gather(c)
-        lengths += shift
-        _check_domain(lengths, space)
-        return lengths
+    def arrays(k, rows=K):
+        """Views for k stack rows of the block that the calls write in
+        place, made anew after a release: the lengths and phi's planes,
+        (k, K, n), and `rows` more rows of n per stack row, for phi's second
+        term, the gathered coefficients or the gradient's element parts."""
+        if (k, rows) not in views:
+            if not block:
+                block.append(np.empty(n * m * (2 * K + max(K, 6))))
+            used = k * K * n
+            views[k, rows] = (
+                block[0][:used].reshape(k, K, n),
+                block[0][size:size + used].reshape(k, K, n),
+                block[0][2 * size:2 * size + k * rows * n].reshape(
+                    k, rows, n))
+        return views[k, rows]
 
-    def energy(lengths):
-        return float(np.sum(w @ (phi(0, lengths) - phi0)))
+    def release():
+        block.clear()
+        views.clear()
 
-    def first(lengths):
-        return phi(1, lengths)
+    def phi(j, lengths, cols=slice(None)):
+        """phi^(j) at the lengths' columns `cols`, in the planes; LJ's and
+        Morse's second term takes the rows after them."""
+        _, planes, rest = arrays(len(lengths))
+        return potential.derivative_unchecked(
+            j, lengths[..., cols], out=planes[..., cols], work=rest[..., cols])
 
-    def second(lengths, cols):
-        return phi(2, lengths[:, cols])
+    def evaluate(c, rows):
+        out, _, gathered = arrays(len(rows), 6)
+        # the sites are in range: "clip" only spares take a buffered copy
+        np.matmul(template if len(rows) == m else template[rows],
+                  np.take(c, space._sites, axis=1, mode="clip", out=gathered),
+                  out=out)
+        out += shift
+        _check_domain(out, rows, space)
+        return out
 
-    return evaluate, energy, first, second, grad_kernel, hess_kernel
+    def energy(rows, lengths):
+        at = phi(0, lengths)
+        at -= phi0
+        return np.sum(w @ at, axis=-1)
+
+    def gradient_parts(rows, lengths):
+        return np.matmul(grad_kernel if len(rows) == m else grad_kernel[rows],
+                         phi(1, lengths), out=arrays(len(rows), 6)[2]
+                         ).swapaxes(0, 1)
+
+    def hessian_planes(rows, lengths, cols):
+        at = phi(2, lengths, cols)
+        return ((at[j], hess_kernels[r]) for j, r in enumerate(rows))
+
+    return evaluate, energy, gradient_parts, hessian_planes, release
 
 
-def _hessian_band(space, hess_kernel, planes, equal):
+def _hessian_band(space, hess_kernel, planes, equal, work=None):
     """The band of the element Hessians from their planes, (K, columns)
     with element m in column m, contracted with `hess_kernel`. When the
     planes are `equal` at every element (a quadratic problem, whose planes
@@ -267,108 +358,150 @@ def _hessian_band(space, hess_kernel, planes, equal):
     Its products take 4 columns, as BLAS rounds 1- and 2-column ones
     differently from wider ones. Otherwise dof-major (n, 11) element rows
     are streamed (not stacked) through the scatter and written into the
-    band once."""
+    band once; `work`, two (n, 11) arrays, takes them and their sum if
+    given."""
     H = PeriodicBand(space.n, 5)
     if equal or np.all(planes == planes[:, :1]):
         one = np.asfortranarray(planes[:, :4])
-        H.diags[:] = sum(hess_kernel[io] @ one for io in range(6))[:, :1]
+        H.diags[:] = np.add.reduce(hess_kernel @ one, axis=0,
+                                   initial=0.0)[:, :1]
         return H
+    part, total = (None, None) if work is None else work
     H.diags[:] = space.scatter_add(
-        planes.T @ hess_kernel[io].T for io in range(6)).T
+        (np.matmul(planes.T, hess_kernel[io].T, out=part).T
+         for io in range(6)), out=None if total is None else total.T)
     return H
 
 
-def assemble(model, space, f=None):
-    """The forced continuum problem min E(u) - <f, u> over mean-zero spline
-    coefficients, with objective/gradient/Hessian by the element Gauss rule;
-    f is the load density (vectorized), or its `space.load_vector`, which
-    several models on one space can share. The density is accumulated
-    relative to the homogeneous state to keep the tiny energy differences
-    well conditioned.
+def assemble(models, space, f=None):
+    """The forced continuum problems min E(u) - <f, u> over mean-zero spline
+    coefficients of a stack of models, with objective/gradient/Hessian by
+    the element Gauss rule (a `MinimizeProblem` of one row per model); f is
+    the load density (vectorized), or its `space.load_vector`, which the
+    models share. The density is accumulated relative to the homogeneous
+    state to keep the tiny energy differences well conditioned.
 
-    A model whose density is a bond sum (`bond_form`: cb, hoc4, hoc6,
-    first) is assembled in bond form: the strain of bond rho at the Gauss
-    points is sum_m c_m(rho) grad^m u, so one template row per bond and
-    point maps an element's six coefficients to it, and phi, phi' and phi''
-    of every bond are one call of the potential at the lengths. ill2's
-    density is not such a sum, and is assembled in slot form, from the
-    planes of its density methods at the gradient stack.
+    Models whose density is a bond sum (`bond_form`: cb, hoc4, hoc6,
+    first) are assembled in bond form, all on one stack: the strain of bond
+    rho at the Gauss points is sum_m c_m(rho) grad^m u, so one template row
+    per bond and point maps an element's six coefficients to it, and phi,
+    phi' and phi'' of every bond of every row are one call of the potential
+    at the lengths. ill2's density is not such a sum; it is assembled alone,
+    a stack of one, in slot form, from the planes of its density methods at
+    the gradient stack.
 
-    The three callbacks share one evaluation per coefficient vector
-    (`evaluate_once`): the bond lengths, or the gradient stack and bond
-    arguments, whose domain is checked there once. The old evaluation is
-    dropped before a new one is made. The Hessian callback builds a fresh
-    band from the second-derivative planes at every call. The problem's
-    `energy` is the objective without its load term; it keeps its last
-    value, so `solve_continuum` reads the one of Newton's last objective
-    call. Every model's density is quadratic in the gradients exactly when
-    the potential is, and so is the problem (`quadratic`): then its planes
-    are equal at every point, and the Hessian evaluates those of 4
+    The three callbacks share one evaluation per array of points
+    (`evaluate_once`): the bond lengths of its rows, or the gradient stack
+    and bond arguments, whose domain is checked there once, per row. A new
+    evaluation is written over the old one. The gradient is scattered for
+    the whole stack at once, into an array allocated once. The Hessian
+    callback builds a fresh band for each row from its second-derivative
+    planes at every call; each band is built alone. The problem's `energy`
+    is the objective without its load term; it keeps its last value, so
+    `solve_continuum` reads the one of Newton's last objective call. Every
+    model's density is quadratic in the gradients exactly when the
+    potential is, and so is the problem (`quadratic`): then its planes are
+    equal at every point, and the Hessian evaluates those of 4
     elements."""
+    models = tuple(models)
     if f is None:
         load = np.zeros(space.n)
     else:
         load = space.load_vector(f) if callable(f) else np.asarray(f, float)
-    quadratic = model.potential.quadratic
+    quadratic = models[0].potential.quadratic
     cols = slice(0, 4) if quadratic else slice(None)
-    evaluate, energy_at, first, second, grad_kernel, hess_kernel = (
-        _bond_form if model.bond_form else _slot_form)(model, space)
-    at = evaluate_once(evaluate)
+    evaluate, energy_at, gradient_parts, hessian_planes, release = (
+        _bond_stack if all(m.bond_form for m in models) else _slot_form)(
+        models, space)
+    total = np.empty((len(models), space.n))
+
+    @evaluate_once
+    def at(c):
+        rows = [i for i, v in enumerate(c[:, 0].tolist()) if v == v]
+        return rows, evaluate(c if len(rows) == len(c) else c[rows], rows)
 
     @evaluate_once
     def energy(c):
-        return energy_at(at(c))
+        return energy_at(*at(c))
 
     def objective(c):
-        return energy(c) - float(np.dot(load, c))
+        rows = at(c)[0]
+        return energy(c) - [float(np.dot(load, c[i])) for i in rows]
 
     def gradient(c):
-        return space.scatter_add(grad_kernel @ first(at(c))) - load
+        rows, evaluation = at(c)
+        return space.scatter_add(gradient_parts(rows, evaluation),
+                                 out=total[:len(rows)]) - load
 
     def hessian(c):
-        return _hessian_band(space, hess_kernel, second(at(c), cols),
-                             quadratic)
+        if quadratic:
+            return [_hessian_band(space, kernel, planes, True)
+                    for planes, kernel in hessian_planes(*at(c), cols)]
+        work = np.empty((2, space.n, 11))
+        bands = [_hessian_band(space, kernel, planes, False, work)
+                 for planes, kernel in hessian_planes(*at(c), cols)]
+        # these bands take the reduction: the evaluation and its arrays are
+        # not held through it
+        at.forget()
+        release()
+        return bands
 
     return ContinuumProblem(objective, gradient, hessian,
                             quadratic=quadratic, energy=energy)
 
 
-def solve_continuum(model, space, f=None, max_iter=500, x0=None):
-    """Minimize the forced continuum energy from the coefficients x0 (zero
-    by default). Newton's last factorization certifies the stationary point
-    as a local minimizer; the unstable variants fail that check and raise
+def solve_continuum(models, space, f=None, max_iter=500, x0=None):
+    """Minimize the forced continuum energy of each model from its row of
+    the coefficients x0 (zero by default), all of them in one stack of
+    `assemble` and one lockstep Newton solve. Returns one entry per model,
+    in order: its FemField, or the error its solve ended with. Newton's
+    last factorization certifies the stationary point as a local
+    minimizer; the unstable variants fail that check and end in
     IndefiniteHessianError (a stationary point of an energy that is
     unbounded below is not a solution of the minimization problem), and a
-    start outside the potential's domain raises DomainError. f is passed
-    to `assemble`. The field's `energy` is the problem's at the returned
+    start outside the potential's domain ends in DomainError. f is passed
+    to `assemble`. A field's `energy` is the problem's at the returned
     coefficients, from the evaluation of Newton's last objective call."""
-    prob = assemble(model, space, f)
+    models = tuple(models)
+    prob = assemble(models, space, f)
     prob.max_iter = max_iter
-    try:
-        res = newton_minimize(prob, np.zeros(space.n) if x0 is None else x0)
-    except DomainError as err:
-        raise DomainError(
-            f"continuum model {model.key!r} starts outside the potential's "
-            f"domain at N={space.N}: {err}") from None
-    if res.hessian_indefinite:
-        raise IndefiniteHessianError(
-            f"continuum model {model.key!r} is not positive definite on the "
-            f"mean-zero subspace at N={space.N}: {res.message}")
-    field = space.field(res.x - res.x.mean())
-    field.result = res
-    field.energy = prob.energy(res.x)
-    return field
+    out = []
+    results = newton_minimize(prob, np.zeros((len(models), space.n))
+                              if x0 is None else x0)
+    for model, res in zip(models, results):
+        where = f"continuum model {model.key!r}"
+        if res.outside_domain:
+            out.append(DomainError(f"{where} starts outside the potential's "
+                                   f"domain at N={space.N}: {res.message}"))
+        elif res.hessian_indefinite:
+            out.append(IndefiniteHessianError(
+                f"{where} is not positive definite on the mean-zero subspace "
+                f"at N={space.N}: {res.message}"))
+        else:
+            out.append(space.field(res.x - res.x.mean()))
+            out[-1].result = res
+    fields = [i for i, u in enumerate(out) if isinstance(u, FemField)]
+    if fields:
+        points = np.full((len(models), space.n), np.nan)
+        points[fields] = [results[i].x for i in fields]
+        for i, e in zip(fields, prob.energy(points)):
+            out[i].energy = float(e)
+    return out
 
 
 def grad_l2_distance(a, b, N, npoints=5):
     """Composite Gauss norm ||grad a - grad b||_{L2(-N,N)}. Either field may
     be given as its gradient at the rule's points (`composite_points`), for
-    a field measured against several others."""
+    a field measured against several others; when both are, the rule's
+    points are not built."""
     def grad(u, x):
         return u if isinstance(u, np.ndarray) else u.eval(x, 1)
 
-    val = composite_integral(lambda x: (grad(a, x) - grad(b, x)) ** 2,
-                             N, npoints)
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        val = composite_integral((a - b) ** 2, N, npoints)
+    else:
+        val = composite_integral(lambda x: (grad(a, x) - grad(b, x)) ** 2,
+                                 N, npoints)
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -18,8 +18,8 @@ from .analysis import find_negative_mode, stability_constants, \
     atomistic_symbol, cb_symbol, hoc_taylor_symbol, direct_symbol
 from .atomistic import AtomisticSolution, AtomisticSystem, atomistic_stress
 from .continuum import MODEL_KEYS, SineField, continuum_model, gradients
-from .fem import PeriodicSplineSpace, energy_gap, grad_l2_distance, \
-    solve_continuum, IndefiniteHessianError
+from .fem import FemField, PeriodicSplineSpace, energy_gap, \
+    grad_l2_distance, solve_continuum
 from .lattice import hermite_interpolant
 from .optimize import DomainError
 from .potentials import POTENTIAL_KINDS, make_potential
@@ -94,7 +94,10 @@ class SlopeFit:
 
 
 def fit_slope(pairs, eps_min=0.0):
-    """Least squares on (log eps, log error); needs >= 3 positive points."""
+    """Least squares on (log eps, log error); needs >= 3 positive points.
+    The line is the closed-form two-parameter solution on the centred logs
+    (Bjorck, Numerical Methods for Least Squares Problems, 1996, §1.1):
+    slope = sum dx dy / sum dx^2 with dx, dy the logs less their means."""
     pts = [(e, v) for e, v in pairs if e >= eps_min]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 points")
@@ -102,7 +105,9 @@ def fit_slope(pairs, eps_min=0.0):
         raise ValueError("slope fit needs positive errors")
     le = np.log([e for e, _ in pts])
     lv = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(le, lv, 1)
+    dx = le - le.mean()
+    slope = float(dx @ (lv - lv.mean()) / (dx @ dx))
+    intercept = float(lv.mean() - slope * le.mean())
     resid = lv - (slope * le + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
@@ -175,8 +180,11 @@ class History:
 
 
 def solve_cell(cfg, eps, models, history=None):
-    """One eps of the study: the atomistic chain is solved once, then each
-    continuum model in `models` is solved and measured against it.
+    """One eps of the study: the atomistic chain is solved once, then the
+    continuum models in `models` are solved and each is measured against
+    it. The bond-form models (all but ill2) are one stack of one
+    `solve_continuum` call, solved in lockstep, and any other model is a
+    stack of its own; each model gets the bits it gets alone.
 
     `history` is the `History` that the cell before returned, or None.
     The chain and every model that does not `starts_from_chain` start from
@@ -189,9 +197,10 @@ def solve_cell(cfg, eps, models, history=None):
     extrapolation of its own, and keeps no history. A history whose eps
     this cell does not halve moves to an empty one.
 
-    What the models share is computed once per cell: the chain's energy
+    What the models share is built once per cell: the chain's energy
     above the homogeneous state (carried by its solution), grad I u at the
-    Gauss points of the error norm, and the FEM load vector. A model whose
+    Gauss points of the error norm, the space, the models and the FEM load
+    vector. A model whose
     Hessian is indefinite, or whose start is outside the potential's
     domain, gets a NaN record with the reason and no field.
     If the chain did not converge, the other records give that as their
@@ -217,16 +226,22 @@ def solve_cell(cfg, eps, models, history=None):
         cell.history.rows["chain"] = history.pushed("chain", start)
     chain_failure = ("" if sol_a.converged else
                      f"atomistic chain not converged: {sol_a.message}")
-    for key in models:
-        model = continuum_model(key, pot, bonds=bonds, F=cfg.F)
-        try:
-            u_c = solve_continuum(model, space, load, cfg.max_iter,
-                                  start if model.starts_from_chain
-                                  else history.start(key, start))
-        except (IndefiniteHessianError, DomainError) as exc:
+    conts = [continuum_model(key, pot, bonds=bonds, F=cfg.F) for key in models]
+    # the bond-form models in one stack, each other model alone
+    stacks = [[m for m in conts if m.bond_form]] + [
+        [m] for m in conts if not m.bond_form]
+    solved = {}
+    for stack in filter(None, stacks):
+        x0 = np.array([start if m.starts_from_chain
+                       else history.start(m.key, start) for m in stack])
+        solved.update(zip((m.key for m in stack), solve_continuum(
+            stack, space, load, cfg.max_iter, x0)))
+    for model in conts:
+        key, u_c = model.key, solved[model.key]
+        if not isinstance(u_c, FemField):
             cell.records.append(ConvergenceRecord(
                 key, eps, N, float("nan"), float("nan"), False,
-                reason=str(exc)))
+                reason=str(u_c)))
             continue
         if u_c.result.converged and not model.starts_from_chain:
             cell.history.rows[key] = history.pushed(key, u_c.coeffs)

@@ -15,7 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["PeriodicBand", "DomainError", "MinimizeProblem",
-           "MinimizeResult", "newton_minimize", "evaluate_once"]
+           "MinimizeResult", "StackResult", "newton_minimize",
+           "stack_of_one", "evaluate_once"]
 
 _DENSE = 64     # cyclic reduction ends in one dense Cholesky at this size
 
@@ -293,20 +294,41 @@ def _cyclic_reduction(diags, layout):
 class DomainError(ValueError):
     """Raised by a problem's callbacks at a point outside the domain of
     its objective, such as a chain with a bond compressed to nonpositive
-    length."""
+    length. A stacked callback names the rows of its points that are
+    outside in `rows`, row -> message; without them, every row is."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass
 class MinimizeProblem:
+    """A stack of m problems over mean-zero vectors of one length n, which
+    `newton_minimize` solves in lockstep. Each callback takes an (m, n)
+    array of points, skips its rows of NaN, and returns for the others, in
+    row order: the objective values (k,), the gradients (k, n) or the
+    Hessian bands (a list of k). A single problem is a stack of one
+    (`stack_of_one`)."""
     objective: Callable
     gradient: Callable
-    hessian: Callable          # x -> PeriodicBand
+    hessian: Callable          # points -> [PeriodicBand]
     max_iter: int = 500
-    quadratic: bool = False    # is the objective quadratic in x?
+    quadratic: bool = False    # is every objective quadratic in x?
+
+
+def stack_of_one(objective, gradient, hessian, **options):
+    """The MinimizeProblem of a stack of one, from callbacks on one vector
+    that return a float, an (n,) gradient and a band."""
+    return MinimizeProblem(lambda x: np.array([objective(x[0])]),
+                           lambda x: gradient(x[0])[None],
+                           lambda x: [hessian(x[0])], **options)
 
 
 @dataclass
 class MinimizeResult:
+    """One member's result; `outside_domain` flags a start outside the
+    objective's domain, which `message` names."""
     x: np.ndarray
     fun: float
     grad_norm: float
@@ -314,6 +336,16 @@ class MinimizeResult:
     converged: bool
     message: str = ""
     hessian_indefinite: bool = False
+    outside_domain: bool = False
+
+
+class StackResult(tuple):
+    """The MinimizeResults of a stack's members, in order."""
+
+    @property
+    def iterations(self):
+        """The Newton steps summed over the stack."""
+        return sum(r.iterations for r in self)
 
 
 # Newton stops once its step is this small relative to the point it reaches
@@ -324,10 +356,53 @@ STEP_RTOL = 1e-8
 ROUNDOFF_RTOL = 1e-10
 
 
+def _at_rows(x, rows):
+    """The (m, n) points x with every row not in `rows` NaN."""
+    if len(rows) == len(x):
+        return x
+    at = np.empty_like(x)
+    for i in range(len(x)):     # a stack has a few rows
+        at[i] = x[i] if i in rows else np.nan
+    return at
+
+
+def _call(callback, x, rows):
+    """`callback` at the rows of x: the rows it evaluated, its values there
+    and row -> message for the rows outside the domain, which are dropped
+    and the call made again without them."""
+    outside = {}
+    while rows:
+        try:
+            return rows, callback(_at_rows(x, rows)), outside
+        except DomainError as err:
+            bad = err.rows or dict.fromkeys(rows, str(err))
+            outside.update(bad)
+            rows = [i for i in rows if i not in bad]
+    return rows, (), outside
+
+
+def _row_means(a):
+    """a.mean(axis=-1, keepdims=True), the same sum and division, without
+    the Python layer of `np.mean`."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def _index(rows, m):
+    """`rows` of a stack of m as an index: all of them as a slice, whose
+    rows are views, and a subset as the list."""
+    return slice(None) if len(rows) == m else rows
+
+
+def _centered(g):
+    """g less the mean of each row."""
+    return g - _row_means(g)
+
+
 def newton_minimize(problem, x0):
     """Newton with energy backtracking over mean-zero vectors, stopped on a
     certified step (Kelley, Solving Nonlinear Equations with Newton's
-    Method, SIAM 2003, ch. 2).
+    Method, SIAM 2003, ch. 2), for each member of the stack of starts x0,
+    (m, n), in lockstep.
 
     At each iterate x_k the problem builds a fresh Hessian, whose one
     factorization certifies x_k: an indefinite Hessian is flagged (that
@@ -344,8 +419,8 @@ def newton_minimize(problem, x0):
     makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982). A step that continues is refined by the last pass, and its stop
     test is made again on the refined p_k. An exactly zero
-    gradient returns x_k itself. The step's factorization is freed before
-    f is evaluated at the point returned or at a line-search trial, so an
+    gradient returns x_k itself. Every step's factorization is freed before
+    f is evaluated at the points returned or at line-search trials, so an
     evaluation never holds its memory as well.
 
     A `quadratic` problem stops after its first step: its Hessian is the
@@ -370,96 +445,162 @@ def newton_minimize(problem, x0):
     (ROUNDOFF_RTOL·|f|); such a step is accepted when it lowers
     ||g||_inf instead. A trial at which the objective raises DomainError
     is rejected like one that fails the test; a start outside the domain
-    raises it from the callbacks."""
-    x = np.asarray(x0, dtype=float) - np.mean(x0)
-    f, g = problem.objective, problem.gradient
+    ends its member with `outside_domain` and no step.
 
-    def centered_gradient(x):
-        gx = g(x)
-        return gx - gx.mean()
+    Lockstep: the members still running at iteration k are all at their
+    own k-th step, and each callback is called once for all of them that
+    need it, at the points named below, through the problem object: the
+    gradients at the iterates, the Hessians there, f at the points
+    returned, f at the iterates that start a line search, and f (then the
+    gradients of the members whose decrease is at roundoff level) at each
+    round of trials. Every step, test, factorization and exit is the
+    member's own, so a member ends with the bits it gets alone as long as
+    the callbacks give each row the bits they give it alone. The result
+    is a `StackResult`."""
+    x = np.array(x0, dtype=float)
+    x -= _row_means(x)
+    m = len(x)
+    g, p, trial = np.empty((3,) + x.shape)
+    fx, gnorm, has_g = [None] * m, [float("nan")] * m, [False] * m
+    results = [None] * m
 
-    fx, gx, gnorm = None, None, float("nan")
+    def end(i, at, fun, it, converged, message, **flags):
+        # a row of x or trial is the member's alone, and is not written
+        # once the member has ended
+        results[i] = MinimizeResult(at, float(fun), gnorm[i], it, converged,
+                                    message, **flags)
+
+    def values_at(points, rows):
+        """f at the rows of points, where it is defined: row -> value."""
+        rows, vals, _ = _call(problem.objective, points, rows)
+        return dict(zip(rows, vals))
+
     for it in range(problem.max_iter):
-        if gx is None:
-            gx = centered_gradient(x)
-        gnorm = float(np.max(np.abs(gx)))
-        try:
-            passes = problem.hessian(x).factor()
-        except np.linalg.LinAlgError:
-            return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
-                                  False, "Hessian not positive definite",
-                                  hessian_indefinite=True)
-        if gnorm == 0.0:
-            del passes
-            return MinimizeResult(x, f(x) if fx is None else fx, gnorm, it,
-                                  True, "converged")
-        # a reduction solve yields its first pass before it refines: a step
-        # that stops on it needs no refinement
-        for p in passes(-gx):
-            stop = np.max(np.abs(p)) <= STEP_RTOL * np.max(np.abs(x + p))
-            if stop:
-                break
-        else:
-            # one refined step from a certified start reaches a quadratic
-            # problem's minimizer
-            stop = problem.quadratic and it == 0
-        del passes      # free the factorization before f is evaluated again
-        if stop:
-            xn = x + p
-            xn -= xn.mean()
+        running = [i for i in range(m) if results[i] is None]
+        need = [i for i in running if not has_g[i]]
+        if need:
+            rows, gx, outside = _call(problem.gradient, x, need)
+            for i, why in outside.items():
+                end(i, x[i], np.nan, it, False, why, outside_domain=True)
+            if rows:
+                g[_index(rows, m)] = _centered(gx)
+            for i in rows:
+                has_g[i] = True
+            running = [i for i in running if i not in outside]
+        if not running:
+            break
+        norms = np.abs(g[_index(running, m)]).max(axis=1).tolist()
+        for i, norm in zip(running, norms):
+            gnorm[i] = norm
+        exits, stops, steps = {}, [], []
+        bands = problem.hessian(_at_rows(x, running))
+        for j, i in enumerate(running):
+            band, bands[j] = bands[j], None
             try:
-                return MinimizeResult(xn, f(xn), gnorm, it + 1, True,
-                                      "converged")
-            except DomainError:     # the stopping point is outside: damp
-                pass
-        if fx is None:
-            fx = f(x)
-        slope = float(np.dot(gx, p))
-        roundoff = -slope <= ROUNDOFF_RTOL * abs(fx)
-        alpha = 1.0
-        for _ in range(60):
-            xn = x + alpha * p
-            xn -= xn.mean()
-            try:
-                fn = f(xn)
-            except DomainError:     # a trial outside the domain: rejected
-                alpha *= 0.5
+                passes = band.factor()
+            except np.linalg.LinAlgError:
+                exits[i] = (False, "Hessian not positive definite",
+                            dict(hessian_indefinite=True))
                 continue
-            if roundoff:
-                gn = centered_gradient(xn)
-                if np.max(np.abs(gn)) < gnorm:
+            del band
+            if gnorm[i] == 0.0:
+                del passes
+                exits[i] = (True, "converged", {})
+                continue
+            # a reduction solve yields its first pass before it refines: a
+            # step that stops on it needs no refinement
+            for step in passes(-g[i]):
+                stop = (np.abs(step).max()
+                        <= STEP_RTOL * np.abs(x[i] + step).max())
+                if stop:
                     break
-            elif fn <= fx + 1e-4 * alpha * slope:
-                gn = None
+            else:
+                # one refined step from a certified start reaches a
+                # quadratic problem's minimizer
+                stop = problem.quadratic and it == 0
+            del passes  # free the factorization before f is evaluated again
+            p[i] = step
+            (stops if stop else steps).append(i)
+        del bands
+        # f at the exits that have not read it, and at the stopping points
+        ends = [i for i in exits if fx[i] is None]
+        if ends:
+            trial[ends] = x[ends]
+        if stops:
+            at = _index(stops, m)
+            points = np.add(x[at], p[at], out=trial[at])
+            points -= _row_means(points)
+            trial[at] = points
+        fn = values_at(trial, sorted(ends + stops)) if ends or stops else {}
+        for i in stops:
+            if i in fn:
+                end(i, trial[i], fn[i], it + 1, True, "converged")
+            else:   # the stopping point is outside: damp
+                steps.append(i)
+        for i, (converged, message, flags) in exits.items():
+            end(i, x[i], fn.get(i, fx[i]), it, converged, message, **flags)
+        steps.sort()
+        start = [i for i in steps if fx[i] is None]
+        for i, v in (values_at(x, start) if start else {}).items():
+            fx[i] = v
+        slope = {i: float(np.dot(g[i], p[i])) for i in steps}
+        roundoff = {i: -slope[i] <= ROUNDOFF_RTOL * abs(fx[i]) for i in steps}
+        alpha = dict.fromkeys(steps, 1.0)
+        for _ in range(60):
+            if not steps:
                 break
-            alpha *= 0.5
-        else:
-            return MinimizeResult(x, fx, gnorm, it, False,
-                                  "backtracking failed")
-        x, fx, gx = xn, fn, gn
-    return MinimizeResult(x, f(x) if fx is None else fx, gnorm,
-                          problem.max_iter, False, "max iterations")
+            for i in steps:
+                point = np.add(x[i], alpha[i] * p[i], out=trial[i])
+                point -= _row_means(point)
+            fn = values_at(trial, steps)
+            low = [i for i in fn if roundoff[i]]
+            if low:
+                gn = dict(zip(low, _centered(problem.gradient(
+                    _at_rows(trial, low)))))
+            for i, f in fn.items():
+                if roundoff[i]:
+                    taken = np.abs(gn[i]).max() < gnorm[i]
+                else:
+                    taken = f <= fx[i] + 1e-4 * alpha[i] * slope[i]
+                if taken:
+                    x[i], fx[i], has_g[i] = trial[i], f, roundoff[i]
+                    if roundoff[i]:
+                        g[i] = gn[i]
+                    alpha[i] = None
+            # a trial outside the domain is rejected too
+            for i in steps:
+                if alpha[i] is not None:
+                    alpha[i] *= 0.5
+            steps = [i for i in steps if alpha[i] is not None]
+        for i in steps:
+            end(i, x[i], fx[i], it, False, "backtracking failed")
+    last = [i for i in range(m) if results[i] is None]
+    fn = values_at(x, [i for i in last if fx[i] is None])
+    for i in last:
+        end(i, x[i], fn.get(i, fx[i]), problem.max_iter, False,
+            "max iterations")
+    return StackResult(results)
 
 
 def evaluate_once(evaluate):
     """`evaluate` with a one-slot cache keyed by the bits of its array
-    argument. The key is a copy of the last argument, so a caller that
-    changes the array in place between calls gets a fresh evaluation. The
-    old value is dropped before a new one is evaluated.
+    argument. The key is a copy of the last argument's shape and bytes, so
+    a caller that changes the array in place between calls gets a fresh
+    evaluation. The old value is dropped before a new one is evaluated.
 
     The objective, gradient and Hessian callbacks of a problem share one
     such evaluation, and Newton calls all three at each iterate; the
-    Hessian callback builds a fresh band from it at every call."""
-    slot = [None]
+    Hessian callback builds a fresh band from it at every call. `forget`
+    drops the value."""
+    slot = []
 
     def at(x):
         x = np.asarray(x, dtype=float)
-        last = slot[0]
-        if last is None or not np.array_equal(last[0].view(np.uint64),
-                                              x.view(np.uint64)):
-            slot[0] = last = None   # free the old value first
-            last = slot[0] = (x.copy(), evaluate(x))
-        return last[1]
+        key = (x.shape, x.tobytes())
+        if not slot or slot[0][0] != key:
+            slot.clear()    # free the old value first
+            slot.append((key, evaluate(x)))
+        return slot[0][1]
 
+    at.forget = slot.clear
     return at
-

@@ -110,9 +110,10 @@ def fourier_cos_amplitude(field, wavenumber, N, npoints=5):
 def gradient_check(problem, x, h=1e-6):
     """Max relative error between the analytic gradient and central
     differences of the objective along the coordinate directions, or 12
-    random unit directions when x has more than 24 entries."""
+    random unit directions when x has more than 24 entries, for a problem
+    that is a stack of one, at the vector x."""
     x = np.asarray(x, dtype=float)
-    g = problem.gradient(x)
+    g = problem.gradient(x[None])[0]
     scale = float(np.max(np.abs(g))) + 1e-30
     if x.size <= 24:
         dirs = np.eye(x.size)
@@ -121,7 +122,8 @@ def gradient_check(problem, x, h=1e-6):
                 np.random.default_rng(0).standard_normal((12, x.size))]
     worst = 0.0
     for d in dirs:
-        fd = (problem.objective(x + h * d) - problem.objective(x - h * d)) / (2 * h)
+        fd = (problem.objective((x + h * d)[None])[0]
+              - problem.objective((x - h * d)[None])[0]) / (2 * h)
         worst = max(worst, abs(fd - float(np.dot(g, d))) / scale)
     return worst
 

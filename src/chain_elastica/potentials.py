@@ -47,31 +47,58 @@ class PairPotential:
             raise DomainError("pair potential evaluated at nonpositive distance")
         return self.derivative_unchecked(j, r)
 
-    def derivative_unchecked(self, j, r):
+    def derivative_unchecked(self, j, r, out=None, work=None):
         """`derivative` for distances r the caller has already checked to be
         positive: the solvers check their points once (the chain's
-        `_strains`, the FEM's bond lengths), not once per call."""
+        `_strains`, the FEM's bond lengths), not once per call. With `out`,
+        an array shaped like r, the result is written there, and LJ and
+        Morse take their second term in `work`, one more such array; the
+        operations and their order are those of the call without them, so
+        the bits are too."""
         if not 0 <= j <= MAX_DERIVATIVE:
             raise ValueError(f"derivative order {j} unsupported (max {MAX_DERIVATIVE})")
-        s = np.asarray(r, dtype=float) / self.eps
+        r = np.asarray(r, dtype=float)
+        s = np.divide(r, self.eps, out=np.empty_like(r) if out is None else out)
+        if work is None and self.kind != "harmonic":
+            work = np.empty_like(s)
         scale = self.eps ** (-j)
         if self.kind == "harmonic":
             if j == 0:
-                return 0.5 * (s - 1.0) ** 2
-            if j == 1:
-                return scale * (s - 1.0)
-            if j == 2:
-                return scale * np.ones_like(s)
-            return np.zeros_like(s)
+                s -= 1.0
+                np.square(s, out=s)
+                s *= 0.5
+            elif j == 1:
+                s -= 1.0
+                s *= scale
+            else:
+                s.fill(scale if j == 2 else 0.0)
+            return s[()]
         if self.kind == "lj":
             c12, c6 = _LJ_COEFFS[12][j], _LJ_COEFFS[6][j]
-            return scale * (c12 * s ** (-12.0 - j) - 2.0 * c6 * s ** (-6.0 - j))
+            np.power(s, -6.0 - j, out=work)
+            work *= 2.0 * c6
+            np.power(s, -12.0 - j, out=s)
+            s *= c12
+            s -= work
+            s *= scale
+            return s[()]
         # morse: phi = E^2 - 2E with E = exp(-a (s - 1))
         a = self.morse_a
-        E = np.exp(-a * (s - 1.0))
+        s -= 1.0
+        s *= -a
+        E = np.exp(s, out=s)
         if j == 0:
-            return E * E - 2.0 * E - 0.0
-        return scale * ((-2.0 * a) ** j * E * E - 2.0 * (-a) ** j * E)
+            np.multiply(E, E, out=work)
+            E *= 2.0
+            np.subtract(work, E, out=E)
+            E -= 0.0
+            return E[()]
+        np.multiply(E, (-2.0 * a) ** j, out=work)
+        work *= E
+        E *= 2.0 * (-a) ** j
+        np.subtract(work, E, out=E)
+        E *= scale
+        return E[()]
 
     @property
     def quadratic(self):

@@ -38,7 +38,9 @@ def composite_points(N, npoints=5):
 
 def composite_integral(f, N, npoints=5):
     """Integral of f over [-N, N] by the per-element Gauss rule; f must be
-    vectorized and is called once, at `composite_points(N, npoints)`.
-    Deterministic summation order (elements then nodes)."""
-    vals = f(composite_points(N, npoints)).reshape(2 * N, npoints)
+    vectorized and is called once, at `composite_points(N, npoints)`, or be
+    the array of its values there. Deterministic summation order (elements
+    then nodes)."""
+    vals = f if isinstance(f, np.ndarray) else f(composite_points(N, npoints))
+    vals = vals.reshape(2 * N, npoints)
     return float(np.sum(vals @ gauss_rule(npoints)[1]))

@@ -37,13 +37,14 @@ def reduction_passes(monkeypatch):
 @pytest.fixture
 def newton_iterations(monkeypatch):
     """The `iterations` of every Newton solve that the chain's and the
-    FEM's solvers make during the test, in order."""
+    FEM's solvers make during the test, in order: of each member of each
+    stack, in stack order."""
     calls = []
     newton = optimize.newton_minimize
 
     def counted(problem, x0):
         res = newton(problem, x0)
-        calls.append(res.iterations)
+        calls.extend(r.iterations for r in res)
         return res
 
     for module in (atomistic, fem):

@@ -215,7 +215,7 @@ def test_criterion_7_gradients_and_dft():
     fem_errs = []
     for key in ("cb", "hoc4", "hoc6", "ill2", "first"):
         model = continuum_model(key, pot, bonds=(1, 2))
-        prob = assemble(model, space,
+        prob = assemble([model], space,
                         lambda x: eps * np.cos(np.pi * eps * x))
         fem_errs.append(gradient_check(prob, 0.01 * rng.standard_normal(2 * N),
                                        h=1e-6))
@@ -243,7 +243,7 @@ def test_criterion_8_linear_solution_oracles():
     model = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
     space = PeriodicSplineSpace(N)
     k = np.pi * eps
-    u = solve_continuum(model, space, lambda x: eps * np.cos(k * x))
+    u, = solve_continuum([model], space, lambda x: eps * np.cos(k * x))
     s = sum((rho * k - rho ** 3 * k ** 3 / 24.0) ** 2 for rho in (1, 2))
     A = eps / s
     amp_rel = abs(fourier_cos_amplitude(u, k, N) - A) / A

@@ -11,6 +11,7 @@ from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_integral
 from chain_elastica.splines import (SplineKernel, bspline_kernel,
                                     localization_weight, reproducing_kernel)
+from single import Single
 
 rng = np.random.default_rng(101)
 
@@ -94,8 +95,8 @@ def test_objective_problem_shares_one_evaluation_per_point():
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
 
-    want = callbacks(sys_.objective_problem(), b)
-    prob = sys_.objective_problem()
+    want = callbacks(Single(sys_.objective_problem()), b)
+    prob = Single(sys_.objective_problem())
     callbacks(prob, a)
     assert_same_bits(callbacks(prob, b), want)
     u = a.copy()

@@ -10,7 +10,7 @@ from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import SineField, continuum_model
 from chain_elastica.fem import (QUAD_POINTS, IndefiniteHessianError,
                                 PeriodicSplineSpace, assemble, energy_gap,
-                                grad_l2_distance, solve_continuum)
+                                grad_l2_distance)
 from chain_elastica import optimize
 from chain_elastica.oracles import (band_toarray, continuum_energy,
                                     fourier_cos_amplitude, gradient_check)
@@ -18,6 +18,7 @@ from chain_elastica.potentials import make_potential
 from chain_elastica.quadrature import composite_points, gauss_rule
 from chain_elastica.splines import (KernelField, bspline, bspline_kernel,
                                     periodic_spline_coefficients)
+from single import assemble_one, solve_one
 
 rng = np.random.default_rng(404)
 
@@ -28,7 +29,7 @@ def hessian_smallest_eigenvalue(model, space):
     (for N >= 6, where the band's offsets do not alias), and this is the
     least of its `PeriodicBand.eigenvalues` over the modes j != 0, the
     spectrum its factorization certifies."""
-    H = assemble(model, space).hessian(np.zeros(space.n))
+    H = assemble_one(model, space).hessian(np.zeros(space.n))
     return float(np.min(H.eigenvalues()[1:]))
 
 
@@ -87,7 +88,7 @@ def test_field_derivative_orders():
 def test_zero_force_gives_zero_field():
     N = 8
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
-    u = solve_continuum(m, PeriodicSplineSpace(N))
+    u = solve_one(m, PeriodicSplineSpace(N))
     assert np.max(np.abs(u.coeffs)) < 1e-12
 
 
@@ -96,7 +97,7 @@ def test_assembled_gradient_matches_finite_differences():
     sp = PeriodicSplineSpace(N)
     for key in ("cb", "hoc4", "hoc6"):
         m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
-        prob = assemble(m, sp, cos_force(N))
+        prob = assemble([m], sp, cos_force(N))
         c = 0.01 * rng.standard_normal(2 * N)
         assert gradient_check(prob, c, h=1e-6) < 1e-6, key
 
@@ -105,7 +106,7 @@ def test_assembled_hessian_matches_gradient_differences():
     N = 8
     sp = PeriodicSplineSpace(N)
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
-    prob = assemble(m, sp, cos_force(N))
+    prob = assemble_one(m, sp, cos_force(N))
     c = 0.01 * rng.standard_normal(2 * N)
     H = band_toarray(prob.hessian(c))
     assert np.max(np.abs(H - H.T)) < 1e-12
@@ -121,7 +122,7 @@ def test_harmonic_cb_hessian_symbol():
     N = 32
     sp = PeriodicSplineSpace(N)
     m = continuum_model("cb", make_potential("harmonic"), bonds=(1, 2))
-    prob = assemble(m, sp)
+    prob = assemble_one(m, sp)
     k = np.pi / N
     c = periodic_spline_coefficients(np.sin(k * np.arange(-N, N)), 5)
     H = band_toarray(prob.hessian(np.zeros(2 * N)))
@@ -137,7 +138,7 @@ def test_harmonic_hoc4_amplitude_matches_symbol():
         m = continuum_model("hoc4", make_potential("harmonic"), bonds=(1, 2))
         eps = 1.0 / N
         k = np.pi * eps
-        u = solve_continuum(m, sp, cos_force(N))
+        u = solve_one(m, sp, cos_force(N))
         s = sum((rho * k - rho ** 3 * k ** 3 / 24.0) ** 2 for rho in (1, 2))
         A = eps / s
         assert fourier_cos_amplitude(u, k, N) == pytest.approx(A, rel=1e-8)
@@ -146,7 +147,7 @@ def test_harmonic_hoc4_amplitude_matches_symbol():
 def test_lj_hoc4_solve_converges():
     N = 64
     m = continuum_model("hoc4", make_potential("lj"), bonds=(1, 2))
-    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    u = solve_one(m, PeriodicSplineSpace(N), cos_force(N))
     assert u.result.converged and u.result.grad_norm <= 1e-10
 
 
@@ -158,10 +159,10 @@ def test_hessians_are_banded_and_large_solves_run():
     H = AtomisticSystem(N, pot, bonds=(1, 2)).hessian(np.zeros(2 * N))
     assert H.diags.shape == (5, 2 * N)
     m = continuum_model("hoc4", pot, bonds=(1, 2))
-    H = assemble(m, PeriodicSplineSpace(N)).hessian(np.zeros(2 * N))
+    H = assemble_one(m, PeriodicSplineSpace(N)).hessian(np.zeros(2 * N))
     assert H.diags.shape == (11, 2 * N)
     N = 4096
-    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    u = solve_one(m, PeriodicSplineSpace(N), cos_force(N))
     assert u.result.converged and u.result.grad_norm <= 1e-10
 
 
@@ -174,7 +175,7 @@ def test_stable_models_positive_definite_unstable_flagged():
     ill = continuum_model("ill2", make_potential("harmonic"), bonds=(1, 2))
     assert hessian_smallest_eigenvalue(ill, sp) < 0.0
     with pytest.raises(IndefiniteHessianError):
-        solve_continuum(ill, sp, cos_force(N))
+        solve_one(ill, sp, cos_force(N))
 
 
 @pytest.mark.parametrize("N", [6, 8, 16, 9, 10, 13, 14])
@@ -185,7 +186,7 @@ def test_harmonic_band_spectrum_matches_dense(key, N):
     # the solver certifies, are those of the dense matrix
     m = continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
-    H = assemble(m, sp).hessian(np.zeros(sp.n))
+    H = assemble_one(m, sp).hessian(np.zeros(sp.n))
     assert H.is_circulant()
     dense = np.linalg.eigvalsh(band_toarray(H))
     lam = np.sort(H.eigenvalues())
@@ -204,7 +205,7 @@ def test_unstable_models_fail_the_spectral_certificate(key, potential,
     sp = PeriodicSplineSpace(N)
     assert hessian_smallest_eigenvalue(m, sp) < 0.0
     with pytest.raises(IndefiniteHessianError):
-        solve_continuum(m, sp, cos_force(N))
+        solve_one(m, sp, cos_force(N))
     assert factorizations == [True]
 
 
@@ -212,7 +213,7 @@ def test_domain_violation_reports_element():
     N = 8
     sp = PeriodicSplineSpace(N)
     m = continuum_model("cb", make_potential("lj"), bonds=(1, 2))
-    prob = assemble(m, sp)
+    prob = assemble_one(m, sp)
     bad = np.zeros(2 * N)
     bad[4], bad[5] = 4.0, -4.0   # a steep kink collapses nearby bonds
     with pytest.raises(ValueError, match="element"):
@@ -315,11 +316,11 @@ def test_energy_gap_trivial_and_shift_invariant():
     m = continuum_model("hoc4", pot, bonds=(1, 2))
     sp = PeriodicSplineSpace(N)
     assert energy_gap(AtomisticSystem(N, pot, bonds=(1, 2)).solve(),
-                      solve_continuum(m, sp)) < 1e-14
+                      solve_one(m, sp)) < 1e-14
     sites = np.arange(-N, N)
     sol_a = AtomisticSystem(N, pot, bonds=(1, 2),
                             force=cos_force(N)(sites)).solve()
-    u_c = solve_continuum(m, sp, cos_force(N))
+    u_c = solve_one(m, sp, cos_force(N))
     assert energy_gap(sol_a, u_c) == abs(sol_a.energy_above_homogeneous
                                          - u_c.energy) > 0.0
     sys_ = AtomisticSystem(N, pot, bonds=(1, 2))
@@ -339,7 +340,7 @@ def test_solver_energy_matches_continuum_energy(key, potential, N):
     # E_c from the solve's last evaluation is the 5-point rule on the unit
     # elements that continuum_energy applies through the field's pp-form
     m = continuum_model(key, make_potential(potential), bonds=(1, 2))
-    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    u = solve_one(m, PeriodicSplineSpace(N), cos_force(N))
     assert u.energy == pytest.approx(continuum_energy(m, u, N), rel=1e-13,
                                      abs=0.0)
 
@@ -356,9 +357,9 @@ def test_a_solve_evaluates_the_density_once_per_objective_call(key,
     calls = {"density": 0, "objective": 0}
     phi, newton = m.potential.derivative_unchecked, fem.newton_minimize
 
-    def counted_phi(j, r):
+    def counted_phi(j, r, **out):
         calls["density"] += j == 0 and np.shape(r)[-1] == 2 * N
-        return phi(j, r)
+        return phi(j, r, **out)
 
     def counted(fn):
         def call(*args):
@@ -369,9 +370,9 @@ def test_a_solve_evaluates_the_density_once_per_objective_call(key,
     monkeypatch.setattr(m.potential, "derivative_unchecked", counted_phi)
     monkeypatch.setattr(fem, "newton_minimize", lambda prob, x0: newton(
         dataclasses.replace(prob, objective=counted(prob.objective)), x0))
-    u = solve_continuum(m, PeriodicSplineSpace(N), cos_force(N))
+    u = solve_one(m, PeriodicSplineSpace(N), cos_force(N))
     assert calls["density"] == calls["objective"] > 1
-    assert u.energy == assemble(m, PeriodicSplineSpace(N),
+    assert u.energy == assemble_one(m, PeriodicSplineSpace(N),
                                 cos_force(N)).energy(u.result.x)
 
 
@@ -395,8 +396,8 @@ def test_assembled_callbacks_share_one_evaluation_per_point(key):
     m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
     gen = np.random.default_rng([N, len(key)])
     a, b = 0.01 * gen.standard_normal((2, 2 * N))
-    want = _callbacks(assemble(m, sp, cos_force(N)), b)
-    prob = assemble(m, sp, cos_force(N))
+    want = _callbacks(assemble_one(m, sp, cos_force(N)), b)
+    prob = assemble_one(m, sp, cos_force(N))
     _callbacks(prob, a)
     _assert_same_bits(_callbacks(prob, b), want)
     c = a.copy()
@@ -499,7 +500,7 @@ def test_callbacks_match_the_formulas_they_replaced(potential, key, N):
     sp = PeriodicSplineSpace(N)
     c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(sp.n)
     want = _reference_callbacks(m, sp, c)
-    prob = assemble(m, sp)
+    prob = assemble_one(m, sp)
     if key == "ill2":
         _assert_same_bits((prob.energy(c), prob.gradient(c),
                            prob.hessian(c).diags), want)
@@ -518,8 +519,8 @@ def test_bond_form_matches_the_slot_form(key, potential, N):
     slot.bond_form = False
     sp = PeriodicSplineSpace(N)
     c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(sp.n)
-    want = assemble(slot, sp)
-    _assert_within_roundoff(assemble(m, sp), m, sp, c, (
+    want = assemble_one(slot, sp)
+    _assert_within_roundoff(assemble_one(m, sp), m, sp, c, (
         want.energy(c), want.gradient(c), want.hessian(c).diags))
 
 
@@ -537,7 +538,7 @@ def test_bond_form_names_the_element_the_slot_form_names(key):
             m = continuum_model(key, make_potential("lj"), bonds=(1, 2))
             m.bond_form = bond_form
             with pytest.raises(optimize.DomainError, match="element") as err:
-                solve_continuum(m, sp, x0=bad)
+                solve_one(m, sp, x0=bad)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -554,13 +555,13 @@ def test_quadratic_hessian_evaluates_the_planes_of_four_elements(key, N):
     calls = []
     phi = m.potential.derivative_unchecked
 
-    def recorded(j, r):
+    def recorded(j, r, **out):
         calls.append((j, np.shape(r)[-1]))
-        return phi(j, r)
+        return phi(j, r, **out)
 
     m.potential.derivative_unchecked = recorded
     c = 0.05 * np.random.default_rng(N).standard_normal(sp.n)
-    prob = assemble(m, sp)
+    prob = assemble_one(m, sp)
     calls.clear()
     H = prob.hessian(c)
     assert {cols for _, cols in calls} == {min(sp.n, 4)}
@@ -604,7 +605,7 @@ def test_element_products_match_einsum_reference(key, potential):
     for N in (8, 1, 2, 3):
         sp = PeriodicSplineSpace(N)
         c = 0.05 * np.random.default_rng([N, len(key)]).standard_normal(2 * N)
-        prob = assemble(m, sp)
+        prob = assemble_one(m, sp)
         grad, H, grad_size, H_size = _einsum_reference(m, sp, c)
         if N == 8:
             grad_size, H_size = np.abs(grad), np.abs(H)
@@ -624,9 +625,9 @@ def test_lj_hoc4_from_cb_converges_past_roundoff(monkeypatch, roundoff_rtol,
     # norm instead, the step is taken and Newton stops on the next one
     N = 16
     pot, sp = make_potential("lj"), PeriodicSplineSpace(N)
-    cb = solve_continuum(continuum_model("cb", pot), sp, cos_force(N))
+    cb = solve_one(continuum_model("cb", pot), sp, cos_force(N))
     monkeypatch.setattr(optimize, "ROUNDOFF_RTOL", roundoff_rtol)
-    u = solve_continuum(continuum_model("hoc4", pot), sp, cos_force(N),
+    u = solve_one(continuum_model("hoc4", pot), sp, cos_force(N),
                         max_iter=20, x0=cb.coeffs)
     assert u.result.converged == converged
     if converged:

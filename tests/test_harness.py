@@ -47,6 +47,48 @@ def test_fit_slope_synthetic():
         fit_slope([(0.1, 1.0), (0.2, 2.0), (0.3, -1.0)])
 
 
+def _polyfit_agrees(pairs):
+    """fit_slope against np.polyfit on the same logs within 1e-12 relative:
+    the slope to itself, the intercept to the two terms it is the
+    difference of (mean log v and slope times mean log eps), and r2, which
+    lies in [0, 1], to 1."""
+    slope, intercept, r2, n = fit_slope(pairs)
+    le = np.log([e for e, _ in pairs])
+    lv = np.log([v for _, v in pairs])
+    want_slope, want_intercept = np.polyfit(le, lv, 1)
+    resid = lv - (want_slope * le + want_intercept)
+    want_r2 = 1.0 - np.sum(resid ** 2) / np.sum((lv - lv.mean()) ** 2)
+    terms = abs(lv.mean()) + abs(want_slope * le.mean())
+    assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+    assert intercept == pytest.approx(want_intercept, rel=0.0,
+                                      abs=1e-12 * terms)
+    assert r2 == pytest.approx(want_r2, rel=0.0, abs=1e-12)
+    assert n == len(pairs)
+
+
+def test_fit_slope_matches_polyfit():
+    # the closed-form least squares on centred logs against numpy's SVD
+    # fit, on 200 random data sets and on every fit window of the default
+    # LJ and harmonic sweeps (both columns) and of `consistency`
+    gen = np.random.default_rng(1905)
+    for _ in range(200):
+        k = gen.integers(3, 12)
+        eps = np.sort(gen.uniform(1e-4, 1.0, k))
+        _polyfit_agrees(list(zip(eps, np.exp(gen.normal(0.0, 5.0, k)))))
+    for potential, models in (("lj", ("cb", "hoc4")),
+                              ("harmonic", ("cb", "hoc4", "hoc6"))):
+        cfg = StudyConfig(potential=potential, models=models)
+        records, _ = run_sweep(cfg)
+        for column in ("grad_error", "energy_gap"):
+            for key, cells, why in harness._fit_windows(cfg, records, column):
+                assert not why
+                _polyfit_agrees([(r.eps, getattr(r, column)) for r in cells])
+    rows, fits = run_consistency(StudyConfig())
+    for key in fits:
+        _polyfit_agrees([(1.0 / r["N"], r["max_R"]) for r in rows
+                         if r["model"] == key])
+
+
 def test_eps_must_be_reciprocal_integer():
     cfg = StudyConfig(eps_list=(0.3,), models=("cb",))
     for eps in (0.3, 0.0, -0.25, float("inf"), float("nan")):
@@ -860,7 +902,7 @@ def _fem_bands(monkeypatch, cfg):
     """For each FEM Hessian band that `run_sweep(cfg)` builds, in order:
     True where it is built from one element's stencil, False where its
     element rows are streamed through `PeriodicSplineSpace.scatter_add`,
-    which scatters 2-d parts for nothing else."""
+    which scatters (11, n) parts for nothing else."""
     built = []
 
     class Band(PeriodicBand):
@@ -872,9 +914,9 @@ def _fem_bands(monkeypatch, cfg):
 
     scatter = fem.PeriodicSplineSpace.scatter_add
 
-    def scatter_add(self, local):
-        out = scatter(self, local)
-        if out.ndim == 2:
+    def scatter_add(self, local, out=None):
+        out = scatter(self, local, out)
+        if out.shape[0] == 11:
             built[-1].streamed = True
         return out
 
@@ -957,9 +999,9 @@ def test_models_started_from_the_chain_keep_no_history(monkeypatch):
     starts = {}
     solve = harness.solve_continuum
 
-    def recorded(model, space, load, max_iter, x0):
-        starts[model.key] = x0.copy()
-        return solve(model, space, load, max_iter, x0)
+    def recorded(models, space, load, max_iter, x0):
+        starts.update((m.key, row.copy()) for m, row in zip(models, x0))
+        return solve(models, space, load, max_iter, x0)
 
     monkeypatch.setattr(harness, "solve_continuum", recorded)
     cfg = StudyConfig(potential="morse", models=("cb", "hoc4", "hoc6"))
@@ -1023,18 +1065,96 @@ def test_extrapolation_is_exact_on_polynomials_in_eps_squared(coeffs, h):
                 (rows, degree)
 
 
+def _sweep_cells(cfg):
+    """The cells of run_sweep(cfg), coarse to fine."""
+    cells, history = [], None
+    for eps in sorted(cfg.eps_list, reverse=True):
+        cells.append(solve_cell(cfg, eps, cfg.models, history))
+        history = cells[-1].history
+    return cells
+
+
+def _assert_solved_as_if_alone(together, alone, key):
+    """The cells `together` give model `key` the record, the coefficients
+    and the Newton result's iterations and message of the cells `alone`,
+    bit for bit."""
+    assert len(together) == len(alone)
+    for t, a in zip(together, alone):
+        i = [r.model for r in t.records].index(key)
+        assert repr(t.records[i]) == repr(a.records[0])
+        assert (key in t.fields) == (key in a.fields)
+        if key in a.fields:
+            u, v = t.fields[key], a.fields[key]
+            assert u.coeffs.tobytes() == v.coeffs.tobytes()
+            assert u.energy == v.energy
+            assert u.result.iterations == v.result.iterations
+            assert u.result.message == v.result.message
+
+
 def test_a_sweep_solves_each_model_as_if_alone():
-    # each model extrapolates from its own history, so its rows do not
-    # depend on the other models of the sweep, bit for bit
+    # each model extrapolates from its own history, and the models of a
+    # cell are solved in lockstep on one stack, each with its own steps,
+    # tests and exits: its rows, coefficients and Newton results do not
+    # depend on the other models of the sweep, bit for bit. The harmonic
+    # case is the default sweep of the benchmark
     models = ("cb", "hoc4", "hoc6")
-    cfg = StudyConfig(potential="lj", models=models,
-                      eps_list=tuple(2.0 ** -k for k in range(3, 8)))
-    together, _ = run_sweep(cfg)
-    alone = []
+    for cfg in (StudyConfig(potential="lj", models=models,
+                            eps_list=tuple(2.0 ** -k for k in range(3, 8))),
+                StudyConfig(potential="harmonic", models=models)):
+        together, _ = run_sweep(cfg)
+        alone = []
+        for key in models:
+            cfg.models = (key,)
+            alone += run_sweep(cfg)[0]
+        assert together == alone
+        cfg.models = models
+        cells = _sweep_cells(cfg)
+        for key in models:
+            cfg.models = (key,)
+            _assert_solved_as_if_alone(cells, _sweep_cells(cfg), key)
+
+
+@pytest.mark.parametrize("potential, models, failing", [
+    ("harmonic", ("cb", "ill2", "hoc4"), "ill2"),
+    ("morse", ("cb", "first", "hoc4"), "first")])
+def test_a_failing_model_leaves_the_others_as_if_alone(potential, models,
+                                                       failing):
+    # at N = 8 harmonic ill2 (solved alone, in slot form) and Morse first
+    # (on the bond-form stack with cb and hoc4) are not positive definite:
+    # the failing model keeps its reason, and the others are bitwise what
+    # they are alone
+    cfg = StudyConfig(potential=potential, models=models)
+    cell = solve_cell(cfg, 0.125, models)
+    rec = cell.records[models.index(failing)]
+    assert not rec.converged and failing not in cell.fields
+    assert rec.reason == (
+        f"continuum model {failing!r} is not positive definite on the "
+        "mean-zero subspace at N=8: Hessian not positive definite")
     for key in models:
-        cfg.models = (key,)
-        alone += run_sweep(cfg)[0]
-    assert together == alone
+        _assert_solved_as_if_alone([cell], [solve_cell(cfg, 0.125, (key,))],
+                                   key)
+
+
+def test_lj_solve_of_five_models_writes_each_as_if_alone(tmp_path):
+    # `solve` with every model writes each model's solution file and line
+    # as it does with that model alone
+    keys = ("cb", "hoc4", "hoc6", "ill2", "first")
+
+    def solve(models, out):
+        argv = ["solve", "--potential", "lj", "--out", str(out)]
+        for key in models:
+            argv += ["--model", key]
+        lines = io.StringIO()
+        with contextlib.redirect_stdout(lines):
+            assert cli_main(argv) == 0
+        return lines.getvalue().splitlines()
+
+    together = solve(keys, tmp_path / "all")
+    for key, line in zip(keys, together):
+        assert solve((key,), tmp_path / key) == [line]
+        name = f"solution_{key}_8.csv"
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / key / name).read_bytes())
 
 
 def test_sweep_with_eps_steps_that_are_not_halvings(tmp_path):

@@ -8,13 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from chain_elastica import optimize
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import MODEL_KEYS, continuum_model
-from chain_elastica.fem import PeriodicSplineSpace, assemble, solve_continuum
+from chain_elastica.fem import PeriodicSplineSpace, assemble
 from chain_elastica.harness import StudyConfig, run_sweep
-from chain_elastica.optimize import (STEP_RTOL, DomainError,
-                                     MinimizeProblem, PeriodicBand,
-                                     newton_minimize)
+from chain_elastica.optimize import (STEP_RTOL, DomainError, MinimizeProblem,
+                                     PeriodicBand, newton_minimize,
+                                     stack_of_one)
 from chain_elastica.oracles import band_solve, band_toarray, gradient_check
 from chain_elastica.potentials import POTENTIAL_KINDS, make_potential
+from single import Single, assemble_one, newton_one, solve_one
 
 rng = np.random.default_rng(11)
 
@@ -33,9 +34,9 @@ def bond_band(n, weights):
 
 def quadratic_problem(H, b, quadratic=False):
     A = band_toarray(H)
-    return MinimizeProblem(objective=lambda x: 0.5 * x @ A @ x - b @ x,
-                           gradient=lambda x: A @ x - b,
-                           hessian=lambda x: H, quadratic=quadratic)
+    return stack_of_one(objective=lambda x: 0.5 * x @ A @ x - b @ x,
+                        gradient=lambda x: A @ x - b,
+                        hessian=lambda x: H, quadratic=quadratic)
 
 
 def mean_zero(v):
@@ -369,9 +370,9 @@ def test_hessian_callbacks_build_a_fresh_band_per_call(kind):
     N = 8
     pot = make_potential(kind)
     x = 0.01 * np.random.default_rng(5).standard_normal(2 * N)
-    for prob in (AtomisticSystem(N, pot).objective_problem(),
-                 assemble(continuum_model("hoc4", pot),
-                          PeriodicSplineSpace(N))):
+    for prob in (Single(AtomisticSystem(N, pot).objective_problem()),
+                 assemble_one(continuum_model("hoc4", pot),
+                              PeriodicSplineSpace(N))):
         a, b = prob.hessian(x), prob.hessian(x)
         assert b is not a and vars(b).keys() == {"n", "b", "diags"}
         assert np.array_equal(a.diags.view(np.uint64),
@@ -384,7 +385,7 @@ def test_newton_one_step_on_quadratic():
     H = bond_band(n, np.outer([2.0, 0.5, 0.25], np.ones(n)))
     b = mean_zero(rng.standard_normal(n))
     xstar = mean_zero(np.linalg.lstsq(band_toarray(H), b, rcond=None)[0])
-    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
+    res = newton_one(quadratic_problem(H, b), np.zeros(n))
     assert res.converged and res.iterations <= 2
     assert np.max(np.abs(res.x - xstar)) < 1e-10
 
@@ -401,7 +402,7 @@ def test_newton_on_a_quadratic_problem_takes_one_step(
     load = mean_zero(gen.standard_normal(n))
     ref = mean_zero(scipy.linalg.lstsq(A, load, lapack_driver="gelsy")[0])
     x0 = mean_zero(gen.standard_normal(n)) * np.max(np.abs(ref))
-    res = newton_minimize(quadratic_problem(H, load, quadratic=True), x0)
+    res = newton_one(quadratic_problem(H, load, quadratic=True), x0)
     assert res.converged and res.iterations == 1
     cond = 3.0 * b / np.sin(np.pi / n) ** 2
     tol = 4 * np.finfo(float).eps * cond
@@ -413,7 +414,7 @@ def test_newton_flags_indefinite():
     n = 12
     H = indefinite_band(n, 2)
     b = mean_zero(rng.standard_normal(n))
-    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
+    res = newton_one(quadratic_problem(H, b), np.zeros(n))
     assert not res.converged
     assert res.hessian_indefinite
 
@@ -423,7 +424,7 @@ def test_newton_certifies_a_stationary_start():
     # the Hessian is factored before that test and flags the saddle
     n = 12
     H = indefinite_band(n, 2, np.random.default_rng(3))
-    res = newton_minimize(quadratic_problem(H, np.zeros(n)), np.zeros(n))
+    res = newton_one(quadratic_problem(H, np.zeros(n)), np.zeros(n))
     assert res.iterations == 0 and res.grad_norm == 0.0
     assert res.hessian_indefinite and not res.converged
 
@@ -436,7 +437,7 @@ def test_projection_keeps_iterates_mean_zero():
     seen = []
     grad = prob.gradient
     prob.gradient = lambda x: seen.append(x.mean()) or grad(x)
-    res = newton_minimize(prob, rng.standard_normal(n))
+    res = newton_one(prob, rng.standard_normal(n))
     assert res.converged
     assert abs(res.x.mean()) < 1e-12
     assert len(seen) >= 2 and max(abs(m) for m in seen) < 1e-12
@@ -473,7 +474,7 @@ def test_newton_evaluates_the_objective_once_per_point():
         fb = np.exp(strains(x)) - 1.0
         return np.roll(fb, 1) - fb - load
 
-    res = newton_minimize(MinimizeProblem(
+    res = newton_one(stack_of_one(
         objective, gradient, lambda x: bond_band(n, [np.exp(strains(x))])),
         np.zeros(n))
     assert res.converged and res.iterations >= 3
@@ -495,8 +496,8 @@ def exponential_ring(n, load):
         fb = np.exp(strains(x)) - 1.0
         return np.roll(fb, 1) - fb - load
 
-    return MinimizeProblem(objective, gradient,
-                           lambda x: bond_band(n, [np.exp(strains(x))]))
+    return stack_of_one(objective, gradient,
+                        lambda x: bond_band(n, [np.exp(strains(x))]))
 
 
 def test_newton_returns_the_certified_point_plus_its_step():
@@ -504,20 +505,20 @@ def test_newton_returns_the_certified_point_plus_its_step():
     # factored and p_k its Newton step, the first one below STEP_RTOL
     n = 16
     load = mean_zero(0.3 * np.random.default_rng(7).standard_normal(n))
-    prob = exponential_ring(n, load)
+    prob, one = exponential_ring(n, load), Single(exponential_ring(n, load))
     factored = []
     hessian = prob.hessian
-    prob.hessian = lambda x: factored.append(x.copy()) or hessian(x)
-    res = newton_minimize(prob, np.zeros(n))
+    prob.hessian = lambda x: factored.append(x[0].copy()) or hessian(x)
+    res = newton_one(prob, np.zeros(n))
     assert res.converged and res.iterations == len(factored) >= 3
     steps = []
     for x in factored:
-        g = mean_zero(prob.gradient(x))
-        steps.append(band_solve(hessian(x), -g))
+        g = mean_zero(one.gradient(x))
+        steps.append(band_solve(one.hessian(x), -g))
     x_k, p_k = factored[-1], steps[-1]
     assert np.array_equal(res.x, (x_k + p_k) - (x_k + p_k).mean())
-    assert res.fun == prob.objective(res.x)
-    assert res.grad_norm == np.max(np.abs(mean_zero(prob.gradient(x_k))))
+    assert res.fun == one.objective(res.x)
+    assert res.grad_norm == np.max(np.abs(mean_zero(one.gradient(x_k))))
     assert np.max(np.abs(p_k)) <= STEP_RTOL * np.max(np.abs(x_k + p_k))
     assert all(np.max(np.abs(p)) > STEP_RTOL * np.max(np.abs(x + p))
                for x, p in zip(factored[:-1], steps[:-1]))
@@ -528,7 +529,7 @@ def test_newton_zero_gradient_returns_the_start():
     # no step taken
     n = 12
     H = bond_band(n, rng.uniform(0.5, 1.5, (2, n)))
-    res = newton_minimize(quadratic_problem(H, np.zeros(n)), np.zeros(n))
+    res = newton_one(quadratic_problem(H, np.zeros(n)), np.zeros(n))
     assert res.converged and res.iterations == 0 and res.grad_norm == 0.0
     assert np.array_equal(res.x, np.zeros(n)) and res.fun == 0.0
 
@@ -539,7 +540,7 @@ def test_newton_flags_an_indefinite_start_before_stepping():
     n = 12
     H = indefinite_band(n, 2, np.random.default_rng(4))
     b = mean_zero(np.random.default_rng(5).standard_normal(n))
-    res = newton_minimize(quadratic_problem(H, b), np.zeros(n))
+    res = newton_one(quadratic_problem(H, b), np.zeros(n))
     assert res.hessian_indefinite and not res.converged
     assert res.iterations == 0 and res.grad_norm > 0.0
 
@@ -564,7 +565,7 @@ def test_newton_refines_only_the_steps_that_continue(reduction_passes):
     prob = smooth_ring(n)
     hessian = prob.hessian
     prob.hessian = lambda x: reduction_passes.append("H") or hessian(x)
-    res = newton_minimize(prob, np.zeros(n))
+    res = newton_one(prob, np.zeros(n))
     assert res.converged and res.iterations >= 3
     assert reduction_passes == (["H"] + ["H", n, n] * (res.iterations - 2)
                                 + ["H", n])
@@ -575,14 +576,14 @@ def test_newton_final_step_is_the_refined_one_to_an_ulp():
     # one ulp of ||x||_inf of x_k plus the refined step at the last
     # certified point x_k
     n = 2048
-    prob = smooth_ring(n)
+    prob, one = smooth_ring(n), Single(smooth_ring(n))
     factored = []
     hessian = prob.hessian
-    prob.hessian = lambda x: factored.append(x.copy()) or hessian(x)
-    res = newton_minimize(prob, np.zeros(n))
+    prob.hessian = lambda x: factored.append(x[0].copy()) or hessian(x)
+    res = newton_one(prob, np.zeros(n))
     assert res.converged
     x_k = factored[-1]
-    p_k = band_solve(hessian(x_k), -mean_zero(prob.gradient(x_k)))
+    p_k = band_solve(one.hessian(x_k), -mean_zero(one.gradient(x_k)))
     want = (x_k + p_k) - (x_k + p_k).mean()
     assert np.max(np.abs(res.x - want)) <= np.spacing(np.max(np.abs(want)))
 
@@ -616,10 +617,10 @@ def test_only_harmonic_problems_are_quadratic(kind):
     pot = make_potential(kind)
     assert pot.quadratic == (kind == "harmonic")
     space, gen = PeriodicSplineSpace(8), np.random.default_rng(2)
-    problems = [AtomisticSystem(8, pot).objective_problem()] + [
-        assemble(continuum_model(key, pot), space) for key in MODEL_KEYS]
+    problems = [Single(AtomisticSystem(8, pot).objective_problem())] + [
+        assemble_one(continuum_model(key, pot), space) for key in MODEL_KEYS]
     for prob in problems:
-        assert prob.quadratic == pot.quadratic
+        assert prob.stack.quadratic == pot.quadratic
         x = mean_zero(0.01 * gen.standard_normal(16))
         same = np.allclose(prob.hessian(x).diags,
                            prob.hessian(np.zeros(16)).diags,
@@ -653,24 +654,26 @@ def test_newton_rejects_trials_outside_the_domain():
     # to x* without converging. There the Armijo decrease falls below the
     # objective's rounding, so the solve ends in "backtracking failed" or
     # in rounding-level steps up to max_iter. A start outside the domain
-    # raises
+    # ends the solve there, with the callback's message
     prob, inside, xstar, R = ball_problem()
     n, gradient = len(xstar), prob.gradient
-    res = newton_minimize(prob, np.zeros(n))
+    res = newton_one(prob, np.zeros(n))
     assert not res.converged
     assert res.message in ("backtracking failed", "max iterations")
     assert R * (1 - 1e-9) < np.linalg.norm(res.x) < R
     prob.gradient = lambda x: gradient(inside(x))
-    with pytest.raises(DomainError):
-        newton_minimize(prob, xstar)
+    res = newton_one(prob, xstar)
+    assert res.outside_domain and not res.converged
+    assert res.message == "outside the ball" and res.iterations == 0
+    assert np.array_equal(res.x, xstar - xstar.mean())
 
 
 def test_newton_on_a_quadratic_outside_its_domain_takes_the_damped_steps():
     # the one step of a quadratic problem ends outside the domain, so the
     # damped steps run from x_0 and end as they do unflagged
     prob, _, xstar, _ = ball_problem()
-    want = newton_minimize(prob, np.zeros(len(xstar)))
-    res = newton_minimize(ball_problem(quadratic=True)[0],
+    want = newton_one(prob, np.zeros(len(xstar)))
+    res = newton_one(ball_problem(quadratic=True)[0],
                           np.zeros(len(xstar)))
     assert res.message == want.message and not res.converged
     assert np.array_equal(res.x, want.x)
@@ -684,10 +687,69 @@ def test_newton_damps_a_stopping_point_outside_the_domain(quadratic):
     # steps run from x_0 instead of the error escaping
     prob, _, xstar, R = ball_problem(quadratic, shrink=1 - 1e-9)
     prob.max_iter = 5
-    res = newton_minimize(prob, (1 - 2e-9) * xstar)
+    res = newton_one(prob, (1 - 2e-9) * xstar)
     assert not res.converged
     assert res.message in ("backtracking failed", "max iterations")
     assert np.linalg.norm(res.x) < R
+
+
+def _stacked(members):
+    """One MinimizeProblem whose row i is the problem members[i], given by
+    its callbacks on one vector; a row at which a member raises
+    DomainError is named in the stacked error."""
+    def callback(name):
+        def stacked(x):
+            values, outside = [], {}
+            for i in range(len(x)):
+                if np.isnan(x[i, 0]):
+                    continue
+                try:
+                    values.append(getattr(members[i], name)(x[i]))
+                except DomainError as err:
+                    outside[i] = str(err)
+            if outside:
+                raise DomainError(next(iter(outside.values())), rows=outside)
+            return values if name == "hessian" else np.array(values)
+        return stacked
+
+    return MinimizeProblem(*map(callback, ("objective", "gradient",
+                                           "hessian")))
+
+
+def test_newton_solves_each_member_of_a_stack_as_if_alone():
+    # members that take several damped steps, that run into the domain's
+    # boundary, that stop on an indefinite or a stationary start, and that
+    # start outside the domain, in one lockstep solve: each ends with the
+    # result it gets alone, bit for bit
+    ball, inside, xstar, _ = ball_problem()
+    outside = ball_problem()[0]
+    gradient = outside.gradient
+    outside.gradient = lambda x: gradient(inside(x))
+    n = len(xstar)
+    gen = np.random.default_rng(9)
+    members = [
+        (ball, np.zeros(n)),
+        (exponential_ring(n, mean_zero(0.3 * gen.standard_normal(n))),
+         np.zeros(n)),
+        (quadratic_problem(indefinite_band(n, 2, gen),
+                           mean_zero(gen.standard_normal(n))), np.zeros(n)),
+        (quadratic_problem(bond_band(n, gen.uniform(0.5, 1.5, (2, n))),
+                           np.zeros(n)), np.zeros(n)),
+        (outside, xstar)]
+    stack = newton_minimize(_stacked([Single(p) for p, _ in members]),
+                            np.array([x0 for _, x0 in members]))
+    assert stack.iterations == sum(r.iterations for r in stack)
+    assert [r.message for r in stack][2:] == [
+        "Hessian not positive definite", "converged", "outside the ball"]
+    for got, (prob, x0) in zip(stack, members):
+        want = newton_one(prob, x0)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert repr((got.fun, got.grad_norm)) == repr((want.fun,
+                                                       want.grad_norm))
+        assert (got.iterations, got.converged, got.message,
+                got.hessian_indefinite, got.outside_domain) == (
+            want.iterations, want.converged, want.message,
+            want.hessian_indefinite, want.outside_domain)
 
 
 def _lj_problem(kind, N):
@@ -697,7 +759,7 @@ def _lj_problem(kind, N):
     if kind == "chain":
         force = eps * np.cos(np.pi * eps * np.arange(-N, N))
         return AtomisticSystem(N, pot, force=force).objective_problem()
-    return assemble(continuum_model("hoc4", pot), PeriodicSplineSpace(N),
+    return assemble([continuum_model("hoc4", pot)], PeriodicSplineSpace(N),
                     lambda x: eps * np.cos(np.pi * eps * x))
 
 
@@ -725,7 +787,7 @@ def test_newton_frees_each_factorization_before_it_evaluates_f(
         return objective(x)
 
     prob.objective = checked
-    res = newton_minimize(prob, np.zeros(2 * N))
+    res = newton_one(prob, np.zeros(2 * N))
     assert res.converged and res.iterations >= 2
     assert {name for name, _ in made} == {"_cyclic_reduction",
                                           "_spectral_passes"}
@@ -822,6 +884,6 @@ def test_warm_lj_hoc4_solve_keeps_its_traced_peak(traced_peak):
     model = continuum_model("hoc4", make_potential("lj"))
     space = PeriodicSplineSpace(N)
     load = space.load_vector(lambda x: np.cos(np.pi * x / N) / N)
-    solve_continuum(model, space, load)
-    peak = traced_peak(lambda: solve_continuum(model, space, load))
+    solve_one(model, space, load)
+    peak = traced_peak(lambda: solve_one(model, space, load))
     assert peak <= 8.8e6
