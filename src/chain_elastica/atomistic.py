@@ -38,8 +38,9 @@ class AtomisticSystem:
 
     @cached_property
     def _phi0(self):
-        """phi_rho(0) per bond, the homogeneous offset of the energy."""
-        return {rho: float(self.phi[rho].derivative(0, np.zeros(1))[0])
+        """phi_rho(0) per bond, the homogeneous offset of the energy; the
+        homogeneous lengths F rho are positive."""
+        return {rho: float(self.phi[rho].derivative_unchecked(0, 0.0))
                 for rho in self.bonds}
 
     @cached_property
@@ -60,7 +61,9 @@ class AtomisticSystem:
         for rho in self.bonds:
             r = rho % n
             d = np.concatenate((u[r:] - u[:n - r], u[:r] - u[n - r:]))
-            if np.any(d + self.F * rho <= 0.0):
+            # rounding is monotone: the smallest strain has the shortest
+            # length (fmin skips NaN, as the comparison does)
+            if np.fmin.reduce(d) + self.F * rho <= 0.0:
                 xi = int(np.argmax(d + self.F * rho <= 0.0)) - self.N
                 raise DomainError(f"bond (xi={xi}, rho={rho}) collapsed to "
                                   "nonpositive length")

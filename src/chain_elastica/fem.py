@@ -101,10 +101,13 @@ class PeriodicSplineSpace:
                 @ _gauss_template(field.kernel.degree)[:, 1]).ravel()
 
     def load_vector(self, f):
-        """b_j = int f B_j by the element Gauss rule, for a vectorized f."""
+        """b_j = int f B_j by the element Gauss rule, for a vectorized f.
+        Each element's sum runs over its Gauss points in order; with f's
+        values point-major, numpy's einsum loops over the elements inside."""
         fx = f(composite_points(self.N)).reshape(self.n, QUAD_POINTS)
-        return self.scatter_add(
-            np.einsum("mq,oq,q->om", fx, self.template[:, 0, :], self.qw))
+        return self.scatter_add(np.einsum(
+            "qm,oq,q->om", np.ascontiguousarray(fx.T), self.template[:, 0, :],
+            self.qw))
 
     def scatter_add(self, local, out=None):
         """out[..., j] = sum_o local[o][..., (j - o) % n], summed in the
@@ -278,73 +281,86 @@ def _bond_stack(models, space):
     coefficient rows, one per model: the bond lengths a_rho + F rho at every
     bond and Gauss point, from one gather and one stacked (B Q, 6) x (6, n)
     product, and phi, phi' or phi'' there, one call of the potential for the
-    stack, with each model's `_bond_kernels`. The lengths, which the
-    callbacks share as their evaluation, the planes and the other arrays of
-    a call are views of one block, allocated for the whole stack and
-    written in place: a call for k rows uses the first k of each. The last
-    callable returned drops the block, to be made anew by the next call."""
+    stack, with each model's `_bond_kernels`. The lengths and phi's planes,
+    which overwrite them, the gathered coefficients, the gradient's parts
+    and LJ's and Morse's second term are views of one block, allocated for
+    the whole stack and written in place: a call for k rows uses the first
+    k of each. The evaluation of a point checks its lengths and keeps its
+    rows; a call that finds them overwritten makes them again, with the
+    same bits. A quadratic potential's phi'' is one number per bond, read
+    at the homogeneous lengths. The last callable returned drops the block,
+    to be made anew by the next call."""
     template, w, grad_kernel, hess_kernels = _bond_kernels(tuple(
         tuple(tuple(c.tolist()) for c in m.coeffs.values()) for m in models))
     model = models[0]
     shift = np.repeat(model.F * np.array(model.bonds, float),
                       QUAD_POINTS)[:, None]
     potential = model.potential
+    quadratic = potential.quadratic
     phi0 = potential.derivative_unchecked(0, shift)
     m, K, n = len(models), len(w), space.n
-    size = m * K * n
-    block = [np.empty(n * m * (2 * K + max(K, 6)))]
-    views = {}
+    # per stack row, K rows of lengths and the rows after them
+    extra = 6 if quadratic else max(K, 6)
+    block, views = [], {}
 
-    def arrays(k, rows=K):
-        """Views for k stack rows of the block that the calls write in
-        place, made anew after a release: the lengths and phi's planes,
-        (k, K, n), and `rows` more rows of n per stack row, for phi's second
-        term, the gathered coefficients or the gradient's element parts."""
-        if (k, rows) not in views:
+    def arrays(k):
+        """Views for k stack rows of the block, made anew after a release:
+        the lengths, (k, K, n); the gathered coefficients or the gradient's
+        parts, (k, 6, n); and on the same rows phi's second term, (k, K, n),
+        for a potential that is not quadratic."""
+        if k not in views:
             if not block:
-                block.append(np.empty(n * m * (2 * K + max(K, 6))))
-            used = k * K * n
-            views[k, rows] = (
-                block[0][:used].reshape(k, K, n),
-                block[0][size:size + used].reshape(k, K, n),
-                block[0][2 * size:2 * size + k * rows * n].reshape(
-                    k, rows, n))
-        return views[k, rows]
+                block.append(np.empty(m * n * (K + extra)))
+            rest = block[0][m * K * n:]
+            views[k] = (block[0][:k * K * n].reshape(k, K, n),
+                        rest[:k * 6 * n].reshape(k, 6, n),
+                        None if quadratic else
+                        rest[:k * K * n].reshape(k, K, n))
+        return views[k]
 
     def release():
         block.clear()
         views.clear()
 
-    def phi(j, lengths, cols=slice(None)):
-        """phi^(j) at the lengths' columns `cols`, in the planes; LJ's and
-        Morse's second term takes the rows after them."""
-        _, planes, rest = arrays(len(lengths))
-        return potential.derivative_unchecked(
-            j, lengths[..., cols], out=planes[..., cols], work=rest[..., cols])
-
-    def evaluate(c, rows):
-        out, _, gathered = arrays(len(rows), 6)
+    def lengths(c, rows):
+        out, gathered, _ = arrays(len(rows))
         # the sites are in range: "clip" only spares take a buffered copy
         np.matmul(template if len(rows) == m else template[rows],
                   np.take(c, space._sites, axis=1, mode="clip", out=gathered),
                   out=out)
         out += shift
-        _check_domain(out, rows, space)
         return out
 
-    def energy(rows, lengths):
-        at = phi(0, lengths)
-        at -= phi0
-        return np.sum(w @ at, axis=-1)
+    def evaluate(c, rows):
+        _check_domain(lengths(c, rows), rows, space)
+        return [c.copy(), True]     # the rows, and are their lengths held?
 
-    def gradient_parts(rows, lengths):
+    def phi(j, rows, at, cols=slice(None)):
+        """phi^(j) at the lengths' columns `cols`, written over them."""
+        c, held = at
+        at[1] = False
+        out = (arrays(len(rows))[0] if held else lengths(c, rows))[..., cols]
+        work = arrays(len(rows))[2]
+        return potential.derivative_unchecked(
+            j, out, out=out, work=None if work is None else work[..., cols])
+
+    def energy(rows, at):
+        planes = phi(0, rows, at)
+        planes -= phi0
+        return np.sum(w @ planes, axis=-1)
+
+    def gradient_parts(rows, at):
         return np.matmul(grad_kernel if len(rows) == m else grad_kernel[rows],
-                         phi(1, lengths), out=arrays(len(rows), 6)[2]
+                         phi(1, rows, at), out=arrays(len(rows))[1]
                          ).swapaxes(0, 1)
 
-    def hessian_planes(rows, lengths, cols):
-        at = phi(2, lengths, cols)
-        return ((at[j], hess_kernels[r]) for j, r in enumerate(rows))
+    def hessian_planes(rows, at, cols):
+        if quadratic:
+            planes = potential.derivative_unchecked(2, np.broadcast_to(
+                shift, (len(rows), K, n))[..., cols])
+        else:
+            planes = phi(2, rows, at, cols)
+        return ((planes[j], hess_kernels[r]) for j, r in enumerate(rows))
 
     return evaluate, energy, gradient_parts, hessian_planes, release
 
@@ -354,17 +370,18 @@ def _hessian_band(space, hess_kernel, planes, equal, work=None):
     with element m in column m, contracted with `hess_kernel`. When the
     planes are `equal` at every element (a quadratic problem, whose planes
     then hold 4 columns), or found to be, every column of the band is one
-    element's stencil, summed in offset order as `scatter_add` sums it.
-    Its products take 4 columns, as BLAS rounds 1- and 2-column ones
-    differently from wider ones. Otherwise dof-major (n, 11) element rows
+    element's stencil, summed in offset order as `scatter_add` sums it,
+    and the band holds that one column, broadcast. Its products take 4
+    columns, as BLAS rounds 1- and 2-column ones differently from wider
+    ones. Otherwise dof-major (n, 11) element rows
     are streamed (not stacked) through the scatter and written into the
     band once; `work`, two (n, 11) arrays, takes them and their sum if
     given."""
     H = PeriodicBand(space.n, 5)
     if equal or np.all(planes == planes[:, :1]):
         one = np.asfortranarray(planes[:, :4])
-        H.diags[:] = np.add.reduce(hess_kernel @ one, axis=0,
-                                   initial=0.0)[:, :1]
+        stencil = np.add.reduce(hess_kernel @ one, axis=0, initial=0.0)
+        H.diags = np.broadcast_to(stencil[:, :1], H.diags.shape)
         return H
     part, total = (None, None) if work is None else work
     H.diags[:] = space.scatter_add(
@@ -391,9 +408,10 @@ def assemble(models, space, f=None):
     the gradient stack.
 
     The three callbacks share one evaluation per array of points
-    (`evaluate_once`): the bond lengths of its rows, or the gradient stack
-    and bond arguments, whose domain is checked there once, per row. A new
-    evaluation is written over the old one. The gradient is scattered for
+    (`evaluate_once`): the bond lengths of its rows, which phi's planes
+    overwrite, or the gradient stack and bond arguments; its domain is
+    checked there once, per row. A new evaluation is written over the old
+    one. The gradient is scattered for
     the whole stack at once, into an array allocated once. The Hessian
     callback builds a fresh band for each row from its second-derivative
     planes at every call; each band is built alone. The problem's `energy`
@@ -402,7 +420,7 @@ def assemble(models, space, f=None):
     model's density is quadratic in the gradients exactly when the
     potential is, and so is the problem (`quadratic`): then its planes are
     equal at every point, and the Hessian evaluates those of 4
-    elements."""
+    elements, a circulant band held as one column."""
     models = tuple(models)
     if f is None:
         load = np.zeros(space.n)

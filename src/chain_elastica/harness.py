@@ -162,10 +162,12 @@ class History:
         displacement, all in one call; otherwise an empty one."""
         if N != 2 * self.N or not self.rows:
             return History(N, {})
-        arrays = list(self.rows.values())
-        ends = np.cumsum([len(a) for a in arrays])[:-1]
-        fine = 2.0 * periodic_spline_subdivision(np.concatenate(arrays), 5)
-        return History(N, dict(zip(self.rows, np.split(fine, ends))))
+        fine = 2.0 * periodic_spline_subdivision(
+            np.concatenate(list(self.rows.values())), 5)
+        rows, at = {}, 0
+        for key, a in self.rows.items():
+            rows[key], at = fine[at:at + len(a)], at + len(a)
+        return History(N, rows)
 
     def start(self, key, cold):
         """The Richardson extrapolation in eps**2 (`_EXTRAPOLATION`) of the

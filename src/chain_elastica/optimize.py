@@ -39,7 +39,8 @@ def _sin2_table(n, b):
 class PeriodicBand:
     """Symmetric periodic-banded n×n matrix with H·1 = 0, stored in O(n) as
     diags[b + o, m] = H[m, (m + o) % n] for |o| <= b. When n <= 2b, aliased
-    offsets hold parts of one entry, which `factor` and `eigenvalues` sum."""
+    offsets hold parts of one entry, which `factor` and `eigenvalues` sum.
+    A circulant band's `diags` may be one column broadcast, read-only."""
 
     def __init__(self, n, b):
         self.n, self.b = n, b
@@ -53,11 +54,17 @@ class PeriodicBand:
             row[:s] += values[self.n - s:]
         row[s:] += values[:self.n - s]
 
+    def _stored(self):
+        """The columns of `diags` held in memory: column 0 alone when it is
+        broadcast."""
+        return self.diags[:, :1] if self.diags.strides[1] == 0 else self.diags
+
     def is_circulant(self):
         """Is H circulant: no aliased offsets (n > 2b), and every column of
         `diags` equal to column 0?"""
+        stored = self._stored()
         return self.n > 2 * self.b and bool(
-            np.all(self.diags == self.diags[:, :1]))
+            (stored == stored[:, :1]).all())
 
     def eigenvalues(self):
         """Eigenvalues of a circulant band, lam[j] for the Fourier modes
@@ -79,10 +86,9 @@ class PeriodicBand:
     def _half_spectrum(self):
         """lam_j of `eigenvalues` for j = 0..n//2, the modes of an rfft;
         lam_(n - j) = lam_j."""
-        b = self.b
-        o = np.arange(1, b + 1)
-        return -2.0 * (_sin2_table(self.n, b)
-                       @ (self.diags[b + o, 0] + self.diags[b - o, 0]))
+        b, col = self.b, self.diags[:, 0]
+        # H[0, o] + H[0, -o] for o = 1..b
+        return -2.0 * (_sin2_table(self.n, b) @ (col[b + 1:] + col[b - 1::-1]))
 
     def factor(self):
         """Factor H and return its passes: rhs -> an iterator over mean-zero
@@ -106,7 +112,7 @@ class PeriodicBand:
         factorization, with the residual in the difference form
         sum_o H[m, m + o]·(x[m + o] - x[m]), exact on constants: a caller
         can stop on the first pass."""
-        if not np.all(np.isfinite(self.diags)):
+        if not np.isfinite(self._stored()).all():
             raise ValueError("PeriodicBand has non-finite entries")
         if self.is_circulant():
             return _spectral_passes(self._half_spectrum(), self.n)
@@ -144,19 +150,29 @@ def _spectral_passes(lam, n):
     """The passes of `PeriodicBand.factor` for an n×n circulant band whose
     eigenvalues are lam_j, j = 0..n//2, and lam_(n - j) = lam_j: one, the
     solution; raises `np.linalg.LinAlgError` unless lam_j > 0 for every
-    mode j != 0."""
-    if not np.all(lam[1:] > 0.0):
+    mode j != 0. The passes carry `lam`, so that a caller can solve several
+    such bands at once (`_spectral_solve`)."""
+    if not (lam[1:] > 0.0).all():
         raise np.linalg.LinAlgError(
             "PeriodicBand is not positive definite on mean-zero vectors")
 
     def passes(rhs):
-        xh = np.fft.rfft(rhs)
-        xh[0] = 0.0
-        xh[1:] /= lam[1:]
-        x = np.fft.irfft(xh, n)
-        yield x - x.mean()
+        yield _spectral_solve(lam, rhs)
 
+    passes.lam = lam
     return passes
+
+
+def _spectral_solve(lam, rhs):
+    """The mean-zero x = irfft(rfft(rhs) / lam) over the modes j != 0, for
+    each row of rhs (..., n) and its row of eigenvalues lam (..., n//2 + 1):
+    the row-wise rfft, irfft and row means give each row the bits it gets
+    alone."""
+    xh = np.fft.rfft(rhs)
+    xh[..., 0] = 0.0
+    xh[..., 1:] /= lam[..., 1:]
+    x = np.fft.irfft(xh, rhs.shape[-1])
+    return x - _row_means(x)
 
 
 _Layout = namedtuple("_Layout", "order cols src dst pad nb")
@@ -393,11 +409,6 @@ def _index(rows, m):
     return slice(None) if len(rows) == m else rows
 
 
-def _centered(g):
-    """g less the mean of each row."""
-    return g - _row_means(g)
-
-
 def newton_minimize(problem, x0):
     """Newton with energy backtracking over mean-zero vectors, stopped on a
     certified step (Kelley, Solving Nonlinear Equations with Newton's
@@ -408,8 +419,10 @@ def newton_minimize(problem, x0):
     factorization certifies x_k: an indefinite Hessian is flagged (that
     failure mode is informative: it exhibits the unstable continuum
     variants). Its passes (`PeriodicBand.factor`) then give the Newton step
-    p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf,
-    the result is x_k + p_k. So x_k already agrees with the minimizer to
+    p_k; the members whose bands are circulant take theirs from one
+    row-wise spectral solve (`_spectral_solve`). Once
+    ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf, the result is x_k + p_k.
+    So x_k already agrees with the minimizer to
     about 8 digits relative to ||x||_inf, and in Newton's quadratic regime
     x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
     rounding error of the computed step, not STEP_RTOL. A reduction solve's
@@ -483,7 +496,7 @@ def newton_minimize(problem, x0):
             for i, why in outside.items():
                 end(i, x[i], np.nan, it, False, why, outside_domain=True)
             if rows:
-                g[_index(rows, m)] = _centered(gx)
+                g[_index(rows, m)] = gx - _row_means(gx)
             for i in rows:
                 has_g[i] = True
             running = [i for i in running if i not in outside]
@@ -492,7 +505,23 @@ def newton_minimize(problem, x0):
         norms = np.abs(g[_index(running, m)]).max(axis=1).tolist()
         for i, norm in zip(running, norms):
             gnorm[i] = norm
-        exits, stops, steps = {}, [], []
+        exits, stops, steps, spectral = {}, [], [], {}
+
+        def take(i, passes):
+            # a reduction solve yields its first pass before it refines: a
+            # step that stops on it needs no refinement
+            for step in passes:
+                stop = (np.abs(step).max()
+                        <= STEP_RTOL * np.abs(x[i] + step).max())
+                if stop:
+                    break
+            else:
+                # one refined step from a certified start reaches a
+                # quadratic problem's minimizer
+                stop = problem.quadratic and it == 0
+            p[i] = step
+            (stops if stop else steps).append(i)
+
         bands = problem.hessian(_at_rows(x, running))
         for j, i in enumerate(running):
             band, bands[j] = bands[j], None
@@ -504,23 +533,18 @@ def newton_minimize(problem, x0):
                 continue
             del band
             if gnorm[i] == 0.0:
-                del passes
                 exits[i] = (True, "converged", {})
-                continue
-            # a reduction solve yields its first pass before it refines: a
-            # step that stops on it needs no refinement
-            for step in passes(-g[i]):
-                stop = (np.abs(step).max()
-                        <= STEP_RTOL * np.abs(x[i] + step).max())
-                if stop:
-                    break
+            elif hasattr(passes, "lam"):
+                spectral[i] = passes.lam
             else:
-                # one refined step from a certified start reaches a
-                # quadratic problem's minimizer
-                stop = problem.quadratic and it == 0
+                take(i, passes(-g[i]))
             del passes  # free the factorization before f is evaluated again
-            p[i] = step
-            (stops if stop else steps).append(i)
+        if spectral:
+            # the circulant members' steps in one row-wise spectral solve
+            circulant = list(spectral)
+            for i, step in zip(circulant, _spectral_solve(
+                    np.array(list(spectral.values())), -g[circulant])):
+                take(i, [step])
         del bands
         # f at the exits that have not read it, and at the stopping points
         ends = [i for i in exits if fx[i] is None]
@@ -555,8 +579,8 @@ def newton_minimize(problem, x0):
             fn = values_at(trial, steps)
             low = [i for i in fn if roundoff[i]]
             if low:
-                gn = dict(zip(low, _centered(problem.gradient(
-                    _at_rows(trial, low)))))
+                gn = problem.gradient(_at_rows(trial, low))
+                gn = dict(zip(low, gn - _row_means(gn)))
             for i, f in fn.items():
                 if roundoff[i]:
                     taken = np.abs(gn[i]).max() < gnorm[i]

@@ -51,14 +51,20 @@ class PairPotential:
         """`derivative` for distances r the caller has already checked to be
         positive: the solvers check their points once (the chain's
         `_strains`, the FEM's bond lengths), not once per call. With `out`,
-        an array shaped like r, the result is written there, and LJ and
-        Morse take their second term in `work`, one more such array; the
-        operations and their order are those of the call without them, so
-        the bits are too."""
+        an array shaped like r or r itself, the result is written there,
+        and LJ and Morse take their second term in `work`, one more such
+        array; the operations and their order are those of the call without
+        them, so the bits are too."""
         if not 0 <= j <= MAX_DERIVATIVE:
             raise ValueError(f"derivative order {j} unsupported (max {MAX_DERIVATIVE})")
         r = np.asarray(r, dtype=float)
-        s = np.divide(r, self.eps, out=np.empty_like(r) if out is None else out)
+        # a division or product by a scale of 1 is exact, so it is skipped
+        # where it would write in place
+        if out is r and self.eps == 1.0:
+            s = out
+        else:
+            s = np.divide(r, self.eps,
+                          out=np.empty_like(r) if out is None else out)
         if work is None and self.kind != "harmonic":
             work = np.empty_like(s)
         scale = self.eps ** (-j)
@@ -69,7 +75,8 @@ class PairPotential:
                 s *= 0.5
             elif j == 1:
                 s -= 1.0
-                s *= scale
+                if scale != 1.0:
+                    s *= scale
             else:
                 s.fill(scale if j == 2 else 0.0)
             return s[()]
@@ -80,7 +87,8 @@ class PairPotential:
             np.power(s, -12.0 - j, out=s)
             s *= c12
             s -= work
-            s *= scale
+            if scale != 1.0:
+                s *= scale
             return s[()]
         # morse: phi = E^2 - 2E with E = exp(-a (s - 1))
         a = self.morse_a
@@ -97,7 +105,8 @@ class PairPotential:
         work *= E
         E *= 2.0 * (-a) ** j
         np.subtract(work, E, out=E)
-        E *= scale
+        if scale != 1.0:
+            E *= scale
         return E[()]
 
     @property
@@ -140,8 +149,8 @@ class ShiftedPotential:
 
     def derivative_unchecked(self, j, s):
         """`derivative` for strains whose lengths the caller has checked."""
-        return self.base.derivative_unchecked(
-            j, np.asarray(s, dtype=float) + self.shift)
+        r = np.asarray(np.asarray(s, dtype=float) + self.shift)
+        return self.base.derivative_unchecked(j, r, out=r)
 
     def __call__(self, s):
         return self.derivative(0, s)

@@ -411,6 +411,46 @@ def test_assembled_callbacks_share_one_evaluation_per_point(key):
     _assert_same_bits(_callbacks(prob, c), want)
 
 
+@pytest.mark.parametrize("potential", ["harmonic", "lj", "morse"])
+def test_stacked_callbacks_at_one_point_in_any_order_give_fresh_bits(
+        potential):
+    # phi's planes are written over the stack's bond lengths: a later call
+    # at the same point makes the lengths again, so every call in any order
+    # returns the bits of a freshly assembled problem's first call
+    N = 8
+    sp = PeriodicSplineSpace(N)
+    models = [continuum_model(key, make_potential(potential), bonds=(1, 2))
+              for key in ("cb", "hoc4", "first")]
+    c = 0.01 * np.random.default_rng(3).standard_normal((3, 2 * N))
+
+    def bits(name, prob):
+        got = getattr(prob, name)(c)
+        return [b.diags for b in got] if name == "hessian" else got
+
+    names = ("objective", "gradient", "hessian")
+    want = {name: bits(name, assemble(models, sp, cos_force(N)))
+            for name in names}
+    prob = assemble(models, sp, cos_force(N))
+    for name in ("gradient", "hessian", "objective", "hessian", "gradient",
+                 "objective", "objective", "gradient"):
+        for got, ref in zip(bits(name, prob), want[name]):
+            assert np.array_equal(got, ref)
+
+
+def test_quadratic_bands_hold_one_column():
+    # a quadratic stack's bands are circulant: each holds its one stencil
+    # column, broadcast, and factors through its spectrum
+    N = 1024
+    sp = PeriodicSplineSpace(N)
+    models = [continuum_model(key, make_potential("harmonic"), bonds=(1, 2))
+              for key in ("cb", "hoc4", "hoc6")]
+    c = 0.01 * np.random.default_rng(4).standard_normal((3, 2 * N))
+    for band in assemble(models, sp).hessian(c):
+        assert band.diags.shape == (11, 2 * N)
+        assert band.diags.strides[1] == 0 and band.is_circulant()
+        assert hasattr(band.factor(), "lam")
+
+
 def _reference_callbacks(model, space, c):
     """Objective, gradient and Hessian band of `assemble(model, space)` at
     c by the slot-form formulas of an earlier version: bond arguments by

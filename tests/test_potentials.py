@@ -82,6 +82,20 @@ def test_domain_errors():
         p.derivative(8, 1.0)
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.9])
+@pytest.mark.parametrize("kind", ["harmonic", "lj", "morse"])
+def test_derivative_in_place_has_the_bits_of_a_new_array(kind, eps):
+    # written over its argument, a derivative skips what a scale of 1 leaves
+    # exact, and keeps every bit of the derivative into a new array
+    p = make_potential(kind, eps=eps)
+    r = np.linspace(0.7, 2.5, 41)
+    for j in range(8):
+        want = p.derivative_unchecked(j, r)
+        got = r.copy()
+        p.derivative_unchecked(j, got, out=got)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_shifted_is_exact_translation():
     p = make_potential("lj")
     s = shifted(p, 1.0, 2)
