@@ -1,13 +1,14 @@
 """A tour of the building blocks: pair potentials, the two spline kernels,
-bond weights, and the three lattice interpolants.
+bond weights, and the interpolants of a lattice function: its (2N,) array
+of values on the sites xi = -N..N-1.
 
 Run:  python demos/01_potentials_and_interpolants.py
 """
 
 import numpy as np
 
-from chain_elastica import (PeriodicLatticeField, bspline, hermite_interpolant,
-                            make_potential, reproducing_kernel)
+from chain_elastica import (bspline, hermite_interpolant, make_potential,
+                            reproducing_kernel)
 from chain_elastica.oracles import moment_sum, nodal_interpolant
 
 print("== pair potentials (lattice units, rest length 1) ==")
@@ -40,7 +41,7 @@ for rho in (1, 2):
 print("\n== interpolating a lattice sine, N = 16 ==")
 N = 16
 xi = np.arange(-N, N)
-v = PeriodicLatticeField(np.sin(np.pi * xi / N), N)
+v = np.sin(np.pi * xi / N)
 x = np.linspace(-N, N, 2000, endpoint=False)
 exact = (np.pi / N) * np.cos(np.pi * x / N)
 H = hermite_interpolant(v)

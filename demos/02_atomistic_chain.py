@@ -18,9 +18,9 @@ for kind in ("harmonic", "lj"):
     sol = sys_.solve()
     print(f"{kind}: converged={sol.converged} iters={sol.iterations} "
           f"|grad|_inf={sol.grad_norm:.1e} admissible={sol.admissible}")
-    print(f"   max |u| = {np.max(np.abs(sol.displacement.values)):.4e}, "
+    print(f"   max |u| = {np.max(np.abs(sol.displacement)):.4e}, "
           f"energy above homogeneous = {sol.energy_above_homogeneous:.6e}")
     if kind == "harmonic":
         ref = dft_solve(sys_)
-        err = np.max(np.abs(sol.displacement.values - ref.values))
+        err = np.max(np.abs(sol.displacement - ref))
         print(f"   vs circulant DFT solve: {err:.2e}")

@@ -5,14 +5,12 @@ which this package does not import."""
 
 from .potentials import PairPotential, ShiftedPotential, make_potential, \
     shifted, decay_moment
-from .lattice import PeriodicLatticeField, finite_difference, \
-    stencil_derivatives, hermite_interpolant, project_mean_zero, \
-    check_admissible
 from .splines import bspline, bspline_kernel, reproducing_kernel, \
     SplineKernel, localization_weight, measurement_interpolant, KernelField, \
-    PiecewisePoly
+    PiecewisePoly, stencil_derivatives, hermite_interpolant
 from .optimize import MinimizeProblem, MinimizeResult, newton_minimize
-from .atomistic import AtomisticSystem, AtomisticSolution, atomistic_stress
+from .atomistic import AtomisticSystem, AtomisticSolution, \
+    atomistic_stress, check_admissible
 from .continuum import SineField, continuum_model, MODEL_KEYS, \
     consistency_residual
 from .fem import PeriodicSplineSpace, FemField, assemble, solve_continuum, \

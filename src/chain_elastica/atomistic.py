@@ -7,13 +7,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import PeriodicLatticeField, project_mean_zero, check_admissible
 from .optimize import (DomainError, PeriodicBand, evaluate_once,
                        newton_minimize, stack_of_one)
 from .potentials import shifted
 from .splines import KernelField
 
-__all__ = ["AtomisticSystem", "AtomisticSolution", "atomistic_stress"]
+__all__ = ["AtomisticSystem", "AtomisticSolution", "atomistic_stress",
+           "check_admissible"]
 
 
 class AtomisticSystem:
@@ -135,9 +135,10 @@ class AtomisticSystem:
         res, = newton_minimize(prob, x0[None])
         if res.outside_domain:
             raise DomainError(res.message)
-        u = project_mean_zero(PeriodicLatticeField(res.x, self.N))
-        ok, site, rho, worst = check_admissible(u, self.bonds, self.kappa)
-        return AtomisticSolution(u, self.energy_above_homogeneous(u.values),
+        u = res.x - res.x.mean()
+        strains = self._strains(u)
+        ok, site, rho, worst = check_admissible(strains, self.kappa)
+        return AtomisticSolution(u, self.energy_above_homogeneous(u, strains),
                                  res.grad_norm, res.iterations,
                                  res.converged, admissible=ok,
                                  worst_bond=(site, rho, worst),
@@ -146,7 +147,7 @@ class AtomisticSystem:
 
 @dataclass
 class AtomisticSolution:
-    displacement: PeriodicLatticeField
+    displacement: np.ndarray            # mean-zero, over the sites
     energy_above_homogeneous: float     # E_a(displacement) - E_a(0), no load
     grad_norm: float
     iterations: int
@@ -174,6 +175,18 @@ def atomistic_stress(system, u, kernel, x):
             k %= n
             g[k:] += force[:n - k]
             g[:k] += force[n - k:]
-    field = KernelField(g, kernel.segment_kernel, system.N)
+    field = KernelField(g, kernel.segment_kernel)
     return field.eval(np.asarray(x, dtype=float) - 0.5)
 
+
+def check_admissible(strains, kappa):
+    """Is |D_rho u| <= kappa for every site and bond, given the strains
+    D_rho u of `AtomisticSystem._strains`? Returns
+    (ok, worst_site, worst_rho, worst_value)."""
+    worst = (-1.0, 0, 0)
+    for rho, d in strains.items():
+        d = np.abs(d)
+        i = int(np.argmax(d))
+        if d[i] > worst[0]:
+            worst = (float(d[i]), i - len(d) // 2, rho)
+    return worst[0] <= kappa, worst[1], worst[2], worst[0]

@@ -28,8 +28,8 @@ from .harness import (CONSISTENCY_MODELS, fit_models, load_config,
                       write_consistency, write_fits_json, write_records_csv,
                       write_solution_csvs, write_stability, _eps_to_N,
                       _KEY_CHOICES)
-from .lattice import STENCIL_MIN_N
 from .optimize import DomainError
+from .splines import STENCIL_MIN_N
 
 
 def _parse_eps_list(text):

@@ -75,9 +75,6 @@ class PeriodicSplineSpace:
         self._shifts = [int(o) % self.n for o in self.offsets]
         self._stacked = {}
 
-    def field(self, coeffs):
-        return FemField(coeffs, self)
-
     def gather(self, coeffs):
         """coeffs at (m + o) mod n for every offset o and element m: (6, n)."""
         return np.asarray(coeffs, float)[self._sites]
@@ -158,8 +155,8 @@ class FemField(KernelField):
     result = None
     energy = None
 
-    def __init__(self, coeffs, space):
-        super().__init__(coeffs, bspline_kernel(5), space.N)
+    def __init__(self, coeffs):
+        super().__init__(coeffs, bspline_kernel(5))
 
 
 @dataclass
@@ -496,7 +493,7 @@ def solve_continuum(models, space, f=None, max_iter=500, x0=None):
                 f"{where} is not positive definite on the mean-zero subspace "
                 f"at N={space.N}: {res.message}"))
         else:
-            out.append(space.field(res.x - res.x.mean()))
+            out.append(FemField(res.x - res.x.mean()))
             out[-1].result = res
     fields = [i for i, u in enumerate(out) if isinstance(u, FemField)]
     if fields:

@@ -20,13 +20,12 @@ from .atomistic import AtomisticSolution, AtomisticSystem, atomistic_stress
 from .continuum import MODEL_KEYS, SineField, continuum_model, gradients
 from .fem import FemField, PeriodicSplineSpace, energy_gap, \
     grad_l2_distance, solve_continuum
-from .lattice import hermite_interpolant
 from .optimize import DomainError
 from .potentials import POTENTIAL_KINDS, make_potential
 from .quadrature import composite_points
-from .splines import INTERP_KINDS, measurement_interpolant, \
-    periodic_spline_coefficients, periodic_spline_subdivision, \
-    periodic_spline_values, reproducing_kernel
+from .splines import INTERP_KINDS, hermite_interpolant, \
+    measurement_interpolant, periodic_spline_coefficients, \
+    periodic_spline_subdivision, periodic_spline_values, reproducing_kernel
 
 __all__ = ["StudyConfig", "ConvergenceRecord", "SlopeFit", "fit_slope",
            "fit_models", "unfitted_models", "Cell", "History", "solve_cell",
@@ -221,7 +220,7 @@ def solve_cell(cfg, eps, models, history=None):
     grad_iu = (iu.eval(composite_points(N), 1) if cfg.interp == "pi" else
                space.gradient_at_points(iu))
     # the FEM coefficients of the quintic spline through the chain
-    start = periodic_spline_coefficients(sol_a.displacement.values, 5)
+    start = periodic_spline_coefficients(sol_a.displacement, 5)
     load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
     cell = Cell(sol_a, [], {}, {}, History(N, {}))
     if sol_a.converged:
@@ -457,11 +456,11 @@ def write_solution_csvs(out_dir, cell):
     """solution_atomistic_<N>.csv and solution_<model>_<N>.csv for each
     model of the cell that was solved."""
     u = cell.atomistic.displacement
-    N = u.N
+    N = len(u) // 2
     xi = np.arange(-N, N)
     du = hermite_interpolant(u).eval(xi.astype(float), 1)
     _write_csv(os.path.join(out_dir, f"solution_atomistic_{N}.csv"),
-               "xi,u,grad_interp_u", (xi, u.values, du))
+               "xi,u,grad_interp_u", (xi, u, du))
     xs = np.sort(np.concatenate([xi.astype(float), xi + 0.5]))
     for key, fld in cell.fields.items():
         _write_csv(os.path.join(out_dir, f"solution_{key}_{N}.csv"),

@@ -7,7 +7,6 @@ runs."""
 import numpy as np
 
 from .continuum import gradients
-from .lattice import PeriodicLatticeField
 from .quadrature import composite_integral
 from .splines import KernelField, localization_weight
 
@@ -45,7 +44,7 @@ def dft_solve(system):
     uhat = np.zeros_like(fhat)
     uhat[1:] = fhat[1:] / lam[1:]
     u = np.real(np.fft.ifft(uhat))
-    return PeriodicLatticeField(u - u.mean(), system.N)
+    return u - u.mean()
 
 
 class SumField:
@@ -90,8 +89,9 @@ def stress_pairing(model, u, v, N, npoints=8):
 def external_work_gap(f, v, kernel, npoints=10):
     """|<f, v_tilde>_lattice - <f, v_hat>_continuum| for a mean-zero force:
     the discrete pairing samples the quasi-interpolant at the sites, the
-    continuum pairing integrates against the nodal interpolant."""
-    N = v.N
+    continuum pairing integrates against the nodal interpolant, for a
+    lattice function v."""
+    N = len(v) // 2
     sites = np.arange(-N, N).astype(float)
     vt = convolution_interpolant(v, kernel)
     vh = nodal_interpolant(v, kernel)
@@ -159,13 +159,14 @@ def moment_sum(kernel, rho, x, k):
 
 
 def nodal_interpolant(v, kernel):
-    """v_hat(x) = sum_xi v(xi) zeta(x - xi), periodic. With a reproducing
+    """v_hat(x) = sum_xi v(xi) zeta(x - xi), periodic, for a lattice
+    function v (its (2N,) site values). With a reproducing
     kernel this preserves polynomials up to the kernel's reproduction degree
     on windows where periodicity does not interfere; it is a
     quasi-interpolant, not an interpolant, for plain B-spline kernels."""
-    return KernelField(v.values, kernel, v.N)
+    return KernelField(v, kernel)
 
 
 def convolution_interpolant(v, kernel):
     """v_tilde = zeta * v_hat = sum_xi v(xi) (zeta*zeta)(x - xi)."""
-    return KernelField(v.values, kernel.convolve(kernel), v.N)
+    return KernelField(v, kernel.convolve(kernel))

@@ -1,6 +1,10 @@
 """Piecewise polynomials in pp-form and the B-splines, kernels, bond weights
 and periodic interpolants built on them.
 
+A lattice function, such as a chain's displacement, is a (2N,) array of its
+values on the sites xi = -N..N-1, extended 2N-periodically; every field here
+that is built from one reads N from its length.
+
 Every kernel, field and interpolant here is a `PiecewisePoly`: monomial
 coefficients on unit cells, evaluated by a cell lookup plus Horner's rule
 (de Boor, A Practical Guide to Splines, ch. VII), with derivatives and
@@ -18,8 +22,8 @@ import numpy as np
 __all__ = [
     "PiecewisePoly", "bspline", "bspline_kernel", "reproducing_kernel",
     "SplineKernel", "localization_weight", "measurement_interpolant",
-    "KernelField",
-    "periodic_spline_coefficients", "periodic_spline_values",
+    "KernelField", "stencil_derivatives", "hermite_interpolant",
+    "STENCIL_MIN_N", "periodic_spline_coefficients", "periodic_spline_values",
     "periodic_spline_subdivision", "INTERP_KINDS",
 ]
 
@@ -209,8 +213,16 @@ def localization_weight(kernel, xi, rho, x):
     return (kernel.antiderivative(xi - x + rho) - kernel.antiderivative(xi - x)) / rho
 
 
+def _half_period(values):
+    """N of a lattice function, the (2N,) array `values`."""
+    if values.ndim != 1 or values.size % 2:
+        raise ValueError("need one value per site in [-N, N), 2N of them")
+    return values.size // 2
+
+
 class KernelField:
-    """Periodic field sum_j coeffs[j] * kernel(x - j), period 2N.
+    """Periodic field sum_j coeffs[j] * kernel(x - j) over the sites
+    j = -N..N-1 of its 2N coefficients, period 2N.
 
     Its pp-form on the kernel's breakpoints, `pp`, is built on first use:
     cells start at -N for odd degrees and at -N + 1/2 for even ones.
@@ -218,12 +230,10 @@ class KernelField:
     is 0.
     """
 
-    def __init__(self, coeffs, kernel, N):
+    def __init__(self, coeffs, kernel):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.kernel = kernel
-        self.N = N
-        if self.coeffs.shape != (2 * N,):
-            raise ValueError("need one coefficient per site in [-N, N)")
+        self.N = _half_period(self.coeffs)
 
     @functools.cached_property
     def pp(self):
@@ -322,23 +332,89 @@ def periodic_spline_subdivision(coeffs, degree):
     return fine
 
 
+# The widest stencil has halfwidth 3, so it needs 2N >= 7 sites: N >= 4.
+STENCIL_MIN_N = 4
+
+
+def stencil_derivatives(u):
+    """Site values of the four difference formulas (d1, d2, d3, d4) of the
+    lattice function u, each a fourth-order-accurate approximation of the
+    corresponding derivative."""
+    u = np.asarray(u, dtype=float)
+    if _half_period(u) < STENCIL_MIN_N:
+        raise ValueError("stencils need at least 7 sites")
+
+    def D(rho):
+        return np.roll(u, -rho) - u
+
+    d1 = (-D(2) + 8 * D(1) - 8 * D(-1) + D(-2)) / 12.0
+    d2 = (-D(2) + 16 * D(1) + 16 * D(-1) - D(-2)) / 12.0
+    d3 = (-D(3) + 8 * D(2) - 13 * D(1) + 13 * D(-1) - 8 * D(-2) + D(-3)) / 8.0
+    d4 = (-D(3) + 12 * D(2) - 39 * D(1) - 39 * D(-1) + 12 * D(-2) - D(-3)) / 6.0
+    return d1, d2, d3, d4
+
+
+@functools.lru_cache(maxsize=1)
+def _hermite9_matrix():
+    """Exact map from the ten nodal data (value + 4 derivatives at both ends
+    of a unit interval) to the ten monomial coefficients. Built in exact
+    rational arithmetic on first use, not at import (about 2 ms), and
+    read-only."""
+    from fractions import Fraction
+    A = [[0] * 10 for _ in range(10)]
+    for m in range(5):
+        A[m][m] = factorial(m)
+        for i in range(10):
+            A[5 + m][i] = perm(i, m)
+    # exact rational inverse
+    n = 10
+    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        pv = M[col][col]
+        M[col] = [x / pv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    H9 = np.array([[float(M[i][n + j]) for j in range(n)] for i in range(n)])
+    H9.flags.writeable = False
+    return H9
+
+
+def hermite_interpolant(u):
+    """The piecewise degree-9 Hermite interpolant of the lattice function u,
+    a periodic PiecewisePoly: it matches the site value and the four
+    stencil derivatives at every site, is globally C^4, reproduces quartic
+    data exactly, and agrees with u at the sites (bit-exactly: Horner at
+    t = 0 returns the stored value)."""
+    u = np.asarray(u, dtype=float)
+    N = _half_period(u)
+    data = np.stack([u, *stencil_derivatives(u)], axis=1)       # (2N, 5)
+    nodal = np.concatenate([data, np.roll(data, -1, axis=0)], axis=1)
+    # monomials in t = x - xi on [xi, xi + 1)
+    return PiecewisePoly(nodal @ _hermite9_matrix().T, -N, periodic=True)
+
+
 INTERP_KINDS = ("pi", "cubic", "quartic")
 
 
-def measurement_interpolant(v, kind):
-    """Smooth interpolant I v used to measure atomistic solutions.
+def measurement_interpolant(u, kind):
+    """Smooth interpolant I u of the lattice function u, used to measure
+    atomistic solutions.
 
     kind: 'pi' (the degree-9 Hermite operator), 'cubic' or 'quartic'
     (periodic spline interpolation at the sites).
     """
     if kind == "pi":
-        from .lattice import hermite_interpolant
-        return hermite_interpolant(v)
+        return hermite_interpolant(u)
     if kind == "cubic":
         degree = 3
     elif kind == "quartic":
         degree = 4
     else:
         raise ValueError(f"unknown interpolant kind {kind!r}")
-    coeffs = periodic_spline_coefficients(v.values, degree)
-    return KernelField(coeffs, bspline_kernel(degree), v.N)
+    return KernelField(periodic_spline_coefficients(u, degree),
+                       bspline_kernel(degree))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chain_elastica.atomistic import AtomisticSystem, atomistic_stress
-from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.oracles import (band_toarray, convolution_interpolant,
                                     dft_solve, gradient_check,
                                     hessian_dft_eigenvalues,
@@ -112,7 +111,7 @@ def test_solution_carries_its_energy_above_homogeneous():
                            force=lattice_force(N))
     sol = sys_.solve()
     assert sol.energy_above_homogeneous == sys_.energy_above_homogeneous(
-        sol.displacement.values)
+        sol.displacement)
 
 
 def test_gradient_zero_at_homogeneous():
@@ -161,7 +160,7 @@ def test_zero_force_gives_zero_displacement():
     sys_ = AtomisticSystem(N, make_potential("lj"), bonds=(1, 2))
     sol = sys_.solve()
     assert sol.converged
-    assert np.max(np.abs(sol.displacement.values)) < 1e-12
+    assert np.max(np.abs(sol.displacement)) < 1e-12
 
 
 def test_harmonic_solve_matches_circulant_dft_solve():
@@ -171,7 +170,7 @@ def test_harmonic_solve_matches_circulant_dft_solve():
     sol = sys_.solve()
     assert sol.converged
     ref = dft_solve(sys_)
-    assert np.max(np.abs(sol.displacement.values - ref.values)) < 1e-10
+    assert np.max(np.abs(sol.displacement - ref)) < 1e-10
 
 
 def test_lj_solve_converges_and_is_admissible():
@@ -206,17 +205,16 @@ def _per_bond_stress(system, u, kernel, x):
     """S_a summed bond by bond: rho phi_rho'(D_rho u(xi)) chi_{xi,rho}(x) over
     every xi whose weight can be nonzero at x, chi from the kernel's
     antiderivative (`localization_weight`)."""
-    n2 = 2 * u.N
-    xw = (x + u.N) % n2 - u.N
+    N = len(u) // 2
+    xw = (x + N) % (2 * N) - N
     base = np.floor(xw).astype(int)
     rad = int(np.ceil(kernel.support_radius)) + 1
     out = np.zeros_like(xw)
     for rho in system.bonds:
-        force = rho * system.phi[rho].derivative(1, u.shifted_values(rho)
-                                                 - u.values)
+        force = rho * system.phi[rho].derivative(1, np.roll(u, -rho) - u)
         for off in range(-rad - rho, rad + 1):
             xi = base + off
-            out += (force[(xi + u.N) % n2]
+            out += (force[(xi + N) % (2 * N)]
                     * localization_weight(kernel, xi, rho, xw))
     return out
 
@@ -233,11 +231,11 @@ def test_stress_matches_per_bond_sum(potential, kernel):
     for bonds in [(1,), (1, 2), (1, 2, 3)]:
         for N in [2, 3, 8, 16]:
             sys_ = AtomisticSystem(N, make_potential(potential), bonds=bonds)
-            u = PeriodicLatticeField(0.05 * gen.standard_normal(2 * N), N)
+            u = 0.05 * gen.standard_normal(2 * N)
             x = np.concatenate([np.arange(-3 * N, 3 * N, 0.5),
                                 gen.uniform(-3 * N, 3 * N, 50)])
             want = _per_bond_stress(sys_, u, kernel, x)
-            got = atomistic_stress(sys_, u.values, kernel, x)
+            got = atomistic_stress(sys_, u, kernel, x)
             assert np.max(np.abs(got - want)) \
                 <= 1e-14 * max(1.0, np.max(np.abs(want))), (bonds, N)
 
@@ -254,9 +252,8 @@ def test_stress_weak_form_identity(degree):
         u -= u.mean()
         v = rng.standard_normal(2 * N)
         v -= v.mean()
-        vf = PeriodicLatticeField(v, N)
-        vhat = nodal_interpolant(vf, z)
-        vtil = convolution_interpolant(vf, z)
+        vhat = nodal_interpolant(v, z)
+        vtil = convolution_interpolant(v, z)
         lhs = composite_integral(
             lambda x: atomistic_stress(sys_, u, z, x) * vhat.eval(x, 1),
             N, npoints=degree + 3)

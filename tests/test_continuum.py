@@ -5,7 +5,6 @@ from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import (SineField, MODEL_KEYS,
                                       consistency_residual, continuum_model,
                                       gradients)
-from chain_elastica.lattice import PeriodicLatticeField
 from chain_elastica.oracles import (SumField, continuum_energy,
                                     external_work_gap,
                                     first_variation_pairing, stress_pairing)
@@ -244,10 +243,10 @@ def test_consistency_order_controls():
 
 def test_external_work_gap_trivial_cases():
     z = reproducing_kernel(3)
-    v = PeriodicLatticeField(rng.standard_normal(2 * N), N)
+    v = rng.standard_normal(2 * N)
     assert external_work_gap(lambda x: np.zeros_like(np.asarray(x, float)),
                              v, z) < 1e-15
-    const = PeriodicLatticeField(np.full(2 * N, 1.7), N)
+    const = np.full(2 * N, 1.7)
     eps = 1.0 / N
     f = lambda x: eps * np.cos(np.pi * eps * np.asarray(x, dtype=float))
     assert external_work_gap(f, const, z) < 1e-12
@@ -260,7 +259,7 @@ def test_external_work_gap_order():
         eps = 1.0 / NN
         f = lambda x: eps * np.cos(np.pi * eps * np.asarray(x, dtype=float))
         xi = np.arange(-NN, NN)
-        v = PeriodicLatticeField(np.sin(np.pi * eps * xi + 1.0), NN)
+        v = np.sin(np.pi * eps * xi + 1.0)
         errs.append(external_work_gap(f, v, z))
     slope = np.polyfit(np.log([1 / n for n in Ns]), np.log(errs), 1)[0]
     assert slope >= 3.8

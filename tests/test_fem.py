@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 from chain_elastica import fem
 from chain_elastica.atomistic import AtomisticSystem
 from chain_elastica.continuum import SineField, continuum_model
-from chain_elastica.fem import (QUAD_POINTS, IndefiniteHessianError,
-                                PeriodicSplineSpace, assemble, energy_gap,
-                                grad_l2_distance)
+from chain_elastica.fem import (QUAD_POINTS, FemField,
+                                IndefiniteHessianError, PeriodicSplineSpace,
+                                assemble, energy_gap, grad_l2_distance)
 from chain_elastica import optimize
 from chain_elastica.oracles import (band_toarray, continuum_energy,
                                     fourier_cos_amplitude, gradient_check)
@@ -66,7 +66,7 @@ def test_space_represents_local_quintics():
     poly = np.polynomial.Polynomial((0.1, 0.2, -0.3, 0.05, 0.02, 0.004))
     j = np.arange(-N, N, dtype=float)
     c = poly(j) - poly.deriv(2)(j) / 4.0 + poly.deriv(4)(j) / 30.0
-    u = sp.field(c)
+    u = FemField(c)
     x = np.linspace(-2.5, 2.5, 41)
     assert np.max(np.abs(u.eval(x) - poly(x))) < 1e-10
     assert np.max(np.abs(u.eval(x, 1) - poly.deriv()(x))) < 1e-10
@@ -75,7 +75,7 @@ def test_space_represents_local_quintics():
 def test_field_derivative_orders():
     N = 8
     sp = PeriodicSplineSpace(N)
-    u = sp.field(rng.standard_normal(2 * N))
+    u = FemField(rng.standard_normal(2 * N))
     x = rng.uniform(-N, N, 30)
     h = 1e-6
     for r in range(1, 5):
@@ -237,7 +237,7 @@ def test_gauss_template_gradient_matches_the_pp_form(degree, N):
     # the measurement's gather and product with the Gauss template against
     # the field's pp-form at every point of the error norm's rule
     coeffs = np.random.default_rng(N).standard_normal(2 * N)
-    field = KernelField(coeffs, bspline_kernel(degree), N)
+    field = KernelField(coeffs, bspline_kernel(degree))
     got = PeriodicSplineSpace(N).gradient_at_points(field)
     want = field.eval(composite_points(N), 1)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -325,8 +325,8 @@ def test_energy_gap_trivial_and_shift_invariant():
                                          - u_c.energy) > 0.0
     sys_ = AtomisticSystem(N, pot, bonds=(1, 2))
     u = 0.01 * rng.standard_normal(2 * N)
-    c = sp.field(0.01 * rng.standard_normal(2 * N))
-    shifted_c = sp.field(c.coeffs + 0.37)   # basis partition of unity
+    c = FemField(0.01 * rng.standard_normal(2 * N))
+    shifted_c = FemField(c.coeffs + 0.37)   # basis partition of unity
     assert sys_.energy_above_homogeneous(u + 0.37) == pytest.approx(
         sys_.energy_above_homogeneous(u), rel=1e-9)
     assert continuum_energy(m, shifted_c, N) == pytest.approx(

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import BSpline
 
-from chain_elastica.lattice import PeriodicLatticeField, project_mean_zero
 from chain_elastica.quadrature import composite_integral, gauss_rule
 from chain_elastica.oracles import (convolution_interpolant, moment_sum,
                                     nodal_interpolant)
 from chain_elastica.splines import (KernelField, SplineKernel, bspline,
                                     bspline_kernel, localization_weight,
+                                    hermite_interpolant,
                                     measurement_interpolant,
                                     periodic_spline_coefficients,
                                     periodic_spline_subdivision,
@@ -109,7 +109,7 @@ def test_kernel_field_matches_periodic_scipy_spline(degree):
     N = 6
     gen = np.random.default_rng(degree)   # leaves the module stream alone
     c = gen.standard_normal(2 * N)
-    u = KernelField(c, bspline_kernel(degree), N)
+    u = KernelField(c, bspline_kernel(degree))
     left = -N + 0.5 * (degree % 2 == 0)
     knots = left - degree + np.arange(2 * N + 2 * degree + 1)
     # scipy coefficient i belongs to the B-spline centered at site i - N - 1
@@ -184,12 +184,11 @@ def test_nodal_interpolant_reproduces_cubics_locally():
     N = 16
     xi = np.arange(-N, N, dtype=float)
     poly = np.polynomial.Polynomial((0.2, -0.4, 0.03, 0.008))
-    v = PeriodicLatticeField(poly(xi), N)
+    v = poly(xi)
     vh = nodal_interpolant(v, reproducing_kernel(3))
     x = np.linspace(-5, 5, 77)
     assert np.max(np.abs(vh.eval(x) - poly(x))) < 1e-12
-    zero = nodal_interpolant(PeriodicLatticeField(np.zeros(2 * N), N),
-                             reproducing_kernel(3))
+    zero = nodal_interpolant(np.zeros(2 * N), reproducing_kernel(3))
     assert np.all(zero.eval(x) == 0.0)
 
 
@@ -198,13 +197,12 @@ def test_convolution_interpolant_is_quasi():
     N = 8
     vals = np.zeros(2 * N)
     vals[N] = 1.0
-    vt = convolution_interpolant(PeriodicLatticeField(vals, N),
-                                 reproducing_kernel(3))
+    vt = convolution_interpolant(vals, reproducing_kernel(3))
     assert vt.eval(np.array([0.0]))[0] < 1.0
     # affine data reproduced (unit-mass even kernel); the doubled kernel has
     # support radius 7, so keep the window clear of the periodic seam
     N = 16
-    lin = PeriodicLatticeField(0.25 * np.arange(-N, N) + 1.3, N)
+    lin = 0.25 * np.arange(-N, N) + 1.3
     vtl = convolution_interpolant(lin, reproducing_kernel(3))
     x = np.linspace(-3, 3, 31)
     assert np.max(np.abs(vtl.eval(x) - (0.25 * x + 1.3))) < 1e-12
@@ -213,7 +211,7 @@ def test_convolution_interpolant_is_quasi():
 def test_localization_formula_for_bond_differences():
     # D_rho vtilde(xi) = int chi_{xi,rho}(x) grad vhat(x) dx
     N = 12
-    v = PeriodicLatticeField(rng.standard_normal(2 * N), N)
+    v = rng.standard_normal(2 * N)
     z = reproducing_kernel(3)
     vh = nodal_interpolant(v, z)
     vt = convolution_interpolant(v, z)
@@ -229,13 +227,13 @@ def test_localization_formula_for_bond_differences():
 
 def test_norm_equivalence_ratios():
     # calibration bounds for the three interpolants, 100 random fields
-    from chain_elastica.lattice import hermite_interpolant
     N = 64
     z = reproducing_kernel(3)
     lo, hi = np.inf, -np.inf
     lo2, hi2 = np.inf, -np.inf
     for _ in range(100):
-        v = project_mean_zero(PeriodicLatticeField(rng.standard_normal(2 * N), N))
+        v = rng.standard_normal(2 * N)
+        v -= v.mean()
         vh = nodal_interpolant(v, z)
         vt = convolution_interpolant(v, z)
         pv = hermite_interpolant(v)
@@ -251,21 +249,20 @@ def test_norm_equivalence_ratios():
 def test_spline_interpolants_match_sites():
     N = 16
     vals = rng.standard_normal(2 * N)
-    v = PeriodicLatticeField(vals, N)
     xi = np.arange(-N, N, dtype=float)
     for kind in ("cubic", "quartic", "pi"):
-        iu = measurement_interpolant(v, kind)
+        iu = measurement_interpolant(vals, kind)
         assert np.max(np.abs(iu.eval(xi) - vals)) < 1e-12, kind
     for kind in ("quintic", "hermite"):
         with pytest.raises(ValueError):
-            measurement_interpolant(v, kind)
+            measurement_interpolant(vals, kind)
 
 
 def test_quartic_interpolant_gradient_order():
     errs, Ns = [], (8, 16, 32, 64)
     for N in Ns:
         xi = np.arange(-N, N)
-        v = PeriodicLatticeField(np.sin(np.pi * xi / N), N)
+        v = np.sin(np.pi * xi / N)
         iu = measurement_interpolant(v, "quartic")
         x = np.linspace(-N, N, 16 * N, endpoint=False)
         exact = (np.pi / N) * np.cos(np.pi * x / N)
@@ -281,7 +278,7 @@ def test_cubic_interpolant_orders():
     val_errs, der_errs, Ns = [], [], (8, 16, 32, 64)
     for N in Ns:
         xi = np.arange(-N, N)
-        v = PeriodicLatticeField(np.sin(np.pi * xi / N), N)
+        v = np.sin(np.pi * xi / N)
         iu = measurement_interpolant(v, "cubic")
         x = np.linspace(-N, N, 16 * N, endpoint=False)
         val_errs.append(np.max(np.abs(iu.eval(x) - np.sin(np.pi * x / N))))
@@ -303,8 +300,8 @@ def test_subdivision_reproduces_the_coarse_field(degree, N):
     fine = periodic_spline_subdivision(c, degree)
     kernel = bspline_kernel(degree)
     x = rng.uniform(-N, N, 2000)
-    coarse_field = KernelField(c, kernel, N).eval(x)
-    fine_field = KernelField(fine, kernel, 2 * N).eval(2.0 * x)
+    coarse_field = KernelField(c, kernel).eval(x)
+    fine_field = KernelField(fine, kernel).eval(2.0 * x)
     assert np.max(np.abs(fine_field - coarse_field)) \
         <= 1e-15 * np.max(np.abs(coarse_field))
 
@@ -398,6 +395,6 @@ def test_interpolation_symbol_is_built_once_and_read_only(degree):
     v = rng.standard_normal(n)
     c = periodic_spline_coefficients(v, degree)
     sites = np.arange(-n // 2, n // 2, dtype=float)
-    field = KernelField(c, bspline_kernel(degree), n // 2)
+    field = KernelField(c, bspline_kernel(degree))
     assert np.max(np.abs(field.eval(sites) - v)) < 1e-13
     assert np.max(np.abs(periodic_spline_values(c, degree) - v)) < 1e-13
