@@ -32,6 +32,9 @@ class AtomisticSystem:
         self.phi = {rho: shifted(potential, self.F, rho) for rho in self.bonds}
         self.force = np.zeros(2 * self.N) if force is None else \
             np.asarray(force, dtype=float)
+        if self.force.shape != (2 * self.N,):
+            raise ValueError(f"force has length {self.force.size}, not the "
+                             f"2N = {2 * self.N} of the chain's sites")
         if abs(self.force.sum()) > 1e-10 * max(1, 2 * self.N):
             raise ValueError("external force must be mean-zero")
         self.kappa = self.F / 4.0 if kappa is None else float(kappa)

@@ -366,16 +366,15 @@ def _hessian_band(space, hess_kernel, planes, equal, work=None):
     """The band of the element Hessians from their planes, (K, columns)
     with element m in column m, contracted with `hess_kernel`. When the
     planes are `equal` at every element (a quadratic problem, whose planes
-    then hold 4 columns), or found to be, every column of the band is one
-    element's stencil, summed in offset order as `scatter_add` sums it,
-    and the band holds that one column, broadcast. Its products take 4
-    columns, as BLAS rounds 1- and 2-column ones differently from wider
-    ones. Otherwise dof-major (n, 11) element rows
-    are streamed (not stacked) through the scatter and written into the
-    band once; `work`, two (n, 11) arrays, takes them and their sum if
-    given."""
+    then hold 4 columns), every column of the band is one element's
+    stencil, summed in offset order as `scatter_add` sums it, and the band
+    holds that one column, broadcast. Its products take 4 columns, as BLAS
+    rounds 1- and 2-column ones differently from wider ones. Otherwise
+    dof-major (n, 11) element rows are streamed (not stacked) through the
+    scatter and written into the band once; `work`, two (n, 11) arrays,
+    takes them and their sum if given."""
     H = PeriodicBand(space.n, 5)
-    if equal or np.all(planes == planes[:, :1]):
+    if equal:
         one = np.asfortranarray(planes[:, :4])
         stencil = np.add.reduce(hess_kernel @ one, axis=0, initial=0.0)
         H.diags = np.broadcast_to(stencil[:, :1], H.diags.shape)

@@ -92,12 +92,12 @@ class SlopeFit:
     flagged: bool           # r2 below the acceptance bar
 
 
-def fit_slope(pairs, eps_min=0.0):
+def fit_slope(pairs):
     """Least squares on (log eps, log error); needs >= 3 positive points.
     The line is the closed-form two-parameter solution on the centred logs
     (Bjorck, Numerical Methods for Least Squares Problems, 1996, §1.1):
     slope = sum dx dy / sum dx^2 with dx, dy the logs less their means."""
-    pts = [(e, v) for e, v in pairs if e >= eps_min]
+    pts = list(pairs)
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 points")
     if any(v <= 0.0 for _, v in pts):
@@ -129,10 +129,11 @@ def _eps_to_N(eps):
     return int(N)
 
 
-def _lattice_force(N):
+def _forcing(N):
+    """A cell's load density f(x) = eps cos(pi eps x), eps = 1/N: the
+    chain's force is f at its sites and the FEM load integrates it."""
     eps = 1.0 / N
-    xi = np.arange(-N, N)
-    return eps * np.cos(np.pi * eps * xi)
+    return lambda x: eps * np.cos(np.pi * eps * x)
 
 
 # Lagrange weights that extrapolate in eps**2 to a cell's eps**2 = h from
@@ -211,8 +212,9 @@ def solve_cell(cfg, eps, models, history=None):
     history = History(N, {}) if history is None else history.moved(N)
     pot = cfg.make_potential()
     bonds = cfg.bonds()
+    f = _forcing(N)
     system = AtomisticSystem(N, pot, bonds=bonds, F=cfg.F,
-                             force=_lattice_force(N), kappa=cfg.kappa)
+                             force=f(np.arange(-N, N)), kappa=cfg.kappa)
     sol_a = system.solve(max_iter=cfg.max_iter, u0=periodic_spline_values(
         history.start("chain", np.zeros(2 * N)), 5))
     space = PeriodicSplineSpace(N)
@@ -221,7 +223,7 @@ def solve_cell(cfg, eps, models, history=None):
                space.gradient_at_points(iu))
     # the FEM coefficients of the quintic spline through the chain
     start = periodic_spline_coefficients(sol_a.displacement, 5)
-    load = space.load_vector(lambda x: eps * np.cos(np.pi * eps * x))
+    load = space.load_vector(f)
     cell = Cell(sol_a, [], {}, {}, History(N, {}))
     if sol_a.converged:
         cell.history.rows["chain"] = history.pushed("chain", start)

@@ -3,7 +3,8 @@ Hessian, factored through its spectrum when it is circulant and by a
 grounded block cyclic reduction otherwise; Newton, which builds and factors
 a fresh Hessian at each iterate, so that the factorization certifies it,
 stops on a small step (a quadratic problem after its first) and evaluates
-the objective once per point; and the one-slot cache through which a
+the objective once per point, written for one member and run in lockstep
+over a stack; and the one-slot cache through which a
 problem's callbacks share one evaluation per point. Only numpy is needed."""
 
 from collections import namedtuple
@@ -372,69 +373,41 @@ STEP_RTOL = 1e-8
 ROUNDOFF_RTOL = 1e-10
 
 
-def _at_rows(x, rows):
-    """The (m, n) points x with every row not in `rows` NaN."""
-    if len(rows) == len(x):
-        return x
-    at = np.empty_like(x)
-    for i in range(len(x)):     # a stack has a few rows
-        at[i] = x[i] if i in rows else np.nan
-    return at
-
-
-def _call(callback, x, rows):
-    """`callback` at the rows of x: the rows it evaluated, its values there
-    and row -> message for the rows outside the domain, which are dropped
-    and the call made again without them."""
-    outside = {}
-    while rows:
-        try:
-            return rows, callback(_at_rows(x, rows)), outside
-        except DomainError as err:
-            bad = err.rows or dict.fromkeys(rows, str(err))
-            outside.update(bad)
-            rows = [i for i in rows if i not in bad]
-    return rows, (), outside
-
-
 def _row_means(a):
     """a.mean(axis=-1, keepdims=True), the same sum and division, without
     the Python layer of `np.mean`."""
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _index(rows, m):
-    """`rows` of a stack of m as an index: all of them as a slice, whose
-    rows are views, and a subset as the list."""
-    return slice(None) if len(rows) == m else rows
+def _member(x, quadratic, max_iter):
+    """One member's Newton with energy backtracking over mean-zero vectors,
+    from the mean-zero start x, stopped on a certified step (Kelley, Solving
+    Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2). A generator:
+    it yields ("gradient" | "hessian" | "objective", point) and is sent the
+    value there: the mean-zero gradient, the PeriodicBand or f. An objective
+    outside the domain is sent None and a gradient outside it the
+    DomainError's message. It yields ("step", (lam, rhs)) for the step of a
+    circulant band (`_spectral_solve`), ("next", None) at the end of each
+    iteration, and returns its MinimizeResult.
 
-
-def newton_minimize(problem, x0):
-    """Newton with energy backtracking over mean-zero vectors, stopped on a
-    certified step (Kelley, Solving Nonlinear Equations with Newton's
-    Method, SIAM 2003, ch. 2), for each member of the stack of starts x0,
-    (m, n), in lockstep.
-
-    At each iterate x_k the problem builds a fresh Hessian, whose one
+    At each iterate x_k it asks for a fresh Hessian, whose one
     factorization certifies x_k: an indefinite Hessian is flagged (that
     failure mode is informative: it exhibits the unstable continuum
     variants). Its passes (`PeriodicBand.factor`) then give the Newton step
-    p_k; the members whose bands are circulant take theirs from one
-    row-wise spectral solve (`_spectral_solve`). Once
-    ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf, the result is x_k + p_k.
-    So x_k already agrees with the minimizer to
-    about 8 digits relative to ||x||_inf, and in Newton's quadratic regime
-    x_k + p_k is off by O(||p_k||^2), below roundoff: its error is then the
-    rounding error of the computed step, not STEP_RTOL. A reduction solve's
-    first pass is tested before its refinement pass runs (`PeriodicBand`):
-    that p_k is good to about 1e-12 relative, so refining it would move
-    x_k + p_k by about 1e-20 of ||x||_inf, below one ulp, and a final step
-    makes one pass (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-    1982). A step that continues is refined by the last pass, and its stop
-    test is made again on the refined p_k. An exactly zero
-    gradient returns x_k itself. Every step's factorization is freed before
-    f is evaluated at the points returned or at line-search trials, so an
-    evaluation never holds its memory as well.
+    p_k. Once ||p_k||_inf <= STEP_RTOL·||x_k + p_k||_inf, the result is
+    x_k + p_k. So x_k already agrees with the minimizer to about 8 digits
+    relative to ||x||_inf, and in Newton's quadratic regime x_k + p_k is off
+    by O(||p_k||^2), below roundoff: its error is then the rounding error
+    of the computed step, not STEP_RTOL. A reduction solve's first pass is
+    tested before its refinement pass runs (`PeriodicBand`): that p_k is
+    good to about 1e-12 relative, so refining it would move x_k + p_k by
+    about 1e-20 of ||x||_inf, below one ulp, and a final step makes one pass
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). A step
+    that continues is refined by the last pass, and its stop test is made
+    again on the refined p_k. An exactly zero gradient returns x_k itself.
+    Every step's factorization is freed before f is evaluated at the points
+    returned or at line-search trials, so an evaluation never holds its
+    memory as well.
 
     A `quadratic` problem stops after its first step: its Hessian is the
     same at every point, so the factorization at x_0 certifies the whole
@@ -456,153 +429,145 @@ def newton_minimize(problem, x0):
     objective call. Backtracking enforces Armijo decrease unless the
     predicted decrease -g.p is below the objective's rounding level
     (ROUNDOFF_RTOL·|f|); such a step is accepted when it lowers
-    ||g||_inf instead. A trial at which the objective raises DomainError
-    is rejected like one that fails the test; a start outside the domain
-    ends its member with `outside_domain` and no step.
+    ||g||_inf instead. A trial outside the domain is rejected like one that
+    fails the test; a start outside the domain ends the member with
+    `outside_domain` and no step."""
+    fx = g = None
+    gnorm = float("nan")
 
-    Lockstep: the members still running at iteration k are all at their
-    own k-th step, and each callback is called once for all of them that
-    need it, at the points named below, through the problem object: the
-    gradients at the iterates, the Hessians there, f at the points
-    returned, f at the iterates that start a line search, and f (then the
-    gradients of the members whose decrease is at roundoff level) at each
-    round of trials. Every step, test, factorization and exit is the
-    member's own, so a member ends with the bits it gets alone as long as
-    the callbacks give each row the bits they give it alone. The result
-    is a `StackResult`."""
+    def done(at, f, it, converged, message, **flags):
+        # the result at `at`, with f evaluated there unless it is known
+        if f is None:
+            f = yield "objective", at
+        return MinimizeResult(at, float(f), gnorm, it, converged, message,
+                              **flags)
+
+    for it in range(max_iter):
+        if g is None:
+            g = yield "gradient", x
+        if isinstance(g, str):
+            return MinimizeResult(x, float("nan"), gnorm, it, False, g,
+                                  outside_domain=True)
+        gnorm = float(np.abs(g).max())
+        try:
+            passes = (yield "hessian", x).factor()
+        except np.linalg.LinAlgError:
+            passes = None   # leave the handler: its traceback holds the arrays
+        if passes is None:
+            return (yield from done(x, fx, it, False, "Hessian not positive "
+                                    "definite", hessian_indefinite=True))
+        if gnorm == 0.0:
+            del passes
+            return (yield from done(x, fx, it, True, "converged"))
+        steps = ([(yield "step", (passes.lam, -g))] if hasattr(passes, "lam")
+                 else passes(-g))
+        del passes
+        # a reduction solve yields its first pass before it refines: a step
+        # that stops on it needs no refinement
+        for p in steps:
+            stop = np.abs(p).max() <= STEP_RTOL * np.abs(x + p).max()
+            if stop:
+                break
+        else:
+            # one refined step from a certified start reaches a quadratic
+            # problem's minimizer
+            stop = quadratic and it == 0
+        del steps   # free the factorization before f is evaluated again
+        trial = x + p
+        trial -= _row_means(trial)
+        if stop:
+            f = yield "objective", trial
+            if f is not None:
+                return MinimizeResult(trial, float(f), gnorm, it + 1, True,
+                                      "converged")
+        if fx is None:
+            fx = yield "objective", x
+        slope = float(np.dot(g, p))
+        roundoff = -slope <= ROUNDOFF_RTOL * abs(fx)
+        alpha = 1.0
+        for _ in range(60):
+            f = yield "objective", trial
+            if f is not None:
+                if roundoff:
+                    gn = yield "gradient", trial
+                    taken = np.abs(gn).max() < gnorm
+                else:
+                    taken = f <= fx + 1e-4 * alpha * slope
+                if taken:
+                    break
+            alpha *= 0.5
+            trial = x + alpha * p
+            trial -= _row_means(trial)
+        else:
+            return MinimizeResult(x, float(fx), gnorm, it, False,
+                                  "backtracking failed")
+        x, fx, g = trial, f, gn if roundoff else None
+        yield "next", None
+    return (yield from done(x, fx, max_iter, False, "max iterations"))
+
+
+def newton_minimize(problem, x0):
+    """`_member`'s Newton for each member of the stack of starts x0, (m, n),
+    in lockstep: the members still running are all at their own k-th step,
+    and a member's result is a `StackResult` entry.
+
+    The members run in rounds. In each round each callback is called at
+    most once, in the order gradient, Hessian, step, objective, for all the
+    members that ask for it, on an (m, n) array whose rows that did not ask
+    are NaN. A DomainError's rows (every row, if it names none) are dropped
+    and the call made again without them. The gradients' row means are
+    subtracted on the stacked output, and the steps of circulant bands come
+    from one row-wise spectral solve (`_spectral_solve`). Each member is
+    sent its value as soon as the call returns, so it factors its band
+    before the next member's is sent. A member that ends its iteration
+    waits until every member has, and then all go on. Every step, test,
+    factorization and exit is the member's own, so a member ends with the
+    bits it gets alone as long as the callbacks give each row the bits they
+    give it alone."""
     x = np.array(x0, dtype=float)
     x -= _row_means(x)
-    m = len(x)
-    g, p, trial = np.empty((3,) + x.shape)
-    fx, gnorm, has_g = [None] * m, [float("nan")] * m, [False] * m
-    results = [None] * m
+    members = [_member(row, problem.quadratic, problem.max_iter)
+               for row in x]
+    asks = {i: member.send(None) for i, member in enumerate(members)}
+    results = [None] * len(x)
 
-    def end(i, at, fun, it, converged, message, **flags):
-        # a row of x or trial is the member's alone, and is not written
-        # once the member has ended
-        results[i] = MinimizeResult(at, float(fun), gnorm[i], it, converged,
-                                    message, **flags)
+    def send(i, value):
+        try:
+            asks[i] = members[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+            del asks[i]
 
-    def values_at(points, rows):
-        """f at the rows of points, where it is defined: row -> value."""
-        rows, vals, _ = _call(problem.objective, points, rows)
-        return dict(zip(rows, vals))
-
-    for it in range(problem.max_iter):
-        running = [i for i in range(m) if results[i] is None]
-        need = [i for i in running if not has_g[i]]
-        if need:
-            rows, gx, outside = _call(problem.gradient, x, need)
-            for i, why in outside.items():
-                end(i, x[i], np.nan, it, False, why, outside_domain=True)
-            if rows:
-                g[_index(rows, m)] = gx - _row_means(gx)
+    while asks:
+        for kind in ("gradient", "hessian", "step", "objective"):
+            rows = [i for i, (asked, _) in asks.items() if asked == kind]
+            if kind == "step" and rows:
+                lam, rhs = zip(*(asks[i][1] for i in rows))
+                values = _spectral_solve(np.array(lam), np.array(rhs))
+            elif rows:
+                points = (np.empty_like(x) if len(rows) == len(x)
+                          else np.full_like(x, np.nan))
+                for i in rows:
+                    points[i] = asks[i][1]
+                while rows:
+                    try:
+                        values = getattr(problem, kind)(points)
+                        break
+                    except DomainError as err:
+                        bad = err.rows or dict.fromkeys(rows, str(err))
+                        points[list(bad)] = np.nan
+                        rows = [i for i in rows if i not in bad]
+                        for i, why in bad.items():
+                            send(i, None if kind == "objective" else why)
+                if rows and kind == "gradient":
+                    values = values - _row_means(values)
+            # each value is released once its member has read it
+            values = list(values)[::-1] if rows else []
             for i in rows:
-                has_g[i] = True
-            running = [i for i in running if i not in outside]
-        if not running:
-            break
-        norms = np.abs(g[_index(running, m)]).max(axis=1).tolist()
-        for i, norm in zip(running, norms):
-            gnorm[i] = norm
-        exits, stops, steps, spectral = {}, [], [], {}
-
-        def take(i, passes):
-            # a reduction solve yields its first pass before it refines: a
-            # step that stops on it needs no refinement
-            for step in passes:
-                stop = (np.abs(step).max()
-                        <= STEP_RTOL * np.abs(x[i] + step).max())
-                if stop:
-                    break
-            else:
-                # one refined step from a certified start reaches a
-                # quadratic problem's minimizer
-                stop = problem.quadratic and it == 0
-            p[i] = step
-            (stops if stop else steps).append(i)
-
-        bands = problem.hessian(_at_rows(x, running))
-        for j, i in enumerate(running):
-            band, bands[j] = bands[j], None
-            try:
-                passes = band.factor()
-            except np.linalg.LinAlgError:
-                exits[i] = (False, "Hessian not positive definite",
-                            dict(hessian_indefinite=True))
-                continue
-            del band
-            if gnorm[i] == 0.0:
-                exits[i] = (True, "converged", {})
-            elif hasattr(passes, "lam"):
-                spectral[i] = passes.lam
-            else:
-                take(i, passes(-g[i]))
-            del passes  # free the factorization before f is evaluated again
-        if spectral:
-            # the circulant members' steps in one row-wise spectral solve
-            circulant = list(spectral)
-            for i, step in zip(circulant, _spectral_solve(
-                    np.array(list(spectral.values())), -g[circulant])):
-                take(i, [step])
-        del bands
-        # f at the exits that have not read it, and at the stopping points
-        ends = [i for i in exits if fx[i] is None]
-        if ends:
-            trial[ends] = x[ends]
-        if stops:
-            at = _index(stops, m)
-            points = np.add(x[at], p[at], out=trial[at])
-            points -= _row_means(points)
-            trial[at] = points
-        fn = values_at(trial, sorted(ends + stops)) if ends or stops else {}
-        for i in stops:
-            if i in fn:
-                end(i, trial[i], fn[i], it + 1, True, "converged")
-            else:   # the stopping point is outside: damp
-                steps.append(i)
-        for i, (converged, message, flags) in exits.items():
-            end(i, x[i], fn.get(i, fx[i]), it, converged, message, **flags)
-        steps.sort()
-        start = [i for i in steps if fx[i] is None]
-        for i, v in (values_at(x, start) if start else {}).items():
-            fx[i] = v
-        slope = {i: float(np.dot(g[i], p[i])) for i in steps}
-        roundoff = {i: -slope[i] <= ROUNDOFF_RTOL * abs(fx[i]) for i in steps}
-        alpha = dict.fromkeys(steps, 1.0)
-        for _ in range(60):
-            if not steps:
-                break
-            for i in steps:
-                point = np.add(x[i], alpha[i] * p[i], out=trial[i])
-                point -= _row_means(point)
-            fn = values_at(trial, steps)
-            low = [i for i in fn if roundoff[i]]
-            if low:
-                gn = problem.gradient(_at_rows(trial, low))
-                gn = dict(zip(low, gn - _row_means(gn)))
-            for i, f in fn.items():
-                if roundoff[i]:
-                    taken = np.abs(gn[i]).max() < gnorm[i]
-                else:
-                    taken = f <= fx[i] + 1e-4 * alpha[i] * slope[i]
-                if taken:
-                    x[i], fx[i], has_g[i] = trial[i], f, roundoff[i]
-                    if roundoff[i]:
-                        g[i] = gn[i]
-                    alpha[i] = None
-            # a trial outside the domain is rejected too
-            for i in steps:
-                if alpha[i] is not None:
-                    alpha[i] *= 0.5
-            steps = [i for i in steps if alpha[i] is not None]
-        for i in steps:
-            end(i, x[i], fx[i], it, False, "backtracking failed")
-    last = [i for i in range(m) if results[i] is None]
-    fn = values_at(x, [i for i in last if fx[i] is None])
-    for i in last:
-        end(i, x[i], fn.get(i, fx[i]), problem.max_iter, False,
-            "max iterations")
+                send(i, values.pop())
+        if all(asked == "next" for asked, _ in asks.values()):
+            for i in list(asks):
+                send(i, None)
     return StackResult(results)
 
 

@@ -99,7 +99,6 @@ class PairPotential:
             np.multiply(E, E, out=work)
             E *= 2.0
             np.subtract(work, E, out=E)
-            E -= 0.0
             return E[()]
         np.multiply(E, (-2.0 * a) ** j, out=work)
         work *= E

@@ -187,6 +187,14 @@ def test_force_must_be_mean_zero():
         AtomisticSystem(8, make_potential("harmonic"), force=np.ones(16))
 
 
+def test_force_must_have_one_entry_per_site():
+    # a force of the wrong length is named with both lengths, not left to
+    # a broadcast error in the solve
+    with pytest.raises(ValueError, match="force has length 10, not the "
+                                         "2N = 16"):
+        AtomisticSystem(8, make_potential("harmonic"), force=np.zeros(10))
+
+
 def test_homogeneous_stress_is_constant():
     N = 8
     sys_ = AtomisticSystem(N, make_potential("harmonic"), bonds=(1, 2))

@@ -293,7 +293,7 @@ def test_one_element_band_matches_the_streamed_band(data, key, N):
     sp.scatter_add = None
     hess_kernel = fem._element_kernels(model.density_orders)[1]
     d2w = np.broadcast_to(planes.reshape(-1, 1), (planes.size, sp.n))
-    H = fem._hessian_band(sp, hess_kernel, d2w, False)
+    H = fem._hessian_band(sp, hess_kernel, d2w, True)
     assert np.all(H.diags == H.diags[:, :1])
     assert H.is_circulant() == (sp.n > 10)
     d2w = np.asfortranarray(d2w)

@@ -105,6 +105,25 @@ def test_solve_cell_harmonic():
     assert 0 < rec.energy_gap < 1e-4
 
 
+def test_cell_force_is_its_load_density_at_the_sites(monkeypatch):
+    # eps = 0.333333333333333 is accepted as N = 3 but is not 1/3: the
+    # chain's force and the FEM load both come from one f with eps = 1/N
+    forces, densities = [], []
+    monkeypatch.setattr(harness, "AtomisticSystem", lambda *args, **kw: (
+        forces.append(kw["force"]) or AtomisticSystem(*args, **kw)))
+    load_vector = fem.PeriodicSplineSpace.load_vector
+    monkeypatch.setattr(fem.PeriodicSplineSpace, "load_vector",
+                        lambda self, f: densities.append(f)
+                        or load_vector(self, f))
+    solve_cell(StudyConfig(potential="harmonic"), 0.333333333333333, ("cb",))
+    [force], [f] = forces, densities
+    sites = np.arange(-3, 3)
+    assert np.array_equal(force, f(sites))
+    x = np.linspace(-3.0, 3.0, 13)
+    eps = 1.0 / 3
+    assert np.array_equal(f(x), eps * np.cos(np.pi * eps * x))
+
+
 def test_solve_cell_reports_unconverged_chain():
     # one Newton step cannot solve the nonlinear LJ chain: every record says
     # so in its reason

@@ -752,6 +752,37 @@ def test_newton_solves_each_member_of_a_stack_as_if_alone():
             want.hessian_indefinite, want.outside_domain)
 
 
+def test_lockstep_serves_copies_in_the_calls_of_one():
+    # three copies of an LJ hoc4 problem, started from cb's coefficients,
+    # take three steps through the line search. As one stack they make
+    # each callback's calls exactly as often as one copy alone, and each
+    # ends with the lone copy's bits: the lockstep batches its members'
+    # requests rather than serving them one at a time
+    N = 16
+    pot, space = make_potential("lj"), PeriodicSplineSpace(N)
+    load = space.load_vector(lambda x: np.cos(np.pi * x / N) / N)
+    start = solve_one(continuum_model("cb", pot), space, load).coeffs
+
+    def solve(k):
+        prob = assemble([continuum_model("hoc4", pot)] * k, space, load)
+        calls = dict.fromkeys(("objective", "gradient", "hessian"), 0)
+        for name in calls:
+            def counted(x, callback=getattr(prob, name), name=name):
+                calls[name] += 1
+                return callback(x)
+            setattr(prob, name, counted)
+        return newton_minimize(prob, np.tile(start, (k, 1))), calls
+
+    (alone,), one = solve(1)
+    stack, three = solve(3)
+    assert alone.converged and alone.iterations == 3
+    assert three == one
+    for res in stack:
+        assert res.x.tobytes() == alone.x.tobytes()
+        assert repr((res.fun, res.grad_norm, res.iterations)) == repr(
+            (alone.fun, alone.grad_norm, alone.iterations))
+
+
 def _lj_problem(kind, N):
     """The LJ chain's problem, or the LJ hoc4 FEM problem, with 2N unknowns
     under the sweep's load at eps = 1/N."""
